@@ -17,7 +17,6 @@ from .core import (
     beta_grid,
     bias_correct,
     cclip,
-    ema_update,
     gclip,
     lr_at,
 )
@@ -26,12 +25,10 @@ from .optim import (
     OptimizerConfig,
     OptimizerKind,
     OptimizerState,
-    UpdateTrace,
     apply_step,
     delta_estimate,
     direction,
     init_state,
-    trace_step,
 )
 
 __version__ = "0.1.0"
@@ -45,17 +42,14 @@ __all__ = [
     "OptimizerKind",
     "OptimizerState",
     "Schedule",
-    "UpdateTrace",
     "apply_step",
     "beta_grid",
     "bias_correct",
     "cclip",
     "delta_estimate",
     "direction",
-    "ema_update",
     "gclip",
     "init_state",
     "lr_at",
-    "trace_step",
     "__version__",
 ]

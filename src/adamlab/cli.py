@@ -17,13 +17,15 @@ import json
 import math
 import os
 import sys
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Schedule, beta_grid
+from .core import beta_grid
 from .filters import (
     FilterKind,
     FilterSpec,
@@ -52,7 +54,9 @@ from .quadbench import (
     derive_seed,
     initial_point,
     loss_quantiles,
-    run_experiment,
+    make_config_id,
+    run_cell,
+    run_experiment,  # unused here; perfbench/tracer.py still wraps adamlab.cli.run_experiment
     tune_and_compare,
 )
 from .vi import GaussianBelief, objective_batch, vi_numeric_oracle, vi_objective, vi_update
@@ -84,10 +88,6 @@ def fmt_float(x) -> str:
 # configuration payloads
 
 
-def _astuple(values, cast):
-    return tuple(cast(v) for v in values)
-
-
 @dataclass(frozen=True)
 class QuadConfig:
     schema_version: int = SCHEMA_VERSION
@@ -102,15 +102,6 @@ class QuadConfig:
     batch_size: int = 3
     warmup_fraction: float = 0.1
     base_seed: int = 0
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuadConfig":
-        kwargs = dict(data)
-        kwargs["layouts"] = _astuple(kwargs.get("layouts", cls.layouts), str)
-        kwargs["optimizers"] = _astuple(kwargs.get("optimizers", cls.optimizers), str)
-        kwargs["lr_grid"] = _astuple(kwargs.get("lr_grid", cls.lr_grid), float)
-        kwargs["seeds"] = _astuple(kwargs.get("seeds", cls.seeds), int)
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -127,12 +118,6 @@ class SignalConfig:
     property_tol: float = 1e-12
     blindness_tol: float = 0.05
     base_seed: int = 0
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SignalConfig":
-        kwargs = dict(data)
-        kwargs["filters"] = _astuple(kwargs.get("filters", cls.filters), str)
-        return cls(**kwargs)
 
     def signal_spec(self) -> SignalSpec:
         return SignalSpec(
@@ -159,21 +144,41 @@ class SweepConfig:
     warmup_fraction: float = 0.1
     base_seed: int = 0
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepConfig":
-        kwargs = dict(data)
-        kwargs["optimizers"] = _astuple(kwargs.get("optimizers", cls.optimizers), str)
-        kwargs["kappas"] = _astuple(kwargs.get("kappas", cls.kappas), float)
-        kwargs["lr_grid"] = _astuple(kwargs.get("lr_grid", cls.lr_grid), float)
-        kwargs["seeds"] = _astuple(kwargs.get("seeds", cls.seeds), int)
-        return cls(**kwargs)
-
 
 _CONFIG_TYPES = {"quad": QuadConfig, "signal": SignalConfig, "sweep": SweepConfig}
 
 
 def serialize_config(config) -> str:
     return json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True) + "\n"
+
+
+def _typed(name: str, hint, value):
+    """``value`` checked against the field type ``hint``; floats widen ints."""
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_typed(name, typing.get_args(hint)[0], v) for v in value)
+    elif typing.get_origin(hint) is types.UnionType:  # ``float | None``
+        if value is None:
+            return None
+        return _typed(name, typing.get_args(hint)[0], value)
+    elif isinstance(value, bool):
+        if hint is bool:
+            return value
+    elif hint is float and isinstance(value, (int, float)):
+        return float(value)
+    elif hint in (int, str) and isinstance(value, hint):
+        return value
+    expected = "a list" if typing.get_origin(hint) is tuple else hint.__name__
+    raise ConfigError(f"field {name!r} must be {expected}, got {json.dumps(value)}")
+
+
+def _build_config(cls, data: dict):
+    """Build ``cls`` from field values, rejecting unknown fields and wrong types."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - {field.name for field in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown config field {unknown[0]!r}")
+    return cls(**{name: _typed(name, hints[name], value) for name, value in data.items()})
 
 
 def parse_config(text: str, command: str):
@@ -186,25 +191,22 @@ def parse_config(text: str, command: str):
     declared = data.get("command", command)
     if declared != command:
         raise ConfigError(f"config file is for command {declared!r}, not {command!r}")
-    cls = _CONFIG_TYPES[command]
-    try:
-        return cls.from_dict(data)
-    except TypeError as exc:
-        raise ConfigError(f"bad config field: {exc}") from exc
+    return _build_config(_CONFIG_TYPES[command], data)
 
 
 def _load_config(path: str | None, command: str, overrides: dict):
     cls = _CONFIG_TYPES[command]
     if path is None:
-        data = dataclasses.asdict(cls())
+        config = cls()
     else:
         try:
             text = Path(path).read_text()
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        data = dataclasses.asdict(parse_config(text, command))
+        config = parse_config(text, command)
+    data = dataclasses.asdict(config)
     data.update({k: v for k, v in overrides.items() if v is not None})
-    return cls.from_dict(data)
+    return _build_config(cls, data)
 
 
 # ---------------------------------------------------------------------------
@@ -557,41 +559,33 @@ def cmd_signal(args) -> int:
 
 def _sweep_cell(payload) -> list[str]:
     """Run one (optimizer, lr, betas) cell over all seeds; returns a CSV row."""
-    (problem, name, lr, beta1, beta2, seeds, steps, batch_size, warmup_fraction) = payload
-    kind = _QUAD_KINDS[name]
-    epsilon = 0.0 if kind in (OptimizerKind.SIGNUM, OptimizerKind.SIGN_SGD) else 1e-8
-    config = OptimizerConfig(kind=kind, beta1=beta1, beta2=beta2, epsilon=epsilon, weight_decay=0.0)
-    cid = f"{problem.spec.layout.value}:{name}:lr={lr:.17g}:b1={beta1:.17g}:b2={beta2:.17g}"
-    sched = Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=warmup_fraction)
-    finals = []
-    n_diverged = 0
-    for seed in seeds:
-        record = run_experiment(
-            problem,
-            config,
-            sched,
-            steps,
-            batch_size,
-            initial_point(problem.dim, seed),
-            seed,
-            config_id=cid,
-        )
-        finals.append(record.final_loss())
-        n_diverged += int(record.diverged)
-    if n_diverged == len(seeds):
+    (problem, name, lr, beta1, beta2, starts, steps, batch_size, warmup_fraction) = payload
+    layout = problem.spec.layout.value
+    records = run_cell(
+        problem,
+        default_quad_config(_QUAD_KINDS[name], beta1, beta2),
+        lr,
+        starts,
+        steps,
+        batch_size,
+        warmup_fraction,
+        make_config_id(layout, name, lr) + f":b1={beta1:.17g}:b2={beta2:.17g}",
+    )
+    n_diverged = sum(record.diverged for record in records)
+    if n_diverged == len(records):
         status = "all_diverged"
     elif n_diverged:
         status = "partial"
     else:
         status = "ok"
-    median, q25, q75 = loss_quantiles(finals)
+    median, q25, q75 = loss_quantiles([record.final_loss() for record in records])
     return [
-        problem.spec.layout.value,
+        layout,
         name,
         fmt_float(lr),
         fmt_float(beta1),
         fmt_float(beta2),
-        str(len(seeds)),
+        str(len(records)),
         fmt_float(median),
         fmt_float(q25),
         fmt_float(q75),
@@ -610,7 +604,7 @@ def _beta_pairs(kind: OptimizerKind, betas, equal_betas: bool):
 
 def cmd_sweep(args) -> int:
     overrides = {
-        "layout": args.layout if args.layout != "both" else None,
+        "layout": args.layout,
         "optimizers": tuple(args.optim) if args.optim else None,
         "beta_base": args.beta_base,
         "kappas": tuple(args.kappas) if args.kappas else None,
@@ -635,6 +629,7 @@ def cmd_sweep(args) -> int:
         BlockSpec.for_layout(layout), derive_seed(cfg.base_seed, "problem", layout.value)
     )
     betas = beta_grid(cfg.beta_base, cfg.kappas)
+    starts = [(seed, initial_point(problem.dim, seed)) for seed in cfg.seeds]
     payloads = []
     for name in cfg.optimizers:
         for beta1, beta2 in _beta_pairs(_QUAD_KINDS[name], betas, cfg.equal_betas):
@@ -646,7 +641,7 @@ def cmd_sweep(args) -> int:
                         float(lr),
                         float(beta1),
                         float(beta2),
-                        cfg.seeds,
+                        starts,
                         cfg.steps,
                         cfg.batch_size,
                         cfg.warmup_fraction,
@@ -717,18 +712,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--out", default="out", metavar="DIR", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=_default_jobs(),
-            help="worker processes (default: ADAMLAB_JOBS or 1)",
-        )
 
     p = sub.add_parser("verify", help="run property/identity suites")
     p.add_argument("--suite", default="all", choices=["all", *sorted(_SUITES)])
     p.add_argument("--out", default=None, metavar="DIR")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("quad", help="tuned optimizer comparison on the block quadratics")
@@ -762,6 +750,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seeds", type=int, default=None, metavar="N")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=_default_jobs(),
+        help="worker processes (default: ADAMLAB_JOBS or 1)",
+    )
     p.set_defaults(func=cmd_sweep)
     return parser
 

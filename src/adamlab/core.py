@@ -69,21 +69,6 @@ class EmaBuffer:
         self.step += 1
         return self.value
 
-    def copy(self) -> "EmaBuffer":
-        return EmaBuffer(
-            beta=self.beta,
-            init_mode=self.init_mode,
-            value=None if self.value is None else self.value.copy(),
-            step=self.step,
-        )
-
-
-def ema_update(buf: EmaBuffer, sample) -> EmaBuffer:
-    """Pure form of :meth:`EmaBuffer.update`: returns an advanced copy."""
-    out = buf.copy()
-    out.update(sample)
-    return out
-
 
 def bias_correct(value, beta: float, step: int):
     """Rescale a zero-initialized average by ``1 / (1 - beta**step)``.
@@ -142,8 +127,8 @@ class Schedule:
     warmup_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.peak_lr < 0:
-            raise ValueError("peak_lr must be nonnegative")
+        if not (math.isfinite(self.peak_lr) and self.peak_lr >= 0):
+            raise ValueError(f"peak_lr must be finite and nonnegative, got {self.peak_lr}")
         if self.floor_lr < 0:
             raise ValueError("floor_lr must be nonnegative")
         if self.total_steps <= 0:
@@ -154,9 +139,6 @@ class Schedule:
     @property
     def warmup_steps(self) -> int:
         return round(self.warmup_fraction * self.total_steps)
-
-    def lr(self, step: int) -> float:
-        return lr_at(self, step)
 
 
 def lr_at(sched: Schedule, step: int) -> float:

@@ -40,6 +40,8 @@ class SignalSpec:
             raise ValueError("length must be at least 1")
         if self.decay < 0:
             raise ValueError("decay must be nonnegative")
+        if not self.frequency > 0:
+            raise ValueError(f"frequency must be positive, got {self.frequency}")
 
 
 def gen_signal(spec: SignalSpec) -> np.ndarray:
@@ -232,14 +234,6 @@ class DensityWitness:
     achieved: float
     target: float
     iterations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "achieved": self.achieved,
-            "target": self.target,
-            "iterations": self.iterations,
-        }
 
 
 def density_witness(

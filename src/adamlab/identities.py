@@ -44,15 +44,6 @@ class ResidualReport:
         worst = float(residuals[idx])
         return cls(name, worst, idx, tolerance, worst <= tolerance)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_abs_residual": self.max_abs_residual,
-            "argmax_index": self.argmax_index,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class Prop1Report:
@@ -64,9 +55,6 @@ class Prop1Report:
     @property
     def passed(self) -> bool:
         return self.direction.passed and self.variance.passed
-
-    def to_dict(self) -> dict:
-        return {"direction": self.direction.to_dict(), "variance": self.variance.to_dict()}
 
 
 def scalar_adam_trace(
@@ -164,16 +152,6 @@ class CompletionReport:
     leftover_coefficient: float | None
     required_coefficient: float
     margin: float
-
-    def to_dict(self) -> dict:
-        return {
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "sqrt_defined": self.sqrt_defined,
-            "leftover_coefficient": self.leftover_coefficient,
-            "required_coefficient": self.required_coefficient,
-            "margin": self.margin if math.isfinite(self.margin) else None,
-        }
 
 
 def square_completion_margin(beta1: float, beta2: float) -> CompletionReport:

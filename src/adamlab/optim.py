@@ -222,25 +222,3 @@ def delta_estimate(config: OptimizerConfig, state: OptimizerState) -> np.ndarray
         return np.maximum(v - m * m, 0.0)
     return None
 
-
-@dataclass(frozen=True)
-class UpdateTrace:
-    """Diagnostics captured alongside one direction step."""
-
-    direction: np.ndarray
-    delta_snapshot: np.ndarray | None
-    grad_norm: float
-
-
-def trace_step(
-    config: OptimizerConfig, state: OptimizerState, g
-) -> tuple[np.ndarray, OptimizerState, UpdateTrace]:
-    """Like :func:`direction`, additionally reporting an :class:`UpdateTrace`."""
-    g = np.asarray(g, dtype=float)
-    d, state = direction(config, state, g)
-    trace = UpdateTrace(
-        direction=d.copy(),
-        delta_snapshot=delta_estimate(config, state),
-        grad_norm=float(np.linalg.norm(g)),
-    )
-    return d, state, trace

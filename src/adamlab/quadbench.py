@@ -134,7 +134,6 @@ class QuadraticProblem:
 
     hessian: np.ndarray
     design: np.ndarray
-    block_rotations: tuple[np.ndarray, ...]
     seed: int
     spec: BlockSpec
 
@@ -167,7 +166,6 @@ def build_problem(spec: BlockSpec, seed: int) -> QuadraticProblem:
     dim = spec.dim
     hessian = np.zeros((dim, dim))
     design = np.zeros((dim, dim))
-    rotations = []
     start = 0
     for block in spec.blocks:
         size = len(block)
@@ -178,15 +176,8 @@ def build_problem(spec: BlockSpec, seed: int) -> QuadraticProblem:
         sl = slice(start, start + size)
         hessian[sl, sl] = (h_b + h_b.T) / 2.0
         design[sl, sl] = (x_b + x_b.T) / 2.0
-        rotations.append(q)
         start += size
-    return QuadraticProblem(
-        hessian=hessian,
-        design=design,
-        block_rotations=tuple(rotations),
-        seed=seed,
-        spec=spec,
-    )
+    return QuadraticProblem(hessian=hessian, design=design, seed=seed, spec=spec)
 
 
 def subset_gradient(problem: QuadraticProblem, w: np.ndarray, rows) -> np.ndarray:
@@ -334,6 +325,30 @@ def make_config_id(layout: str, label: str, lr: float) -> str:
     return f"{layout}:{label}:lr={lr:.17g}"
 
 
+def run_cell(
+    problem: QuadraticProblem,
+    config: OptimizerConfig,
+    lr: float,
+    starts,
+    steps: int,
+    batch_size: int,
+    warmup_fraction: float,
+    config_id: str,
+) -> list[RunRecord]:
+    """Run one (optimizer, learning rate) cell once per ``(seed, w0)`` in ``starts``.
+
+    Every run of the cell shares ``config_id``, so each seed's subsampling
+    stream is ``derive_seed(seed, "batches", config_id)``.
+    """
+    if not starts:
+        raise ValueError("at least one seed is required")
+    sched = Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=warmup_fraction)
+    return [
+        run_experiment(problem, config, sched, steps, batch_size, w0, seed, config_id=config_id)
+        for seed, w0 in starts
+    ]
+
+
 def tune_and_compare(
     problem: QuadraticProblem,
     optimizers: dict[str, OptimizerConfig],
@@ -355,7 +370,7 @@ def tune_and_compare(
         raise ValueError("lr_grid and optimizers must be nonempty")
     seeds = tuple(int(s) for s in seeds)
     layout = problem.spec.layout.value
-    starts = {seed: initial_point(problem.dim, seed) for seed in seeds}
+    starts = [(seed, initial_point(problem.dim, seed)) for seed in seeds]
 
     results = []
     for label in sorted(optimizers):
@@ -364,21 +379,16 @@ def tune_and_compare(
         best_records: list[RunRecord] = []
         lr_medians = []
         for lr in lr_grid:
-            cid = make_config_id(layout, label, lr)
-            sched = Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=warmup_fraction)
-            records = [
-                run_experiment(
-                    problem,
-                    config,
-                    sched,
-                    steps,
-                    batch_size,
-                    starts[seed],
-                    seed,
-                    config_id=cid,
-                )
-                for seed in seeds
-            ]
+            records = run_cell(
+                problem,
+                config,
+                lr,
+                starts,
+                steps,
+                batch_size,
+                warmup_fraction,
+                make_config_id(layout, label, lr),
+            )
             median = loss_quantiles([r.final_loss() for r in records])[0]
             lr_medians.append((lr, median))
             if best is None or median < best[0]:
@@ -409,14 +419,17 @@ def tune_and_compare(
     )
 
 
-def default_quad_config(kind: OptimizerKind, beta: float = 0.95) -> OptimizerConfig:
-    """Benchmark defaults: shared momentum 0.95, no decay, no clipping.
+def default_quad_config(
+    kind: OptimizerKind, beta: float = 0.95, beta2: float | None = None
+) -> OptimizerConfig:
+    """Benchmark defaults: momentum 0.95 on both moments, no decay, no clipping.
 
-    Sign methods run with a zero epsilon floor (exact sign); the adaptive
-    methods keep the customary 1e-8.
+    ``beta2=None`` shares ``beta`` between the moments. Sign methods run with
+    a zero epsilon floor (exact sign); the adaptive methods keep the
+    customary 1e-8.
     """
     epsilon = 0.0 if kind in (OptimizerKind.SIGNUM, OptimizerKind.SIGN_SGD) else 1e-8
-    return OptimizerConfig(kind=kind, beta1=beta, beta2=beta, epsilon=epsilon, weight_decay=0.0)
+    return OptimizerConfig(kind=kind, beta1=beta, beta2=beta2, epsilon=epsilon, weight_decay=0.0)
 
 
 def signum_epsilon_ablation(

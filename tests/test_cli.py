@@ -1,8 +1,15 @@
 """CLI harness: config round-trips, artifact formats, determinism, exit codes."""
+import contextlib
+import dataclasses
+import io
 import json
+import types
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adamlab.cli import (
     EXIT_CHECK_FAILURE,
@@ -16,6 +23,16 @@ from adamlab.cli import (
     main,
     parse_config,
     serialize_config,
+)
+from adamlab.core import Schedule
+from adamlab.optim import OptimizerConfig, OptimizerKind
+from adamlab.quadbench import (
+    BlockSpec,
+    build_problem,
+    derive_seed,
+    initial_point,
+    loss_quantiles,
+    run_experiment,
 )
 
 FAST_QUAD = [
@@ -57,6 +74,156 @@ class TestConfigRoundTrip:
         text = json.dumps({"schema_version": 1, "command": "quad", "bogus": 3})
         with pytest.raises(ValueError):
             parse_config(text, "quad")
+
+
+CONFIG_TYPES = (QuadConfig, SignalConfig, SweepConfig)
+
+#: small valid configs, so a wrongly accepted field costs milliseconds
+FAST_CONFIGS = {
+    "quad": QuadConfig(layouts=("het",), optimizers=("sgd",), lr_grid=(0.01,), seeds=(0,), steps=2),
+    "signal": SignalConfig(filters=("sign",), length=10, property_trials=1),
+    "sweep": SweepConfig(optimizers=("signum",), kappas=(1.0,), lr_grid=(0.01,), seeds=(0,), steps=2),
+}
+
+NON_NUMBER = st.one_of(st.booleans(), st.text(max_size=5), st.lists(st.integers(), max_size=2))
+
+
+def _values(hint):
+    """Well-typed values for a config field."""
+    if typing.get_origin(hint) is tuple:
+        return st.lists(_values(typing.get_args(hint)[0]), max_size=4).map(tuple)
+    if typing.get_origin(hint) is types.UnionType:
+        return st.none() | _values(typing.get_args(hint)[0])
+    return {
+        int: st.integers(),
+        float: st.floats(allow_nan=False),
+        str: st.text(max_size=8),
+        bool: st.booleans(),
+    }[hint]
+
+
+def _wrong_values(hint):
+    """Values of the wrong JSON type for a config field."""
+    if typing.get_origin(hint) is tuple:
+        return st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=5)
+        )
+    if typing.get_origin(hint) is types.UnionType:
+        return NON_NUMBER
+    return {
+        int: st.one_of(st.text(max_size=5), st.floats(allow_nan=False), st.booleans()),
+        float: NON_NUMBER,
+        str: st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans()),
+        bool: st.one_of(st.integers(), st.text(max_size=5), st.none()),
+    }[hint]
+
+
+def _configs(cls):
+    hints = typing.get_type_hints(cls)
+    return st.builds(
+        cls,
+        **{
+            f.name: _values(hints[f.name])
+            for f in dataclasses.fields(cls)
+            if f.name not in ("schema_version", "command")
+        },
+    )
+
+
+def _run(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr text."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _run_config(tmp_dir, command: str, data: dict) -> tuple[int, str]:
+    path = tmp_dir / "config.json"
+    path.write_text(json.dumps(data))
+    return _run([command, "--config", str(path), "--out", str(tmp_dir / "out")])
+
+
+def _assert_usage_error(rc: int, err: str) -> None:
+    assert rc == EXIT_USAGE
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def _with_field(command: str, name: str, value) -> dict:
+    data = json.loads(serialize_config(FAST_CONFIGS[command]))
+    data[name] = value
+    return data
+
+
+class TestTypedConfigLoader:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(*(_configs(cls) for cls in CONFIG_TYPES)))
+    def test_generated_configs_round_trip(self, config):
+        assert parse_config(serialize_config(config), config.command) == config
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_wrong_field_type_exits_2_with_one_line(self, tmp_path_factory, data):
+        cls = data.draw(st.sampled_from(CONFIG_TYPES))
+        field = data.draw(st.sampled_from(dataclasses.fields(cls)))
+        value = data.draw(_wrong_values(typing.get_type_hints(cls)[field.name]))
+        command = cls().command
+        rc, err = _run_config(tmp_path_factory.mktemp("cfg"), command, _with_field(command, field.name, value))
+        _assert_usage_error(rc, err)
+
+    @pytest.mark.parametrize(
+        "command, name, value",
+        [
+            ("sweep", "kappas", "12"),  # once split into the kappa grid (1, 2)
+            ("quad", "steps", "5"),  # once a TypeError traceback
+            ("quad", "seeds", 3),
+            ("quad", "steps", 5.0),
+            ("quad", "batch_size", True),
+            ("signal", "beta", "0.9"),
+            ("sweep", "equal_betas", 1),
+        ],
+    )
+    def test_pinned_wrong_types(self, tmp_path, command, name, value):
+        rc, err = _run_config(tmp_path, command, _with_field(command, name, value))
+        _assert_usage_error(rc, err)
+        assert repr(name) in err
+
+    def test_ints_widen_to_float_fields_and_null_clears_fixed_lr(self):
+        text = json.dumps({"schema_version": 1, "beta": 1, "lr_grid": [1, 0.5], "fixed_lr": None})
+        config = parse_config(text, "quad")
+        assert type(config.beta) is float and config.lr_grid == (1.0, 0.5)
+        assert all(type(lr) is float for lr in config.lr_grid)
+        assert config.fixed_lr is None
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quad", "--seeds", "0", "--steps", "5"],
+            ["sweep", "--seeds", "0", "--steps", "5"],
+            ["quad", "--lr", "nan", "--steps", "5", "--seeds", "1"],
+            ["quad", "--lr", "inf", "--steps", "5", "--seeds", "1"],
+            ["signal", "--frequency", "0", "--length", "50"],
+            ["signal", "--frequency", "-0.5", "--length", "50"],
+        ],
+    )
+    def test_flag_values_exit_2(self, tmp_path, argv):
+        _assert_usage_error(*_run(argv + ["--out", str(tmp_path)]))
+
+    @pytest.mark.parametrize(
+        "command, name, value",
+        [("quad", "lr_grid", [0.01, float("nan")]), ("quad", "seeds", []), ("sweep", "seeds", [])],
+    )
+    def test_config_values_exit_2(self, tmp_path, command, name, value):
+        _assert_usage_error(*_run_config(tmp_path, command, _with_field(command, name, value)))
+
+    @pytest.mark.parametrize("command", ["verify", "quad", "signal"])
+    def test_jobs_is_a_sweep_only_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--jobs", "2"])
+        capsys.readouterr()
+        assert err.value.code == EXIT_USAGE
 
 
 def test_float_format_round_trips():
@@ -240,6 +407,31 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
         capsys.readouterr()
         assert rc == EXIT_USAGE
+
+    def test_cell_row_matches_direct_runs(self, tmp_path, capsys):
+        """Pins the sweep's stream labels and its zero epsilon for sign methods."""
+        rc = main(
+            [
+                "sweep", "--optim", "signum", "--kappas", "1",
+                "--steps", "30", "--seeds", "3", "--out", str(tmp_path),
+            ]
+        )
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        row = next(r for r in rows if r[2] == "0.0078125")
+        assert row[3:5] == ["0.90000000000000002", "0.90000000000000002"]
+        problem = build_problem(BlockSpec.heterogeneous(), derive_seed(0, "problem", "het"))
+        config = OptimizerConfig(OptimizerKind.SIGNUM, beta1=0.9, beta2=0.9, epsilon=0.0, weight_decay=0.0)
+        sched = Schedule(peak_lr=0.0078125, total_steps=30, warmup_fraction=0.1)
+        cid = "het:signum:lr=0.0078125:b1=0.90000000000000002:b2=0.90000000000000002"
+        finals = [
+            run_experiment(
+                problem, config, sched, 30, 3, initial_point(problem.dim, seed), seed, config_id=cid
+            ).final_loss()
+            for seed in range(3)
+        ]
+        assert row[6:9] == [fmt_float(x) for x in loss_quantiles(finals)]
 
     def test_parallel_jobs_produce_identical_bytes(self, tmp_path, capsys):
         base = [

@@ -10,7 +10,6 @@ from adamlab.core import (
     beta_grid,
     bias_correct,
     cclip,
-    ema_update,
     gclip,
     lr_at,
 )
@@ -74,12 +73,6 @@ class TestEmaBuffer:
             EmaBuffer(beta=1.0)
         with pytest.raises(ValueError):
             EmaBuffer(beta=-0.1)
-
-    def test_pure_update_leaves_input_untouched(self):
-        buf = EmaBuffer.zeros((), beta=0.5)
-        out = ema_update(buf, 1.0)
-        assert buf.step == 0 and float(buf.value) == 0.0
-        assert out.step == 1 and float(out.value) == 0.5
 
 
 class TestBiasCorrect:

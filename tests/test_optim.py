@@ -13,7 +13,6 @@ from adamlab.optim import (
     delta_estimate,
     direction,
     init_state,
-    trace_step,
 )
 
 SIGN_FAMILY = (OptimizerKind.SIGN_SGD, OptimizerKind.SIGNUM, OptimizerKind.EMA_SIGN)
@@ -298,13 +297,3 @@ def test_delta_estimate_nonnegative_and_consistent():
         np.testing.assert_allclose(d_ad, d_eq, atol=1e-12)
     assert delta_estimate(OptimizerConfig(OptimizerKind.SGD), init_state(eq, (3,))) is None
 
-
-def test_trace_step_reports_direction_and_grad_norm():
-    config = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, beta1=0.9)
-    state = init_state(config, (2,))
-    g = np.array([3.0, 4.0])
-    d, state, trace = trace_step(config, state, g)
-    np.testing.assert_array_equal(trace.direction, d)
-    assert trace.grad_norm == pytest.approx(5.0)
-    assert trace.delta_snapshot is not None and np.all(trace.delta_snapshot >= 0)
-    assert np.all(np.isfinite(trace.direction))
