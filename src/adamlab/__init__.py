@@ -9,17 +9,7 @@ view of the direction maps (:mod:`adamlab.filters`), and a CLI harness
 (:mod:`adamlab.cli`).
 """
 
-from .core import (
-    ClipConfig,
-    EmaBuffer,
-    InitMode,
-    Schedule,
-    beta_grid,
-    bias_correct,
-    cclip,
-    gclip,
-    lr_at,
-)
+from .core import EmaBuffer, InitMode, Schedule, beta_grid, bias_correct, lr_at
 from .optim import (
     EpsilonPlacement,
     OptimizerConfig,
@@ -34,7 +24,6 @@ from .optim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClipConfig",
     "EmaBuffer",
     "EpsilonPlacement",
     "InitMode",
@@ -45,10 +34,8 @@ __all__ = [
     "apply_step",
     "beta_grid",
     "bias_correct",
-    "cclip",
     "delta_estimate",
     "direction",
-    "gclip",
     "init_state",
     "lr_at",
     "__version__",

@@ -95,7 +95,10 @@ class QuadConfig:
     layouts: tuple[str, ...] = ("het", "hom")
     optimizers: tuple[str, ...] = ("sgd", "signum", "adameq")
     beta: float = 0.95
-    lr_grid: tuple[float, ...] = tuple(DEFAULT_LR_GRID)
+    #: the one list field that may be empty: ``fixed_lr`` replaces the grid
+    lr_grid: tuple[float, ...] = dataclasses.field(
+        default=tuple(DEFAULT_LR_GRID), metadata={"may_be_empty": True}
+    )
     fixed_lr: float | None = None
     seeds: tuple[int, ...] = tuple(range(10))
     steps: int = 1000
@@ -173,12 +176,17 @@ def _typed(name: str, hint, value):
 
 
 def _build_config(cls, data: dict):
-    """Build ``cls`` from field values, rejecting unknown fields and wrong types."""
+    """Build ``cls`` from field values, rejecting unknown fields, wrong types and empty lists."""
     hints = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - {field.name for field in dataclasses.fields(cls)})
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
     if unknown:
         raise ConfigError(f"unknown config field {unknown[0]!r}")
-    return cls(**{name: _typed(name, hints[name], value) for name, value in data.items()})
+    values = {name: _typed(name, hints[name], value) for name, value in data.items()}
+    for name, value in values.items():
+        if value == () and not fields[name].metadata.get("may_be_empty"):
+            raise ConfigError(f"field {name!r} must not be empty")
+    return cls(**values)
 
 
 def parse_config(text: str, command: str):
@@ -444,7 +452,6 @@ def cmd_quad(args) -> int:
     cfg = _load_config(args.config, "quad", overrides)
     if not cfg.lr_grid and cfg.fixed_lr is None:
         raise ConfigError("lr grid must be nonempty")
-    out_dir = _ensure_out(args.out)
 
     run_rows = []
     summary_rows = []
@@ -491,6 +498,7 @@ def cmd_quad(args) -> int:
                             *block_cols,
                         ]
                     )
+    out_dir = _ensure_out(args.out)
     _write_csv(
         out_dir / "runs.csv",
         ["config_id", "seed", "step", "loss", "delta_b1", "delta_b2", "delta_b3"],
@@ -526,7 +534,6 @@ def cmd_signal(args) -> int:
     for name in cfg.filters:
         if name not in _FILTER_KINDS:
             raise ConfigError(f"unknown filter {name!r}; choose from {sorted(_FILTER_KINDS)}")
-    out_dir = _ensure_out(args.out)
 
     spec = cfg.signal_spec()
     signal = gen_signal(spec)
@@ -547,6 +554,7 @@ def cmd_signal(args) -> int:
         "properties": reports,
         "decay_blindness": blind.to_dict(),
     }
+    out_dir = _ensure_out(args.out)
     _write_csv(out_dir / "responses.csv", ["filter", "beta", "k", "input", "response"], rows)
     _write_json(out_dir / "signal_properties.json", payload)
     print(f"wrote {out_dir / 'responses.csv'} and {out_dir / 'signal_properties.json'}", file=sys.stderr)
@@ -615,14 +623,9 @@ def cmd_sweep(args) -> int:
         "base_seed": args.seed,
     }
     cfg = _load_config(args.config, "sweep", overrides)
-    if not cfg.lr_grid:
-        raise ConfigError("lr grid must be nonempty")
-    if not cfg.kappas:
-        raise ConfigError("kappa grid must be nonempty")
     for name in cfg.optimizers:
         if name not in _QUAD_KINDS:
             raise ConfigError(f"unknown optimizer {name!r}; choose from {sorted(_QUAD_KINDS)}")
-    out_dir = _ensure_out(args.out)
 
     layout = _parse_layout(cfg.layout)
     problem = build_problem(
@@ -652,6 +655,7 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_cell, payloads, chunksize=4))
     else:
         rows = [_sweep_cell(p) for p in payloads]
+    out_dir = _ensure_out(args.out)
     _write_csv(
         out_dir / "sweep.csv",
         [

@@ -1,4 +1,4 @@
-"""Shared numerics: moving averages, clipping, schedules and momentum grids.
+"""Shared numerics: moving averages, schedules and momentum grids.
 
 Everything downstream (optimizers, identity checkers, benchmark runner)
 builds on the normalized exponential moving average
@@ -82,55 +82,17 @@ def bias_correct(value, beta: float, step: int):
     return np.asarray(value, dtype=float) / (1.0 - beta**step)
 
 
-def gclip(g, threshold: float) -> np.ndarray:
-    """Global norm clipping: scale ``g`` so its l2 norm is at most ``threshold``.
-
-    The zero vector passes through unchanged.
-    """
-    if threshold <= 0:
-        raise ValueError(f"gclip threshold must be positive, got {threshold}")
-    g = np.asarray(g, dtype=float)
-    norm = float(np.linalg.norm(g))
-    if norm > threshold:
-        return g * (threshold / norm)
-    return g.copy()
-
-
-def cclip(v, bound: float) -> np.ndarray:
-    """Coordinate-wise clamp to ``[-bound, bound]``."""
-    if bound <= 0:
-        raise ValueError(f"cclip bound must be positive, got {bound}")
-    return np.clip(np.asarray(v, dtype=float), -bound, bound)
-
-
-@dataclass(frozen=True)
-class ClipConfig:
-    """Gradient clipping switches: both operators disabled by default."""
-
-    gclip_threshold: float | None = None
-    cclip_bound: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.gclip_threshold is not None and self.gclip_threshold <= 0:
-            raise ValueError("gclip_threshold must be positive when enabled")
-        if self.cclip_bound is not None and self.cclip_bound <= 0:
-            raise ValueError("cclip_bound must be positive when enabled")
-
-
 @dataclass(frozen=True)
 class Schedule:
-    """Linear warmup to ``peak_lr`` followed by cosine annealing to ``floor_lr``."""
+    """Linear warmup to ``peak_lr`` followed by cosine annealing to 0."""
 
     peak_lr: float
     total_steps: int
-    floor_lr: float = 0.0
     warmup_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.peak_lr) and self.peak_lr >= 0):
             raise ValueError(f"peak_lr must be finite and nonnegative, got {self.peak_lr}")
-        if self.floor_lr < 0:
-            raise ValueError("floor_lr must be nonnegative")
         if self.total_steps <= 0:
             raise ValueError("total_steps must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -152,9 +114,9 @@ def lr_at(sched: Schedule, step: int) -> float:
         return sched.peak_lr * step / warmup
     span = sched.total_steps - warmup
     if span == 0:
-        return sched.floor_lr
+        return 0.0
     phase = math.pi * (step - warmup) / span
-    return sched.floor_lr + (sched.peak_lr - sched.floor_lr) * (1.0 + math.cos(phase)) / 2.0
+    return sched.peak_lr * (1.0 + math.cos(phase)) / 2.0
 
 
 def beta_grid(beta_base: float, kappas: Sequence[float]) -> list[float]:

@@ -139,6 +139,8 @@ class PropertyReport:
 
 
 SCALING_FACTORS = (0.5, 2.0, 10.0)
+SIGNAL_LENGTH = 256
+TRUNCATIONS_PER_TRIAL = 3
 
 
 def run_property_checks(
@@ -146,9 +148,7 @@ def run_property_checks(
     trials: int,
     tol: float,
     rng: np.random.Generator,
-    signal_length: int = 256,
     label: str = "filter",
-    truncations_per_trial: int = 3,
 ) -> PropertyReport:
     """Measure the four operator properties on random Gaussian signals.
 
@@ -159,9 +159,9 @@ def run_property_checks(
         raise ValueError("trials must be at least 1")
     worst = {"causal": 0.0, "scaling": 0.0, "odd": 0.0, "bounded": 0.0}
     for _ in range(trials):
-        g = rng.standard_normal(signal_length)
+        g = rng.standard_normal(SIGNAL_LENGTH)
         base = response(g)
-        for k in rng.integers(1, signal_length, size=truncations_per_trial):
+        for k in rng.integers(1, SIGNAL_LENGTH, size=TRUNCATIONS_PER_TRIAL):
             head = response(g[: k + 1])
             worst["causal"] = max(worst["causal"], float(np.max(np.abs(head - base[: k + 1]))))
         for alpha in SCALING_FACTORS:
@@ -179,18 +179,15 @@ def check_properties(
     filt: FilterSpec,
     trials: int = 100,
     tol: float = 1e-12,
-    rng: np.random.Generator | None = None,
-    signal_length: int = 256,
+    *,
+    rng: np.random.Generator,
 ) -> PropertyReport:
     """:func:`run_property_checks` applied to a named filter."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     return run_property_checks(
         lambda s: filter_response(filt, s),
         trials=trials,
         tol=tol,
         rng=rng,
-        signal_length=signal_length,
         label=filt.kind.value,
     )
 

@@ -1,9 +1,9 @@
 """Optimizer family as pure step functions over explicit state.
 
 Each method reduces to picking a direction ``d`` from the gradient stream;
-the parameter update is always the decoupled form
+the parameter update is always
 
-    w' = w - lr * weight_decay * w - lr * d
+    w' = w - lr * d
 
 Supported directions:
 
@@ -16,18 +16,15 @@ Supported directions:
 * ``ADAM_EQUAL_BETA``  d = m / sqrt(m^2 + delta)    with the online variance
   recursion ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``, which reproduces
   ADAM exactly when both moments share one momentum parameter.
-
-Global norm clipping, when enabled, hits the raw gradient before any
-averaging; the coordinate clamp applies to the SGD momentum only.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClipConfig, EmaBuffer, InitMode, bias_correct, cclip, gclip
+from .core import EmaBuffer, InitMode, bias_correct
 
 
 class OptimizerKind(enum.Enum):
@@ -45,6 +42,7 @@ class EpsilonPlacement(enum.Enum):
     INSIDE_SQRT = "inside"
 
 
+#: the methods that carry a gradient-variance term
 _SECOND_MOMENT_KINDS = frozenset(
     {OptimizerKind.RMSPROP, OptimizerKind.ADAM, OptimizerKind.ADAM_EQUAL_BETA}
 )
@@ -64,10 +62,8 @@ class OptimizerConfig:
     beta2: float | None = None
     epsilon: float = 1e-8
     epsilon_placement: EpsilonPlacement = EpsilonPlacement.OUTSIDE_SQRT
-    weight_decay: float = 0.0
     bias_correction: bool = True
     init_mode: InitMode = InitMode.ZERO
-    clip: ClipConfig = field(default_factory=ClipConfig)
 
     def __post_init__(self) -> None:
         if self.beta2 is None:
@@ -83,8 +79,6 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {beta}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
 
 
 @dataclass
@@ -116,6 +110,39 @@ def _safe_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return out
 
 
+def _denominator(second: np.ndarray, config: OptimizerConfig) -> np.ndarray:
+    """``sqrt(second)`` floored by epsilon at the configured placement."""
+    if config.epsilon_placement is EpsilonPlacement.INSIDE_SQRT:
+        return np.sqrt(second + config.epsilon)
+    return np.sqrt(second) + config.epsilon
+
+
+def _adam_view(config: OptimizerConfig, state: OptimizerState) -> tuple[np.ndarray, np.ndarray]:
+    """Adam/RMSprop's ``(m, v)``, bias-corrected when configured; needs ``m.step >= 1``."""
+    m, v = state.m.value, state.v.value
+    if config.bias_correction:
+        m = bias_correct(m, config.beta1, state.m.step)
+        v = bias_correct(v, config.beta2, state.v.step)
+    return m, v
+
+
+def _equal_beta_view(
+    config: OptimizerConfig, state: OptimizerState
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-beta Adam's ``(m, delta)``, bias-corrected when configured; needs ``m.step >= 1``.
+
+    The corrected variance term is ``v_hat - m_hat**2``, which the recursion
+    gives as ``delta / (1 - beta**k) - beta**k * m_hat**2``. It can dip below
+    zero in floating point; callers clamp.
+    """
+    m, delta = state.m.value, state.delta
+    if config.bias_correction:
+        beta, step = config.beta1, state.m.step
+        m = bias_correct(m, beta, step)
+        delta = bias_correct(delta, beta, step) - beta**step * m * m
+    return m, delta
+
+
 def direction(
     config: OptimizerConfig, state: OptimizerState, g
 ) -> tuple[np.ndarray, OptimizerState]:
@@ -125,54 +152,28 @@ def direction(
         raise ValueError("gradient contains non-finite entries")
 
     kind = config.kind
-    if config.clip.gclip_threshold is not None and kind is not OptimizerKind.EMA_SIGN:
-        gc = gclip(g, config.clip.gclip_threshold)
-    else:
-        # norm clipping rescales g by a positive factor, so sign(g) is unchanged
-        # and ema(sign(g)) cannot see it
-        gc = g
-
     if kind is OptimizerKind.SGD:
-        d = state.m.update(gc).copy()
-        if config.clip.cclip_bound is not None:
-            d = cclip(d, config.clip.cclip_bound)
+        d = state.m.update(g).copy()
     elif kind is OptimizerKind.SIGN_SGD:
-        d = np.sign(gc)
+        d = np.sign(g)
     elif kind is OptimizerKind.SIGNUM:
-        m = state.m.update(gc)
-        d = _mollified(m, config)
+        m = state.m.update(g)
+        d = np.sign(m) if config.epsilon == 0.0 else m / _denominator(m * m, config)
     elif kind is OptimizerKind.EMA_SIGN:
         d = state.m.update(np.sign(g)).copy()
     elif kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
-        m = state.m.update(gc)
-        v = state.v.update(gc * gc)
-        if config.bias_correction:
-            m = bias_correct(m, config.beta1, state.m.step)
-            v = bias_correct(v, config.beta2, state.v.step)
-        if config.epsilon_placement is EpsilonPlacement.INSIDE_SQRT:
-            denom = np.sqrt(v + config.epsilon)
-        else:
-            denom = np.sqrt(v) + config.epsilon
-        d = _safe_div(m, denom)
+        state.m.update(g)
+        state.v.update(g * g)
+        m, v = _adam_view(config, state)
+        d = _safe_div(m, _denominator(v, config))
     elif kind is OptimizerKind.ADAM_EQUAL_BETA:
         beta = config.beta1
-        first = state.m.step == 0
-        if not (first and config.init_mode is InitMode.FIRST_SAMPLE):
-            diff = state.m.value - gc
+        if not (state.m.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE):
+            diff = state.m.value - g
             state.delta = beta * state.delta + beta * (1.0 - beta) * diff * diff
-        m = state.m.update(gc)
-        delta = state.delta
-        if config.bias_correction:
-            correction = 1.0 - beta**state.m.step
-            m = m / correction
-            # bias-corrected variance view: v_hat - m_hat**2
-            delta = delta / correction - beta**state.m.step * m * m
-        inner = np.maximum(m * m + delta, 0.0)
-        if config.epsilon_placement is EpsilonPlacement.INSIDE_SQRT:
-            denom = np.sqrt(inner + config.epsilon)
-        else:
-            denom = np.sqrt(inner) + config.epsilon
-        d = _safe_div(m, denom)
+        state.m.update(g)
+        m, delta = _equal_beta_view(config, state)
+        d = _safe_div(m, _denominator(np.maximum(m * m + delta, 0.0), config))
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown optimizer kind {kind}")
 
@@ -180,23 +181,13 @@ def direction(
     return d, state
 
 
-def _mollified(m: np.ndarray, config: OptimizerConfig) -> np.ndarray:
-    """sign(m) softened by a fixed epsilon floor; exact sign when eps == 0."""
-    eps = config.epsilon
-    if eps == 0.0:
-        return np.sign(m)
-    if config.epsilon_placement is EpsilonPlacement.INSIDE_SQRT:
-        return m / np.sqrt(m * m + eps)
-    return m / (np.sqrt(m * m) + eps)
-
-
-def apply_step(w, d, lr: float, weight_decay: float = 0.0) -> np.ndarray:
-    """Decoupled update ``w - lr*weight_decay*w - lr*d``."""
+def apply_step(w, d, lr: float) -> np.ndarray:
+    """The update ``w - lr*d``."""
     w = np.asarray(w, dtype=float)
     d = np.asarray(d, dtype=float)
     if w.shape != d.shape:
         raise ValueError(f"shape mismatch: w {w.shape} vs d {d.shape}")
-    return w - lr * weight_decay * w - lr * d
+    return w - lr * d
 
 
 def delta_estimate(config: OptimizerConfig, state: OptimizerState) -> np.ndarray | None:
@@ -205,20 +196,12 @@ def delta_estimate(config: OptimizerConfig, state: OptimizerState) -> np.ndarray
     Equal-beta Adam exposes its recursion directly; plain Adam/RMSprop report
     ``max(v_hat - m_hat**2, 0)``. Sign and momentum methods return ``None``.
     """
+    if config.kind not in _SECOND_MOMENT_KINDS:
+        return None
+    if state.m.step == 0:
+        return state.delta.copy()
     if config.kind is OptimizerKind.ADAM_EQUAL_BETA:
-        if not config.bias_correction or state.m.step == 0:
-            return state.delta.copy()
-        beta = config.beta1
-        correction = 1.0 - beta**state.m.step
-        m_hat = state.m.value / correction
-        return np.maximum(state.delta / correction - beta**state.m.step * m_hat * m_hat, 0.0)
-    if config.kind in (OptimizerKind.ADAM, OptimizerKind.RMSPROP):
-        if state.m.step == 0:
-            return state.delta.copy()
-        m, v = state.m.value, state.v.value
-        if config.bias_correction:
-            m = bias_correct(m, config.beta1, state.m.step)
-            v = bias_correct(v, config.beta2, state.v.step)
-        return np.maximum(v - m * m, 0.0)
-    return None
-
+        _, delta = _equal_beta_view(config, state)
+        return np.maximum(delta, 0.0)
+    m, v = _adam_view(config, state)
+    return np.maximum(v - m * m, 0.0)

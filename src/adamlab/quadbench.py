@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import Schedule, lr_at
 from .optim import (
+    _SECOND_MOMENT_KINDS,
     EpsilonPlacement,
     OptimizerConfig,
     OptimizerKind,
@@ -240,11 +241,7 @@ def run_experiment(
     rng = np.random.default_rng(derive_seed(seed, "batches", config_id))
     w = np.asarray(w0, dtype=float).copy()
     state = init_state(config, w.shape)
-    track_delta = config.kind in (
-        OptimizerKind.ADAM,
-        OptimizerKind.ADAM_EQUAL_BETA,
-        OptimizerKind.RMSPROP,
-    )
+    track_delta = config.kind in _SECOND_MOMENT_KINDS
     slices = problem.block_slices
 
     losses: list[float] = []
@@ -253,7 +250,7 @@ def run_experiment(
     for k in range(steps):
         g = stochastic_grad(problem, w, batch_size, rng)
         d, state = direction(config, state, g)
-        w = apply_step(w, d, lr_at(sched, k), config.weight_decay)
+        w = apply_step(w, d, lr_at(sched, k))
         loss = problem.loss(w)
         if not math.isfinite(loss):
             diverged = True
@@ -422,14 +419,14 @@ def tune_and_compare(
 def default_quad_config(
     kind: OptimizerKind, beta: float = 0.95, beta2: float | None = None
 ) -> OptimizerConfig:
-    """Benchmark defaults: momentum 0.95 on both moments, no decay, no clipping.
+    """Benchmark defaults: momentum 0.95 on both moments.
 
     ``beta2=None`` shares ``beta`` between the moments. Sign methods run with
     a zero epsilon floor (exact sign); the adaptive methods keep the
     customary 1e-8.
     """
     epsilon = 0.0 if kind in (OptimizerKind.SIGNUM, OptimizerKind.SIGN_SGD) else 1e-8
-    return OptimizerConfig(kind=kind, beta1=beta, beta2=beta2, epsilon=epsilon, weight_decay=0.0)
+    return OptimizerConfig(kind=kind, beta1=beta, beta2=beta2, epsilon=epsilon)
 
 
 def signum_epsilon_ablation(
@@ -457,7 +454,6 @@ def signum_epsilon_ablation(
                 beta2=beta,
                 epsilon=float(eps),
                 epsilon_placement=placement,
-                weight_decay=0.0,
             )
     return tune_and_compare(
         problem, optimizers, lr_grid=lr_grid, seeds=seeds, steps=steps, batch_size=batch_size

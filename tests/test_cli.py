@@ -56,6 +56,7 @@ class TestConfigRoundTrip:
             SignalConfig(filters=("sign",), beta=0.8, length=77, decay=0.0),
             SweepConfig(),
             SweepConfig(equal_betas=True, kappas=(0.5, 2.0), lr_grid=(0.25, 0.125)),
+            QuadConfig(lr_grid=(), fixed_lr=2.0**-9),  # the one list that may be empty
         ],
     )
     def test_parse_serialize_identity(self, config):
@@ -89,9 +90,9 @@ NON_NUMBER = st.one_of(st.booleans(), st.text(max_size=5), st.lists(st.integers(
 
 
 def _values(hint):
-    """Well-typed values for a config field."""
+    """Well-typed values for a config field; lists are nonempty."""
     if typing.get_origin(hint) is tuple:
-        return st.lists(_values(typing.get_args(hint)[0]), max_size=4).map(tuple)
+        return st.lists(_values(typing.get_args(hint)[0]), min_size=1, max_size=4).map(tuple)
     if typing.get_origin(hint) is types.UnionType:
         return st.none() | _values(typing.get_args(hint)[0])
     return {
@@ -156,12 +157,12 @@ def _with_field(command: str, name: str, value) -> dict:
 
 
 class TestTypedConfigLoader:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.one_of(*(_configs(cls) for cls in CONFIG_TYPES)))
     def test_generated_configs_round_trip(self, config):
         assert parse_config(serialize_config(config), config.command) == config
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(data=st.data())
     def test_wrong_field_type_exits_2_with_one_line(self, tmp_path_factory, data):
         cls = data.draw(st.sampled_from(CONFIG_TYPES))
@@ -206,14 +207,24 @@ class TestRejectedInputs:
             ["quad", "--lr", "inf", "--steps", "5", "--seeds", "1"],
             ["signal", "--frequency", "0", "--length", "50"],
             ["signal", "--frequency", "-0.5", "--length", "50"],
+            ["quad", "--optim", "bogus"],
         ],
     )
     def test_flag_values_exit_2(self, tmp_path, argv):
-        _assert_usage_error(*_run(argv + ["--out", str(tmp_path)]))
+        out = tmp_path / "out"
+        _assert_usage_error(*_run(argv + ["--out", str(out)]))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, name, value",
-        [("quad", "lr_grid", [0.01, float("nan")]), ("quad", "seeds", []), ("sweep", "seeds", [])],
+        [
+            ("quad", "lr_grid", [0.01, float("nan")]),
+            ("quad", "seeds", []),
+            ("sweep", "seeds", []),
+            ("quad", "layouts", []),
+            ("sweep", "optimizers", []),
+            ("signal", "filters", []),
+        ],
     )
     def test_config_values_exit_2(self, tmp_path, command, name, value):
         _assert_usage_error(*_run_config(tmp_path, command, _with_field(command, name, value)))
@@ -422,7 +433,7 @@ class TestSweepCommand:
         row = next(r for r in rows if r[2] == "0.0078125")
         assert row[3:5] == ["0.90000000000000002", "0.90000000000000002"]
         problem = build_problem(BlockSpec.heterogeneous(), derive_seed(0, "problem", "het"))
-        config = OptimizerConfig(OptimizerKind.SIGNUM, beta1=0.9, beta2=0.9, epsilon=0.0, weight_decay=0.0)
+        config = OptimizerConfig(OptimizerKind.SIGNUM, beta1=0.9, beta2=0.9, epsilon=0.0)
         sched = Schedule(peak_lr=0.0078125, total_steps=30, warmup_fraction=0.1)
         cid = "het:signum:lr=0.0078125:b1=0.90000000000000002:b2=0.90000000000000002"
         finals = [

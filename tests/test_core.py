@@ -1,18 +1,8 @@
-"""Moving averages, bias correction, clipping, schedules, momentum grids."""
+"""Moving averages, bias correction, schedules, momentum grids."""
 import numpy as np
 import pytest
 
-from adamlab.core import (
-    ClipConfig,
-    EmaBuffer,
-    InitMode,
-    Schedule,
-    beta_grid,
-    bias_correct,
-    cclip,
-    gclip,
-    lr_at,
-)
+from adamlab.core import EmaBuffer, InitMode, Schedule, beta_grid, bias_correct, lr_at
 
 
 class TestEmaBuffer:
@@ -92,47 +82,6 @@ class TestBiasCorrect:
             bias_correct(1.0, 0.9, 0)
 
 
-class TestClipping:
-    def test_gclip_scales_down(self):
-        g = np.array([2.0, 0.0])
-        np.testing.assert_allclose(gclip(g, 1.0), g / 2.0)
-
-    def test_gclip_identity_below_threshold(self):
-        g = np.array([0.3, 0.4])
-        np.testing.assert_array_equal(gclip(g, 1.0), g)
-
-    def test_gclip_zero_vector(self):
-        np.testing.assert_array_equal(gclip(np.zeros(3), 1.0), np.zeros(3))
-
-    def test_gclip_never_increases_norm_and_idempotent(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            g = rng.standard_normal(5) * rng.exponential(3.0)
-            clipped = gclip(g, 1.0)
-            assert np.linalg.norm(clipped) <= 1.0 + 1e-12
-            np.testing.assert_allclose(gclip(clipped, 1.0), clipped, rtol=1e-15)
-
-    def test_cclip_examples(self):
-        np.testing.assert_array_equal(cclip([2.0, -0.5, 0.0], 1.0), [1.0, -0.5, 0.0])
-        np.testing.assert_array_equal(cclip([-3.0], 1.0), [-1.0])
-        v = np.array([0.2, -0.9])
-        np.testing.assert_array_equal(cclip(v, 1.0), v)
-
-    def test_cclip_never_increases_max_norm_and_idempotent(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            v = rng.standard_normal(6) * 4.0
-            clipped = cclip(v, 1.0)
-            assert np.max(np.abs(clipped)) <= 1.0
-            np.testing.assert_array_equal(cclip(clipped, 1.0), clipped)
-
-    def test_clip_config_validation(self):
-        with pytest.raises(ValueError):
-            ClipConfig(gclip_threshold=0.0)
-        with pytest.raises(ValueError):
-            ClipConfig(cclip_bound=-1.0)
-
-
 class TestSchedule:
     def setup_method(self):
         self.sched = Schedule(peak_lr=0.008, total_steps=1000, warmup_fraction=0.1)
@@ -158,10 +107,6 @@ class TestSchedule:
         warmup = self.sched.warmup_steps
         assert all(a <= b + 1e-18 for a, b in zip(values[:warmup], values[1 : warmup + 1]))
         assert all(a >= b - 1e-18 for a, b in zip(values[warmup:-1], values[warmup + 1 :]))
-
-    def test_nonzero_floor(self):
-        sched = Schedule(peak_lr=1.0, total_steps=10, floor_lr=0.25, warmup_fraction=0.0)
-        assert lr_at(sched, 10) == pytest.approx(0.25)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from adamlab.core import ClipConfig, InitMode, cclip, gclip
+from adamlab.core import InitMode
 from adamlab.optim import (
     EpsilonPlacement,
     OptimizerConfig,
@@ -167,20 +169,17 @@ def test_ema_of_sign_differs_from_sign_of_ema():
 
 
 class TestApplyStep:
-    def test_pure_decay(self):
-        assert apply_step(np.array([1.0]), np.array([0.0]), 0.1, 0.1)[0] == pytest.approx(0.99)
-
     def test_pure_gradient_step(self):
-        assert apply_step(np.array([0.0]), np.array([1.0]), 0.5, 0.0)[0] == pytest.approx(-0.5)
+        assert apply_step(np.array([0.0]), np.array([1.0]), 0.5)[0] == pytest.approx(-0.5)
 
     def test_recovers_sign_descent(self):
         w = np.array([0.3, -0.2])
         sign_step = np.array([1.0, -1.0])
-        np.testing.assert_allclose(apply_step(w, sign_step, 0.01, 0.0), w - 0.01 * sign_step)
+        np.testing.assert_allclose(apply_step(w, sign_step, 0.01), w - 0.01 * sign_step)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            apply_step(np.zeros(2), np.zeros(3), 0.1, 0.0)
+            apply_step(np.zeros(2), np.zeros(3), 0.1)
 
 
 class TestConfigValidation:
@@ -212,38 +211,6 @@ def test_rmsprop_direction_formula():
         d, state = direction(config, state, g)
         v = 0.9 * v + 0.1 * g * g
         np.testing.assert_allclose(d, g / (np.sqrt(v) + 1e-8), rtol=1e-14)
-
-
-def test_gclip_applied_before_momentum():
-    config = OptimizerConfig(
-        OptimizerKind.SGD, beta1=0.9, clip=ClipConfig(gclip_threshold=1.0)
-    )
-    state = init_state(config, (2,))
-    g = np.array([3.0, 4.0])  # norm 5
-    d, state = direction(config, state, g)
-    np.testing.assert_allclose(d, 0.1 * gclip(g, 1.0), rtol=1e-15)
-
-
-def test_cclip_applied_after_momentum():
-    config = OptimizerConfig(
-        OptimizerKind.SGD, beta1=0.0, clip=ClipConfig(cclip_bound=0.05)
-    )
-    state = init_state(config, (2,))
-    d, _ = direction(config, state, np.array([3.0, -0.01]))
-    np.testing.assert_array_equal(d, cclip([3.0, -0.01], 0.05))
-
-
-def test_emasign_ignores_clipping():
-    rng = np.random.default_rng(15)
-    grads = [5.0 * rng.standard_normal(3) for _ in range(50)]
-    plain, _ = run_directions(OptimizerConfig(OptimizerKind.EMA_SIGN, beta1=0.9), grads)
-    clipped, _ = run_directions(
-        OptimizerConfig(
-            OptimizerKind.EMA_SIGN, beta1=0.9, clip=ClipConfig(gclip_threshold=1.0)
-        ),
-        grads,
-    )
-    np.testing.assert_array_equal(plain, clipped)
 
 
 def test_signum_epsilon_zero_recovers_exact_sign():
@@ -297,3 +264,51 @@ def test_delta_estimate_nonnegative_and_consistent():
         np.testing.assert_allclose(d_ad, d_eq, atol=1e-12)
     assert delta_estimate(OptimizerConfig(OptimizerKind.SGD), init_state(eq, (3,))) is None
 
+
+
+@given(
+    beta=st.floats(0.0, 0.999, exclude_max=True),
+    bias_correction=st.booleans(),
+    placement=st.sampled_from(EpsilonPlacement),
+    init_mode=st.sampled_from(InitMode),
+    epsilon=st.sampled_from([0.0, 1e-8]),
+    seed=st.integers(0, 2**32 - 1),
+    log2_scale=st.integers(-30, 30),
+)
+def test_equal_beta_adam_matches_variance_form(
+    beta, bias_correction, placement, init_mode, epsilon, seed, log2_scale
+):
+    """Adam(b, b) and adameq agree on ``direction`` and ``delta_estimate``.
+
+    The power-of-two scale keeps the stream clear of underflow and overflow,
+    so residuals measure the identity. Rounding in ``v_hat - m_hat**2`` is
+    of the order of the larger term, so the variance residual is judged
+    against the running maximum of ``max(m_hat**2, v_hat)``; the directions
+    against the running maximum of ``|d|`` (at least 1). First-sample seeding
+    with bias correction inflates ``m_hat**2`` over ``v_hat`` by up to
+    ``1 / (1 - beta)``, which costs the direction about three digits at
+    beta near 0.999.
+    """
+    kwargs = dict(
+        beta1=beta,
+        beta2=beta,
+        epsilon=epsilon,
+        epsilon_placement=placement,
+        bias_correction=bias_correction,
+        init_mode=init_mode,
+    )
+    adam = OptimizerConfig(OptimizerKind.ADAM, **kwargs)
+    eq = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, **kwargs)
+    grads = np.random.default_rng(seed).standard_normal((100, 4)) * 2.0**log2_scale
+    s_ad, s_eq = init_state(adam, (4,)), init_state(eq, (4,))
+    d_scale, var_scale = 1.0, 0.0
+    for k, g in enumerate(grads, start=1):
+        d_ad, s_ad = direction(adam, s_ad, g)
+        d_eq, s_eq = direction(eq, s_eq, g)
+        correction = 1.0 - beta**k if bias_correction else 1.0
+        m_hat, v_hat = s_ad.m.value / correction, s_ad.v.value / correction
+        d_scale = max(d_scale, float(np.max(np.abs(d_ad))))
+        var_scale = max(var_scale, float(np.max(np.maximum(m_hat * m_hat, v_hat))))
+        assert np.max(np.abs(d_ad - d_eq)) <= 1e-11 * d_scale, k
+        residual = np.abs(delta_estimate(adam, s_ad) - delta_estimate(eq, s_eq))
+        assert np.max(residual) <= 1e-12 * var_scale, k

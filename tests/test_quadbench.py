@@ -163,7 +163,7 @@ class TestRunExperiment:
         np.testing.assert_allclose(record.losses, self.problem.loss(self.w0), rtol=1e-12)
 
     def test_full_batch_descent_is_monotone(self):
-        config = OptimizerConfig(OptimizerKind.SGD, beta1=0.0, weight_decay=0.0)
+        config = OptimizerConfig(OptimizerKind.SGD, beta1=0.0)
         sched = Schedule(peak_lr=1e-5, total_steps=200, warmup_fraction=0.0)
         record = run_experiment(self.problem, config, sched, 200, 9, self.w0, 0)
         assert not record.diverged
@@ -179,7 +179,7 @@ class TestRunExperiment:
         np.testing.assert_array_equal(a.delta_block_means, b.delta_block_means)
 
     def test_divergence_flagged_not_raised(self):
-        config = OptimizerConfig(OptimizerKind.SGD, beta1=0.9, weight_decay=0.0)
+        config = OptimizerConfig(OptimizerKind.SGD, beta1=0.9)
         sched = Schedule(peak_lr=4.0, total_steps=200, warmup_fraction=0.0)
         record = run_experiment(self.problem, config, sched, 200, 9, self.w0, 0)
         assert record.diverged
