@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -221,15 +222,32 @@ def _load_config(path: str | None, command: str, overrides: dict):
 # output helpers
 
 
+@contextlib.contextmanager
+def _atomic_open(path: Path):
+    """Write a sibling temporary file and rename it over ``path`` once complete.
+
+    An interrupted or failed write leaves no ``path`` (or the previous one)
+    and no temporary file.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _jsonable(value):
@@ -565,41 +583,46 @@ def cmd_signal(args) -> int:
 # sweep
 
 
-def _sweep_cell(payload) -> list[str]:
-    """Run one (optimizer, lr, betas) cell over all seeds; returns a CSV row."""
-    (problem, name, lr, beta1, beta2, starts, steps, batch_size, warmup_fraction) = payload
+def _sweep_batch(payload) -> list[list[str]]:
+    """Run one (optimizer, betas) pair over all rates and seeds as one batch; one CSV row per rate."""
+    (problem, name, lrs, beta1, beta2, starts, steps, batch_size, warmup_fraction) = payload
     layout = problem.spec.layout.value
-    records = run_cell(
+    suffix = f":b1={beta1:.17g}:b2={beta2:.17g}"
+    per_cell = run_cell(
         problem,
         default_quad_config(_QUAD_KINDS[name], beta1, beta2),
-        lr,
+        [(lr, make_config_id(layout, name, lr) + suffix) for lr in lrs],
         starts,
         steps,
         batch_size,
         warmup_fraction,
-        make_config_id(layout, name, lr) + f":b1={beta1:.17g}:b2={beta2:.17g}",
     )
-    n_diverged = sum(record.diverged for record in records)
-    if n_diverged == len(records):
-        status = "all_diverged"
-    elif n_diverged:
-        status = "partial"
-    else:
-        status = "ok"
-    median, q25, q75 = loss_quantiles([record.final_loss() for record in records])
-    return [
-        layout,
-        name,
-        fmt_float(lr),
-        fmt_float(beta1),
-        fmt_float(beta2),
-        str(len(records)),
-        fmt_float(median),
-        fmt_float(q25),
-        fmt_float(q75),
-        str(n_diverged),
-        status,
-    ]
+    rows = []
+    for lr, records in zip(lrs, per_cell):
+        n_diverged = sum(record.diverged for record in records)
+        if n_diverged == len(records):
+            status = "all_diverged"
+        elif n_diverged:
+            status = "partial"
+        else:
+            status = "ok"
+        median, q25, q75 = loss_quantiles([record.final_loss() for record in records])
+        rows.append(
+            [
+                layout,
+                name,
+                fmt_float(lr),
+                fmt_float(beta1),
+                fmt_float(beta2),
+                str(len(records)),
+                fmt_float(median),
+                fmt_float(q25),
+                fmt_float(q75),
+                str(n_diverged),
+                status,
+            ]
+        )
+    return rows
 
 
 def _beta_pairs(kind: OptimizerKind, betas, equal_betas: bool):
@@ -622,6 +645,8 @@ def cmd_sweep(args) -> int:
         "seeds": None if args.seeds is None else tuple(range(args.seeds)),
         "base_seed": args.seed,
     }
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _load_config(args.config, "sweep", overrides)
     for name in cfg.optimizers:
         if name not in _QUAD_KINDS:
@@ -633,28 +658,19 @@ def cmd_sweep(args) -> int:
     )
     betas = beta_grid(cfg.beta_base, cfg.kappas)
     starts = [(seed, initial_point(problem.dim, seed)) for seed in cfg.seeds]
-    payloads = []
-    for name in cfg.optimizers:
-        for beta1, beta2 in _beta_pairs(_QUAD_KINDS[name], betas, cfg.equal_betas):
-            for lr in cfg.lr_grid:
-                payloads.append(
-                    (
-                        problem,
-                        name,
-                        float(lr),
-                        float(beta1),
-                        float(beta2),
-                        starts,
-                        cfg.steps,
-                        cfg.batch_size,
-                        cfg.warmup_fraction,
-                    )
-                )
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, payloads, chunksize=4))
+    lrs = [float(lr) for lr in cfg.lr_grid]
+    payloads = [
+        (problem, name, lrs, float(beta1), float(beta2), starts, cfg.steps, cfg.batch_size, cfg.warmup_fraction)
+        for name in cfg.optimizers
+        for beta1, beta2 in _beta_pairs(_QUAD_KINDS[name], betas, cfg.equal_betas)
+    ]
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_sweep_batch, payloads))
     else:
-        rows = [_sweep_cell(p) for p in payloads]
+        batches = [_sweep_batch(p) for p in payloads]
+    rows = [row for batch in batches for row in batch]
     out_dir = _ensure_out(args.out)
     _write_csv(
         out_dir / "sweep.csv",
@@ -758,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=_default_jobs(),
-        help="worker processes (default: ADAMLAB_JOBS or 1)",
+        help="worker processes, at most one per (optimizer, betas) batch and CPU (default: ADAMLAB_JOBS or 1)",
     )
     p.set_defaults(func=cmd_sweep)
     return parser

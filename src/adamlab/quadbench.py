@@ -13,6 +13,25 @@ each scale into every block.
 Stochasticity comes from subsampling rows of the symmetric square root
 ``X = H^(1/2)``: a batch B of rows gives the unbiased gradient estimate
 ``(n/|B|) * sum_{i in B} x_i (x_i . w)``.
+
+Runs are stepped by one engine, :func:`run_batch`, which advances R runs that
+share one ``OptimizerConfig`` as the rows of ``(R, dim)`` arrays through the
+unchanged ``direction``/``apply_step``/``delta_estimate`` maps. Every record it
+returns equals, bit for bit, the record of stepping that run alone:
+
+* each run's row subsets are drawn before the loop from its own
+  ``derive_seed(seed, "batches", config_id)`` generator; shuffling the rows of
+  an ``(steps, n)`` tile with ``rng.permuted(..., axis=1)`` consumes the
+  generator exactly like ``steps`` successive ``rng.permutation(n)`` calls;
+* the gradient ``xb^T @ (xb @ w)`` and the loss ``w^T @ (H @ w)`` are written
+  as stacked matrix products, which make the same BLAS calls per run as the
+  one-run vector forms (``einsum`` and row-wise dot products do not round
+  the same way);
+* the runs of a batch share the step counter, so the bias corrections
+  ``beta**step`` stay Python scalars; only the learning rate differs per run.
+
+:func:`run_experiment` is the one-run call of the engine, and
+:func:`run_cell` batches all learning rates and seeds of one optimizer.
 """
 from __future__ import annotations
 
@@ -20,6 +39,7 @@ import enum
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,8 +170,10 @@ class QuadraticProblem:
             start += len(block)
         return tuple(out)
 
-    def loss(self, w: np.ndarray) -> float:
-        return 0.5 * float(w @ (self.hessian @ w))
+    def loss(self, w: np.ndarray):
+        """``0.5 * w^T H w``; a ``(R, dim)`` stack of points gives one loss per row."""
+        w = np.asarray(w, dtype=float)
+        return 0.5 * (w[..., None, :] @ (self.hessian @ w[..., :, None]))[..., 0, 0]
 
     def full_gradient(self, w: np.ndarray) -> np.ndarray:
         return self.hessian @ w
@@ -182,10 +204,16 @@ def build_problem(spec: BlockSpec, seed: int) -> QuadraticProblem:
 
 
 def subset_gradient(problem: QuadraticProblem, w: np.ndarray, rows) -> np.ndarray:
-    """Gradient estimate from the given design-matrix rows."""
+    """Gradient estimate from the given design-matrix rows.
+
+    ``w`` may be a ``(R, dim)`` stack of points with ``rows`` a ``(R, b)``
+    stack of row subsets, giving one gradient per run.
+    """
     rows = np.asarray(rows, dtype=int)
     xb = problem.design[rows]
-    return (problem.dim / rows.size) * (xb.T @ (xb @ w))
+    w = np.asarray(w, dtype=float)
+    g = xb.swapaxes(-1, -2) @ (xb @ w[..., None])
+    return (problem.dim / rows.shape[-1]) * g[..., 0]
 
 
 def stochastic_grad(
@@ -199,15 +227,33 @@ def stochastic_grad(
     return subset_gradient(problem, w, rows)
 
 
+def draw_rows(rng: np.random.Generator, n: int, steps: int, batch_size: int) -> np.ndarray:
+    """The row subsets of ``steps`` successive :func:`stochastic_grad` calls, shape ``(steps, batch_size)``.
+
+    ``rng.permuted`` over the rows of an ``(steps, n)`` tile consumes ``rng``
+    exactly like ``steps`` calls of ``rng.permutation(n)``.
+    """
+    if not 1 <= batch_size <= n:
+        raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
+    return rng.permuted(np.tile(np.arange(n), (steps, 1)), axis=1)[:, :batch_size]
+
+
 @dataclass
 class RunRecord:
-    """Per-step loss trace plus per-block variance-term traces for one run."""
+    """Per-step loss trace plus per-block variance-term traces for one run.
+
+    A diverged run records the step it ended at and why: ``"non_finite"``
+    (that step's loss is not recorded) or ``"threshold"`` (the loss above
+    ``DIVERGENCE_THRESHOLD`` is the last one recorded).
+    """
 
     config_id: str
     seed: int
     losses: np.ndarray
     delta_block_means: np.ndarray | None
     diverged: bool = False
+    diverged_at: int | None = None
+    reason: str | None = None
 
     def final_loss(self) -> float:
         if self.diverged or self.losses.size == 0:
@@ -222,6 +268,103 @@ def initial_point(dim: int, seed: int, radius: float = 3.0) -> np.ndarray:
     return w * (radius / np.linalg.norm(w))
 
 
+class RunSpec(NamedTuple):
+    """One run of a batch: its schedule, start point, seed and stream label."""
+
+    sched: Schedule
+    w0: np.ndarray
+    seed: int
+    config_id: str = ""
+
+
+def _keep_rows(state, keep: np.ndarray) -> None:
+    """Drop the runs outside ``keep`` from a batched optimizer state."""
+    state.m.value = state.m.value[keep]
+    state.v.value = state.v.value[keep]
+    state.delta = state.delta[keep]
+
+
+def run_batch(
+    problem: QuadraticProblem,
+    config: OptimizerConfig,
+    runs: Sequence[RunSpec],
+    steps: int,
+    batch_size: int,
+) -> list[RunRecord]:
+    """Iterate gradient -> direction -> update for all ``runs`` at once, one record per run.
+
+    The runs are the rows of ``(R, dim)`` arrays. A non-finite loss ends a run
+    without recording that loss; a loss above ``DIVERGENCE_THRESHOLD`` is
+    recorded and then ends the run. An ended run leaves the arrays, so later
+    steps never see it. Each run's row-subsampling stream is derived from
+    ``(seed, config_id)``, so records are reproducible run by run.
+    """
+    n_runs = len(runs)
+    rows = np.stack(
+        [
+            draw_rows(
+                np.random.default_rng(derive_seed(run.seed, "batches", run.config_id)),
+                problem.dim,
+                steps,
+                batch_size,
+            )
+            for run in runs
+        ],
+        axis=1,
+    )
+    lr_tables = {
+        sched: [lr_at(sched, k) for k in range(steps)]
+        for sched in dict.fromkeys(run.sched for run in runs)
+    }
+    lrs = np.array([lr_tables[run.sched] for run in runs]).T
+    w = np.array([run.w0 for run in runs], dtype=float)
+    state = init_state(config, w.shape)
+    track_delta = config.kind in _SECOND_MOMENT_KINDS
+    slices = problem.block_slices
+
+    losses = np.empty((n_runs, steps))
+    deltas = np.empty((n_runs, steps, len(slices))) if track_delta else None
+    ended_at: dict[int, tuple[int, str]] = {}
+    active = np.arange(n_runs)
+    for k in range(steps):
+        g = subset_gradient(problem, w, rows[k, active])
+        d, state = direction(config, state, g)
+        w = apply_step(w, d, lrs[k, active, None])
+        loss = problem.loss(w)
+        losses[active, k] = loss
+        if track_delta:
+            snapshot = delta_estimate(config, state)
+            for j, sl in enumerate(slices):
+                deltas[active, k, j] = snapshot[:, sl].mean(axis=-1)
+        finite = np.isfinite(loss)
+        ended = ~finite | (loss > DIVERGENCE_THRESHOLD)
+        if ended.any():
+            for i in np.flatnonzero(ended):
+                ended_at[int(active[i])] = (k, "threshold" if finite[i] else "non_finite")
+            keep = ~ended
+            active, w = active[keep], w[keep]
+            _keep_rows(state, keep)
+            if not active.size:
+                break
+
+    records = []
+    for i, run in enumerate(runs):
+        at, reason = ended_at.get(i, (None, None))
+        recorded = steps if at is None else at + (reason == "threshold")
+        records.append(
+            RunRecord(
+                config_id=run.config_id,
+                seed=run.seed,
+                losses=losses[i, :recorded].copy(),
+                delta_block_means=None if deltas is None else deltas[i, :recorded].copy(),
+                diverged=reason is not None,
+                diverged_at=at,
+                reason=reason,
+            )
+        )
+    return records
+
+
 def run_experiment(
     problem: QuadraticProblem,
     config: OptimizerConfig,
@@ -232,43 +375,8 @@ def run_experiment(
     seed: int,
     config_id: str = "",
 ) -> RunRecord:
-    """Iterate gradient -> direction -> update, recording losses and variance terms.
-
-    A non-finite or > ``DIVERGENCE_THRESHOLD`` loss flags the record and stops
-    the run instead of raising. The row-subsampling stream is derived from
-    ``(seed, config_id)``, so records are reproducible cell by cell.
-    """
-    rng = np.random.default_rng(derive_seed(seed, "batches", config_id))
-    w = np.asarray(w0, dtype=float).copy()
-    state = init_state(config, w.shape)
-    track_delta = config.kind in _SECOND_MOMENT_KINDS
-    slices = problem.block_slices
-
-    losses: list[float] = []
-    deltas: list[list[float]] = []
-    diverged = False
-    for k in range(steps):
-        g = stochastic_grad(problem, w, batch_size, rng)
-        d, state = direction(config, state, g)
-        w = apply_step(w, d, lr_at(sched, k))
-        loss = problem.loss(w)
-        if not math.isfinite(loss):
-            diverged = True
-            break
-        losses.append(loss)
-        if track_delta:
-            snapshot = delta_estimate(config, state)
-            deltas.append([float(np.mean(snapshot[sl])) for sl in slices])
-        if loss > DIVERGENCE_THRESHOLD:
-            diverged = True
-            break
-    return RunRecord(
-        config_id=config_id,
-        seed=seed,
-        losses=np.asarray(losses),
-        delta_block_means=np.asarray(deltas) if track_delta else None,
-        diverged=diverged,
-    )
+    """One run through :func:`run_batch`."""
+    return run_batch(problem, config, [RunSpec(sched, w0, seed, config_id)], steps, batch_size)[0]
 
 
 def loss_quantiles(finals) -> tuple[float, float, float]:
@@ -325,25 +433,27 @@ def make_config_id(layout: str, label: str, lr: float) -> str:
 def run_cell(
     problem: QuadraticProblem,
     config: OptimizerConfig,
-    lr: float,
+    cells: Sequence[tuple[float, str]],
     starts,
     steps: int,
     batch_size: int,
     warmup_fraction: float,
-    config_id: str,
-) -> list[RunRecord]:
-    """Run one (optimizer, learning rate) cell once per ``(seed, w0)`` in ``starts``.
+) -> list[list[RunRecord]]:
+    """Run each ``(lr, config_id)`` cell of one optimizer once per ``(seed, w0)`` in ``starts``.
 
-    Every run of the cell shares ``config_id``, so each seed's subsampling
-    stream is ``derive_seed(seed, "batches", config_id)``.
+    All runs of all cells go through :func:`run_batch` as one batch; the
+    records come back grouped per cell, in ``starts`` order. Every run of a
+    cell shares its ``config_id``, so each seed's subsampling stream is
+    ``derive_seed(seed, "batches", config_id)``.
     """
     if not starts:
         raise ValueError("at least one seed is required")
-    sched = Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=warmup_fraction)
-    return [
-        run_experiment(problem, config, sched, steps, batch_size, w0, seed, config_id=config_id)
-        for seed, w0 in starts
-    ]
+    runs = []
+    for lr, config_id in cells:
+        sched = Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=warmup_fraction)
+        runs += [RunSpec(sched, w0, seed, config_id) for seed, w0 in starts]
+    records = run_batch(problem, config, runs, steps, batch_size)
+    return [records[i : i + len(starts)] for i in range(0, len(records), len(starts))]
 
 
 def tune_and_compare(
@@ -357,7 +467,8 @@ def tune_and_compare(
 ) -> ComparisonSummary:
     """Tune each optimizer over the learning-rate grid and summarize final losses.
 
-    For every grid point all seeds are run; the selected rate minimizes the
+    For every grid point all seeds are run (all rates and seeds of one
+    optimizer as one :func:`run_cell` batch); the selected rate minimizes the
     median final loss (ties break toward the smaller rate). Per-seed starting
     points are shared across optimizers; the subsampling stream is derived
     from ``(seed, config_id)`` so each cell replays identically in isolation.
@@ -375,17 +486,9 @@ def tune_and_compare(
         best: tuple[float, float] | None = None  # (median, lr)
         best_records: list[RunRecord] = []
         lr_medians = []
-        for lr in lr_grid:
-            records = run_cell(
-                problem,
-                config,
-                lr,
-                starts,
-                steps,
-                batch_size,
-                warmup_fraction,
-                make_config_id(layout, label, lr),
-            )
+        cells = [(lr, make_config_id(layout, label, lr)) for lr in lr_grid]
+        per_cell = run_cell(problem, config, cells, starts, steps, batch_size, warmup_fraction)
+        for lr, records in zip(lr_grid, per_cell):
             median = loss_quantiles([r.final_loss() for r in records])[0]
             lr_medians.append((lr, median))
             if best is None or median < best[0]:

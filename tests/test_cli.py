@@ -208,6 +208,8 @@ class TestRejectedInputs:
             ["signal", "--frequency", "0", "--length", "50"],
             ["signal", "--frequency", "-0.5", "--length", "50"],
             ["quad", "--optim", "bogus"],
+            ["sweep", "--jobs", "0", "--steps", "5"],
+            ["sweep", "--jobs", "-3", "--steps", "5"],
         ],
     )
     def test_flag_values_exit_2(self, tmp_path, argv):
@@ -456,6 +458,45 @@ class TestSweepCommand:
             tmp_path / "par" / "sweep.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "jobs, kappas, cpus, expected",
+        [
+            (8, ["1", "2"], 64, 2),  # capped by the two (optimizer, betas) batches
+            (8, ["1", "2", "3", "4"], 3, 3),  # capped by the CPU count
+            (2, ["1", "2", "3", "4"], 64, 2),  # capped by --jobs
+            (1, ["1", "2"], 64, None),  # serial: no pool at all
+            (8, ["1"], 64, None),  # one batch: no pool at all
+        ],
+    )
+    def test_worker_count_is_capped(self, tmp_path, capsys, monkeypatch, jobs, kappas, cpus, expected):
+        import adamlab.cli as cli
+
+        started = []
+
+        class RecordingExecutor:
+            """Runs the batches in this process and records the requested pool size."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["sweep", "--optim", "signum", "--kappas", *kappas, "--steps", "5", "--seeds", "1"]
+        assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert started == ([] if expected is None else [expected])
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(kappas) * len(SweepConfig().lr_grid)
+
     def test_jobs_env_var_sets_default(self, monkeypatch):
         from adamlab.cli import build_parser
 
@@ -465,6 +506,33 @@ class TestSweepCommand:
         monkeypatch.setenv("ADAMLAB_JOBS", "junk")
         args = build_parser().parse_args(["sweep"])
         assert args.jobs == 1
+
+
+class TestAtomicArtifacts:
+    def rows_then_failure(self):
+        yield ["1", "2"]
+        raise RuntimeError("interrupted")
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        from adamlab.cli import _write_csv
+
+        target = tmp_path / "runs.csv"
+        with pytest.raises(RuntimeError):
+            _write_csv(target, ["a", "b"], self.rows_then_failure())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        from adamlab.cli import _write_csv, _write_json
+
+        target = tmp_path / "runs.csv"
+        _write_csv(target, ["a", "b"], [["1", "2"]])
+        before = target.read_bytes()
+        with pytest.raises(RuntimeError):
+            _write_csv(target, ["a", "b"], self.rows_then_failure())
+        assert target.read_bytes() == before == b"a,b\n1,2\n"
+        _write_json(tmp_path / "report.json", {"b": 1, "a": [2]})
+        assert (tmp_path / "report.json").read_text() == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "runs.csv"]
 
 
 def test_usage_error_exit_code_from_argparse():

@@ -1,0 +1,240 @@
+"""The batched run engine, pinned bit for bit to the per-step reference stepper."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adamlab.core import InitMode, Schedule, lr_at
+from adamlab.optim import (
+    _SECOND_MOMENT_KINDS,
+    EpsilonPlacement,
+    OptimizerConfig,
+    OptimizerKind,
+    apply_step,
+    delta_estimate,
+    direction,
+    init_state,
+)
+from adamlab.quadbench import (
+    DIVERGENCE_THRESHOLD,
+    BlockSpec,
+    Layout,
+    RunRecord,
+    RunSpec,
+    build_problem,
+    derive_seed,
+    draw_rows,
+    initial_point,
+    run_batch,
+    run_experiment,
+    stochastic_grad,
+    subset_gradient,
+)
+
+#: rates from vanishing to overflowing; the last two make losses non-finite
+RATES = (0.0, 2.0**-12, 2.0**-7, 2.0**-3, 1.0, 8.0, 1e150, 1e300)
+
+
+def reference_run(problem, config, sched, steps, batch_size, w0, seed, config_id=""):
+    """The per-step runner the engine replaced, one run and one step at a time."""
+    rng = np.random.default_rng(derive_seed(seed, "batches", config_id))
+    w = np.asarray(w0, dtype=float).copy()
+    state = init_state(config, w.shape)
+    track_delta = config.kind in _SECOND_MOMENT_KINDS
+    slices = problem.block_slices
+
+    losses: list[float] = []
+    deltas: list[list[float]] = []
+    diverged = False
+    for k in range(steps):
+        g = stochastic_grad(problem, w, batch_size, rng)
+        d, state = direction(config, state, g)
+        w = apply_step(w, d, lr_at(sched, k))
+        loss = problem.loss(w)
+        if not math.isfinite(loss):
+            diverged = True
+            break
+        losses.append(loss)
+        if track_delta:
+            snapshot = delta_estimate(config, state)
+            deltas.append([float(np.mean(snapshot[sl])) for sl in slices])
+        if loss > DIVERGENCE_THRESHOLD:
+            diverged = True
+            break
+    return RunRecord(
+        config_id=config_id,
+        seed=seed,
+        losses=np.asarray(losses),
+        delta_block_means=np.asarray(deltas) if track_delta else None,
+        diverged=diverged,
+    )
+
+
+def assert_same_run(expected: RunRecord, got: RunRecord) -> None:
+    assert got.config_id == expected.config_id and got.seed == expected.seed
+    assert got.losses.size == expected.losses.size
+    assert np.array_equal(got.losses, expected.losses)
+    assert got.diverged == expected.diverged
+    if expected.delta_block_means is None:
+        assert got.delta_block_means is None
+    else:
+        # the reference stores an empty trace as shape (0,), the engine as (0, blocks)
+        assert got.delta_block_means.shape == (got.losses.size, 3)
+        assert np.array_equal(got.delta_block_means.reshape(-1), expected.delta_block_means.reshape(-1))
+
+
+def assert_divergence_fields(record: RunRecord) -> None:
+    if not record.diverged:
+        assert record.diverged_at is None and record.reason is None
+    elif record.reason == "non_finite":
+        assert record.diverged_at == record.losses.size
+    else:
+        assert record.reason == "threshold"
+        assert record.diverged_at == record.losses.size - 1
+        assert record.losses[-1] > DIVERGENCE_THRESHOLD
+
+
+@settings(max_examples=80)
+@given(
+    kind=st.sampled_from(OptimizerKind),
+    placement=st.sampled_from(EpsilonPlacement),
+    bias_correction=st.booleans(),
+    init_mode=st.sampled_from(InitMode),
+    epsilon=st.sampled_from((0.0, 1e-8, 1e-3)),
+    betas=st.tuples(st.sampled_from((0.0, 0.5, 0.9, 0.95)), st.sampled_from((0.0, 0.9, 0.999))),
+    batch_size=st.integers(1, 9),
+    rates=st.lists(st.sampled_from(RATES), min_size=1, max_size=4, unique=True),
+    n_seeds=st.integers(1, 3),
+    warmup_fraction=st.sampled_from((0.0, 0.1)),
+    layout=st.sampled_from(Layout),
+)
+def test_batch_equals_reference_stepper(
+    kind, placement, bias_correction, init_mode, epsilon, betas, batch_size, rates, n_seeds, warmup_fraction, layout
+):
+    beta1, beta2 = betas
+    if kind is OptimizerKind.ADAM_EQUAL_BETA:
+        beta2 = beta1
+    config = OptimizerConfig(
+        kind,
+        beta1=beta1,
+        beta2=beta2,
+        epsilon=epsilon,
+        epsilon_placement=placement,
+        bias_correction=bias_correction,
+        init_mode=init_mode,
+    )
+    problem = build_problem(BlockSpec.for_layout(layout), seed=len(rates))
+    steps = 40
+    runs = [
+        RunSpec(
+            Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=warmup_fraction),
+            initial_point(problem.dim, seed),
+            seed,
+            f"cell:{lr!r}",
+        )
+        for lr in rates
+        for seed in range(n_seeds)
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = run_batch(problem, config, runs, steps, batch_size)
+        for run, got in zip(runs, batch):
+            assert_same_run(reference_run(problem, config, run.sched, steps, batch_size, *run[1:]), got)
+            assert_same_run(run_experiment(problem, config, run.sched, steps, batch_size, *run[1:]), got)
+            assert_divergence_fields(got)
+
+
+def test_rates_cover_both_divergence_reasons():
+    """The example rates above reach both ways of diverging."""
+    problem = build_problem(BlockSpec.heterogeneous(), seed=1)
+    config = OptimizerConfig(OptimizerKind.SGD, beta1=0.0)
+    runs = [
+        RunSpec(Schedule(peak_lr=lr, total_steps=40, warmup_fraction=0.1), initial_point(9, 0), 0)
+        for lr in RATES
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        reasons = {record.reason for record in run_batch(problem, config, runs, 40, 3)}
+    assert reasons == {None, "threshold", "non_finite"}
+
+
+class TestDivergenceReasons:
+    """Full-batch SGD without momentum and warmup: every step is ``w - lr*H w``."""
+
+    def setup_method(self):
+        self.problem = build_problem(BlockSpec.heterogeneous(), seed=2)
+        self.config = OptimizerConfig(OptimizerKind.SGD, beta1=0.0)
+        self.w0 = initial_point(9, 0)
+
+    def run(self, lr):
+        sched = Schedule(peak_lr=lr, total_steps=20, warmup_fraction=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run_experiment(self.problem, self.config, sched, 20, 9, self.w0, 0)
+
+    def test_threshold(self):
+        # each step multiplies the top-eigenvalue component by |1 - 5000| ~ 5e3
+        record = self.run(1.0)
+        assert record.diverged and record.reason == "threshold"
+        assert record.losses[-1] > DIVERGENCE_THRESHOLD
+        assert np.all(record.losses[:-1] <= DIVERGENCE_THRESHOLD)
+        assert np.all(np.isfinite(record.losses))
+        assert record.diverged_at == record.losses.size - 1 >= 1
+
+    def test_non_finite(self):
+        # the first step puts |w| near 1e303, whose square overflows
+        record = self.run(1e300)
+        assert record.diverged and record.reason == "non_finite"
+        assert record.diverged_at == 0
+        assert record.losses.size == 0
+        assert record.final_loss() == math.inf
+
+    def test_finished_run_has_no_reason(self):
+        record = self.run(1e-5)
+        assert not record.diverged
+        assert record.diverged_at is None and record.reason is None
+        assert record.losses.size == 20
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 12),
+    data=st.data(),
+)
+def test_pre_drawn_rows_replay_successive_permutations(seed, n, data):
+    """Fails loudly if numpy changes how ``permuted`` or ``permutation`` consume the stream."""
+    batch_size = data.draw(st.integers(1, n))
+    steps = data.draw(st.integers(0, 60))
+    lazy = np.random.default_rng(seed)
+    expected = [lazy.permutation(n)[:batch_size] for _ in range(steps)]
+    eager = np.random.default_rng(seed)
+    rows = draw_rows(eager, n, steps, batch_size)
+    assert rows.shape == (steps, batch_size)
+    assert np.array_equal(rows, np.reshape(expected, (steps, batch_size)))
+    assert lazy.integers(2**63) == eager.integers(2**63)
+
+
+def test_pre_drawn_rows_validate_batch_size():
+    rng = np.random.default_rng(0)
+    for batch_size in (0, 10):
+        with pytest.raises(ValueError):
+            draw_rows(rng, 9, 5, batch_size)
+
+
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), batch_size=st.integers(1, 9), n_runs=st.integers(1, 5))
+def test_stacked_gradient_and_loss_match_one_run_forms(seed, batch_size, n_runs):
+    """Row r of the stacked forms equals the one-run vector expressions bitwise."""
+    rng = np.random.default_rng(seed)
+    problem = build_problem(BlockSpec.homogeneous(), seed=seed % 7)
+    w = rng.standard_normal((n_runs, 9)) * 10.0 ** rng.integers(-6, 6, size=(n_runs, 1))
+    rows = draw_rows(rng, 9, n_runs, batch_size)
+    g = subset_gradient(problem, w, rows)
+    losses = problem.loss(w)
+    for r in range(n_runs):
+        xb = problem.design[rows[r]]
+        g_r = (9 / batch_size) * (xb.T @ (xb @ w[r]))
+        loss_r = 0.5 * float(w[r] @ (problem.hessian @ w[r]))
+        assert np.array_equal(g[r], g_r)
+        assert np.array_equal(subset_gradient(problem, w[r], rows[r]), g_r)
+        assert losses[r] == loss_r == problem.loss(w[r])
