@@ -645,8 +645,7 @@ def cmd_sweep(args) -> int:
         "seeds": None if args.seeds is None else tuple(range(args.seeds)),
         "base_seed": args.seed,
     }
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = _resolve_jobs(args.jobs)
     cfg = _load_config(args.config, "sweep", overrides)
     for name in cfg.optimizers:
         if name not in _QUAD_KINDS:
@@ -664,7 +663,7 @@ def cmd_sweep(args) -> int:
         for name in cfg.optimizers
         for beta1, beta2 in _beta_pairs(_QUAD_KINDS[name], betas, cfg.equal_betas)
     ]
-    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_sweep_batch, payloads))
@@ -714,11 +713,18 @@ def _ensure_out(out: str) -> Path:
     return path
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("ADAMLAB_JOBS", "1")))
-    except ValueError:
-        return 1
+def _resolve_jobs(flag: int | None) -> int:
+    """The sweep's worker count: ``--jobs``, else ``ADAMLAB_JOBS``, else 1; at least 1."""
+    name, value = "--jobs", flag
+    if flag is None:
+        name, raw = "ADAMLAB_JOBS", os.environ.get("ADAMLAB_JOBS", "1")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigError(f"ADAMLAB_JOBS must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ConfigError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -773,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=_default_jobs(),
+        default=None,
         help="worker processes, at most one per (optimizer, betas) batch and CPU (default: ADAMLAB_JOBS or 1)",
     )
     p.set_defaults(func=cmd_sweep)

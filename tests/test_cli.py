@@ -231,6 +231,28 @@ class TestRejectedInputs:
     def test_config_values_exit_2(self, tmp_path, command, name, value):
         _assert_usage_error(*_run_config(tmp_path, command, _with_field(command, name, value)))
 
+    @pytest.mark.parametrize("value", ["0", "-1", "junk", ""])
+    def test_bad_jobs_env_var_exits_2(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("ADAMLAB_JOBS", value)
+        out = tmp_path / "out"
+        rc, err = _run(["sweep", "--steps", "5", "--seeds", "1", "--out", str(out)])
+        _assert_usage_error(rc, err)
+        assert "ADAMLAB_JOBS" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "trust"],
+            ["quad", "--optim", "sgd", "--layout", "het", "--steps", "5", "--seeds", "1"],
+            ["signal", "--length", "50"],
+        ],
+    )
+    def test_bad_jobs_env_var_is_ignored_outside_sweep(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("ADAMLAB_JOBS", "junk")
+        rc, err = _run(argv + ["--out", str(tmp_path / "out")])
+        assert rc == EXIT_OK, err
+
     @pytest.mark.parametrize("command", ["verify", "quad", "signal"])
     def test_jobs_is_a_sweep_only_flag(self, command, capsys):
         with pytest.raises(SystemExit) as err:
@@ -469,27 +491,7 @@ class TestSweepCommand:
         ],
     )
     def test_worker_count_is_capped(self, tmp_path, capsys, monkeypatch, jobs, kappas, cpus, expected):
-        import adamlab.cli as cli
-
-        started = []
-
-        class RecordingExecutor:
-            """Runs the batches in this process and records the requested pool size."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        started = _record_pools(monkeypatch, cpus)
         argv = ["sweep", "--optim", "signum", "--kappas", *kappas, "--steps", "5", "--seeds", "1"]
         assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
@@ -497,15 +499,40 @@ class TestSweepCommand:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + len(kappas) * len(SweepConfig().lr_grid)
 
-    def test_jobs_env_var_sets_default(self, monkeypatch):
-        from adamlab.cli import build_parser
-
+    def test_jobs_env_var_sets_default(self, tmp_path, capsys, monkeypatch):
+        started = _record_pools(monkeypatch, cpus=64)
+        argv = ["sweep", "--optim", "signum", "--kappas", "1", "2", "3", "4", "--steps", "5", "--seeds", "1"]
         monkeypatch.setenv("ADAMLAB_JOBS", "3")
-        args = build_parser().parse_args(["sweep"])
-        assert args.jobs == 3
+        assert main(argv + ["--out", str(tmp_path / "env")]) == EXIT_OK
+        # the flag wins over the environment, even over a bad value
         monkeypatch.setenv("ADAMLAB_JOBS", "junk")
-        args = build_parser().parse_args(["sweep"])
-        assert args.jobs == 1
+        assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "flag")]) == EXIT_OK
+        capsys.readouterr()
+        assert started == [3, 2]
+
+
+def _record_pools(monkeypatch, cpus: int) -> list:
+    """Make ``sweep`` run its batches in this process; returns the requested pool sizes."""
+    import adamlab.cli as cli
+
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    return started
 
 
 class TestAtomicArtifacts:

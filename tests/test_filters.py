@@ -1,11 +1,18 @@
 """Filter lab: signal generation, response identities, operator properties."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adamlab.core import InitMode
 from adamlab.filters import (
+    SCALING_FACTORS,
+    SIGNAL_LENGTH,
+    TRUNCATIONS_PER_TRIAL,
     FilterKind,
     FilterSpec,
+    PropertyCheck,
+    PropertyReport,
     SignalSpec,
     check_properties,
     decay_blindness,
@@ -15,8 +22,45 @@ from adamlab.filters import (
     run_property_checks,
 )
 from adamlab.identities import scalar_adam_trace
+from adamlab.optim import direction, init_state
 
 REFERENCE_SIGNAL = SignalSpec(amplitude=1.8, frequency=0.03, decay=0.0025, length=2000)
+
+
+def reference_response(filt: FilterSpec, signal) -> np.ndarray:
+    """The scalar stepper the column engine replaced, kept verbatim."""
+    signal = np.asarray(signal, dtype=float).ravel()
+    if not np.all(np.isfinite(signal)):
+        raise ValueError("signal contains non-finite entries")
+    config = filt.optimizer_config()
+    state = init_state(config, ())
+    out = np.empty(signal.size)
+    for k in range(signal.size):
+        d, state = direction(config, state, signal[k])
+        out[k] = float(d)
+    return out
+
+
+def reference_property_checks(response, trials, tol, rng, label="filter") -> PropertyReport:
+    """The per-trial property loop the column-batched checks replaced, kept verbatim."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    worst = {"causal": 0.0, "scaling": 0.0, "odd": 0.0, "bounded": 0.0}
+    for _ in range(trials):
+        g = rng.standard_normal(SIGNAL_LENGTH)
+        base = response(g)
+        for k in rng.integers(1, SIGNAL_LENGTH, size=TRUNCATIONS_PER_TRIAL):
+            head = response(g[: k + 1])
+            worst["causal"] = max(worst["causal"], float(np.max(np.abs(head - base[: k + 1]))))
+        for alpha in SCALING_FACTORS:
+            scaled = response(alpha * g)
+            worst["scaling"] = max(worst["scaling"], float(np.max(np.abs(scaled - base))))
+        worst["odd"] = max(worst["odd"], float(np.max(np.abs(response(-g) + base))))
+        worst["bounded"] = max(worst["bounded"], float(np.max(np.abs(base)) - 1.0))
+    checks = tuple(
+        PropertyCheck(name, value, tol, value <= tol) for name, value in worst.items()
+    )
+    return PropertyReport(label=label, trials=trials, checks=checks)
 
 
 class TestGenSignal:
@@ -84,6 +128,48 @@ class TestFilterResponse:
             filter_response(FilterSpec(FilterKind.SIGN), [1.0, np.nan])
 
 
+class TestColumnEngine:
+    """``filter_response`` on ``(T, C)`` is the scalar stepper run on each column."""
+
+    @given(
+        kind=st.sampled_from(list(FilterKind)),
+        init_mode=st.sampled_from(list(InitMode)),
+        beta=st.floats(0.0, 0.999, exclude_max=True),
+        length=st.integers(1, 64),
+        exponents=st.lists(st.none() | st.integers(-30, 30), min_size=1, max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_columns_match_scalar_reference_bitwise(self, kind, init_mode, beta, length, exponents, seed):
+        # a None exponent is an all-zero column, which hits the 0/0 -> 0 convention
+        scales = np.array([0.0 if e is None else 2.0**e for e in exponents])
+        signal = np.random.default_rng(seed).standard_normal((length, len(scales))) * scales
+        filt = FilterSpec(kind, beta=beta, init_mode=init_mode)
+        out = filter_response(filt, signal)
+        assert out.shape == signal.shape
+        for c in range(signal.shape[1]):
+            assert np.array_equal(out[:, c], reference_response(filt, signal[:, c]))
+
+    def test_one_dim_and_scalar_inputs_are_flattened(self):
+        filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.9)
+        g = np.random.default_rng(56).standard_normal(40)
+        assert filter_response(filt, g).shape == (40,)
+        assert np.array_equal(filter_response(filt, g), reference_response(filt, g))
+        assert filter_response(filt, 2.5).shape == (1,)
+        assert filter_response(filt, g[:, None]).shape == (40, 1)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (1, 1, 1, 1)])
+    def test_more_than_two_dims_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            filter_response(FilterSpec(FilterKind.SIGN), np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_rejected(self, bad):
+        signal = np.ones((5, 3))
+        signal[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            filter_response(FilterSpec(FilterKind.ADAM_EQUAL_BETA), signal)
+
+
 class TestProperties:
     @pytest.mark.parametrize("kind", list(FilterKind))
     def test_all_four_properties_pass(self, kind):
@@ -104,6 +190,48 @@ class TestProperties:
         )
         assert not report.check("odd").passed
         assert not report.passed
+
+    def test_future_reading_response_fails_causal_check(self):
+        # negative control: run the filter backwards in time
+        rng = np.random.default_rng(57)
+        base = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.9)
+        report = run_property_checks(
+            lambda s: filter_response(base, s[::-1])[::-1], trials=5, tol=1e-12, rng=rng
+        )
+        assert not report.check("causal").passed
+        assert report.check("scaling").passed and report.check("odd").passed
+
+    def test_scale_dependent_response_fails_scaling_check(self):
+        # negative control: tanh is causal, odd and bounded but not scale-invariant
+        rng = np.random.default_rng(58)
+        report = run_property_checks(np.tanh, trials=5, tol=1e-12, rng=rng)
+        assert not report.check("scaling").passed
+        assert report.check("causal").passed
+        assert report.check("odd").passed and report.check("bounded").passed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_report_and_stream_match_per_trial_reference(self, seed):
+        # one generator shared across filters, as the verify suite and `signal` share it
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for kind in FilterKind:
+            filt = FilterSpec(kind, beta=0.95)
+            report = check_properties(filt, trials=4, tol=1e-12, rng=rng)
+            expected = reference_property_checks(
+                lambda s: reference_response(filt, s), 4, 1e-12, ref_rng, label=kind.value
+            )
+            assert report == expected
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nonzero_violations_match_per_trial_reference(self, seed):
+        # an elementwise response whose scaling, odd and bounded maxima are all nonzero
+        def response(s):
+            return 1.5 * np.tanh(s) + 0.1
+
+        report = run_property_checks(response, 6, 1e-12, np.random.default_rng(seed))
+        expected = reference_property_checks(response, 6, 1e-12, np.random.default_rng(seed))
+        assert report == expected
+        assert all(report.check(name).max_violation > 0 for name in ("scaling", "odd", "bounded"))
 
     def test_report_shape(self):
         rng = np.random.default_rng(55)
