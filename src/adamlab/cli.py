@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import beta_grid
+from .core import beta_grid, max_or_nan
 from .filters import (
     FilterKind,
     FilterSpec,
@@ -267,8 +267,8 @@ def _suite_prop1(seed: int) -> list[dict]:
         worst_dir, worst_var = 0.0, 0.0
         for _ in range(10):
             report = check_prop1(rng.standard_normal(1000), beta, tol=1e-9)
-            worst_dir = max(worst_dir, report.direction.max_abs_residual)
-            worst_var = max(worst_var, report.variance.max_abs_residual)
+            worst_dir = max_or_nan(worst_dir, report.direction.max_abs_residual)
+            worst_var = max_or_nan(worst_var, report.variance.max_abs_residual)
         checks.append(
             {
                 "name": f"direction_forms_beta={beta:g}",
@@ -324,7 +324,7 @@ def _suite_trust(seed: int) -> list[dict]:
         var = float(rng.exponential(scale=2.0))
         radius = trust_radius(m, var)
         argmin = steepest_descent_minimizer(m, radius)
-        worst = max(worst, abs(argmin - mollified_direction(m, var)))
+        worst = max_or_nan(worst, abs(argmin - mollified_direction(m, var)))
     return [
         {
             "name": "trust_region_minimizer_matches_mollified_sign",
@@ -344,15 +344,15 @@ def _suite_vi(seed: int) -> list[dict]:
         lam = float(rng.uniform(0.05, 20.0))
         closed = vi_update(prior, g, lam)
         oracle = vi_numeric_oracle(prior, g, lam)
-        worst_param = max(
+        worst_param = max_or_nan(
             worst_param, abs(closed.mean - oracle.mean), abs(closed.variance - oracle.variance)
         )
         obj_closed = vi_objective(prior, closed, g, lam)
-        worst_gap = max(worst_gap, obj_closed - vi_objective(prior, oracle, g, lam))
+        worst_gap = max_or_nan(worst_gap, obj_closed - vi_objective(prior, oracle, g, lam))
         spread = abs(prior.mean - g) + 1.0
         means = rng.uniform(prior.mean - 3 * spread, prior.mean + 3 * spread, size=2000)
         variances = np.exp(rng.uniform(np.log(1e-4), np.log(1e3), size=2000)) * closed.variance
-        worst_beat = max(worst_beat, obj_closed - float(np.min(objective_batch(prior, means, variances, g, lam))))
+        worst_beat = max_or_nan(worst_beat, obj_closed - float(np.min(objective_batch(prior, means, variances, g, lam))))
     return [
         {
             "name": "closed_form_vs_oracle_parameters",
@@ -362,13 +362,13 @@ def _suite_vi(seed: int) -> list[dict]:
         },
         {
             "name": "closed_form_objective_gap",
-            "max_abs_residual": max(worst_gap, 0.0),
+            "max_abs_residual": max_or_nan(worst_gap, 0.0),
             "tolerance": 1e-8,
             "passed": worst_gap <= 1e-8,
         },
         {
             "name": "closed_form_beats_random_candidates",
-            "max_abs_residual": max(worst_beat, 0.0),
+            "max_abs_residual": max_or_nan(worst_beat, 0.0),
             "tolerance": 1e-8,
             "passed": worst_beat <= 1e-8,
         },
@@ -584,21 +584,26 @@ def cmd_signal(args) -> int:
 
 
 def _sweep_batch(payload) -> list[list[str]]:
-    """Run one (optimizer, betas) pair over all rates and seeds as one batch; one CSV row per rate."""
-    (problem, name, lrs, beta1, beta2, starts, steps, batch_size, warmup_fraction) = payload
+    """Run every (betas, rate, seed) of one optimizer as one batch; one CSV row per (betas, rate)."""
+    (problem, name, lrs, pairs, starts, steps, batch_size, warmup_fraction) = payload
     layout = problem.spec.layout.value
-    suffix = f":b1={beta1:.17g}:b2={beta2:.17g}"
+    cells = [(beta1, beta2, lr) for beta1, beta2 in pairs for lr in lrs]
+    configs = {pair: default_quad_config(_QUAD_KINDS[name], *pair) for pair in pairs}
     per_cell = run_cell(
         problem,
-        default_quad_config(_QUAD_KINDS[name], beta1, beta2),
-        [(lr, make_config_id(layout, name, lr) + suffix) for lr in lrs],
+        [
+            (configs[beta1, beta2], lr, make_config_id(layout, name, lr) + f":b1={beta1:.17g}:b2={beta2:.17g}")
+            for beta1, beta2, lr in cells
+        ],
         starts,
         steps,
         batch_size,
         warmup_fraction,
+        track_delta=False,
     )
+    stats = loss_quantiles([[record.final_loss() for record in records] for records in per_cell])
     rows = []
-    for lr, records in zip(lrs, per_cell):
+    for (beta1, beta2, lr), records, (median, q25, q75) in zip(cells, per_cell, stats):
         n_diverged = sum(record.diverged for record in records)
         if n_diverged == len(records):
             status = "all_diverged"
@@ -606,7 +611,6 @@ def _sweep_batch(payload) -> list[list[str]]:
             status = "partial"
         else:
             status = "ok"
-        median, q25, q75 = loss_quantiles([record.final_loss() for record in records])
         rows.append(
             [
                 layout,
@@ -659,9 +663,17 @@ def cmd_sweep(args) -> int:
     starts = [(seed, initial_point(problem.dim, seed)) for seed in cfg.seeds]
     lrs = [float(lr) for lr in cfg.lr_grid]
     payloads = [
-        (problem, name, lrs, float(beta1), float(beta2), starts, cfg.steps, cfg.batch_size, cfg.warmup_fraction)
+        (
+            problem,
+            name,
+            lrs,
+            [(float(beta1), float(beta2)) for beta1, beta2 in _beta_pairs(_QUAD_KINDS[name], betas, cfg.equal_betas)],
+            starts,
+            cfg.steps,
+            cfg.batch_size,
+            cfg.warmup_fraction,
+        )
         for name in cfg.optimizers
-        for beta1, beta2 in _beta_pairs(_QUAD_KINDS[name], betas, cfg.equal_betas)
     ]
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
     if workers > 1:
@@ -780,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes, at most one per (optimizer, betas) batch and CPU (default: ADAMLAB_JOBS or 1)",
+        help="worker processes, at most one per optimizer batch and CPU (default: ADAMLAB_JOBS or 1)",
     )
     p.set_defaults(func=cmd_sweep)
     return parser

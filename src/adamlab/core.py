@@ -34,23 +34,27 @@ class EmaBuffer:
     update copies the sample and the recursion takes over afterwards.
 
     ``value=None`` means the shape is adopted from the first sample.
+    ``beta`` is a float, or an ``(R, 1)`` column that gives each row of an
+    ``(R, dim)`` buffer its own momentum.
     """
 
-    beta: float
+    beta: float | np.ndarray
     init_mode: InitMode = InitMode.ZERO
     value: np.ndarray | None = None
     step: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must be in [0, 1), got {self.beta}")
+        beta = self.beta
+        lo, hi = (beta.min(), beta.max()) if isinstance(beta, np.ndarray) else (beta, beta)
+        if not (0.0 <= lo and hi < 1.0):
+            raise ValueError(f"beta must be in [0, 1), got {beta}")
         if self.step < 0:
             raise ValueError(f"step must be nonnegative, got {self.step}")
         if self.value is not None:
             self.value = np.asarray(self.value, dtype=float)
 
     @classmethod
-    def zeros(cls, shape, beta: float, init_mode: InitMode = InitMode.ZERO) -> "EmaBuffer":
+    def zeros(cls, shape, beta: float | np.ndarray, init_mode: InitMode = InitMode.ZERO) -> "EmaBuffer":
         return cls(beta=beta, init_mode=init_mode, value=np.zeros(shape))
 
     def update(self, sample) -> np.ndarray:
@@ -117,6 +121,16 @@ def lr_at(sched: Schedule, step: int) -> float:
         return 0.0
     phase = math.pi * (step - warmup) / span
     return sched.peak_lr * (1.0 + math.cos(phase)) / 2.0
+
+
+def max_or_nan(*values: float) -> float:
+    """The largest of ``values``, or NaN if any of them is NaN.
+
+    The builtin ``max`` skips a NaN that does not come first (every comparison
+    with NaN is false), so a running maximum of check violations would drop
+    it and the check would pass.
+    """
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 def beta_grid(beta_base: float, kappas: Sequence[float]) -> list[float]:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InitMode
+from .core import InitMode, max_or_nan
 from .optim import OptimizerConfig, OptimizerKind, direction, init_state
 
 
@@ -169,8 +169,9 @@ def run_property_checks(
     call: per trial ``g``; ``g`` zeroed after each ``k`` (only steps ``<= k``
     are compared with ``g``'s response, so a response that reads the future
     differs there); ``alpha * g`` for each scaling factor; and ``-g``.
-    Violations are aggregated as maxima over all trials; failures are
-    reported, never raised.
+    Violations are aggregated as maxima over all trials and floored at 0; a
+    NaN violation stays NaN and fails its check. Failures are reported, never
+    raised.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -186,15 +187,14 @@ def run_property_checks(
     base, *rest = np.split(response(np.concatenate(columns, axis=1)), len(columns), axis=1)
     heads, scaled, negated = rest[: len(kept)], rest[len(kept) : -1], rest[-1]
     worst = {
-        "causal": max(
-            float(np.max(np.abs(head - base), where=mask, initial=0.0))
-            for head, mask in zip(heads, kept)
+        "causal": max_or_nan(
+            *(float(np.max(np.abs(head - base), where=mask, initial=0.0)) for head, mask in zip(heads, kept))
         ),
-        "scaling": max(float(np.max(np.abs(out - base))) for out in scaled),
+        "scaling": max_or_nan(*(float(np.max(np.abs(out - base))) for out in scaled)),
         "odd": float(np.max(np.abs(negated + base))),
         "bounded": float(np.max(np.abs(base))) - 1.0,
     }
-    worst = {name: max(0.0, value) for name, value in worst.items()}
+    worst = {name: max_or_nan(0.0, value) for name, value in worst.items()}
     checks = tuple(PropertyCheck(name, value, tol, value <= tol) for name, value in worst.items())
     return PropertyReport(label=label, trials=trials, checks=checks)
 

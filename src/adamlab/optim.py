@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmaBuffer, InitMode, bias_correct
+from .core import EmaBuffer, InitMode
 
 
 class OptimizerKind(enum.Enum):
@@ -86,7 +86,10 @@ class OptimizerState:
     """Mutable buffers for one run: first/second moments and the variance term.
 
     ``delta`` is advanced by its own nonnegative recursion rather than being
-    recovered as ``v - m**2``, so it stays sign-safe in floating point.
+    recovered as ``v - m**2``, so it stays sign-safe in floating point. The
+    momentum parameters are the buffers' ``beta``: the config's floats, or
+    ``(R, 1)`` columns when the rows of an ``(R, dim)`` state are runs with
+    their own momentum.
     """
 
     m: EmaBuffer
@@ -95,10 +98,11 @@ class OptimizerState:
     step: int = 0
 
 
-def init_state(config: OptimizerConfig, shape) -> OptimizerState:
+def init_state(config: OptimizerConfig, shape, beta1=None, beta2=None) -> OptimizerState:
+    """Zeroed buffers of ``shape``, with the config's betas unless ``(R, 1)`` columns are given."""
     return OptimizerState(
-        m=EmaBuffer.zeros(shape, config.beta1, config.init_mode),
-        v=EmaBuffer.zeros(shape, config.beta2, config.init_mode),
+        m=EmaBuffer.zeros(shape, config.beta1 if beta1 is None else beta1, config.init_mode),
+        v=EmaBuffer.zeros(shape, config.beta2 if beta2 is None else beta2, config.init_mode),
         delta=np.zeros(shape),
     )
 
@@ -117,17 +121,18 @@ def _denominator(second: np.ndarray, config: OptimizerConfig) -> np.ndarray:
     return np.sqrt(second) + config.epsilon
 
 
-def _adam_view(config: OptimizerConfig, state: OptimizerState) -> tuple[np.ndarray, np.ndarray]:
+def _adam_view(config: OptimizerConfig, state: OptimizerState, powers) -> tuple[np.ndarray, np.ndarray]:
     """Adam/RMSprop's ``(m, v)``, bias-corrected when configured; needs ``m.step >= 1``."""
     m, v = state.m.value, state.v.value
     if config.bias_correction:
-        m = bias_correct(m, config.beta1, state.m.step)
-        v = bias_correct(v, config.beta2, state.v.step)
+        p1, p2 = (state.m.beta**state.m.step, state.v.beta**state.v.step) if powers is None else powers
+        m = m / (1.0 - p1)
+        v = v / (1.0 - p2)
     return m, v
 
 
 def _equal_beta_view(
-    config: OptimizerConfig, state: OptimizerState
+    config: OptimizerConfig, state: OptimizerState, powers
 ) -> tuple[np.ndarray, np.ndarray]:
     """Equal-beta Adam's ``(m, delta)``, bias-corrected when configured; needs ``m.step >= 1``.
 
@@ -137,16 +142,22 @@ def _equal_beta_view(
     """
     m, delta = state.m.value, state.delta
     if config.bias_correction:
-        beta, step = config.beta1, state.m.step
-        m = bias_correct(m, beta, step)
-        delta = bias_correct(delta, beta, step) - beta**step * m * m
+        p = state.m.beta**state.m.step if powers is None else powers[0]
+        m = m / (1.0 - p)
+        delta = delta / (1.0 - p) - p * m * m
     return m, delta
 
 
 def direction(
-    config: OptimizerConfig, state: OptimizerState, g
+    config: OptimizerConfig, state: OptimizerState, g, powers=None
 ) -> tuple[np.ndarray, OptimizerState]:
-    """One step of the direction map; advances ``state`` exactly once."""
+    """One step of the direction map; advances ``state`` exactly once.
+
+    Bias correction divides by ``1 - beta**k`` after ``k`` steps. Float betas
+    take ``beta**k`` from Python's ``**``; a state with ``(R, 1)`` beta
+    columns needs ``powers = (beta1**k, beta2**k)`` as columns built the same
+    way (numpy's power does not always round like Python's).
+    """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
@@ -164,15 +175,15 @@ def direction(
     elif kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
         state.m.update(g)
         state.v.update(g * g)
-        m, v = _adam_view(config, state)
+        m, v = _adam_view(config, state, powers)
         d = _safe_div(m, _denominator(v, config))
     elif kind is OptimizerKind.ADAM_EQUAL_BETA:
-        beta = config.beta1
+        beta = state.m.beta
         if not (state.m.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE):
             diff = state.m.value - g
             state.delta = beta * state.delta + beta * (1.0 - beta) * diff * diff
         state.m.update(g)
-        m, delta = _equal_beta_view(config, state)
+        m, delta = _equal_beta_view(config, state, powers)
         d = _safe_div(m, _denominator(np.maximum(m * m + delta, 0.0), config))
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown optimizer kind {kind}")
@@ -190,18 +201,19 @@ def apply_step(w, d, lr: float) -> np.ndarray:
     return w - lr * d
 
 
-def delta_estimate(config: OptimizerConfig, state: OptimizerState) -> np.ndarray | None:
+def delta_estimate(config: OptimizerConfig, state: OptimizerState, powers=None) -> np.ndarray | None:
     """Current per-coordinate gradient-variance estimate, if the method has one.
 
     Equal-beta Adam exposes its recursion directly; plain Adam/RMSprop report
     ``max(v_hat - m_hat**2, 0)``. Sign and momentum methods return ``None``.
+    ``powers`` is as in :func:`direction`.
     """
     if config.kind not in _SECOND_MOMENT_KINDS:
         return None
     if state.m.step == 0:
         return state.delta.copy()
     if config.kind is OptimizerKind.ADAM_EQUAL_BETA:
-        _, delta = _equal_beta_view(config, state)
+        _, delta = _equal_beta_view(config, state, powers)
         return np.maximum(delta, 0.0)
-    m, v = _adam_view(config, state)
+    m, v = _adam_view(config, state, powers)
     return np.maximum(v - m * m, 0.0)

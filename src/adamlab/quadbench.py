@@ -14,10 +14,12 @@ Stochasticity comes from subsampling rows of the symmetric square root
 ``X = H^(1/2)``: a batch B of rows gives the unbiased gradient estimate
 ``(n/|B|) * sum_{i in B} x_i (x_i . w)``.
 
-Runs are stepped by one engine, :func:`run_batch`, which advances R runs that
-share one ``OptimizerConfig`` as the rows of ``(R, dim)`` arrays through the
-unchanged ``direction``/``apply_step``/``delta_estimate`` maps. Every record it
-returns equals, bit for bit, the record of stepping that run alone:
+Runs are stepped by one engine, :func:`run_batch`, which advances R runs as the
+rows of ``(R, dim)`` arrays through the unchanged
+``direction``/``apply_step``/``delta_estimate`` maps. Each run brings its own
+``OptimizerConfig``; the configs of a batch may differ only in ``beta1`` and
+``beta2``. Every record it returns equals, bit for bit, the record of stepping
+that run alone:
 
 * each run's row subsets are drawn before the loop from its own
   ``derive_seed(seed, "batches", config_id)`` generator; shuffling the rows of
@@ -27,14 +29,18 @@ returns equals, bit for bit, the record of stepping that run alone:
   as stacked matrix products, which make the same BLAS calls per run as the
   one-run vector forms (``einsum`` and row-wise dot products do not round
   the same way);
-* the runs of a batch share the step counter, so the bias corrections
-  ``beta**step`` stay Python scalars; only the learning rate differs per run.
+* the learning rate and the momentum differ per run, as ``(R, 1)`` columns;
+  the bias-correction powers ``beta**step`` are tabulated before the loop with
+  Python's ``**``, once per distinct beta and step, because numpy's power does
+  not always round the same way.
 
 :func:`run_experiment` is the one-run call of the engine, and
-:func:`run_cell` batches all learning rates and seeds of one optimizer.
+:func:`run_cell` batches cells of one optimizer kind (rates, and momentum
+pairs) over all seeds.
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 import math
@@ -269,8 +275,9 @@ def initial_point(dim: int, seed: int, radius: float = 3.0) -> np.ndarray:
 
 
 class RunSpec(NamedTuple):
-    """One run of a batch: its schedule, start point, seed and stream label."""
+    """One run of a batch: its optimizer config, schedule, start point, seed and stream label."""
 
+    config: OptimizerConfig
     sched: Schedule
     w0: np.ndarray
     seed: int
@@ -278,18 +285,36 @@ class RunSpec(NamedTuple):
 
 
 def _keep_rows(state, keep: np.ndarray) -> None:
-    """Drop the runs outside ``keep`` from a batched optimizer state."""
-    state.m.value = state.m.value[keep]
-    state.v.value = state.v.value[keep]
+    """Drop the runs outside ``keep`` from a batched optimizer state, momentum columns included."""
+    for buf in (state.m, state.v):
+        buf.value = buf.value[keep]
+        buf.beta = buf.beta[keep]
     state.delta = state.delta[keep]
+
+
+def _shared_config(runs: Sequence[RunSpec]) -> OptimizerConfig:
+    """The optimizer settings of a batch; the runs' configs may differ only in their betas."""
+    config = runs[0].config
+    shared = [f.name for f in dataclasses.fields(config) if f.name not in ("beta1", "beta2")]
+    for run in runs:
+        if any(getattr(run.config, name) != getattr(config, name) for name in shared):
+            raise ValueError(f"runs of one batch may differ only in beta1 and beta2: {config} vs {run.config}")
+    return config
+
+
+def _power_table(betas: list[float], steps: int) -> np.ndarray:
+    """``beta**k`` for ``k = 1..steps`` per run, shape ``(steps, R)``; Python ``**`` once per distinct beta."""
+    rows = {beta: [beta**k for k in range(1, steps + 1)] for beta in dict.fromkeys(betas)}
+    return np.array([rows[beta] for beta in betas]).T
 
 
 def run_batch(
     problem: QuadraticProblem,
-    config: OptimizerConfig,
     runs: Sequence[RunSpec],
     steps: int,
     batch_size: int,
+    *,
+    track_delta: bool = True,
 ) -> list[RunRecord]:
     """Iterate gradient -> direction -> update for all ``runs`` at once, one record per run.
 
@@ -298,7 +323,11 @@ def run_batch(
     recorded and then ends the run. An ended run leaves the arrays, so later
     steps never see it. Each run's row-subsampling stream is derived from
     ``(seed, config_id)``, so records are reproducible run by run.
+    ``track_delta=False`` skips the variance-term snapshots
+    (``delta_block_means`` is then ``None``). Raises ``ValueError`` if the
+    runs' configs differ in anything but ``beta1`` and ``beta2``.
     """
+    config = _shared_config(runs)
     n_runs = len(runs)
     rows = np.stack(
         [
@@ -318,8 +347,14 @@ def run_batch(
     }
     lrs = np.array([lr_tables[run.sched] for run in runs]).T
     w = np.array([run.w0 for run in runs], dtype=float)
-    state = init_state(config, w.shape)
-    track_delta = config.kind in _SECOND_MOMENT_KINDS
+    beta1 = [run.config.beta1 for run in runs]
+    beta2 = [run.config.beta2 for run in runs]
+    columns = (np.array(beta1, dtype=float)[:, None], np.array(beta2, dtype=float)[:, None])
+    state = init_state(config, w.shape, *columns)
+    powers = None
+    if config.bias_correction and config.kind in _SECOND_MOMENT_KINDS:
+        powers = (_power_table(beta1, steps), _power_table(beta2, steps))
+    track_delta = track_delta and config.kind in _SECOND_MOMENT_KINDS
     slices = problem.block_slices
 
     losses = np.empty((n_runs, steps))
@@ -328,12 +363,13 @@ def run_batch(
     active = np.arange(n_runs)
     for k in range(steps):
         g = subset_gradient(problem, w, rows[k, active])
-        d, state = direction(config, state, g)
+        step_powers = None if powers is None else tuple(table[k, active, None] for table in powers)
+        d, state = direction(config, state, g, step_powers)
         w = apply_step(w, d, lrs[k, active, None])
         loss = problem.loss(w)
         losses[active, k] = loss
         if track_delta:
-            snapshot = delta_estimate(config, state)
+            snapshot = delta_estimate(config, state, step_powers)
             for j, sl in enumerate(slices):
                 deltas[active, k, j] = snapshot[:, sl].mean(axis=-1)
         finite = np.isfinite(loss)
@@ -376,24 +412,26 @@ def run_experiment(
     config_id: str = "",
 ) -> RunRecord:
     """One run through :func:`run_batch`."""
-    return run_batch(problem, config, [RunSpec(sched, w0, seed, config_id)], steps, batch_size)[0]
+    return run_batch(problem, [RunSpec(config, sched, w0, seed, config_id)], steps, batch_size)[0]
 
 
-def loss_quantiles(finals) -> tuple[float, float, float]:
-    """(median, q25, q75) of final losses, treating diverged runs as +inf.
+def loss_quantiles(finals):
+    """(median, q25, q75) of final losses per row, treating diverged runs as +inf.
 
-    Interpolating between two infinities is read as infinity rather than nan.
+    A ``(cells, seeds)`` array gives a ``(cells, 3)`` array; a 1-D array of
+    seeds is the one-row case and gives a tuple of three floats. A row of
+    infinities, and interpolating between two infinities, read as infinity
+    rather than nan.
     """
     finals = np.asarray(finals, dtype=float)
-    if np.all(np.isinf(finals)):
-        return math.inf, math.inf, math.inf
+    rows = np.atleast_2d(finals)
     with np.errstate(invalid="ignore"):
-        values = (
-            float(np.median(finals)),
-            float(np.quantile(finals, 0.25)),
-            float(np.quantile(finals, 0.75)),
+        stats = np.stack(
+            [np.median(rows, axis=-1), np.quantile(rows, 0.25, axis=-1), np.quantile(rows, 0.75, axis=-1)],
+            axis=-1,
         )
-    return tuple(math.inf if math.isnan(v) else v for v in values)
+    stats[np.isnan(stats) | np.all(np.isinf(rows), axis=-1, keepdims=True)] = math.inf
+    return tuple(stats[0].tolist()) if finals.ndim == 1 else stats
 
 
 @dataclass(frozen=True)
@@ -432,27 +470,29 @@ def make_config_id(layout: str, label: str, lr: float) -> str:
 
 def run_cell(
     problem: QuadraticProblem,
-    config: OptimizerConfig,
-    cells: Sequence[tuple[float, str]],
+    cells: Sequence[tuple[OptimizerConfig, float, str]],
     starts,
     steps: int,
     batch_size: int,
     warmup_fraction: float,
+    *,
+    track_delta: bool = True,
 ) -> list[list[RunRecord]]:
-    """Run each ``(lr, config_id)`` cell of one optimizer once per ``(seed, w0)`` in ``starts``.
+    """Run each ``(config, lr, config_id)`` cell once per ``(seed, w0)`` in ``starts``.
 
-    All runs of all cells go through :func:`run_batch` as one batch; the
-    records come back grouped per cell, in ``starts`` order. Every run of a
-    cell shares its ``config_id``, so each seed's subsampling stream is
+    All runs of all cells go through :func:`run_batch` as one batch, so the
+    cells' configs may differ only in their betas; the records come back
+    grouped per cell, in ``starts`` order. Every run of a cell shares its
+    ``config_id``, so each seed's subsampling stream is
     ``derive_seed(seed, "batches", config_id)``.
     """
     if not starts:
         raise ValueError("at least one seed is required")
     runs = []
-    for lr, config_id in cells:
+    for config, lr, config_id in cells:
         sched = Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=warmup_fraction)
-        runs += [RunSpec(sched, w0, seed, config_id) for seed, w0 in starts]
-    records = run_batch(problem, config, runs, steps, batch_size)
+        runs += [RunSpec(config, sched, w0, seed, config_id) for seed, w0 in starts]
+    records = run_batch(problem, runs, steps, batch_size, track_delta=track_delta)
     return [records[i : i + len(starts)] for i in range(0, len(records), len(starts))]
 
 
@@ -482,31 +522,24 @@ def tune_and_compare(
 
     results = []
     for label in sorted(optimizers):
-        config = optimizers[label]
-        best: tuple[float, float] | None = None  # (median, lr)
-        best_records: list[RunRecord] = []
-        lr_medians = []
-        cells = [(lr, make_config_id(layout, label, lr)) for lr in lr_grid]
-        per_cell = run_cell(problem, config, cells, starts, steps, batch_size, warmup_fraction)
-        for lr, records in zip(lr_grid, per_cell):
-            median = loss_quantiles([r.final_loss() for r in records])[0]
-            lr_medians.append((lr, median))
-            if best is None or median < best[0]:
-                best = (median, lr)
-                best_records = records
-        finals = np.asarray([r.final_loss() for r in best_records])
-        all_diverged = bool(np.all(np.isinf(finals)))
-        median, q25, q75 = loss_quantiles(finals)
+        cells = [(optimizers[label], lr, make_config_id(layout, label, lr)) for lr in lr_grid]
+        per_cell = run_cell(problem, cells, starts, steps, batch_size, warmup_fraction)
+        finals = np.array([[r.final_loss() for r in records] for records in per_cell])
+        stats = loss_quantiles(finals)
+        medians = stats[:, 0].tolist()
+        best = medians.index(min(medians))  # the first minimum: ties break toward the smaller rate
+        all_diverged = bool(np.all(np.isinf(finals[best])))
+        median, q25, q75 = stats[best].tolist()
         results.append(
             OptimizerResult(
                 label=label,
-                best_lr=None if all_diverged else best[1],
+                best_lr=None if all_diverged else lr_grid[best],
                 median_final=median,
                 q25=q25,
                 q75=q75,
                 all_diverged=all_diverged,
-                records=tuple(best_records),
-                lr_medians=tuple(lr_medians),
+                records=tuple(per_cell[best]),
+                lr_medians=tuple(zip(lr_grid, medians)),
             )
         )
     return ComparisonSummary(

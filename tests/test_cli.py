@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import types
 import typing
 
@@ -287,6 +288,41 @@ class TestVerifyCommand:
         names = [c["name"] for c in report["suites"]["equalbeta"]["checks"]]
         assert any("completion_margin" in n for n in names)
 
+    @pytest.mark.parametrize(
+        "suite, name, fake, failing",
+        [
+            (
+                "prop1",
+                "check_prop1",
+                lambda signal, beta, tol: types.SimpleNamespace(
+                    direction=types.SimpleNamespace(max_abs_residual=math.nan),
+                    variance=types.SimpleNamespace(max_abs_residual=0.0),
+                ),
+                {"direction_forms"},
+            ),
+            ("trust", "mollified_direction", lambda m, var: math.nan, {"trust_region_minimizer_matches_mollified_sign"}),
+            ("vi", "vi_objective", lambda *args: math.nan, {"closed_form_objective_gap", "closed_form_beats_random_candidates"}),
+            ("vi", "objective_batch", lambda *args: np.full(2000, np.nan), {"closed_form_beats_random_candidates"}),
+            (
+                "vi",
+                "vi_numeric_oracle",
+                lambda prior, g, lam: types.SimpleNamespace(mean=math.nan, variance=math.nan),
+                {"closed_form_vs_oracle_parameters", "closed_form_objective_gap"},
+            ),
+        ],
+        ids=["prop1", "trust", "vi-objective", "vi-candidates", "vi-oracle"],
+    )
+    def test_nan_residual_fails_its_check(self, monkeypatch, capsys, suite, name, fake, failing):
+        # negative control: a running max(worst, nan) kept the old value, so NaN passed
+        import adamlab.cli as cli
+
+        monkeypatch.setattr(cli, name, fake)
+        assert main(["verify", "--suite", suite]) == EXIT_CHECK_FAILURE
+        checks = json.loads(capsys.readouterr().out)["suites"][suite]["checks"]
+        failed = {c["name"].split("_beta=")[0] for c in checks if not c["passed"]}
+        assert failed == failing
+        assert all(math.isnan(c["max_abs_residual"]) for c in checks if not c["passed"])
+
 
 class TestQuadCommand:
     def test_artifacts_and_determinism(self, tmp_path, capsys):
@@ -481,27 +517,28 @@ class TestSweepCommand:
         ).read_bytes()
 
     @pytest.mark.parametrize(
-        "jobs, kappas, cpus, expected",
+        "jobs, optims, cpus, expected",
         [
-            (8, ["1", "2"], 64, 2),  # capped by the two (optimizer, betas) batches
-            (8, ["1", "2", "3", "4"], 3, 3),  # capped by the CPU count
-            (2, ["1", "2", "3", "4"], 64, 2),  # capped by --jobs
-            (1, ["1", "2"], 64, None),  # serial: no pool at all
-            (8, ["1"], 64, None),  # one batch: no pool at all
+            (8, ["signum", "adameq"], 64, 2),  # capped by the two optimizer batches
+            (8, ["signum", "adameq", "sgd", "emasign"], 3, 3),  # capped by the CPU count
+            (2, ["signum", "adameq", "sgd", "emasign"], 64, 2),  # capped by --jobs
+            (1, ["signum", "adameq"], 64, None),  # serial: no pool at all
+            (8, ["signum"], 64, None),  # one batch: no pool at all
         ],
     )
-    def test_worker_count_is_capped(self, tmp_path, capsys, monkeypatch, jobs, kappas, cpus, expected):
+    def test_worker_count_is_capped(self, tmp_path, capsys, monkeypatch, jobs, optims, cpus, expected):
         started = _record_pools(monkeypatch, cpus)
-        argv = ["sweep", "--optim", "signum", "--kappas", *kappas, "--steps", "5", "--seeds", "1"]
+        argv = ["sweep", *(f"--optim={name}" for name in optims), "--kappas", "1", "2", "--steps", "5", "--seeds", "1"]
         assert main(argv + ["--jobs", str(jobs), "--out", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
         assert started == ([] if expected is None else [expected])
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert len(rows) == 1 + len(kappas) * len(SweepConfig().lr_grid)
+        assert len(rows) == 1 + len(optims) * 2 * len(SweepConfig().lr_grid)
 
     def test_jobs_env_var_sets_default(self, tmp_path, capsys, monkeypatch):
         started = _record_pools(monkeypatch, cpus=64)
-        argv = ["sweep", "--optim", "signum", "--kappas", "1", "2", "3", "4", "--steps", "5", "--seeds", "1"]
+        optims = ["--optim=signum", "--optim=adameq", "--optim=sgd", "--optim=emasign"]
+        argv = ["sweep", *optims, "--kappas", "1", "2", "--steps", "5", "--seeds", "1"]
         monkeypatch.setenv("ADAMLAB_JOBS", "3")
         assert main(argv + ["--out", str(tmp_path / "env")]) == EXIT_OK
         # the flag wins over the environment, even over a bad value

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adamlab.core import InitMode, Schedule, lr_at
+from adamlab.cli import _QUAD_KINDS, EXIT_OK, SweepConfig, _beta_pairs, _write_csv, fmt_float, main
+from adamlab.core import InitMode, Schedule, beta_grid, lr_at
 from adamlab.optim import (
     _SECOND_MOMENT_KINDS,
     EpsilonPlacement,
@@ -24,10 +25,14 @@ from adamlab.quadbench import (
     RunRecord,
     RunSpec,
     build_problem,
+    default_quad_config,
     derive_seed,
     draw_rows,
     initial_point,
+    loss_quantiles,
+    make_config_id,
     run_batch,
+    run_cell,
     run_experiment,
     stochastic_grad,
     subset_gradient,
@@ -129,6 +134,7 @@ def test_batch_equals_reference_stepper(
     steps = 40
     runs = [
         RunSpec(
+            config,
             Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=warmup_fraction),
             initial_point(problem.dim, seed),
             seed,
@@ -138,10 +144,10 @@ def test_batch_equals_reference_stepper(
         for seed in range(n_seeds)
     ]
     with np.errstate(over="ignore", invalid="ignore"):
-        batch = run_batch(problem, config, runs, steps, batch_size)
+        batch = run_batch(problem, runs, steps, batch_size)
         for run, got in zip(runs, batch):
-            assert_same_run(reference_run(problem, config, run.sched, steps, batch_size, *run[1:]), got)
-            assert_same_run(run_experiment(problem, config, run.sched, steps, batch_size, *run[1:]), got)
+            assert_same_run(reference_run(problem, *run[:2], steps, batch_size, *run[2:]), got)
+            assert_same_run(run_experiment(problem, *run[:2], steps, batch_size, *run[2:]), got)
             assert_divergence_fields(got)
 
 
@@ -150,11 +156,11 @@ def test_rates_cover_both_divergence_reasons():
     problem = build_problem(BlockSpec.heterogeneous(), seed=1)
     config = OptimizerConfig(OptimizerKind.SGD, beta1=0.0)
     runs = [
-        RunSpec(Schedule(peak_lr=lr, total_steps=40, warmup_fraction=0.1), initial_point(9, 0), 0)
+        RunSpec(config, Schedule(peak_lr=lr, total_steps=40, warmup_fraction=0.1), initial_point(9, 0), 0)
         for lr in RATES
     ]
     with np.errstate(over="ignore", invalid="ignore"):
-        reasons = {record.reason for record in run_batch(problem, config, runs, 40, 3)}
+        reasons = {record.reason for record in run_batch(problem, runs, 40, 3)}
     assert reasons == {None, "threshold", "non_finite"}
 
 
@@ -238,3 +244,191 @@ def test_stacked_gradient_and_loss_match_one_run_forms(seed, batch_size, n_runs)
         assert np.array_equal(g[r], g_r)
         assert np.array_equal(subset_gradient(problem, w[r], rows[r]), g_r)
         assert losses[r] == loss_r == problem.loss(w[r])
+
+
+#: momentum values for mixed batches; 0.9 and 0.95 are the benchmark's, 0.0 turns momentum off
+MIXED_BETAS = (0.0, 0.5, 0.9, 0.95, 0.999)
+#: 1e7 ends runs by the threshold and 1e300 by a non-finite loss, for every kind
+DROP_OUT_RATES = (1e7, 1e300)
+
+
+def mixed_runs(kind, pairs, rates, n_seeds, steps, **settings):
+    """One run per (pair, rate, seed); each pair gets its own config, all else shared."""
+    runs = []
+    for beta1, beta2 in pairs:
+        config = OptimizerConfig(
+            kind, beta1=beta1, beta2=beta1 if kind is OptimizerKind.ADAM_EQUAL_BETA else beta2, **settings
+        )
+        for lr in rates:
+            sched = Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=0.1)
+            runs += [
+                RunSpec(config, sched, initial_point(9, seed), seed, f"b={beta1!r},{beta2!r}:lr={lr!r}")
+                for seed in range(n_seeds)
+            ]
+    return runs
+
+
+def assert_same_record(expected: RunRecord, got: RunRecord) -> None:
+    assert_same_run(expected, got)
+    assert (got.diverged_at, got.reason) == (expected.diverged_at, expected.reason)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(OptimizerKind),
+    bias_correction=st.booleans(),
+    init_mode=st.sampled_from(InitMode),
+    epsilon=st.sampled_from((0.0, 1e-8)),
+    pairs=st.lists(st.tuples(st.sampled_from(MIXED_BETAS), st.sampled_from(MIXED_BETAS)), min_size=2, max_size=4),
+    rates=st.lists(st.sampled_from(RATES[:5]), min_size=1, max_size=2, unique=True),
+    n_seeds=st.integers(1, 2),
+    layout=st.sampled_from(Layout),
+)
+def test_mixed_momentum_batch_equals_batch_per_pair_and_reference(
+    kind, bias_correction, init_mode, epsilon, pairs, rates, n_seeds, layout
+):
+    """Runs that differ in momentum step together, and ended runs take their beta rows with them."""
+    problem = build_problem(BlockSpec.for_layout(layout), seed=len(pairs))
+    steps = 24
+    settings = dict(epsilon=epsilon, bias_correction=bias_correction, init_mode=init_mode)
+    # the drop-out rates come first, so every later row moves up when they end
+    runs = mixed_runs(kind, pairs, [*DROP_OUT_RATES, *rates], n_seeds, steps, **settings)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = run_batch(problem, runs, steps, 3)
+        per_pair: dict[tuple[float, float], list[int]] = {}
+        for i, run in enumerate(runs):
+            per_pair.setdefault((run.config.beta1, run.config.beta2), []).append(i)
+        for own in per_pair.values():
+            alone = run_batch(problem, [runs[i] for i in own], steps, 3)
+            for i, record in zip(own, alone):
+                assert_same_record(record, mixed[i])
+        for run, got in zip(runs, mixed):
+            assert_same_run(reference_run(problem, *run[:2], steps, 3, *run[2:]), got)
+            assert_divergence_fields(got)
+    assert {record.reason for record in mixed} >= {"threshold", "non_finite"}
+
+
+def test_bias_correction_powers_are_python_powers(monkeypatch):
+    """Pinned: numpy's power of 0.9 at step 12 is one ulp off Python's, and the engine must not use it."""
+    assert (np.array([[0.9]]) ** 12)[0, 0] != 0.9**12  # numpy 2.4.6; without it this case pins nothing
+    import adamlab.quadbench as quadbench
+
+    seen = []
+
+    def recording_direction(config, state, g, powers=None):
+        seen.append(powers)
+        return direction(config, state, g, powers)
+
+    monkeypatch.setattr(quadbench, "direction", recording_direction)
+    problem = build_problem(BlockSpec.heterogeneous(), seed=3)
+    runs = mixed_runs(OptimizerKind.ADAM, [(0.9, 0.9), (0.95, 0.9)], [2.0**-7], 2, 16)
+    batch = run_batch(problem, runs, 16, 3)
+    p1, p2 = seen[11]  # after step 12
+    assert p1[:, 0].tolist() == [0.9**12] * 2 + [0.95**12] * 2
+    assert p2[:, 0].tolist() == [0.9**12] * 4
+    for run, got in zip(runs, batch):
+        assert_same_run(reference_run(problem, *run[:2], 16, 3, *run[2:]), got)
+
+
+def test_batch_rejects_configs_that_differ_beyond_betas():
+    problem = build_problem(BlockSpec.heterogeneous(), seed=0)
+    sched = Schedule(peak_lr=0.01, total_steps=5)
+    for other in (
+        OptimizerConfig(OptimizerKind.ADAM, beta1=0.9, epsilon=0.0),
+        OptimizerConfig(OptimizerKind.ADAM, beta1=0.9, bias_correction=False),
+        OptimizerConfig(OptimizerKind.RMSPROP, beta2=0.9),
+    ):
+        runs = [
+            RunSpec(OptimizerConfig(OptimizerKind.ADAM, beta1=0.8, beta2=0.9), sched, initial_point(9, 0), 0),
+            RunSpec(other, sched, initial_point(9, 1), 1),
+        ]
+        with pytest.raises(ValueError, match="differ only in beta1 and beta2"):
+            run_batch(problem, runs, 5, 3)
+
+
+def test_skipping_variance_snapshots_changes_nothing_else():
+    problem = build_problem(BlockSpec.homogeneous(), seed=4)
+    runs = mixed_runs(OptimizerKind.ADAM, [(0.9, 0.95), (0.5, 0.999)], [2.0**-5, 1e300], 2, 20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tracked = run_batch(problem, runs, 20, 3)
+        skipped = run_batch(problem, runs, 20, 3, track_delta=False)
+    for full, lean in zip(tracked, skipped):
+        assert full.delta_block_means is not None and lean.delta_block_means is None
+        assert np.array_equal(full.losses, lean.losses)
+        assert (full.diverged, full.diverged_at, full.reason) == (lean.diverged, lean.diverged_at, lean.reason)
+
+
+# ---------------------------------------------------------------------------
+# sweep.csv against the per-(optimizer, betas) batches it used to be built from
+
+
+def reference_sweep_batch(payload) -> list[list[str]]:
+    """The former ``cli._sweep_batch``, one (optimizer, betas) pair per batch.
+
+    Verbatim apart from the engine call, which passes the pair's one config
+    with each cell as :func:`run_cell` now takes it.
+    """
+    (problem, name, lrs, beta1, beta2, starts, steps, batch_size, warmup_fraction) = payload
+    layout = problem.spec.layout.value
+    suffix = f":b1={beta1:.17g}:b2={beta2:.17g}"
+    config = default_quad_config(_QUAD_KINDS[name], beta1, beta2)
+    per_cell = run_cell(
+        problem,
+        [(config, lr, make_config_id(layout, name, lr) + suffix) for lr in lrs],
+        starts,
+        steps,
+        batch_size,
+        warmup_fraction,
+    )
+    rows = []
+    for lr, records in zip(lrs, per_cell):
+        n_diverged = sum(record.diverged for record in records)
+        if n_diverged == len(records):
+            status = "all_diverged"
+        elif n_diverged:
+            status = "partial"
+        else:
+            status = "ok"
+        median, q25, q75 = loss_quantiles([record.final_loss() for record in records])
+        rows.append(
+            [
+                layout,
+                name,
+                fmt_float(lr),
+                fmt_float(beta1),
+                fmt_float(beta2),
+                str(len(records)),
+                fmt_float(median),
+                fmt_float(q25),
+                fmt_float(q75),
+                str(n_diverged),
+                status,
+            ]
+        )
+    return rows
+
+
+def test_sweep_csv_equals_batch_per_pair(tmp_path, capsys):
+    names = ("sgd", "signum", "adameq", "adam", "rmsprop")
+    kappas, n_seeds, steps = (0.5, 1.0, 2.0), 2, 60
+    argv = ["sweep", *(f"--optim={name}" for name in names), "--kappas", *map(str, kappas)]
+    argv += ["--seeds", str(n_seeds), "--steps", str(steps), "--out", str(tmp_path / "sweep")]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+
+    cfg = SweepConfig()
+    problem = build_problem(BlockSpec.heterogeneous(), derive_seed(0, "problem", "het"))
+    betas = beta_grid(cfg.beta_base, kappas)
+    starts = [(seed, initial_point(problem.dim, seed)) for seed in range(n_seeds)]
+    lrs = [float(lr) for lr in cfg.lr_grid]
+    payloads = [
+        (problem, name, lrs, float(beta1), float(beta2), starts, steps, cfg.batch_size, cfg.warmup_fraction)
+        for name in names
+        for beta1, beta2 in _beta_pairs(_QUAD_KINDS[name], betas, False)
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [row for payload in payloads for row in reference_sweep_batch(payload)]
+    assert {row[10] for row in rows} == {"ok", "partial", "all_diverged"}
+    header = ["layout", "optimizer", "lr", "beta1", "beta2", "n_seeds", "median_final", "q25", "q75", "n_diverged", "status"]
+    _write_csv(tmp_path / "reference.csv", header, rows)
+    assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

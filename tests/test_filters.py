@@ -1,4 +1,6 @@
 """Filter lab: signal generation, response identities, operator properties."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -208,6 +210,26 @@ class TestProperties:
         assert not report.check("scaling").passed
         assert report.check("causal").passed
         assert report.check("odd").passed and report.check("bounded").passed
+
+    def test_nan_response_fails_every_check(self):
+        # negative control: flooring a violation with max(0.0, nan) used to read 0.0
+        report = run_property_checks(
+            lambda s: np.full(np.shape(s), np.nan), trials=3, tol=1e-12, rng=np.random.default_rng(59)
+        )
+        for check in report.checks:
+            assert math.isnan(check.max_violation) and not check.passed
+        assert not report.passed
+
+    def test_nan_in_one_scaled_copy_fails_scaling_check(self):
+        # negative control: sign is NaN only where |s| > 9, i.e. only in the 10x copies
+        # (a standard-normal draw of this size stays below 4.5); a maximum over the
+        # copies that skipped a NaN after a finite value let this pass
+        report = run_property_checks(
+            lambda s: np.where(np.abs(s) > 9.0, np.nan, np.sign(s)), trials=3, tol=1e-12, rng=np.random.default_rng(60)
+        )
+        assert math.isnan(report.check("scaling").max_violation)
+        assert not report.check("scaling").passed
+        assert all(report.check(name).passed for name in ("causal", "odd", "bounded"))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_report_and_stream_match_per_trial_reference(self, seed):

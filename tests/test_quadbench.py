@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adamlab.core import Schedule
 from adamlab.optim import OptimizerConfig, OptimizerKind
@@ -259,3 +261,44 @@ def test_loss_quantiles_handle_divergence():
     assert q25 == math.inf or math.isfinite(q25)
     med, q25, q75 = loss_quantiles([1.0, 2.0, 3.0, 4.0])
     assert med == pytest.approx(2.5)
+
+
+def reference_loss_quantiles(finals) -> tuple[float, float, float]:
+    """The former one-cell ``loss_quantiles``, verbatim."""
+    finals = np.asarray(finals, dtype=float)
+    if np.all(np.isinf(finals)):
+        return math.inf, math.inf, math.inf
+    with np.errstate(invalid="ignore"):
+        values = (
+            float(np.median(finals)),
+            float(np.quantile(finals, 0.25)),
+            float(np.quantile(finals, 0.75)),
+        )
+    return tuple(math.inf if math.isnan(v) else v for v in values)
+
+
+#: final losses as the runner reports them: finite and nonnegative, or +inf for a diverged run
+FINAL_LOSS = st.one_of(
+    st.just(math.inf),
+    st.floats(min_value=0.0, max_value=1e12),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+
+
+@settings(max_examples=100)
+@given(
+    finals=st.integers(1, 6).flatmap(
+        lambda cells: st.integers(1, 12).flatmap(
+            lambda seeds: st.lists(st.lists(FINAL_LOSS, min_size=seeds, max_size=seeds), min_size=cells, max_size=cells)
+        )
+    )
+)
+def test_batched_loss_quantiles_equal_one_cell_at_a_time(finals):
+    """Every row of the (cells, seeds) call, and the 1-D call, equal the former function bitwise."""
+    stats = loss_quantiles(np.array(finals))
+    assert stats.shape == (len(finals), 3)
+    for row, got in zip(finals, stats.tolist()):
+        expected = list(map(repr, reference_loss_quantiles(row)))  # repr tells 0.0 from -0.0
+        assert list(map(repr, got)) == expected
+        assert list(map(repr, loss_quantiles(row))) == expected
+        assert all(type(x) is float for x in loss_quantiles(row))
