@@ -9,7 +9,7 @@ view of the direction maps (:mod:`adamlab.filters`), and a CLI harness
 (:mod:`adamlab.cli`).
 """
 
-from .core import EmaBuffer, InitMode, Schedule, beta_grid, bias_correct, lr_at
+from .core import EmaBuffer, InitMode, Schedule, beta_grid, lr_at
 from .optim import (
     EpsilonPlacement,
     OptimizerConfig,
@@ -33,7 +33,6 @@ __all__ = [
     "Schedule",
     "apply_step",
     "beta_grid",
-    "bias_correct",
     "delta_estimate",
     "direction",
     "init_state",

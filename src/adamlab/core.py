@@ -74,18 +74,6 @@ class EmaBuffer:
         return self.value
 
 
-def bias_correct(value, beta: float, step: int):
-    """Rescale a zero-initialized average by ``1 / (1 - beta**step)``.
-
-    ``step`` counts updates already applied and must be at least 1.
-    """
-    if step < 1:
-        raise ValueError(f"bias correction needs step >= 1, got {step}")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must be in [0, 1), got {beta}")
-    return np.asarray(value, dtype=float) / (1.0 - beta**step)
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Linear warmup to ``peak_lr`` followed by cosine annealing to 0."""

@@ -3,9 +3,12 @@
 There is no loss or training here: a fixed scalar signal is streamed through
 a direction map (epsilon 0, zero init, no bias correction by default) and the
 output sequence is studied. Several signals of one length can be streamed
-together as the columns of a ``(T, C)`` array: each time step is one
-elementwise ``direction`` call for all columns, so every column rounds
-exactly as it would alone. The interesting operator properties:
+together as the columns of a ``(T, C)`` array. Each time step is one
+elementwise ``advance`` of the optimizer's moment recursions for all
+columns; the moments the map reads are recorded as ``(T, C)`` histories, and
+``direction_map`` turns them into the response in one call. Every operation
+is elementwise, so every column rounds exactly as it would alone, step by
+step through ``direction``. The interesting operator properties:
 
 1. causality - the output up to step k only depends on the input up to k;
 2. invariance to positive rescaling of the whole signal;
@@ -13,7 +16,7 @@ exactly as it would alone. The interesting operator properties:
 4. bounded sup norm (|d_k| <= 1);
 5. density - any value in [-1, 1] is attainable at any step.
 
-The filter wraps the real optimizer step functions, so there is a single
+The filter runs the real optimizer recursions and map, so there is a single
 source of truth for the direction math.
 """
 from __future__ import annotations
@@ -26,7 +29,14 @@ from typing import Callable
 import numpy as np
 
 from .core import InitMode, max_or_nan
-from .optim import OptimizerConfig, OptimizerKind, direction, init_state
+from .optim import (
+    OptimizerConfig,
+    OptimizerKind,
+    advance,
+    direction,  # unused here; perfbench/tracer.py still wraps adamlab.filters.direction
+    direction_map,
+    init_state,
+)
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,9 @@ def filter_response(filt: FilterSpec, signal) -> np.ndarray:
 
     A scalar or 1-D signal is flattened and gives a ``(T,)`` response; a
     ``(T, C)`` signal is C independent columns streamed together and gives a
-    ``(T, C)`` response.
+    ``(T, C)`` response. Only the recursions run per time step; the sign
+    filter keeps no moments, and the others record ``m`` (and equal-beta
+    Adam ``delta``) for one ``direction_map`` call over the whole history.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.ndim > 2:
@@ -101,11 +113,17 @@ def filter_response(filt: FilterSpec, signal) -> np.ndarray:
     if not np.all(np.isfinite(signal)):
         raise ValueError("signal contains non-finite entries")
     config = filt.optimizer_config()
+    if filt.kind is FilterKind.SIGN:
+        return direction_map(config, g=signal)
     state = init_state(config, signal.shape[1:])
-    out = np.empty(signal.shape)
+    m = np.empty(signal.shape)
+    delta = np.empty(signal.shape) if filt.kind is FilterKind.ADAM_EQUAL_BETA else None
     for k, g in enumerate(signal):
-        out[k], state = direction(config, state, g)
-    return out
+        advance(config, state, g)
+        m[k] = state.m.value
+        if delta is not None:
+            delta[k] = state.delta
+    return direction_map(config, m=m, delta=delta)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,12 @@ Supported directions:
 * ``ADAM_EQUAL_BETA``  d = m / sqrt(m^2 + delta)    with the online variance
   recursion ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``, which reproduces
   ADAM exactly when both moments share one momentum parameter.
+
+A step has two parts. :func:`advance` runs the moment recursions (an online
+estimate of the gradient's mean and variance); :func:`direction_map` turns
+the moments into ``d`` elementwise, bias correction included. :func:`direction`
+checks the gradient and does both; ``filters`` advances a whole signal first
+and maps its ``(T, C)`` moment history in one call.
 """
 from __future__ import annotations
 
@@ -121,37 +127,86 @@ def _denominator(second: np.ndarray, config: OptimizerConfig) -> np.ndarray:
     return np.sqrt(second) + config.epsilon
 
 
-def _adam_view(config: OptimizerConfig, state: OptimizerState, powers) -> tuple[np.ndarray, np.ndarray]:
-    """Adam/RMSprop's ``(m, v)``, bias-corrected when configured; needs ``m.step >= 1``."""
-    m, v = state.m.value, state.v.value
+def _adam_view(config: OptimizerConfig, m, v, powers) -> tuple[np.ndarray, np.ndarray]:
+    """Adam/RMSprop's ``(m, v)``, bias-corrected by ``powers = (beta1**k, beta2**k)`` when configured."""
     if config.bias_correction:
-        p1, p2 = (state.m.beta**state.m.step, state.v.beta**state.v.step) if powers is None else powers
+        p1, p2 = powers
         m = m / (1.0 - p1)
         v = v / (1.0 - p2)
     return m, v
 
 
-def _equal_beta_view(
-    config: OptimizerConfig, state: OptimizerState, powers
-) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-beta Adam's ``(m, delta)``, bias-corrected when configured; needs ``m.step >= 1``.
+def _equal_beta_view(config: OptimizerConfig, m, delta, powers) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-beta Adam's ``(m, delta)``, bias-corrected by ``powers[0] = beta**k`` when configured.
 
     The corrected variance term is ``v_hat - m_hat**2``, which the recursion
     gives as ``delta / (1 - beta**k) - beta**k * m_hat**2``. It can dip below
     zero in floating point; callers clamp.
     """
-    m, delta = state.m.value, state.delta
     if config.bias_correction:
-        p = state.m.beta**state.m.step if powers is None else powers[0]
+        p = powers[0]
         m = m / (1.0 - p)
         delta = delta / (1.0 - p) - p * m * m
     return m, delta
 
 
+def _powers(config: OptimizerConfig, state: OptimizerState, powers):
+    """``powers`` if given, else ``(beta1**k, beta2**k)`` when bias correction reads them."""
+    if powers is None and config.bias_correction and config.kind in _SECOND_MOMENT_KINDS:
+        return state.m.beta**state.m.step, state.v.beta**state.v.step
+    return powers
+
+
+def advance(config: OptimizerConfig, state: OptimizerState, g: np.ndarray) -> OptimizerState:
+    """Advance the moment recursions of ``state`` by the (checked, finite) gradient ``g``.
+
+    These are the EMA of ``m`` (of ``sign(g)`` for EMA_SIGN), the EMA of ``v``
+    for Adam/RMSprop and, for equal-beta Adam, the variance recursion
+    ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``, skipped on the step that
+    seeds ``m`` from the first sample. SIGN_SGD keeps no moments.
+    """
+    kind = config.kind
+    if kind is OptimizerKind.EMA_SIGN:
+        state.m.update(np.sign(g))
+    elif kind is OptimizerKind.ADAM_EQUAL_BETA:
+        beta = state.m.beta
+        if not (state.m.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE):
+            diff = state.m.value - g
+            state.delta = beta * state.delta + beta * (1.0 - beta) * diff * diff
+        state.m.update(g)
+    elif kind is not OptimizerKind.SIGN_SGD:
+        state.m.update(g)
+        if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
+            state.v.update(g * g)
+    state.step += 1
+    return state
+
+
+def direction_map(config: OptimizerConfig, *, g=None, m=None, v=None, delta=None, powers=None) -> np.ndarray:
+    """The direction ``d`` that the moments give, elementwise.
+
+    Reads ``g`` (SIGN_SGD), ``m`` (every other kind), ``v`` (Adam/RMSprop)
+    or ``delta`` (equal-beta Adam), and ``powers`` when bias correction is
+    on. Any shape works, so a leading time axis maps a whole history at once.
+    """
+    kind = config.kind
+    if kind in (OptimizerKind.SGD, OptimizerKind.EMA_SIGN):
+        return m.copy()
+    if kind is OptimizerKind.SIGN_SGD:
+        return np.sign(g)
+    if kind is OptimizerKind.SIGNUM:
+        return np.sign(m) if config.epsilon == 0.0 else m / _denominator(m * m, config)
+    if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
+        m, v = _adam_view(config, m, v, powers)
+        return _safe_div(m, _denominator(v, config))
+    m, delta = _equal_beta_view(config, m, delta, powers)
+    return _safe_div(m, _denominator(np.maximum(m * m + delta, 0.0), config))
+
+
 def direction(
     config: OptimizerConfig, state: OptimizerState, g, powers=None
 ) -> tuple[np.ndarray, OptimizerState]:
-    """One step of the direction map; advances ``state`` exactly once.
+    """One optimizer step: :func:`advance` ``state`` once, then :func:`direction_map` it.
 
     Bias correction divides by ``1 - beta**k`` after ``k`` steps. Float betas
     take ``beta**k`` from Python's ``**``; a state with ``(R, 1)`` beta
@@ -161,34 +216,10 @@ def direction(
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
-
-    kind = config.kind
-    if kind is OptimizerKind.SGD:
-        d = state.m.update(g).copy()
-    elif kind is OptimizerKind.SIGN_SGD:
-        d = np.sign(g)
-    elif kind is OptimizerKind.SIGNUM:
-        m = state.m.update(g)
-        d = np.sign(m) if config.epsilon == 0.0 else m / _denominator(m * m, config)
-    elif kind is OptimizerKind.EMA_SIGN:
-        d = state.m.update(np.sign(g)).copy()
-    elif kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
-        state.m.update(g)
-        state.v.update(g * g)
-        m, v = _adam_view(config, state, powers)
-        d = _safe_div(m, _denominator(v, config))
-    elif kind is OptimizerKind.ADAM_EQUAL_BETA:
-        beta = state.m.beta
-        if not (state.m.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE):
-            diff = state.m.value - g
-            state.delta = beta * state.delta + beta * (1.0 - beta) * diff * diff
-        state.m.update(g)
-        m, delta = _equal_beta_view(config, state, powers)
-        d = _safe_div(m, _denominator(np.maximum(m * m + delta, 0.0), config))
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown optimizer kind {kind}")
-
-    state.step += 1
+    advance(config, state, g)
+    d = direction_map(
+        config, g=g, m=state.m.value, v=state.v.value, delta=state.delta, powers=_powers(config, state, powers)
+    )
     return d, state
 
 
@@ -212,8 +243,9 @@ def delta_estimate(config: OptimizerConfig, state: OptimizerState, powers=None) 
         return None
     if state.m.step == 0:
         return state.delta.copy()
+    powers = _powers(config, state, powers)
     if config.kind is OptimizerKind.ADAM_EQUAL_BETA:
-        _, delta = _equal_beta_view(config, state, powers)
+        _, delta = _equal_beta_view(config, state.m.value, state.delta, powers)
         return np.maximum(delta, 0.0)
-    m, v = _adam_view(config, state, powers)
+    m, v = _adam_view(config, state.m.value, state.v.value, powers)
     return np.maximum(v - m * m, 0.0)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from adamlab.core import EmaBuffer, InitMode, Schedule, beta_grid, bias_correct, lr_at
+from adamlab.core import EmaBuffer, InitMode, Schedule, beta_grid, lr_at
 
 
 class TestEmaBuffer:
@@ -50,7 +50,7 @@ class TestEmaBuffer:
         buf = EmaBuffer(beta=0.95)
         for step in range(1, 60):
             buf.update(4.0)
-            corrected = bias_correct(buf.value, 0.95, step)
+            corrected = buf.value / (1.0 - 0.95**step)
             np.testing.assert_allclose(corrected, 4.0, rtol=1e-12)
 
     def test_shape_mismatch_rejected(self):
@@ -63,23 +63,6 @@ class TestEmaBuffer:
             EmaBuffer(beta=1.0)
         with pytest.raises(ValueError):
             EmaBuffer(beta=-0.1)
-
-
-class TestBiasCorrect:
-    def test_first_step(self):
-        assert bias_correct(0.1, 0.9, 1) == pytest.approx(1.0)
-
-    def test_no_smoothing_no_bias(self):
-        v = np.array([0.3, -2.0])
-        np.testing.assert_array_equal(bias_correct(v, 0.0, 7), v)
-
-    def test_second_step_value(self):
-        expected = 0.271 / (1.0 - 0.9**2)
-        assert bias_correct(0.271, 0.9, 2) == pytest.approx(expected, rel=1e-15)
-
-    def test_step_zero_rejected(self):
-        with pytest.raises(ValueError):
-            bias_correct(1.0, 0.9, 0)
 
 
 class TestSchedule:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adamlab.core import InitMode
 from adamlab.filters import (
@@ -150,6 +151,24 @@ class TestColumnEngine:
         assert out.shape == signal.shape
         for c in range(signal.shape[1]):
             assert np.array_equal(out[:, c], reference_response(filt, signal[:, c]))
+
+    @given(
+        kind=st.sampled_from(list(FilterKind)),
+        init_mode=st.sampled_from(list(InitMode)),
+        beta=st.sampled_from([0.0, 0.5, 0.9, 0.95, 0.999]),
+        signal=arrays(
+            float,
+            st.tuples(st.integers(1, 64), st.integers(1, 6)),
+            elements=st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+        ),
+        k=st.integers(-8, 8),
+    )
+    def test_exactly_odd_and_power_of_two_scale_invariant(self, kind, init_mode, beta, signal, k):
+        # negation and power-of-two scaling are exact in every step of every map
+        filt = FilterSpec(kind, beta=beta, init_mode=init_mode)
+        base = filter_response(filt, signal)
+        assert np.array_equal(filter_response(filt, -signal), -base)
+        assert np.array_equal(filter_response(filt, 2.0**k * signal), base)
 
     def test_one_dim_and_scalar_inputs_are_flattened(self):
         filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.9)

@@ -54,6 +54,19 @@ class TestProp1:
         assert report.passed == (report.max_abs_residual <= report.tolerance)
         assert report.argmax_index == 1
 
+    def test_nan_residual_fails(self):
+        # negative control: argmax picks the first NaN, so the report cannot pass
+        report = ResidualReport.from_residuals("x", [1e-12, math.nan, 0.0], tolerance=1e-4)
+        assert math.isnan(report.max_abs_residual) and report.argmax_index == 1
+        assert not report.passed
+
+    def test_overflowing_signal_fails_variance_forms(self):
+        # negative control: g*g overflows, so v - m**2 is inf - inf = NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_prop1([1e200, -1e200, 3.0], 0.9)
+        assert math.isnan(report.variance.max_abs_residual)
+        assert not report.variance.passed and not report.passed
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             check_prop1([1.0, np.inf], 0.9)

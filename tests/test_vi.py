@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adamlab.core import InitMode
 from adamlab.optim import OptimizerConfig, OptimizerKind, direction, init_state
@@ -102,6 +104,14 @@ class TestLambdaBetaMap:
         for beta in (0.0, 0.5, 0.8, 0.95, 0.9875):
             assert lambda_beta(beta_lambda(beta)) == pytest.approx(beta, rel=1e-12)
 
+    @given(beta=st.floats(0.0, 0.999))
+    def test_lambda_beta_inverts_beta_lambda(self, beta):
+        assert lambda_beta(beta_lambda(beta)) == pytest.approx(beta, rel=1e-12)
+
+    @given(lam=st.floats(0.0, 1e3))
+    def test_beta_lambda_inverts_lambda_beta(self, lam):
+        assert beta_lambda(lambda_beta(lam)) == pytest.approx(lam, rel=1e-12)
+
     def test_domains(self):
         with pytest.raises(ValueError):
             lambda_beta(-1e-9)
@@ -153,6 +163,30 @@ class TestOracle:
             variances = closed.variance * np.exp(rng.uniform(-6, 6, size=2000))
             values = objective_batch(prior, means, variances, g, lam)
             assert best <= float(np.min(values)) + 1e-8
+
+    @given(
+        prior_mean=st.floats(-8.0, 8.0),
+        prior_variance=st.floats(1e-3, 10.0),
+        g=st.floats(-8.0, 8.0),
+        lam=st.floats(0.05, 20.0),
+        mean_width=st.floats(1e-4, 3.0),
+        log_variance_width=st.floats(1e-4, math.log(1e3)),
+    )
+    def test_closed_form_minimizes_objective_on_a_grid_around_it(
+        self, prior_mean, prior_variance, g, lam, mean_width, log_variance_width
+    ):
+        # the ranges `verify --suite vi` draws from; a 33 x 33 grid centred on the
+        # closed form, as wide as that suite's candidate cloud or narrow enough to
+        # resolve a misplaced optimum
+        prior = GaussianBelief(prior_mean, prior_variance)
+        closed = vi_update(prior, g, lam)
+        offsets = np.linspace(-1.0, 1.0, 33)
+        means, variances = np.meshgrid(
+            closed.mean + (abs(prior_mean - g) + 1.0) * mean_width * offsets,
+            closed.variance * np.exp(log_variance_width * offsets),
+        )
+        values = objective_batch(prior, means, variances, g, lam)
+        assert vi_objective(prior, closed, g, lam) <= float(np.min(values)) + 1e-8
 
 
 class TestConsistencyWithOptimizer:
