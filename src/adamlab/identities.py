@@ -27,21 +27,27 @@ from .core import InitMode
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Outcome of one max-|residual| comparison."""
+    """Outcome of one max-|residual| comparison along axis 0.
+
+    Residuals of shape ``(T,)`` give a float, an int and a bool; ``(T, C)``
+    residuals give one value per column in ``(C,)`` arrays.
+    """
 
     name: str
-    max_abs_residual: float
-    argmax_index: int
+    max_abs_residual: float | np.ndarray
+    argmax_index: int | np.ndarray
     tolerance: float
-    passed: bool
+    passed: bool | np.ndarray
 
     @classmethod
     def from_residuals(cls, name: str, residuals, tolerance: float) -> "ResidualReport":
         residuals = np.asarray(residuals, dtype=float)
         if residuals.size == 0:
             return cls(name, 0.0, -1, tolerance, True)
-        idx = int(np.argmax(residuals))
-        worst = float(residuals[idx])
+        idx = np.argmax(residuals, axis=0)  # the first NaN, if there is one
+        worst = np.max(residuals, axis=0)  # NaN if there is one
+        if residuals.ndim == 1:
+            return cls(name, float(worst), int(idx), tolerance, bool(worst <= tolerance))
         return cls(name, worst, idx, tolerance, worst <= tolerance)
 
 
@@ -54,53 +60,67 @@ class Prop1Report:
 
     @property
     def passed(self) -> bool:
-        return self.direction.passed and self.variance.passed
+        """Whether every column passes both comparisons."""
+        return bool(np.all(self.direction.passed) and np.all(self.variance.passed))
 
 
 def scalar_adam_trace(
-    signal, beta: float, init_mode: InitMode = InitMode.ZERO
+    signal, beta: float | np.ndarray, init_mode: InitMode = InitMode.ZERO
 ) -> dict[str, np.ndarray]:
-    """Run both scalar direction forms over ``signal`` (eps=0, no bias correction).
+    """Run both direction forms over ``signal`` along axis 0 (eps=0, no bias correction).
 
-    Returns per-step arrays: the moments ``m``/``v``, the recursive variance
-    term ``delta``, and the two direction streams ``d_standard = m/sqrt(v)``
-    and ``d_variance = m/sqrt(m^2 + delta)`` (0/0 reads as 0).
+    ``signal`` is ``(T,)``, or ``(T, C)`` for C independent columns streamed
+    together; ``beta`` is a float or one value per column. Every operation is
+    elementwise, in the scalar recursion's order, so each column rounds
+    exactly as it would alone. Returns arrays shaped like ``signal``: the
+    moments ``m``/``v``, the recursive variance term ``delta``, and the two
+    direction streams ``d_standard = m/sqrt(v)`` and
+    ``d_variance = m/sqrt(m^2 + delta)`` (0/0 reads as 0).
     """
-    signal = np.asarray(signal, dtype=float).ravel()
+    signal = np.asarray(signal, dtype=float)
+    if signal.ndim > 2:
+        raise ValueError(f"signal must be 0-D, 1-D or 2-D (time, column), got {signal.shape}")
+    if signal.ndim < 2:
+        signal = signal.ravel()
     if not np.all(np.isfinite(signal)):
         raise ValueError("signal contains non-finite entries")
-    if not 0.0 <= beta < 1.0:
+    beta = float(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=float)
+    if np.ndim(beta) and (signal.ndim != 2 or beta.shape != signal.shape[1:]):
+        raise ValueError(f"per-column beta of shape {beta.shape} needs a (T, {beta.size}) signal")
+    if not (np.all(0.0 <= beta) and np.all(beta < 1.0)):
         raise ValueError(f"beta must be in [0, 1), got {beta}")
+    keep = 1.0 - beta
+    spread = beta * keep
 
-    n = signal.size
-    m_arr = np.empty(n)
-    v_arr = np.empty(n)
-    delta_arr = np.empty(n)
-    d_std = np.empty(n)
-    d_var = np.empty(n)
-
-    m = v = delta = 0.0
-    for k, g in enumerate(signal):
-        g = float(g)
+    m_arr = np.empty(signal.shape)
+    v_arr = np.empty(signal.shape)
+    delta_arr = np.empty(signal.shape)
+    # a (T,) signal steps as Python floats, several times cheaper than 0-d arrays
+    rows = signal.tolist() if signal.ndim == 1 else signal
+    m = v = delta = 0.0 if signal.ndim == 1 else np.zeros(signal.shape[1])
+    for k, g in enumerate(rows):
         if k == 0 and init_mode is InitMode.FIRST_SAMPLE:
             m, v = g, g * g
         else:
             diff = m - g
-            delta = beta * delta + beta * (1.0 - beta) * diff * diff
-            m = beta * m + (1.0 - beta) * g
-            v = beta * v + (1.0 - beta) * g * g
+            delta = beta * delta + spread * diff * diff
+            m = beta * m + keep * g
+            v = beta * v + keep * g * g
         m_arr[k] = m
         v_arr[k] = v
         delta_arr[k] = delta
-        d_std[k] = m / math.sqrt(v) if v > 0 else 0.0
-        inner = m * m + delta
-        d_var[k] = m / math.sqrt(inner) if inner > 0 else 0.0
+
+    d_std = np.divide(m_arr, np.sqrt(v_arr), out=np.zeros(signal.shape), where=v_arr > 0)
+    root = m_arr * m_arr
+    root += delta_arr
+    np.sqrt(root, out=root)
+    d_var = np.divide(m_arr, root, out=np.zeros(signal.shape), where=root > 0)
     return {"m": m_arr, "v": v_arr, "delta": delta_arr, "d_standard": d_std, "d_variance": d_var}
 
 
 def check_prop1(
     signal,
-    beta: float,
+    beta: float | np.ndarray,
     tol: float = 1e-9,
     *,
     variance_tol: float | None = None,
@@ -108,18 +128,24 @@ def check_prop1(
 ) -> Prop1Report:
     """Compare the two direction forms and the two variance computations.
 
-    The direction residual ``|d_standard - d_variance|`` is absolute (both
-    streams are bounded by 1); the variance residual ``|(v - m^2) - delta|``
-    is reported relative to the running scale of the variance term.
+    Takes the shapes :func:`scalar_adam_trace` takes; a ``(T, C)`` signal
+    gives per-column reports. The direction residual
+    ``|d_standard - d_variance|`` is absolute (both streams are bounded by
+    1); the variance residual ``|(v - m^2) - delta|`` is reported relative to
+    the running scale of its column's variance term.
     """
     if variance_tol is None:
         variance_tol = tol / 10.0
+    # no caller sees the trace, so the residuals overwrite its arrays: the working set stays at its size
     trace = scalar_adam_trace(signal, beta, init_mode)
-    direction_res = np.abs(trace["d_standard"] - trace["d_variance"])
+    direction_res = np.subtract(trace["d_standard"], trace["d_variance"], out=trace["d_standard"])
+    np.abs(direction_res, out=direction_res)
 
-    subtractive = trace["v"] - trace["m"] ** 2
-    scale = max(float(np.max(np.abs(subtractive))), float(np.max(trace["delta"])), 1e-300)
-    variance_res = np.abs(subtractive - trace["delta"]) / scale
+    subtractive = np.subtract(trace["v"], trace["m"] ** 2, out=trace["v"])
+    scale = np.maximum(np.maximum(np.max(np.abs(subtractive), axis=0), np.max(trace["delta"], axis=0)), 1e-300)
+    variance_res = np.subtract(subtractive, trace["delta"], out=trace["d_variance"])
+    np.abs(variance_res, out=variance_res)
+    variance_res /= scale
 
     return Prop1Report(
         direction=ResidualReport.from_residuals("direction_forms", direction_res, tol),

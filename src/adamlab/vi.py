@@ -17,7 +17,9 @@ i.e. a larger momentum parameter. ``lam = beta / (1 - beta)`` inverts the
 map when a target momentum is given.
 
 A derivative-free nested bracketing minimizer is provided as an independent
-oracle for the closed form; it never touches it.
+oracle for the closed form; it never touches it. It is the only user of
+``scipy.optimize``, which is imported when the oracle first runs: importing
+this module (and the CLI) does not load scipy.
 """
 from __future__ import annotations
 
@@ -25,7 +27,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+
+
+def minimize_scalar(*args, **kwargs):
+    """``scipy.optimize.minimize_scalar``, imported on the first call.
+
+    A module-level function rather than an import, so that only the oracle
+    pays for ``scipy.optimize`` and the name can still be wrapped from outside.
+    """
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+
+    return scipy_minimize_scalar(*args, **kwargs)
 
 
 class OracleError(RuntimeError):

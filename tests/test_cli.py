@@ -4,8 +4,12 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +282,19 @@ class TestVerifyCommand:
         on_disk = json.loads((tmp_path / "verify.json").read_text())
         assert on_disk == report
 
+    def test_prop1_suite_matches_one_signal_at_a_time(self):
+        # the suite checks its 50 signals as columns of one trace; the old loop drew and checked them one by one
+        from adamlab.cli import BETA_GRID_PRIMARY, _suite_prop1
+        from adamlab.identities import check_prop1
+
+        rng = np.random.default_rng(derive_seed(5, "verify", "prop1"))
+        expected = []
+        for beta in BETA_GRID_PRIMARY:
+            reports = [check_prop1(rng.standard_normal(1000), beta, tol=1e-9) for _ in range(10)]
+            expected.append(max(0.0, *(r.direction.max_abs_residual for r in reports)))
+            expected.append(max(0.0, *(r.variance.max_abs_residual for r in reports)))
+        assert [check["max_abs_residual"] for check in _suite_prop1(5)] == expected
+
     def test_trust_suite_passes(self, capsys):
         assert main(["verify", "--suite", "trust"]) == EXIT_OK
         capsys.readouterr()
@@ -294,9 +311,10 @@ class TestVerifyCommand:
             (
                 "prop1",
                 "check_prop1",
+                # one call checks every beta's signals as columns: one residual per column
                 lambda signal, beta, tol: types.SimpleNamespace(
-                    direction=types.SimpleNamespace(max_abs_residual=math.nan),
-                    variance=types.SimpleNamespace(max_abs_residual=0.0),
+                    direction=types.SimpleNamespace(max_abs_residual=np.full(np.shape(beta), math.nan)),
+                    variance=types.SimpleNamespace(max_abs_residual=np.zeros(np.shape(beta))),
                 ),
                 {"direction_forms"},
             ),
@@ -322,6 +340,57 @@ class TestVerifyCommand:
         failed = {c["name"].split("_beta=")[0] for c in checks if not c["passed"]}
         assert failed == failing
         assert all(math.isnan(c["max_abs_residual"]) for c in checks if not c["passed"])
+
+    def test_oracle_error_fails_its_checks(self, monkeypatch, capsys):
+        # negative control: an oracle that cannot bracket its optimum is a failed check, not a traceback
+        import adamlab.cli as cli
+        from adamlab.vi import OracleError
+
+        def no_bracket(prior, g, lam):
+            raise OracleError("bracket exhausted")
+
+        monkeypatch.setattr(cli, "vi_numeric_oracle", no_bracket)
+        assert main(["verify", "--suite", "vi"]) == EXIT_CHECK_FAILURE
+        checks = json.loads(capsys.readouterr().out)["suites"]["vi"]["checks"]
+        failed = {c["name"]: c["max_abs_residual"] for c in checks if not c["passed"]}
+        assert failed.keys() == {"closed_form_vs_oracle_parameters", "closed_form_objective_gap"}
+        assert all(math.isnan(value) for value in failed.values())
+
+
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout of adamlab; return its stdout."""
+    import adamlab
+
+    src = str(Path(adamlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+class TestStartup:
+    """Only the VI oracle needs ``scipy.optimize``, so only running it loads scipy."""
+
+    def test_importing_the_cli_leaves_scipy_unloaded(self):
+        out = _run_python(
+            "import sys, adamlab.cli, adamlab.vi\n"
+            "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))\n"
+            "print('minimize_scalar' in vars(adamlab.vi))"
+        )
+        assert out.split() == ["False", "True"]
+
+    def test_vi_suite_loads_scipy_and_reports_the_same(self, capsys):
+        out = _run_python(
+            "import contextlib, io, sys\n"
+            "from adamlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as report:\n"
+            "    code = main(['verify', '--suite', 'vi'])\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n"
+            "print(report.getvalue())"
+        )
+        status, report = out.split("\n", 1)
+        assert status == "0 True"
+        assert main(["verify", "--suite", "vi"]) == EXIT_OK
+        assert json.loads(report) == json.loads(capsys.readouterr().out)
 
 
 class TestQuadCommand:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adamlab.core import InitMode
 from adamlab.identities import (
@@ -20,6 +23,49 @@ from adamlab.identities import (
 
 BETA_GRID_ROWS = (0.8, 0.9, 0.95, 0.975, 0.9875)
 BETA_GRID_COLS = (0.6, 0.8, 0.9, 0.95, 0.975, 0.9875, 0.99375, 0.996875)
+
+
+def reference_trace(signal, beta: float, init_mode: InitMode = InitMode.ZERO) -> dict[str, np.ndarray]:
+    """The 1-D scalar loop the column trace replaced, kept verbatim."""
+    signal = np.asarray(signal, dtype=float).ravel()
+    if not np.all(np.isfinite(signal)):
+        raise ValueError("signal contains non-finite entries")
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must be in [0, 1), got {beta}")
+
+    n = signal.size
+    m_arr = np.empty(n)
+    v_arr = np.empty(n)
+    delta_arr = np.empty(n)
+    d_std = np.empty(n)
+    d_var = np.empty(n)
+
+    m = v = delta = 0.0
+    for k, g in enumerate(signal):
+        g = float(g)
+        if k == 0 and init_mode is InitMode.FIRST_SAMPLE:
+            m, v = g, g * g
+        else:
+            diff = m - g
+            delta = beta * delta + beta * (1.0 - beta) * diff * diff
+            m = beta * m + (1.0 - beta) * g
+            v = beta * v + (1.0 - beta) * g * g
+        m_arr[k] = m
+        v_arr[k] = v
+        delta_arr[k] = delta
+        d_std[k] = m / math.sqrt(v) if v > 0 else 0.0
+        inner = m * m + delta
+        d_var[k] = m / math.sqrt(inner) if inner > 0 else 0.0
+    return {"m": m_arr, "v": v_arr, "delta": delta_arr, "d_standard": d_std, "d_variance": d_var}
+
+
+#: signals with exact zeros (the 0/0 -> 0 convention) and magnitudes over six decades
+TRACE_SIGNALS = arrays(
+    float,
+    st.tuples(st.integers(1, 48), st.integers(1, 5)),
+    elements=st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+)
+TRACE_BETAS = st.sampled_from([0.0, 0.5, 0.9, 0.95, 0.999]) | st.floats(0.0, 0.999)
 
 
 class TestProp1:
@@ -72,6 +118,55 @@ class TestProp1:
             check_prop1([1.0, np.inf], 0.9)
         with pytest.raises(ValueError):
             check_prop1([1.0], 1.0)
+        with pytest.raises(ValueError, match="per-column beta"):
+            check_prop1(np.zeros((4, 3)), [0.9, 0.9])
+        with pytest.raises(ValueError, match="2-D"):
+            check_prop1(np.zeros((4, 3, 1)), 0.9)
+
+
+class TestColumnTrace:
+    """``scalar_adam_trace`` on ``(T, C)`` is the old scalar loop run on each column."""
+
+    @given(signal=TRACE_SIGNALS, init_mode=st.sampled_from(list(InitMode)), data=st.data())
+    def test_columns_match_scalar_loop_bitwise(self, signal, init_mode, data):
+        betas = data.draw(st.lists(TRACE_BETAS, min_size=signal.shape[1], max_size=signal.shape[1]))
+        trace = scalar_adam_trace(signal, np.array(betas), init_mode)
+        for c, beta in enumerate(betas):
+            expected = reference_trace(signal[:, c], beta, init_mode)
+            alone = scalar_adam_trace(signal[:, c], beta, init_mode)
+            for key, column in expected.items():
+                assert trace[key].shape == signal.shape
+                assert np.array_equal(trace[key][:, c], column), key
+                assert np.array_equal(alone[key], column), key
+
+    @given(signal=TRACE_SIGNALS, beta=TRACE_BETAS, init_mode=st.sampled_from(list(InitMode)))
+    def test_float_beta_is_shared_by_every_column(self, signal, beta, init_mode):
+        shared = scalar_adam_trace(signal, beta, init_mode)
+        per_column = scalar_adam_trace(signal, np.full(signal.shape[1], beta), init_mode)
+        for key in shared:
+            assert np.array_equal(shared[key], per_column[key])
+
+    def test_column_reports_match_one_column_reports(self):
+        # each column's variance residual is scaled by that column's own maxima
+        rng = np.random.default_rng(23)
+        signal = rng.standard_normal((300, 4)) * np.array([1e-6, 1.0, 1e3, 0.0])
+        betas = np.array([0.8, 0.9, 0.95, 0.99])
+        report = check_prop1(signal, betas)
+        assert report.direction.max_abs_residual.shape == (4,)
+        for c, beta in enumerate(betas):
+            alone = check_prop1(signal[:, c], beta)
+            for batched, single in ((report.direction, alone.direction), (report.variance, alone.variance)):
+                assert batched.max_abs_residual[c] == single.max_abs_residual
+                assert batched.argmax_index[c] == single.argmax_index
+                assert batched.passed[c] == single.passed
+        assert report.passed
+
+    def test_one_failing_column_fails_the_report(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_prop1(np.array([[1e200, 1.0], [-1e200, -1.0], [3.0, 2.0]]), 0.9)
+        assert math.isnan(report.variance.max_abs_residual[0])
+        assert report.variance.passed.tolist() == [False, True]
+        assert not report.passed
 
 
 class TestEqualBetaNecessity:
