@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -96,15 +95,10 @@ class QuadConfig:
     layouts: tuple[str, ...] = ("het", "hom")
     optimizers: tuple[str, ...] = ("sgd", "signum", "adameq")
     beta: float = 0.95
-    #: the one list field that may be empty: ``fixed_lr`` replaces the grid
-    lr_grid: tuple[float, ...] = dataclasses.field(
-        default=tuple(DEFAULT_LR_GRID), metadata={"may_be_empty": True}
-    )
-    fixed_lr: float | None = None
+    lr_grid: tuple[float, ...] = tuple(DEFAULT_LR_GRID)
     seeds: tuple[int, ...] = tuple(range(10))
     steps: int = 1000
     batch_size: int = 3
-    warmup_fraction: float = 0.1
     base_seed: int = 0
 
 
@@ -119,8 +113,6 @@ class SignalConfig:
     decay: float = 0.0025
     length: int = 2000
     property_trials: int = 25
-    property_tol: float = 1e-12
-    blindness_tol: float = 0.05
     base_seed: int = 0
 
     def signal_spec(self) -> SignalSpec:
@@ -145,7 +137,6 @@ class SweepConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
     steps: int = 500
     batch_size: int = 3
-    warmup_fraction: float = 0.1
     base_seed: int = 0
 
 
@@ -161,10 +152,6 @@ def _typed(name: str, hint, value):
     if typing.get_origin(hint) is tuple:
         if isinstance(value, (list, tuple)):
             return tuple(_typed(name, typing.get_args(hint)[0], v) for v in value)
-    elif typing.get_origin(hint) is types.UnionType:  # ``float | None``
-        if value is None:
-            return None
-        return _typed(name, typing.get_args(hint)[0], value)
     elif isinstance(value, bool):
         if hint is bool:
             return value
@@ -179,13 +166,12 @@ def _typed(name: str, hint, value):
 def _build_config(cls, data: dict):
     """Build ``cls`` from field values, rejecting unknown fields, wrong types and empty lists."""
     hints = typing.get_type_hints(cls)
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(fields))
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"unknown config field {unknown[0]!r}")
     values = {name: _typed(name, hints[name], value) for name, value in data.items()}
     for name, value in values.items():
-        if value == () and not fields[name].metadata.get("may_be_empty"):
+        if value == ():
             raise ConfigError(f"field {name!r} must not be empty")
     return cls(**values)
 
@@ -260,6 +246,11 @@ def _jsonable(value):
 # verify suites
 
 
+def _residual_check(name: str, residual: float, tolerance: float) -> dict:
+    """A check that passes when ``residual <= tolerance``, so a NaN residual fails."""
+    return {"name": name, "max_abs_residual": residual, "tolerance": tolerance, "passed": residual <= tolerance}
+
+
 def _suite_prop1(seed: int) -> list[dict]:
     """Ten 1000-step signals per beta, checked as the 50 columns of one trace."""
     rng = np.random.default_rng(derive_seed(seed, "verify", "prop1"))
@@ -270,24 +261,8 @@ def _suite_prop1(seed: int) -> list[dict]:
     variance = np.reshape(report.variance.max_abs_residual, (-1, per_beta))
     checks = []
     for beta, dir_row, var_row in zip(BETA_GRID_PRIMARY, direction, variance):
-        worst_dir = max_or_nan(0.0, *dir_row.tolist())
-        worst_var = max_or_nan(0.0, *var_row.tolist())
-        checks.append(
-            {
-                "name": f"direction_forms_beta={beta:g}",
-                "max_abs_residual": worst_dir,
-                "tolerance": 1e-9,
-                "passed": worst_dir <= 1e-9,
-            }
-        )
-        checks.append(
-            {
-                "name": f"variance_forms_beta={beta:g}",
-                "max_abs_residual": worst_var,
-                "tolerance": 1e-10,
-                "passed": worst_var <= 1e-10,
-            }
-        )
+        checks.append(_residual_check(f"direction_forms_beta={beta:g}", max_or_nan(0.0, *dir_row.tolist()), 1e-9))
+        checks.append(_residual_check(f"variance_forms_beta={beta:g}", max_or_nan(0.0, *var_row.tolist()), 1e-10))
     return checks
 
 
@@ -328,14 +303,7 @@ def _suite_trust(seed: int) -> list[dict]:
         radius = trust_radius(m, var)
         argmin = steepest_descent_minimizer(m, radius)
         worst = max_or_nan(worst, abs(argmin - mollified_direction(m, var)))
-    return [
-        {
-            "name": "trust_region_minimizer_matches_mollified_sign",
-            "max_abs_residual": worst,
-            "tolerance": 1e-12,
-            "passed": worst <= 1e-12,
-        }
-    ]
+    return [_residual_check("trust_region_minimizer_matches_mollified_sign", worst, 1e-12)]
 
 
 def _suite_vi(seed: int) -> list[dict]:
@@ -361,25 +329,11 @@ def _suite_vi(seed: int) -> list[dict]:
         means = rng.uniform(prior.mean - 3 * spread, prior.mean + 3 * spread, size=2000)
         variances = np.exp(rng.uniform(np.log(1e-4), np.log(1e3), size=2000)) * closed.variance
         worst_beat = max_or_nan(worst_beat, obj_closed - float(np.min(objective_batch(prior, means, variances, g, lam))))
+    # a negative gap (the closed form did better) is reported as 0
     return [
-        {
-            "name": "closed_form_vs_oracle_parameters",
-            "max_abs_residual": worst_param,
-            "tolerance": 1e-4,
-            "passed": worst_param <= 1e-4,
-        },
-        {
-            "name": "closed_form_objective_gap",
-            "max_abs_residual": max_or_nan(worst_gap, 0.0),
-            "tolerance": 1e-8,
-            "passed": worst_gap <= 1e-8,
-        },
-        {
-            "name": "closed_form_beats_random_candidates",
-            "max_abs_residual": max_or_nan(worst_beat, 0.0),
-            "tolerance": 1e-8,
-            "passed": worst_beat <= 1e-8,
-        },
+        _residual_check("closed_form_vs_oracle_parameters", worst_param, 1e-4),
+        _residual_check("closed_form_objective_gap", max_or_nan(worst_gap, 0.0), 1e-8),
+        _residual_check("closed_form_beats_random_candidates", max_or_nan(worst_beat, 0.0), 1e-8),
     ]
 
 
@@ -388,24 +342,12 @@ def _suite_signal(seed: int) -> list[dict]:
     checks = []
     for kind in FilterKind:
         report = check_properties(FilterSpec(kind, beta=0.95), trials=25, tol=1e-12, rng=rng)
-        for check in report.checks:
-            checks.append(
-                {
-                    "name": f"{kind.value}_{check.name}",
-                    "max_abs_residual": check.max_violation,
-                    "tolerance": check.tolerance,
-                    "passed": check.passed,
-                }
-            )
+        checks += [
+            _residual_check(f"{kind.value}_{check.name}", check.max_violation, check.tolerance)
+            for check in report.checks
+        ]
     blind = decay_blindness(0.95, SignalSpec())
-    checks.append(
-        {
-            "name": "decay_blindness_damped_sine",
-            "max_abs_residual": blind.max_gap,
-            "tolerance": blind.tolerance,
-            "passed": blind.passed,
-        }
-    )
+    checks.append(_residual_check("decay_blindness_damped_sine", blind.max_gap, blind.tolerance))
     for target in (1.0, 0.37, -0.8, 0.0):
         witness = density_witness(target, k=10, beta=0.9)
         checks.append(
@@ -468,7 +410,7 @@ def cmd_quad(args) -> int:
     overrides = {
         "layouts": None if args.layout is None else _layout_names(args.layout),
         "optimizers": tuple(args.optim) if args.optim else None,
-        "fixed_lr": args.lr,
+        "lr_grid": None if args.lr is None else (args.lr,),
         "steps": args.steps,
         "batch_size": args.batch_size,
         "seeds": None if args.seeds is None else tuple(range(args.seeds)),
@@ -476,8 +418,6 @@ def cmd_quad(args) -> int:
         "base_seed": args.seed,
     }
     cfg = _load_config(args.config, "quad", overrides)
-    if not cfg.lr_grid and cfg.fixed_lr is None:
-        raise ConfigError("lr grid must be nonempty")
 
     run_rows = []
     summary_rows = []
@@ -486,15 +426,13 @@ def cmd_quad(args) -> int:
         problem = build_problem(
             BlockSpec.for_layout(layout), derive_seed(cfg.base_seed, "problem", layout.value)
         )
-        grid = (cfg.fixed_lr,) if cfg.fixed_lr is not None else cfg.lr_grid
         summary = tune_and_compare(
             problem,
             _quad_optimizers(cfg.optimizers, cfg.beta),
-            lr_grid=grid,
+            lr_grid=cfg.lr_grid,
             seeds=cfg.seeds,
             steps=cfg.steps,
             batch_size=cfg.batch_size,
-            warmup_fraction=cfg.warmup_fraction,
         )
         for result in summary.results:
             summary_rows.append(
@@ -573,14 +511,11 @@ def cmd_signal(args) -> int:
         filt = FilterSpec(_FILTER_KINDS[name], beta=cfg.beta)
         response = filter_response(filt, signal)
         rows += [[name, beta_text, k, x, fmt_float(r)] for (k, x), r in zip(shared, response.tolist())]
-        reports[name] = check_properties(
-            filt, trials=cfg.property_trials, tol=cfg.property_tol, rng=rng
-        ).to_dict()
-    blind = decay_blindness(cfg.beta, spec, tol=cfg.blindness_tol)
+        reports[name] = check_properties(filt, trials=cfg.property_trials, rng=rng).to_dict()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "properties": reports,
-        "decay_blindness": blind.to_dict(),
+        "decay_blindness": dataclasses.asdict(decay_blindness(cfg.beta, spec)),
     }
     out_dir = _ensure_out(args.out)
     _write_csv(out_dir / "responses.csv", ["filter", "beta", "k", "input", "response"], rows)
@@ -595,7 +530,7 @@ def cmd_signal(args) -> int:
 
 def _sweep_batch(payload) -> list[list[str]]:
     """Run every (betas, rate, seed) of one optimizer as one batch; one CSV row per (betas, rate)."""
-    (problem, name, lrs, pairs, starts, steps, batch_size, warmup_fraction) = payload
+    (problem, name, lrs, pairs, starts, steps, batch_size) = payload
     layout = problem.spec.layout.value
     cells = [(beta1, beta2, lr) for beta1, beta2 in pairs for lr in lrs]
     configs = {pair: default_quad_config(_QUAD_KINDS[name], *pair) for pair in pairs}
@@ -608,7 +543,6 @@ def _sweep_batch(payload) -> list[list[str]]:
         starts,
         steps,
         batch_size,
-        warmup_fraction,
         track_delta=False,
     )
     stats = loss_quantiles([[record.final_loss() for record in records] for records in per_cell])
@@ -659,7 +593,8 @@ def cmd_sweep(args) -> int:
         "seeds": None if args.seeds is None else tuple(range(args.seeds)),
         "base_seed": args.seed,
     }
-    jobs = _resolve_jobs(args.jobs)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _load_config(args.config, "sweep", overrides)
     for name in cfg.optimizers:
         if name not in _QUAD_KINDS:
@@ -681,11 +616,10 @@ def cmd_sweep(args) -> int:
             starts,
             cfg.steps,
             cfg.batch_size,
-            cfg.warmup_fraction,
         )
         for name in cfg.optimizers
     ]
-    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_sweep_batch, payloads))
@@ -735,20 +669,6 @@ def _ensure_out(out: str) -> Path:
     return path
 
 
-def _resolve_jobs(flag: int | None) -> int:
-    """The sweep's worker count: ``--jobs``, else ``ADAMLAB_JOBS``, else 1; at least 1."""
-    name, value = "--jobs", flag
-    if flag is None:
-        name, raw = "ADAMLAB_JOBS", os.environ.get("ADAMLAB_JOBS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"ADAMLAB_JOBS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"{name} must be at least 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adamlab",
@@ -771,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--layout", choices=["het", "hom", "both"], default=None)
     p.add_argument("--optim", action="append", metavar="NAME", help="repeatable optimizer name")
-    p.add_argument("--lr", type=float, default=None, help="fixed learning rate (skips tuning)")
+    p.add_argument("--lr", type=float, default=None, help="one learning rate: the grid becomes (LR,), so no tuning")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seeds", type=int, default=None, metavar="N", help="number of seeds (0..N-1)")
@@ -799,10 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seeds", type=int, default=None, metavar="N")
     p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes, at most one per optimizer batch and CPU (default: ADAMLAB_JOBS or 1)",
+        "--jobs", type=int, default=1, help="worker processes, at most one per optimizer batch and CPU (default 1)"
     )
     p.set_defaults(func=cmd_sweep)
     return parser

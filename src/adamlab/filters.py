@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -133,14 +133,6 @@ class PropertyCheck:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -159,12 +151,7 @@ class PropertyReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "trials": self.trials,
-            "passed": self.passed,
-            "checks": [check.to_dict() for check in self.checks],
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 SCALING_FACTORS = (0.5, 2.0, 10.0)
@@ -241,14 +228,6 @@ class DecayBlindnessReport:
     burn_in: int
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "max_gap": self.max_gap,
-            "tolerance": self.tolerance,
-            "burn_in": self.burn_in,
-            "passed": self.passed,
-        }
-
 
 def decay_blindness(
     beta: float, spec: SignalSpec, tol: float = 0.05
@@ -262,7 +241,8 @@ def decay_blindness(
     # two 1-D calls: their 0-d state steps faster than one (T, 2) stack
     damped = filter_response(filt, gen_signal(spec))
     undamped = filter_response(filt, gen_signal(replace(spec, decay=0.0)))
-    burn_in = min(math.ceil(2.0 * math.pi / spec.frequency), spec.length - 1)
+    # capped before rounding up: 2*pi/frequency overflows to inf below about 3.5e-308
+    burn_in = math.ceil(min(2.0 * math.pi / spec.frequency, spec.length - 1))
     gap = float(np.max(np.abs(damped[burn_in:] - undamped[burn_in:])))
     return DecayBlindnessReport(max_gap=gap, tolerance=tol, burn_in=burn_in, passed=gap <= tol)
 

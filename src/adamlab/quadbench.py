@@ -474,7 +474,6 @@ def run_cell(
     starts,
     steps: int,
     batch_size: int,
-    warmup_fraction: float,
     *,
     track_delta: bool = True,
 ) -> list[list[RunRecord]]:
@@ -490,7 +489,7 @@ def run_cell(
         raise ValueError("at least one seed is required")
     runs = []
     for config, lr, config_id in cells:
-        sched = Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=warmup_fraction)
+        sched = Schedule(peak_lr=lr, total_steps=steps)
         runs += [RunSpec(config, sched, w0, seed, config_id) for seed, w0 in starts]
     records = run_batch(problem, runs, steps, batch_size, track_delta=track_delta)
     return [records[i : i + len(starts)] for i in range(0, len(records), len(starts))]
@@ -503,7 +502,6 @@ def tune_and_compare(
     seeds=tuple(range(10)),
     steps: int = 1000,
     batch_size: int = 3,
-    warmup_fraction: float = 0.1,
 ) -> ComparisonSummary:
     """Tune each optimizer over the learning-rate grid and summarize final losses.
 
@@ -523,7 +521,7 @@ def tune_and_compare(
     results = []
     for label in sorted(optimizers):
         cells = [(optimizers[label], lr, make_config_id(layout, label, lr)) for lr in lr_grid]
-        per_cell = run_cell(problem, cells, starts, steps, batch_size, warmup_fraction)
+        per_cell = run_cell(problem, cells, starts, steps, batch_size)
         finals = np.array([[r.final_loss() for r in records] for records in per_cell])
         stats = loss_quantiles(finals)
         medians = stats[:, 0].tolist()

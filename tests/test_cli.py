@@ -56,12 +56,12 @@ class TestConfigRoundTrip:
         "config",
         [
             QuadConfig(),
-            QuadConfig(layouts=("hom",), seeds=(3, 5, 8), fixed_lr=2.0**-9, steps=123),
+            QuadConfig(layouts=("hom",), seeds=(3, 5, 8), steps=123),
             SignalConfig(),
             SignalConfig(filters=("sign",), beta=0.8, length=77, decay=0.0),
             SweepConfig(),
             SweepConfig(equal_betas=True, kappas=(0.5, 2.0), lr_grid=(0.25, 0.125)),
-            QuadConfig(lr_grid=(), fixed_lr=2.0**-9),  # the one list that may be empty
+            QuadConfig(lr_grid=(2.0**-9,)),  # the grid that ``--lr`` sets
         ],
     )
     def test_parse_serialize_identity(self, config):
@@ -98,8 +98,6 @@ def _values(hint):
     """Well-typed values for a config field; lists are nonempty."""
     if typing.get_origin(hint) is tuple:
         return st.lists(_values(typing.get_args(hint)[0]), min_size=1, max_size=4).map(tuple)
-    if typing.get_origin(hint) is types.UnionType:
-        return st.none() | _values(typing.get_args(hint)[0])
     return {
         int: st.integers(),
         float: st.floats(allow_nan=False),
@@ -114,8 +112,6 @@ def _wrong_values(hint):
         return st.one_of(
             st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=5)
         )
-    if typing.get_origin(hint) is types.UnionType:
-        return NON_NUMBER
     return {
         int: st.one_of(st.text(max_size=5), st.floats(allow_nan=False), st.booleans()),
         float: NON_NUMBER,
@@ -194,12 +190,11 @@ class TestTypedConfigLoader:
         _assert_usage_error(rc, err)
         assert repr(name) in err
 
-    def test_ints_widen_to_float_fields_and_null_clears_fixed_lr(self):
-        text = json.dumps({"schema_version": 1, "beta": 1, "lr_grid": [1, 0.5], "fixed_lr": None})
+    def test_ints_widen_to_float_fields(self):
+        text = json.dumps({"schema_version": 1, "beta": 1, "lr_grid": [1, 0.5]})
         config = parse_config(text, "quad")
         assert type(config.beta) is float and config.lr_grid == (1.0, 0.5)
         assert all(type(lr) is float for lr in config.lr_grid)
-        assert config.fixed_lr is None
 
 
 class TestRejectedInputs:
@@ -236,14 +231,22 @@ class TestRejectedInputs:
     def test_config_values_exit_2(self, tmp_path, command, name, value):
         _assert_usage_error(*_run_config(tmp_path, command, _with_field(command, name, value)))
 
-    @pytest.mark.parametrize("value", ["0", "-1", "junk", ""])
-    def test_bad_jobs_env_var_exits_2(self, tmp_path, monkeypatch, value):
-        monkeypatch.setenv("ADAMLAB_JOBS", value)
-        out = tmp_path / "out"
-        rc, err = _run(["sweep", "--steps", "5", "--seeds", "1", "--out", str(out)])
+    @pytest.mark.parametrize(
+        "command, name, value",
+        [
+            ("quad", "fixed_lr", 0.01),
+            ("quad", "warmup_fraction", 0.1),
+            ("sweep", "warmup_fraction", 0.1),
+            ("signal", "property_tol", 1e-12),
+            ("signal", "blindness_tol", 0.05),
+        ],
+    )
+    def test_deleted_config_fields_exit_2(self, tmp_path, command, name, value):
+        # version-1 files that set these fields once loaded; now no config file can loosen a check
+        rc, err = _run_config(tmp_path, command, _with_field(command, name, value))
         _assert_usage_error(rc, err)
-        assert "ADAMLAB_JOBS" in err
-        assert not out.exists()
+        assert f"unknown config field {name!r}" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -422,7 +425,7 @@ class TestQuadCommand:
         config = QuadConfig(
             layouts=("hom",),
             optimizers=("sgd",),
-            fixed_lr=2.0**-12,
+            lr_grid=(2.0**-12,),
             seeds=(0,),
             steps=30,
         )
@@ -434,6 +437,16 @@ class TestQuadCommand:
         lines = (tmp_path / "o" / "runs.csv").read_text().splitlines()
         assert len(lines) == 1 + 10  # flag overrode steps
         assert lines[1].startswith("hom:sgd:")
+
+    def test_lr_flag_is_a_one_rate_grid(self, tmp_path, capsys):
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({"schema_version": 1, "lr_grid": [0.0078125]}))
+        argv = [arg for arg in FAST_QUAD if arg not in ("--lr", "0.0078125")]
+        assert main(FAST_QUAD + ["--out", str(tmp_path / "flag")]) == EXIT_OK
+        assert main(argv + ["--config", str(path), "--out", str(tmp_path / "grid")]) == EXIT_OK
+        capsys.readouterr()
+        for name in ("runs.csv", "summary.csv"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "grid" / name).read_bytes()
 
     def test_zero_lr_writes_constant_loss_trace(self, tmp_path, capsys):
         rc = main(
@@ -488,6 +501,15 @@ class TestSignalCommand:
         rows = (tmp_path / "responses.csv").read_text().splitlines()[1:]
         values = {row.split(",")[4] for row in rows}
         assert values <= {"-1", "0", "1"}
+
+    def test_tiny_frequency_burns_in_the_whole_signal(self, tmp_path, capsys):
+        # 2*pi/frequency overflows to inf; the burn-in once raised OverflowError rounding it up
+        rc = main(["signal", "--frequency", "1e-308", "--length", "50", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        assert len((tmp_path / "responses.csv").read_text().splitlines()) == 1 + 4 * 50
+        payload = json.loads((tmp_path / "signal_properties.json").read_text())
+        assert payload["decay_blindness"]["burn_in"] == 49
 
     def test_zero_decay_response_is_periodic(self, tmp_path, capsys):
         rc = main(
@@ -603,18 +625,6 @@ class TestSweepCommand:
         assert started == ([] if expected is None else [expected])
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + len(optims) * 2 * len(SweepConfig().lr_grid)
-
-    def test_jobs_env_var_sets_default(self, tmp_path, capsys, monkeypatch):
-        started = _record_pools(monkeypatch, cpus=64)
-        optims = ["--optim=signum", "--optim=adameq", "--optim=sgd", "--optim=emasign"]
-        argv = ["sweep", *optims, "--kappas", "1", "2", "--steps", "5", "--seeds", "1"]
-        monkeypatch.setenv("ADAMLAB_JOBS", "3")
-        assert main(argv + ["--out", str(tmp_path / "env")]) == EXIT_OK
-        # the flag wins over the environment, even over a bad value
-        monkeypatch.setenv("ADAMLAB_JOBS", "junk")
-        assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "flag")]) == EXIT_OK
-        capsys.readouterr()
-        assert started == [3, 2]
 
 
 def _record_pools(monkeypatch, cpus: int) -> list:

@@ -366,9 +366,10 @@ def reference_sweep_batch(payload) -> list[list[str]]:
     """The former ``cli._sweep_batch``, one (optimizer, betas) pair per batch.
 
     Verbatim apart from the engine call, which passes the pair's one config
-    with each cell as :func:`run_cell` now takes it.
+    with each cell as :func:`run_cell` now takes it, and no longer passes the
+    warmup fraction, now always the schedule's default.
     """
-    (problem, name, lrs, beta1, beta2, starts, steps, batch_size, warmup_fraction) = payload
+    (problem, name, lrs, beta1, beta2, starts, steps, batch_size) = payload
     layout = problem.spec.layout.value
     suffix = f":b1={beta1:.17g}:b2={beta2:.17g}"
     config = default_quad_config(_QUAD_KINDS[name], beta1, beta2)
@@ -378,7 +379,6 @@ def reference_sweep_batch(payload) -> list[list[str]]:
         starts,
         steps,
         batch_size,
-        warmup_fraction,
     )
     rows = []
     for lr, records in zip(lrs, per_cell):
@@ -422,7 +422,7 @@ def test_sweep_csv_equals_batch_per_pair(tmp_path, capsys):
     starts = [(seed, initial_point(problem.dim, seed)) for seed in range(n_seeds)]
     lrs = [float(lr) for lr in cfg.lr_grid]
     payloads = [
-        (problem, name, lrs, float(beta1), float(beta2), starts, steps, cfg.batch_size, cfg.warmup_fraction)
+        (problem, name, lrs, float(beta1), float(beta2), starts, steps, cfg.batch_size)
         for name in names
         for beta1, beta2 in _beta_pairs(_QUAD_KINDS[name], betas, False)
     ]

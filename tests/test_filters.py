@@ -295,6 +295,12 @@ class TestDecayBlindness:
         report = decay_blindness(0.95, spec)
         assert report.max_gap == 0.0
 
+    @pytest.mark.parametrize("frequency", [1e-308, 5e-324])
+    def test_burn_in_is_capped_where_the_period_overflows(self, frequency):
+        report = decay_blindness(0.95, SignalSpec(frequency=frequency, length=50))
+        assert report.burn_in == 49
+        assert report.max_gap == 0.0 and report.passed
+
     def test_global_rescale_makes_no_difference(self):
         filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.95)
         damped = gen_signal(REFERENCE_SIGNAL)
