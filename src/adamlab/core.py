@@ -95,20 +95,21 @@ class Schedule:
         return round(self.warmup_fraction * self.total_steps)
 
 
-def lr_at(sched: Schedule, step: int) -> float:
-    """Learning rate at ``step``; valid for ``0 <= step <= total_steps``."""
+def lr_at(sched: Schedule, step: int, peak_lr=None):
+    """Learning rate at ``step``, ``0 <= step <= total_steps``; an array ``peak_lr`` gives one rate per peak."""
     if not 0 <= step <= sched.total_steps:
         raise ValueError(
             f"step {step} outside schedule range [0, {sched.total_steps}]"
         )
+    peak = sched.peak_lr if peak_lr is None else peak_lr
     warmup = sched.warmup_steps
     if step < warmup:
-        return sched.peak_lr * step / warmup
+        return peak * step / warmup
     span = sched.total_steps - warmup
     if span == 0:
-        return 0.0
+        return peak * 0.0
     phase = math.pi * (step - warmup) / span
-    return sched.peak_lr * (1.0 + math.cos(phase)) / 2.0
+    return peak * (1.0 + math.cos(phase)) / 2.0
 
 
 def max_or_nan(*values: float) -> float:

@@ -118,9 +118,10 @@ def filter_response(filt: FilterSpec, signal) -> np.ndarray:
     state = init_state(config, signal.shape[1:])
     m = np.empty(signal.shape)
     delta = np.empty(signal.shape) if filt.kind is FilterKind.ADAM_EQUAL_BETA else None
-    for k, g in enumerate(signal):
+    # a (T,) signal steps as Python floats, several times cheaper than 0-d arrays
+    for k, g in enumerate(signal.tolist() if signal.ndim == 1 else signal):
         advance(config, state, g)
-        m[k] = state.m.value
+        m[k] = state.m
         if delta is not None:
             delta[k] = state.delta
     return direction_map(config, m=m, delta=delta)
@@ -238,7 +239,7 @@ def decay_blindness(
     exact operator identity, hence the loose default tolerance.
     """
     filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=beta)
-    # two 1-D calls: their 0-d state steps faster than one (T, 2) stack
+    # two 1-D calls: their Python-float state steps faster than one (T, 2) stack
     damped = filter_response(filt, gen_signal(spec))
     undamped = filter_response(filt, gen_signal(replace(spec, decay=0.0)))
     # capped before rounding up: 2*pi/frequency overflows to inf below about 3.5e-308

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmaBuffer, InitMode
+from .core import InitMode
 
 
 class OptimizerKind(enum.Enum):
@@ -89,42 +89,44 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Mutable buffers for one run: first/second moments and the variance term.
+    """One run's moments, variance term, momentum and step count: Python floats for a scalar state, else arrays.
 
     ``delta`` is advanced by its own nonnegative recursion rather than being
     recovered as ``v - m**2``, so it stays sign-safe in floating point. The
-    momentum parameters are the buffers' ``beta``: the config's floats, or
-    ``(R, 1)`` columns when the rows of an ``(R, dim)`` state are runs with
-    their own momentum.
+    betas are the config's floats, or ``(R, 1)`` columns when the rows of an
+    ``(R, dim)`` state are runs with their own momentum.
     """
 
-    m: EmaBuffer
-    v: EmaBuffer
-    delta: np.ndarray
+    m: float | np.ndarray
+    v: float | np.ndarray
+    delta: float | np.ndarray
+    beta1: float | np.ndarray
+    beta2: float | np.ndarray
     step: int = 0
 
 
 def init_state(config: OptimizerConfig, shape, beta1=None, beta2=None) -> OptimizerState:
-    """Zeroed buffers of ``shape``, with the config's betas unless ``(R, 1)`` columns are given."""
-    return OptimizerState(
-        m=EmaBuffer.zeros(shape, config.beta1 if beta1 is None else beta1, config.init_mode),
-        v=EmaBuffer.zeros(shape, config.beta2 if beta2 is None else beta2, config.init_mode),
-        delta=np.zeros(shape),
-    )
+    """Zero moments of ``shape`` (``0.0`` for ``()``); the config's betas unless ``(R, 1)`` columns are given."""
+    m, v, delta = (0.0, 0.0, 0.0) if shape == () else (np.zeros(shape) for _ in range(3))
+    beta1 = config.beta1 if beta1 is None else beta1
+    return OptimizerState(m, v, delta, beta1, config.beta2 if beta2 is None else beta2)
 
 
-def _safe_div(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Elementwise num/denom with the 0/0 -> 0 convention."""
-    out = np.zeros_like(num)
-    np.divide(num, denom, out=out, where=denom > 0)
-    return out
+def _safe_div(num: np.ndarray, denom: np.ndarray, out=None) -> np.ndarray:
+    """Elementwise num/denom with the 0/0 -> 0 convention (a NaN ``denom`` also gives 0); ``out`` may be ``denom``."""
+    positive = denom > 0
+    if out is None:
+        out = np.zeros_like(num)
+    else:
+        np.copyto(out, 0.0, where=~positive)
+    return np.divide(num, denom, out=out, where=positive)
 
 
-def _denominator(second: np.ndarray, config: OptimizerConfig) -> np.ndarray:
-    """``sqrt(second)`` floored by epsilon at the configured placement."""
+def _denominator(second: np.ndarray, config: OptimizerConfig, out=None) -> np.ndarray:
+    """``sqrt(second)`` floored by epsilon at the configured placement; ``out`` may be ``second``."""
     if config.epsilon_placement is EpsilonPlacement.INSIDE_SQRT:
-        return np.sqrt(second + config.epsilon)
-    return np.sqrt(second) + config.epsilon
+        return np.sqrt(np.add(second, config.epsilon, out=out), out=out)
+    return np.add(np.sqrt(second, out=out), config.epsilon, out=out)
 
 
 def _adam_view(config: OptimizerConfig, m, v, powers) -> tuple[np.ndarray, np.ndarray]:
@@ -153,31 +155,32 @@ def _equal_beta_view(config: OptimizerConfig, m, delta, powers) -> tuple[np.ndar
 def _powers(config: OptimizerConfig, state: OptimizerState, powers):
     """``powers`` if given, else ``(beta1**k, beta2**k)`` when bias correction reads them."""
     if powers is None and config.bias_correction and config.kind in _SECOND_MOMENT_KINDS:
-        return state.m.beta**state.m.step, state.v.beta**state.v.step
+        return state.beta1**state.step, state.beta2**state.step
     return powers
 
 
-def advance(config: OptimizerConfig, state: OptimizerState, g: np.ndarray) -> OptimizerState:
+def advance(config: OptimizerConfig, state: OptimizerState, g) -> OptimizerState:
     """Advance the moment recursions of ``state`` by the (checked, finite) gradient ``g``.
 
     These are the EMA of ``m`` (of ``sign(g)`` for EMA_SIGN), the EMA of ``v``
     for Adam/RMSprop and, for equal-beta Adam, the variance recursion
     ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``, skipped on the step that
-    seeds ``m`` from the first sample. SIGN_SGD keeps no moments.
+    seeds ``m`` from the first sample. SIGN_SGD keeps no moments. Python
+    floats step as Python floats, arrays as arrays; nothing is written in
+    place, since a seeded ``m`` is the caller's ``g`` itself.
     """
     kind = config.kind
-    if kind is OptimizerKind.EMA_SIGN:
-        state.m.update(np.sign(g))
-    elif kind is OptimizerKind.ADAM_EQUAL_BETA:
-        beta = state.m.beta
-        if not (state.m.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE):
-            diff = state.m.value - g
-            state.delta = beta * state.delta + beta * (1.0 - beta) * diff * diff
-        state.m.update(g)
-    elif kind is not OptimizerKind.SIGN_SGD:
-        state.m.update(g)
+    if kind is not OptimizerKind.SIGN_SGD:
+        seed = state.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE
+        x = np.sign(g) if kind is OptimizerKind.EMA_SIGN else g
+        b = state.beta1
+        if kind is OptimizerKind.ADAM_EQUAL_BETA and not seed:
+            diff = state.m - g
+            state.delta = b * state.delta + b * (1.0 - b) * diff * diff
+        state.m = x if seed else b * state.m + (1.0 - b) * x
         if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
-            state.v.update(g * g)
+            b2 = state.beta2
+            state.v = g * g if seed else b2 * state.v + (1.0 - b2) * (g * g)
     state.step += 1
     return state
 
@@ -200,7 +203,11 @@ def direction_map(config: OptimizerConfig, *, g=None, m=None, v=None, delta=None
         m, v = _adam_view(config, m, v, powers)
         return _safe_div(m, _denominator(v, config))
     m, delta = _equal_beta_view(config, m, delta, powers)
-    return _safe_div(m, _denominator(np.maximum(m * m + delta, 0.0), config))
+    # one fresh buffer holds the clamped root and then the direction: a (T, C) history needs no other
+    root = np.multiply(m, m, out=np.empty(np.shape(m)))
+    root += delta
+    np.maximum(root, 0.0, out=root)
+    return _safe_div(m, _denominator(root, config, out=root), out=root)
 
 
 def direction(
@@ -218,7 +225,7 @@ def direction(
         raise ValueError("gradient contains non-finite entries")
     advance(config, state, g)
     d = direction_map(
-        config, g=g, m=state.m.value, v=state.v.value, delta=state.delta, powers=_powers(config, state, powers)
+        config, g=g, m=state.m, v=state.v, delta=state.delta, powers=_powers(config, state, powers)
     )
     return d, state
 
@@ -241,11 +248,11 @@ def delta_estimate(config: OptimizerConfig, state: OptimizerState, powers=None) 
     """
     if config.kind not in _SECOND_MOMENT_KINDS:
         return None
-    if state.m.step == 0:
-        return state.delta.copy()
+    if state.step == 0:
+        return np.copy(state.delta)
     powers = _powers(config, state, powers)
     if config.kind is OptimizerKind.ADAM_EQUAL_BETA:
-        _, delta = _equal_beta_view(config, state.m.value, state.delta, powers)
+        _, delta = _equal_beta_view(config, state.m, state.delta, powers)
         return np.maximum(delta, 0.0)
-    m, v = _adam_view(config, state.m.value, state.v.value, powers)
+    m, v = _adam_view(config, state.m, state.v, powers)
     return np.maximum(v - m * m, 0.0)

@@ -286,10 +286,8 @@ class RunSpec(NamedTuple):
 
 def _keep_rows(state, keep: np.ndarray) -> None:
     """Drop the runs outside ``keep`` from a batched optimizer state, momentum columns included."""
-    for buf in (state.m, state.v):
-        buf.value = buf.value[keep]
-        buf.beta = buf.beta[keep]
-    state.delta = state.delta[keep]
+    state.m, state.v, state.delta = state.m[keep], state.v[keep], state.delta[keep]
+    state.beta1, state.beta2 = state.beta1[keep], state.beta2[keep]
 
 
 def _shared_config(runs: Sequence[RunSpec]) -> OptimizerConfig:
@@ -341,11 +339,13 @@ def run_batch(
         ],
         axis=1,
     )
-    lr_tables = {
-        sched: [lr_at(sched, k) for k in range(steps)]
-        for sched in dict.fromkeys(run.sched for run in runs)
-    }
-    lrs = np.array([lr_tables[run.sched] for run in runs]).T
+    lrs = np.empty((steps, n_runs))
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, run in enumerate(runs):
+        groups.setdefault((run.sched.total_steps, run.sched.warmup_fraction), []).append(i)
+    for members in groups.values():
+        peaks = np.array([runs[i].sched.peak_lr for i in members])
+        lrs[:, members] = [lr_at(runs[members[0]].sched, k, peaks) for k in range(steps)]
     w = np.array([run.w0 for run in runs], dtype=float)
     beta1 = [run.config.beta1 for run in runs]
     beta2 = [run.config.beta2 for run in runs]
@@ -445,17 +445,12 @@ class OptimizerResult:
     q75: float
     all_diverged: bool
     records: tuple[RunRecord, ...]
-    lr_medians: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
 class ComparisonSummary:
     layout: str
     results: tuple[OptimizerResult, ...]
-    lr_grid: tuple[float, ...]
-    seeds: tuple[int, ...]
-    steps: int
-    batch_size: int
 
     def result(self, label: str) -> OptimizerResult:
         for res in self.results:
@@ -537,17 +532,9 @@ def tune_and_compare(
                 q75=q75,
                 all_diverged=all_diverged,
                 records=tuple(per_cell[best]),
-                lr_medians=tuple(zip(lr_grid, medians)),
             )
         )
-    return ComparisonSummary(
-        layout=layout,
-        results=tuple(results),
-        lr_grid=lr_grid,
-        seeds=seeds,
-        steps=steps,
-        batch_size=batch_size,
-    )
+    return ComparisonSummary(layout=layout, results=tuple(results))
 
 
 def default_quad_config(

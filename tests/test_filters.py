@@ -178,6 +178,16 @@ class TestColumnEngine:
         assert filter_response(filt, 2.5).shape == (1,)
         assert filter_response(filt, g[:, None]).shape == (40, 1)
 
+    @pytest.mark.parametrize("kind", [FilterKind.ADAM_EQUAL_BETA, FilterKind.SIGNUM, FilterKind.EMA_SIGN])
+    def test_first_sample_response_leaves_signal_unmutated(self, kind):
+        # first-sample seeding makes the moment the caller's first row itself
+        filt = FilterSpec(kind, beta=0.9, init_mode=InitMode.FIRST_SAMPLE)
+        rng = np.random.default_rng(57)
+        for signal in (rng.standard_normal(30), rng.standard_normal((30, 3))):
+            before = signal.copy()
+            filter_response(filt, signal)
+            assert np.array_equal(signal, before)
+
     @pytest.mark.parametrize("shape", [(4, 2, 2), (1, 1, 1, 1)])
     def test_more_than_two_dims_rejected(self, shape):
         with pytest.raises(ValueError, match="2-D"):

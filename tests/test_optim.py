@@ -1,16 +1,19 @@
 """Direction maps: examples, boundedness, symmetry, and the variance-form identity."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from adamlab.core import InitMode
+from adamlab.core import EmaBuffer, InitMode
 from adamlab.optim import (
     EpsilonPlacement,
     OptimizerConfig,
     OptimizerKind,
+    advance,
     apply_step,
     delta_estimate,
     direction,
@@ -18,6 +21,111 @@ from adamlab.optim import (
 )
 
 SIGN_FAMILY = (OptimizerKind.SIGN_SGD, OptimizerKind.SIGNUM, OptimizerKind.EMA_SIGN)
+
+
+@dataclass
+class ReferenceState:
+    """The ``EmaBuffer``-based state that plain-value state replaced."""
+
+    m: EmaBuffer
+    v: EmaBuffer
+    delta: np.ndarray
+    step: int = 0
+
+
+def reference_state(config, shape, beta1=None, beta2=None) -> ReferenceState:
+    return ReferenceState(
+        m=EmaBuffer.zeros(shape, config.beta1 if beta1 is None else beta1, config.init_mode),
+        v=EmaBuffer.zeros(shape, config.beta2 if beta2 is None else beta2, config.init_mode),
+        delta=np.zeros(shape),
+    )
+
+
+def reference_advance(config, state, g):
+    """The ``EmaBuffer``-based recursion step that plain-value ``advance`` replaced, kept verbatim."""
+    kind = config.kind
+    if kind is OptimizerKind.EMA_SIGN:
+        state.m.update(np.sign(g))
+    elif kind is OptimizerKind.ADAM_EQUAL_BETA:
+        beta = state.m.beta
+        if not (state.m.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE):
+            diff = state.m.value - g
+            state.delta = beta * state.delta + beta * (1.0 - beta) * diff * diff
+        state.m.update(g)
+    elif kind is not OptimizerKind.SIGN_SGD:
+        state.m.update(g)
+        if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
+            state.v.update(g * g)
+    state.step += 1
+    return state
+
+
+def assert_bitwise(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes(), (got, expected)
+
+
+GRADIENT_ENTRIES = st.floats(-1e6, 1e6)  # signed zeros and subnormals included
+BETAS = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@given(
+    kind=st.sampled_from(OptimizerKind),
+    init_mode=st.sampled_from(InitMode),
+    layout=st.sampled_from(["python-float", "0-d", "vector", "batch"]),
+    data=st.data(),
+)
+def test_advance_matches_reference_stepper_bitwise(kind, init_mode, layout, data):
+    """Plain-value ``advance`` equals the ``EmaBuffer`` stepper bit for bit, step by step.
+
+    Scalar states are fed Python floats or 0-d arrays; ``(R, dim)`` states
+    get ``(R, 1)`` momentum columns, shared by both moments for equal-beta Adam.
+    """
+    beta1, beta2 = data.draw(BETAS), data.draw(BETAS)
+    if kind is OptimizerKind.ADAM_EQUAL_BETA:
+        beta2 = beta1
+    config = OptimizerConfig(kind, beta1=beta1, beta2=beta2, init_mode=init_mode)
+    columns = ()
+    if layout == "batch":
+        n_runs, dim = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        shape = (n_runs, dim)
+        column = st.lists(BETAS, min_size=n_runs, max_size=n_runs).map(lambda b: np.array(b)[:, None])
+        col1, col2 = data.draw(column), data.draw(column)
+        if kind is OptimizerKind.RMSPROP:
+            col1 = np.zeros((n_runs, 1))
+        if kind is OptimizerKind.ADAM_EQUAL_BETA:
+            col2 = col1
+        columns = (col1, col2)
+    else:
+        shape = (data.draw(st.integers(1, 4)),) if layout == "vector" else ()
+    if layout == "python-float":
+        grad = GRADIENT_ENTRIES
+    elif layout == "0-d":
+        grad = GRADIENT_ENTRIES.map(np.asarray)
+    else:
+        grad = arrays(np.float64, shape, elements=GRADIENT_ENTRIES)
+    grads = data.draw(st.lists(grad, min_size=1, max_size=8))
+
+    state, ref = init_state(config, shape, *columns), reference_state(config, shape, *columns)
+    for g in grads:
+        advance(config, state, g)
+        reference_advance(config, ref, g)
+        assert state.step == ref.step
+        assert_bitwise(state.m, ref.m.value)
+        assert_bitwise(state.v, ref.v.value)
+        assert_bitwise(state.delta, ref.delta)
+
+
+@pytest.mark.parametrize("init_mode", list(InitMode))
+@pytest.mark.parametrize("kind", [OptimizerKind.SGD, OptimizerKind.SIGNUM, OptimizerKind.ADAM_EQUAL_BETA])
+def test_python_float_gradients_keep_python_float_state(kind, init_mode):
+    config = OptimizerConfig(kind, beta1=0.9, init_mode=init_mode)
+    state = init_state(config, ())
+    for g in (0.5, -1.25, 3.0, 0.0):
+        advance(config, state, g)
+        assert type(state.m) is float
+        assert type(state.delta) is float
 
 
 def run_directions(config, grads):
@@ -94,7 +202,7 @@ def test_delta_recursion_matches_direct_summation():
     for g in grads:
         squared_devs.append((m_prev - g) ** 2)
         _, state = direction(config, state, g)
-        m_prev = float(state.m.value)
+        m_prev = float(state.m)
         k = len(squared_devs)
         direct = beta * (1.0 - beta) * math.fsum(
             beta ** (k - 1 - j) * s for j, s in enumerate(squared_devs)
@@ -236,7 +344,7 @@ def test_signum_large_epsilon_approaches_rescaled_momentum():
     for _ in range(30):
         g = rng.standard_normal(3)
         d, state = direction(config, state, g)
-        np.testing.assert_allclose(d, state.m.value / math.sqrt(eps), rtol=1e-6)
+        np.testing.assert_allclose(d, state.m / math.sqrt(eps), rtol=1e-6)
 
 
 def test_state_advances_exactly_once_per_call():
@@ -245,8 +353,6 @@ def test_state_advances_exactly_once_per_call():
     for expected in range(1, 5):
         _, state = direction(config, state, np.ones(2))
         assert state.step == expected
-        assert state.m.step == expected
-        assert state.v.step == expected
 
 
 def test_delta_estimate_nonnegative_and_consistent():
@@ -306,7 +412,7 @@ def test_equal_beta_adam_matches_variance_form(
         d_ad, s_ad = direction(adam, s_ad, g)
         d_eq, s_eq = direction(eq, s_eq, g)
         correction = 1.0 - beta**k if bias_correction else 1.0
-        m_hat, v_hat = s_ad.m.value / correction, s_ad.v.value / correction
+        m_hat, v_hat = s_ad.m / correction, s_ad.v / correction
         d_scale = max(d_scale, float(np.max(np.abs(d_ad))))
         var_scale = max(var_scale, float(np.max(np.maximum(m_hat * m_hat, v_hat))))
         assert np.max(np.abs(d_ad - d_eq)) <= 1e-11 * d_scale, k

@@ -217,5 +217,5 @@ class TestConsistencyWithOptimizer:
         for g in stream:
             belief = vi_update(belief, float(g), lam)
             _, state = direction(config, state, g)
-            assert belief.mean == float(state.m.value)
+            assert belief.mean == float(state.m)
             assert belief.variance == float(state.delta)
