@@ -112,6 +112,21 @@ def lr_at(sched: Schedule, step: int, peak_lr=None):
     return peak * (1.0 + math.cos(phase)) / 2.0
 
 
+def as_signal(signal) -> np.ndarray:
+    """``signal`` as a float array along axis 0: ``(T,)`` from a scalar or 1-D input, or ``(T, C)``.
+
+    Raises ``ValueError`` for more than two dimensions or a non-finite entry.
+    """
+    signal = np.asarray(signal, dtype=float)
+    if signal.ndim > 2:
+        raise ValueError(f"signal must be 0-D, 1-D or 2-D (time, column), got {signal.shape}")
+    if signal.ndim < 2:
+        signal = signal.ravel()
+    if not np.all(np.isfinite(signal)):
+        raise ValueError("signal contains non-finite entries")
+    return signal
+
+
 def max_or_nan(*values: float) -> float:
     """The largest of ``values``, or NaN if any of them is NaN.
 

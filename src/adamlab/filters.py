@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InitMode, max_or_nan
+from .core import InitMode, as_signal, max_or_nan
 from .optim import (
     OptimizerConfig,
     OptimizerKind,
@@ -59,7 +59,8 @@ class SignalSpec:
 
 def gen_signal(spec: SignalSpec) -> np.ndarray:
     k = np.arange(spec.length)
-    return spec.amplitude * np.sin(spec.frequency * k) * np.exp(-spec.decay * k)
+    with np.errstate(over="ignore"):  # a huge decay overflows -decay*k to -inf, and exp(-inf) = 0 is meant
+        return spec.amplitude * np.sin(spec.frequency * k) * np.exp(-spec.decay * k)
 
 
 class FilterKind(enum.Enum):
@@ -96,6 +97,10 @@ class FilterSpec:
         )
 
 
+#: the largest magnitude of a nonzero adameq signal lies here, so its squares neither overflow nor underflow
+ADAMEQ_PEAK_RANGE = (2.0**-500, 2.0**500)
+
+
 def filter_response(filt: FilterSpec, signal) -> np.ndarray:
     """Stream ``signal`` through the direction map along axis 0.
 
@@ -104,17 +109,20 @@ def filter_response(filt: FilterSpec, signal) -> np.ndarray:
     ``(T, C)`` response. Only the recursions run per time step; the sign
     filter keeps no moments, and the others record ``m`` (and equal-beta
     Adam ``delta``) for one ``direction_map`` call over the whole history.
+    Equal-beta Adam raises ``ValueError`` for a nonzero signal whose largest
+    magnitude is outside :data:`ADAMEQ_PEAK_RANGE`, where its squares would
+    overflow or underflow and the response would silently read 0.
     """
-    signal = np.asarray(signal, dtype=float)
-    if signal.ndim > 2:
-        raise ValueError(f"signal must be 0-D, 1-D or 2-D (time, column), got {signal.shape}")
-    if signal.ndim < 2:
-        signal = signal.ravel()
-    if not np.all(np.isfinite(signal)):
-        raise ValueError("signal contains non-finite entries")
+    signal = as_signal(signal)
     config = filt.optimizer_config()
     if filt.kind is FilterKind.SIGN:
         return direction_map(config, g=signal)
+    if filt.kind is FilterKind.ADAM_EQUAL_BETA:
+        peak = float(np.max(np.abs(signal), initial=0.0))
+        if peak and not ADAMEQ_PEAK_RANGE[0] <= peak <= ADAMEQ_PEAK_RANGE[1]:
+            raise ValueError(
+                f"adameq signal peak {peak:g} is outside [2**-500, 2**500], where m*m + delta would overflow or underflow"
+            )
     state = init_state(config, signal.shape[1:])
     m = np.empty(signal.shape)
     delta = np.empty(signal.shape) if filt.kind is FilterKind.ADAM_EQUAL_BETA else None

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InitMode
+from .core import InitMode, as_signal
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,7 @@ def scalar_adam_trace(
     direction streams ``d_standard = m/sqrt(v)`` and
     ``d_variance = m/sqrt(m^2 + delta)`` (0/0 reads as 0).
     """
-    signal = np.asarray(signal, dtype=float)
-    if signal.ndim > 2:
-        raise ValueError(f"signal must be 0-D, 1-D or 2-D (time, column), got {signal.shape}")
-    if signal.ndim < 2:
-        signal = signal.ravel()
-    if not np.all(np.isfinite(signal)):
-        raise ValueError("signal contains non-finite entries")
+    signal = as_signal(signal)
     beta = float(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=float)
     if np.ndim(beta) and (signal.ndim != 2 or beta.shape != signal.shape[1:]):
         raise ValueError(f"per-column beta of shape {beta.shape} needs a (T, {beta.size}) signal")

@@ -361,27 +361,29 @@ def run_batch(
     deltas = np.empty((n_runs, steps, len(slices))) if track_delta else None
     ended_at: dict[int, tuple[int, str]] = {}
     active = np.arange(n_runs)
-    for k in range(steps):
-        g = subset_gradient(problem, w, rows[k, active])
-        step_powers = None if powers is None else tuple(table[k, active, None] for table in powers)
-        d, state = direction(config, state, g, step_powers)
-        w = apply_step(w, d, lrs[k, active, None])
-        loss = problem.loss(w)
-        losses[active, k] = loss
-        if track_delta:
-            snapshot = delta_estimate(config, state, step_powers)
-            for j, sl in enumerate(slices):
-                deltas[active, k, j] = snapshot[:, sl].mean(axis=-1)
-        finite = np.isfinite(loss)
-        ended = ~finite | (loss > DIVERGENCE_THRESHOLD)
-        if ended.any():
-            for i in np.flatnonzero(ended):
-                ended_at[int(active[i])] = (k, "threshold" if finite[i] else "non_finite")
-            keep = ~ended
-            active, w = active[keep], w[keep]
-            _keep_rows(state, keep)
-            if not active.size:
-                break
+    # a diverging run may overflow on its way out; its non-finite loss ends it below
+    with np.errstate(over="ignore"):
+        for k in range(steps):
+            g = subset_gradient(problem, w, rows[k, active])
+            step_powers = None if powers is None else tuple(table[k, active, None] for table in powers)
+            d, state = direction(config, state, g, step_powers)
+            w = apply_step(w, d, lrs[k, active, None])
+            loss = problem.loss(w)
+            losses[active, k] = loss
+            if track_delta:
+                snapshot = delta_estimate(config, state, step_powers)
+                for j, sl in enumerate(slices):
+                    deltas[active, k, j] = snapshot[:, sl].mean(axis=-1)
+            finite = np.isfinite(loss)
+            ended = ~finite | (loss > DIVERGENCE_THRESHOLD)
+            if ended.any():
+                for i in np.flatnonzero(ended):
+                    ended_at[int(active[i])] = (k, "threshold" if finite[i] else "non_finite")
+                keep = ~ended
+                active, w = active[keep], w[keep]
+                _keep_rows(state, keep)
+                if not active.size:
+                    break
 
     records = []
     for i, run in enumerate(runs):

@@ -17,9 +17,8 @@ i.e. a larger momentum parameter. ``lam = beta / (1 - beta)`` inverts the
 map when a target momentum is given.
 
 A derivative-free nested bracketing minimizer is provided as an independent
-oracle for the closed form; it never touches it. It is the only user of
-``scipy.optimize``, which is imported when the oracle first runs: importing
-this module (and the CLI) does not load scipy.
+oracle for the closed form; it never touches it. Its 1-D searches are bounded
+Brent minimizations (:func:`minimize_scalar`).
 """
 from __future__ import annotations
 
@@ -29,15 +28,87 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def minimize_scalar(*args, **kwargs):
-    """``scipy.optimize.minimize_scalar``, imported on the first call.
+#: evaluation cap of one bounded search, as in the classic ``fminbound``
+MAX_EVALUATIONS = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
-    A module-level function rather than an import, so that only the oracle
-    pays for ``scipy.optimize`` and the name can still be wrapped from outside.
+
+def _sign(x: float) -> float:
+    """The sign of ``x``, taking 0 as positive."""
+    return 1.0 if x >= 0 else -1.0
+
+
+def minimize_scalar(func, lo: float, hi: float, xatol: float) -> float:
+    """Brent's bounded minimization of ``func`` on ``[lo, hi]``; returns the best point.
+
+    Golden-section steps with parabolic interpolation when it is safe, stopping
+    once the bracket around the best point is within ``xatol`` plus a relative
+    term, or after :data:`MAX_EVALUATIONS` evaluations. The operations and
+    their order are those of the widely used ``fminbound`` port of Brent's
+    algorithm, so it evaluates the same points and returns the same bits; the
+    tests pin this.
     """
-    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
-
-    return scipy_minimize_scalar(*args, **kwargs)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"bounds must be finite with lo <= hi, got ({lo}, {hi})")
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                parabolic = True
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if not parabolic:  # golden-section step into the larger side
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= MAX_EVALUATIONS:
+            break
+    return xf
 
 
 class OracleError(RuntimeError):
@@ -161,13 +232,9 @@ def vi_numeric_oracle(
     m_atol = tol * max(1.0, abs(m_lo), abs(m_hi)) * 1e-2
 
     def best_mean(variance: float) -> float:
-        res = minimize_scalar(
-            lambda m: vi_objective(prior, GaussianBelief(m, variance), g, lam),
-            bounds=(m_lo, m_hi),
-            method="bounded",
-            options={"xatol": m_atol},
+        return minimize_scalar(
+            lambda m: vi_objective(prior, GaussianBelief(m, variance), g, lam), m_lo, m_hi, m_atol
         )
-        return float(res.x)
 
     def profile(log_var: float) -> float:
         variance = math.exp(log_var)
@@ -177,10 +244,7 @@ def vi_numeric_oracle(
     lo = math.log(scale) - 30.0
     hi = math.log(scale) + 5.0
     for _ in range(max_widenings):
-        res = minimize_scalar(
-            profile, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-        )
-        log_var = float(res.x)
+        log_var = minimize_scalar(profile, lo, hi, 1e-12)
         edge = 1e-6 * (hi - lo)
         if log_var - lo < edge:
             lo -= 20.0

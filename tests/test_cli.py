@@ -210,6 +210,9 @@ class TestRejectedInputs:
             ["quad", "--optim", "bogus"],
             ["sweep", "--jobs", "0", "--steps", "5"],
             ["sweep", "--jobs", "-3", "--steps", "5"],
+            # adameq's squares of such a signal overflow or underflow
+            ["signal", "--amplitude", "1e200", "--length", "50"],
+            ["signal", "--amplitude", "1e-200", "--length", "50"],
         ],
     )
     def test_flag_values_exit_2(self, tmp_path, argv):
@@ -360,40 +363,47 @@ class TestVerifyCommand:
         assert all(math.isnan(value) for value in failed.values())
 
 
-def _run_python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter that imports this checkout of adamlab; return its stdout."""
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this checkout of adamlab."""
     import adamlab
 
     src = str(Path(adamlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return done.stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 class TestStartup:
-    """Only the VI oracle needs ``scipy.optimize``, so only running it loads scipy."""
-
-    def test_importing_the_cli_leaves_scipy_unloaded(self):
-        out = _run_python(
-            "import sys, adamlab.cli, adamlab.vi\n"
-            "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))\n"
-            "print('minimize_scalar' in vars(adamlab.vi))"
-        )
-        assert out.split() == ["False", "True"]
-
-    def test_vi_suite_loads_scipy_and_reports_the_same(self, capsys):
-        out = _run_python(
+    def test_no_command_imports_scipy(self, tmp_path):
+        # the VI oracle's 1-D search lives in the package: numpy is the only dependency
+        commands = [
+            ["verify", "--suite", "all", "--out", str(tmp_path / "verify")],
+            FAST_QUAD + ["--out", str(tmp_path / "quad")],
+            ["sweep", "--steps", "20", "--seeds", "1", "--out", str(tmp_path / "sweep")],
+            ["signal", "--length", "100", "--out", str(tmp_path / "signal")],
+        ]
+        done = _run_python(
+            "-c",
             "import contextlib, io, sys\n"
             "from adamlab.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()) as report:\n"
-            "    code = main(['verify', '--suite', 'vi'])\n"
-            "print(code, 'scipy.optimize' in sys.modules)\n"
-            "print(report.getvalue())"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    print(code)\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
         )
-        status, report = out.split("\n", 1)
-        assert status == "0 True"
-        assert main(["verify", "--suite", "vi"]) == EXIT_OK
-        assert json.loads(report) == json.loads(capsys.readouterr().out)
+        assert done.stdout.split("\n") == ["0", "0", "0", "0", "[]", ""], done.stderr
+
+
+class TestWarnings:
+    @pytest.mark.parametrize(
+        "argv",
+        [["quad", "--lr", "1e300", "--steps", "50", "--seeds", "2"], ["signal", "--decay", "1e308"]],
+    )
+    def test_handled_overflow_prints_no_warning(self, tmp_path, argv):
+        # a diverging quad run ends as non_finite, and exp(-inf) = 0 is the decayed signal
+        done = _run_python("-m", "adamlab.cli", *argv, "--out", str(tmp_path))
+        assert done.returncode == EXIT_OK
+        assert done.stderr.startswith(f"wrote {tmp_path}") and done.stderr.count("\n") == 1, done.stderr
 
 
 class TestQuadCommand:
@@ -503,8 +513,9 @@ class TestSignalCommand:
         assert values <= {"-1", "0", "1"}
 
     def test_tiny_frequency_burns_in_the_whole_signal(self, tmp_path, capsys):
-        # 2*pi/frequency overflows to inf; the burn-in once raised OverflowError rounding it up
-        rc = main(["signal", "--frequency", "1e-308", "--length", "50", "--out", str(tmp_path)])
+        # 2*pi/frequency overflows to inf; the burn-in once raised OverflowError rounding it up.
+        # The amplitude keeps the signal's peak inside the range adameq accepts.
+        rc = main(["signal", "--frequency", "1e-308", "--amplitude", "1e300", "--length", "50", "--out", str(tmp_path)])
         capsys.readouterr()
         assert rc == EXIT_OK
         assert len((tmp_path / "responses.csv").read_text().splitlines()) == 1 + 4 * 50

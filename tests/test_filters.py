@@ -131,6 +131,15 @@ class TestFilterResponse:
             filter_response(FilterSpec(FilterKind.SIGN), [1.0, np.nan])
 
 
+def _scale_test_signals(zeros: bool):
+    elements = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+    return arrays(
+        float,
+        st.tuples(st.integers(1, 64), st.integers(1, 6)),
+        elements=st.just(0.0) | elements if zeros else elements,
+    )
+
+
 class TestColumnEngine:
     """``filter_response`` on ``(T, C)`` is the scalar stepper run on each column."""
 
@@ -156,15 +165,15 @@ class TestColumnEngine:
         kind=st.sampled_from(list(FilterKind)),
         init_mode=st.sampled_from(list(InitMode)),
         beta=st.sampled_from([0.0, 0.5, 0.9, 0.95, 0.999]),
-        signal=arrays(
-            float,
-            st.tuples(st.integers(1, 64), st.integers(1, 6)),
-            elements=st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
-        ),
-        k=st.integers(-8, 8),
+        # nonzero entries lie in [2**-10, 2**10], so 2**k with |k| <= 490 spans every peak
+        # ADAMEQ_PEAK_RANGE accepts; a run of zeros decays the moments geometrically, which
+        # reaches the subnormal range near its lower end, so zeros get only moderate scales
+        signal_and_k=st.tuples(_scale_test_signals(zeros=True), st.integers(-8, 8))
+        | st.tuples(_scale_test_signals(zeros=False), st.integers(-490, 490)),
     )
-    def test_exactly_odd_and_power_of_two_scale_invariant(self, kind, init_mode, beta, signal, k):
+    def test_exactly_odd_and_power_of_two_scale_invariant(self, kind, init_mode, beta, signal_and_k):
         # negation and power-of-two scaling are exact in every step of every map
+        signal, k = signal_and_k
         filt = FilterSpec(kind, beta=beta, init_mode=init_mode)
         base = filter_response(filt, signal)
         assert np.array_equal(filter_response(filt, -signal), -base)
@@ -199,6 +208,21 @@ class TestColumnEngine:
         signal[3, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             filter_response(FilterSpec(FilterKind.ADAM_EQUAL_BETA), signal)
+
+    @pytest.mark.parametrize("scale", [2.0**-500, 2.0**500])
+    def test_adameq_accepts_peaks_at_the_range_ends(self, scale):
+        filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA)
+        signal = np.array([0.5, -1.0, 0.25])
+        assert np.array_equal(filter_response(filt, scale * signal), filter_response(filt, signal))
+        assert not filter_response(filt, 0.0 * signal).any()
+
+    @pytest.mark.parametrize("peak", [np.nextafter(2.0**-500, 0.0), np.nextafter(2.0**500, np.inf), 1e-200, 1e200])
+    def test_adameq_rejects_peaks_out_of_range(self, peak):
+        signal = np.array([[0.5, 0.0], [-1.0, 0.25]]) * peak
+        with pytest.raises(ValueError, match="outside"):
+            filter_response(FilterSpec(FilterKind.ADAM_EQUAL_BETA), signal)
+        for kind in (FilterKind.SIGN, FilterKind.SIGNUM, FilterKind.EMA_SIGN):
+            assert np.all(np.isfinite(filter_response(FilterSpec(kind), signal)))
 
 
 class TestProperties:
@@ -307,9 +331,17 @@ class TestDecayBlindness:
 
     @pytest.mark.parametrize("frequency", [1e-308, 5e-324])
     def test_burn_in_is_capped_where_the_period_overflows(self, frequency):
-        report = decay_blindness(0.95, SignalSpec(frequency=frequency, length=50))
+        # the amplitude lifts the signal's peak of about frequency*length into ADAMEQ_PEAK_RANGE
+        report = decay_blindness(0.95, SignalSpec(amplitude=1e300, frequency=frequency, length=50))
         assert report.burn_in == 49
-        assert report.max_gap == 0.0 and report.passed
+        # a real comparison of the last sample, not two all-zero responses
+        assert 0.0 < report.max_gap and report.passed
+
+    @pytest.mark.parametrize("amplitude", [1e200, 1e-200])
+    def test_signal_whose_squares_leave_the_range_is_rejected(self, amplitude):
+        # such a signal used to give all-zero responses and a gap of exactly 0
+        with pytest.raises(ValueError, match="outside"):
+            decay_blindness(0.95, SignalSpec(amplitude=amplitude, length=200))
 
     def test_global_rescale_makes_no_difference(self):
         filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.95)

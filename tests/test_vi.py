@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from adamlab import vi
 from adamlab.core import InitMode
 from adamlab.optim import OptimizerConfig, OptimizerKind, direction, init_state
 from adamlab.vi import (
+    MAX_EVALUATIONS,
     GaussianBelief,
     OracleError,
     beta_lambda,
     lambda_beta,
+    minimize_scalar,
     objective_batch,
     vi_numeric_oracle,
     vi_objective,
@@ -187,6 +190,71 @@ class TestOracle:
         )
         values = objective_batch(prior, means, variances, g, lam)
         assert vi_objective(prior, closed, g, lam) <= float(np.min(values)) + 1e-8
+
+
+@pytest.fixture(scope="module")
+def scipy_bounded():
+    """scipy's bounded Brent behind :func:`adamlab.vi.minimize_scalar`'s signature."""
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def minimize(func, lo, hi, xatol):
+        res = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        return float(res.x)
+
+    return minimize
+
+
+def evaluations(minimizer, func, lo, hi, xatol):
+    """The minimizer's result and every point it evaluated, as exact hex strings."""
+    points = []
+
+    def logged(x):
+        points.append(float(x).hex())
+        return func(x)
+
+    return float(minimizer(logged, lo, hi, xatol)).hex(), points
+
+
+class TestBoundedBrentMatchesScipy:
+    """The oracle's 1-D search is scipy's bounded method, operation for operation."""
+
+    @given(
+        prior_mean=st.floats(-8.0, 8.0),
+        prior_variance=st.floats(1e-3, 10.0),
+        g=st.floats(-8.0, 8.0),
+        lam=st.floats(0.05, 20.0),
+    )
+    def test_oracle_is_bitwise_the_scipy_oracle(self, scipy_bounded, prior_mean, prior_variance, g, lam):
+        # the ranges `verify --suite vi` draws from
+        prior = GaussianBelief(prior_mean, prior_variance)
+        ours = vi_numeric_oracle(prior, g, lam)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vi, "minimize_scalar", scipy_bounded)
+            theirs = vi_numeric_oracle(prior, g, lam)
+        assert (ours.mean.hex(), ours.variance.hex()) == (theirs.mean.hex(), theirs.variance.hex())
+
+    @pytest.mark.parametrize(
+        "func, lo, hi, xatol",
+        [
+            (lambda x: x * x, -1.0, 2.0, 1e-300),
+            (lambda x: math.sin(1e4 * x), -1.0, 1.0, 1e-12),
+            (lambda x: (x - 0.3) ** 4, 0.0, 1.0, 1e-5),
+            (lambda x: -x, 0.0, 1.0, 1e-8),
+            (lambda x: 5.0, -3.0, 4.0, 1e-6),
+        ],
+    )
+    def test_same_points_evaluated(self, scipy_bounded, func, lo, hi, xatol):
+        assert evaluations(minimize_scalar, func, lo, hi, xatol) == evaluations(scipy_bounded, func, lo, hi, xatol)
+
+    def test_stops_at_the_evaluation_cap_where_scipy_does(self, scipy_bounded):
+        result, points = evaluations(minimize_scalar, abs, -1.0, 2.0, 0.0)
+        assert len(points) == MAX_EVALUATIONS == 500
+        assert (result, points) == evaluations(scipy_bounded, abs, -1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_rejects_bad_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="bounds"):
+            minimize_scalar(abs, lo, hi, 1e-5)
 
 
 class TestConsistencyWithOptimizer:
