@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -354,7 +353,7 @@ def _suite_signal(seed: int) -> list[dict]:
             {
                 "name": f"density_witness_target={target:g}",
                 "achieved": witness.achieved,
-                "tolerance": 1e-6,
+                "tolerance": witness.tolerance,
                 "passed": witness.found,
             }
         )
@@ -528,12 +527,13 @@ def cmd_signal(args) -> int:
 # sweep
 
 
-def _sweep_batch(payload) -> list[list[str]]:
+def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[list[str]]:
     """Run every (betas, rate, seed) of one optimizer as one batch; one CSV row per (betas, rate)."""
-    (problem, name, lrs, pairs, starts, steps, batch_size) = payload
     layout = problem.spec.layout.value
-    cells = [(beta1, beta2, lr) for beta1, beta2 in pairs for lr in lrs]
-    configs = {pair: default_quad_config(_QUAD_KINDS[name], *pair) for pair in pairs}
+    kind = _QUAD_KINDS[name]
+    pairs = _beta_pairs(kind, betas, cfg.equal_betas)
+    cells = [(beta1, beta2, lr) for beta1, beta2 in pairs for lr in cfg.lr_grid]
+    configs = {pair: default_quad_config(kind, *pair) for pair in pairs}
     per_cell = run_cell(
         problem,
         [
@@ -541,8 +541,8 @@ def _sweep_batch(payload) -> list[list[str]]:
             for beta1, beta2, lr in cells
         ],
         starts,
-        steps,
-        batch_size,
+        cfg.steps,
+        cfg.batch_size,
         track_delta=False,
     )
     stats = loss_quantiles([[record.final_loss() for record in records] for records in per_cell])
@@ -593,8 +593,8 @@ def cmd_sweep(args) -> int:
         "seeds": None if args.seeds is None else tuple(range(args.seeds)),
         "base_seed": args.seed,
     }
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs != 1:
+        raise ConfigError(f"--jobs must be 1 (sweep runs in one process), got {args.jobs}")
     cfg = _load_config(args.config, "sweep", overrides)
     for name in cfg.optimizers:
         if name not in _QUAD_KINDS:
@@ -606,26 +606,7 @@ def cmd_sweep(args) -> int:
     )
     betas = beta_grid(cfg.beta_base, cfg.kappas)
     starts = [(seed, initial_point(problem.dim, seed)) for seed in cfg.seeds]
-    lrs = [float(lr) for lr in cfg.lr_grid]
-    payloads = [
-        (
-            problem,
-            name,
-            lrs,
-            [(float(beta1), float(beta2)) for beta1, beta2 in _beta_pairs(_QUAD_KINDS[name], betas, cfg.equal_betas)],
-            starts,
-            cfg.steps,
-            cfg.batch_size,
-        )
-        for name in cfg.optimizers
-    ]
-    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_sweep_batch, payloads))
-    else:
-        batches = [_sweep_batch(p) for p in payloads]
-    rows = [row for batch in batches for row in batch]
+    rows = [row for name in cfg.optimizers for row in _sweep_batch(problem, cfg, name, betas, starts)]
     out_dir = _ensure_out(args.out)
     _write_csv(
         out_dir / "sweep.csv",
@@ -719,7 +700,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seeds", type=int, default=None, metavar="N")
     p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes, at most one per optimizer batch and CPU (default 1)"
+        "--jobs",
+        type=int,
+        default=1,
+        help="must be 1: sweep runs in one process; kept only because the benchmark's sweep-momentum "
+        "commands pass --jobs 1, and goes with the next benchmark change",
     )
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -111,7 +111,11 @@ def filter_response(filt: FilterSpec, signal) -> np.ndarray:
     Adam ``delta``) for one ``direction_map`` call over the whole history.
     Equal-beta Adam raises ``ValueError`` for a nonzero signal whose largest
     magnitude is outside :data:`ADAMEQ_PEAK_RANGE`, where its squares would
-    overflow or underflow and the response would silently read 0.
+    overflow or underflow and the response would silently read 0. The range
+    bounds only the peak: inside it, moments that decay into the subnormal
+    range lose bits, so exact power-of-two scale invariance can fail in the
+    last bits of the response (at beta 0.5, an impulse of 1e-3 followed by
+    22 zeros responds differently at scale 2**-490 than at scale 1).
     """
     signal = as_signal(signal)
     config = filt.optimizer_config()
@@ -262,6 +266,7 @@ class DensityWitness:
     signal: np.ndarray | None
     achieved: float
     target: float
+    tolerance: float
     iterations: int
 
 
@@ -302,15 +307,9 @@ def density_witness(
     f_lo, f_hi = response_at_k(lo), response_at_k(hi)
     best_t, best_val = (lo, f_lo) if abs(f_lo - goal) <= abs(f_hi - goal) else (hi, f_hi)
     iterations = 0
-    if not f_lo <= goal <= f_hi:
-        return DensityWitness(
-            found=abs(best_val - goal) <= tol,
-            signal=make_signal(best_t),
-            achieved=sign * best_val,
-            target=target,
-            iterations=iterations,
-        )
-    while iterations < max_iter and abs(best_val - goal) > tol:
+    # bisect only a bracketed goal; otherwise the nearer endpoint is the answer
+    bracketed = f_lo <= goal <= f_hi
+    while bracketed and iterations < max_iter and abs(best_val - goal) > tol:
         mid = (lo + hi) / 2.0
         f_mid = response_at_k(mid)
         if abs(f_mid - goal) < abs(best_val - goal):
@@ -325,5 +324,6 @@ def density_witness(
         signal=make_signal(best_t),
         achieved=sign * best_val,
         target=target,
+        tolerance=tol,
         iterations=iterations,
     )

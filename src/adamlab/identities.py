@@ -161,7 +161,7 @@ class CompletionReport:
 
     ``leftover_coefficient`` is the factor multiplying ``m**2`` after the
     cross term is absorbed into a perfect square; a valid single-EMA variance
-    form needs it to equal ``required_coefficient`` (= beta2).
+    form needs it to equal ``beta2``, and ``margin`` is their distance.
     ``sqrt_defined`` records whether the absorbed square has a real root,
     i.e. ``(1 - beta2) > (1 - beta1)**2``.
     """
@@ -170,7 +170,6 @@ class CompletionReport:
     beta2: float
     sqrt_defined: bool
     leftover_coefficient: float | None
-    required_coefficient: float
     margin: float
 
 
@@ -185,11 +184,9 @@ def square_completion_margin(beta1: float, beta2: float) -> CompletionReport:
     denom = (1.0 - beta2) - (1.0 - beta1) ** 2
     sqrt_defined = denom > 0
     if denom == 0:
-        return CompletionReport(beta1, beta2, False, None, beta2, math.inf)
+        return CompletionReport(beta1, beta2, False, None, math.inf)
     leftover = beta1 * beta1 * (1.0 - beta2) / denom
-    return CompletionReport(
-        beta1, beta2, sqrt_defined, leftover, beta2, abs(leftover - beta2)
-    )
+    return CompletionReport(beta1, beta2, sqrt_defined, leftover, abs(leftover - beta2))
 
 
 def mollified_direction(m: float, variance: float) -> float:

@@ -69,18 +69,20 @@ DIVERGENCE_THRESHOLD = 1e12
 #: powers-of-two learning-rate grid used for tuning, 2^-16 .. 2^2
 DEFAULT_LR_GRID = tuple(2.0**i for i in range(-16, 3))
 
-_MASK64 = (1 << 64) - 1
-
 
 def derive_seed(base: int, *labels) -> int:
     """Deterministic sub-stream seed: ``base XOR blake2b('|'.join(labels))``.
 
     blake2b (8-byte digest, little-endian) is stable across platforms and
     Python versions, so equal configurations always replay the same streams.
+    ``base`` must lie in [0, 2**64), so that distinct bases give distinct seeds.
     """
+    base = int(base)
+    if not 0 <= base < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {base}")
     text = "|".join(str(label) for label in labels)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return (int(base) ^ int.from_bytes(digest, "little")) & _MASK64
+    return base ^ int.from_bytes(digest, "little")
 
 
 class Layout(enum.Enum):

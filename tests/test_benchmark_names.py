@@ -1,25 +1,43 @@
-"""The names that the benchmark's tracer wraps must exist in the package.
+"""The names and flags that the benchmark uses must exist in the package.
 
 ``perfbench/tracer.py`` times adamlab by replacing module-level names (and two
-class methods) from outside the package. A name that the package drops is
-only reported as missing at benchmark time, and ``perfbench/tests`` is not part
-of this suite, so this test loads the tracer by path and resolves each name
-the way :meth:`Tracer.install` does.
+class methods) from outside the package, and ``perfbench/workloads.py`` runs
+fixed ``adamlab`` command lines. A name or flag that the package drops is only
+reported at benchmark time, and ``perfbench/tests`` is not part of this suite,
+so these tests load both files by path: each traced name is resolved the way
+:meth:`Tracer.install` does, and each workload command is parsed by the CLI.
 """
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from adamlab import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # registered first: dataclasses look their module up while the class body runs
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     missing = [f"{owner}.{attr}" for owner, attr, *_ in tracer.PATCHES if attr not in vars(tracer._resolve(owner))]
     assert missing == []
+
+
+def test_every_workload_command_parses(tmp_path, capsys):
+    workloads = _load("workloads")
+    parser = cli.build_parser()
+    for name, workload in workloads.WORKLOADS.items():
+        for argv in workload.commands(0, str(tmp_path / name)):
+            parser.parse_args(argv)
+    # the sweep's pinned "--jobs 1" is accepted past the parser too
+    first_sweep = workloads.WORKLOADS["sweep-momentum"].commands(0, str(tmp_path / "run"))[0]
+    assert cli.main(first_sweep) == cli.EXIT_OK
+    capsys.readouterr()

@@ -374,6 +374,12 @@ class TestDensityWitness:
         response = filter_response(filt, witness.signal)
         assert response[10] == pytest.approx(witness.achieved, abs=1e-12)
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-3])
+    def test_reports_the_tolerance_it_decided_with(self, tol):
+        witness = density_witness(0.37, k=10, beta=0.9, tol=tol)
+        assert witness.tolerance == tol
+        assert witness.found and abs(witness.achieved - 0.37) <= tol
+
     def test_sign_only_filter_reports_miss_honestly(self):
         # beta=0 keeps only {-1, 0, 1}; a miss is an expected outcome
         witness = density_witness(0.37, k=3, beta=0.0)
