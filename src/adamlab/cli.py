@@ -49,6 +49,7 @@ from .quadbench import (
     BlockSpec,
     Layout,
     build_problem,
+    check_seed,
     default_quad_config,
     derive_seed,
     initial_point,
@@ -370,6 +371,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    check_seed(args.seed)  # before any suite: equalbeta draws no random numbers, so no derive_seed call sees it
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     suites = {}
     all_passed = True

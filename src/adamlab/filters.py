@@ -3,12 +3,13 @@
 There is no loss or training here: a fixed scalar signal is streamed through
 a direction map (epsilon 0, zero init, no bias correction by default) and the
 output sequence is studied. Several signals of one length can be streamed
-together as the columns of a ``(T, C)`` array. Each time step is one
-elementwise ``advance`` of the optimizer's moment recursions for all
-columns; the moments the map reads are recorded as ``(T, C)`` histories, and
-``direction_map`` turns them into the response in one call. Every operation
-is elementwise, so every column rounds exactly as it would alone, step by
-step through ``direction``. The interesting operator properties:
+together as the columns of a ``(T, C)`` array. The whole signal goes through
+one ``scan`` of the optimizer's moment recursions (a scalar signal as Python
+floats, a ``(T, C)`` signal row by row); the moments the map reads come back
+as histories, and ``direction_map`` turns them into the response in one
+call. Every operation is elementwise, so every column rounds exactly as it
+would alone, step by step through ``direction``. The interesting operator
+properties:
 
 1. causality - the output up to step k only depends on the input up to k;
 2. invariance to positive rescaling of the whole signal;
@@ -32,10 +33,10 @@ from .core import InitMode, as_signal, max_or_nan
 from .optim import (
     OptimizerConfig,
     OptimizerKind,
-    advance,
     direction,  # unused here; perfbench/tracer.py still wraps adamlab.filters.direction
     direction_map,
     init_state,
+    scan,
 )
 
 
@@ -106,9 +107,9 @@ def filter_response(filt: FilterSpec, signal) -> np.ndarray:
 
     A scalar or 1-D signal is flattened and gives a ``(T,)`` response; a
     ``(T, C)`` signal is C independent columns streamed together and gives a
-    ``(T, C)`` response. Only the recursions run per time step; the sign
-    filter keeps no moments, and the others record ``m`` (and equal-beta
-    Adam ``delta``) for one ``direction_map`` call over the whole history.
+    ``(T, C)`` response. The sign filter keeps no moments; the others hand
+    the whole signal to one ``scan`` of the recursions, and its ``m`` (and
+    equal-beta Adam's ``delta``) history to one ``direction_map`` call.
     Equal-beta Adam raises ``ValueError`` for a nonzero signal whose largest
     magnitude is outside :data:`ADAMEQ_PEAK_RANGE`, where its squares would
     overflow or underflow and the response would silently read 0. The range
@@ -128,15 +129,11 @@ def filter_response(filt: FilterSpec, signal) -> np.ndarray:
                 f"adameq signal peak {peak:g} is outside [2**-500, 2**500], where m*m + delta would overflow or underflow"
             )
     state = init_state(config, signal.shape[1:])
-    m = np.empty(signal.shape)
-    delta = np.empty(signal.shape) if filt.kind is FilterKind.ADAM_EQUAL_BETA else None
     # a (T,) signal steps as Python floats, several times cheaper than 0-d arrays
-    for k, g in enumerate(signal.tolist() if signal.ndim == 1 else signal):
-        advance(config, state, g)
-        m[k] = state.m
-        if delta is not None:
-            delta[k] = state.delta
-    return direction_map(config, m=m, delta=delta)
+    ms, deltas = scan(config, state, signal.tolist() if signal.ndim == 1 else signal)
+    step = np.dtype((float, signal.shape[1:]))  # one history row: a float, or C of them
+    delta = None if deltas is None else np.fromiter(deltas, step, len(deltas))
+    return direction_map(config, m=np.fromiter(ms, step, len(ms)), delta=delta)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,15 @@ Supported directions:
   recursion ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``, which reproduces
   ADAM exactly when both moments share one momentum parameter.
 
-A step has two parts. :func:`advance` runs the moment recursions (an online
-estimate of the gradient's mean and variance); :func:`direction_map` turns
-the moments into ``d`` elementwise, bias correction included. :func:`direction`
-checks the gradient and does both; ``filters`` advances a whole signal first
-and maps its ``(T, C)`` moment history in one call.
+A step has three parts. :func:`scan` runs the moment recursions (an online
+estimate of the gradient's mean and variance) along a whole gradient
+sequence, and is the one place they are written; :func:`advance` is its
+one-step call. :func:`corrected_moments` applies bias correction, and
+:func:`direction_map` turns the corrected moments into ``d`` elementwise.
+:func:`direction` checks the gradient and does all three. ``filters`` scans a
+whole signal and maps its moment history in one call; the ``quadbench``
+engine advances a batch of runs a step at a time and shares one corrected
+view between the map and :func:`delta_estimate`.
 """
 from __future__ import annotations
 
@@ -129,80 +133,121 @@ def _denominator(second: np.ndarray, config: OptimizerConfig, out=None) -> np.nd
     return np.add(np.sqrt(second, out=out), config.epsilon, out=out)
 
 
-def _adam_view(config: OptimizerConfig, m, v, powers) -> tuple[np.ndarray, np.ndarray]:
-    """Adam/RMSprop's ``(m, v)``, bias-corrected by ``powers = (beta1**k, beta2**k)`` when configured."""
-    if config.bias_correction:
-        p1, p2 = powers
-        m = m / (1.0 - p1)
-        v = v / (1.0 - p2)
-    return m, v
+def corrected_moments(config: OptimizerConfig, state: OptimizerState, powers=None) -> dict:
+    """The moments that :func:`direction_map` reads from ``state``, bias-corrected when configured.
 
-
-def _equal_beta_view(config: OptimizerConfig, m, delta, powers) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-beta Adam's ``(m, delta)``, bias-corrected by ``powers[0] = beta**k`` when configured.
-
-    The corrected variance term is ``v_hat - m_hat**2``, which the recursion
+    ``m`` for every kind but SIGN_SGD, with ``v`` (Adam/RMSprop) or ``delta``
+    (equal-beta Adam), as :func:`direction_map`'s keyword arguments. Bias
+    correction divides by ``1 - beta**k`` after ``k`` steps. Float betas take
+    ``beta**k`` from Python's ``**``; a state with ``(R, 1)`` beta columns
+    needs ``powers = (beta1**k, beta2**k)`` as columns built the same way
+    (numpy's power does not always round like Python's). The corrected
+    equal-beta variance term is ``v_hat - m_hat**2``, which the recursion
     gives as ``delta / (1 - beta**k) - beta**k * m_hat**2``. It can dip below
     zero in floating point; callers clamp.
     """
+    kind = config.kind
+    if kind is OptimizerKind.SIGN_SGD:
+        return {}
+    if kind not in _SECOND_MOMENT_KINDS:
+        return {"m": state.m}
+    equal_beta = kind is OptimizerKind.ADAM_EQUAL_BETA
+    m, second = state.m, state.delta if equal_beta else state.v
     if config.bias_correction:
-        p = powers[0]
-        m = m / (1.0 - p)
-        delta = delta / (1.0 - p) - p * m * m
-    return m, delta
+        p1, p2 = (state.beta1**state.step, state.beta2**state.step) if powers is None else powers
+        m = m / (1.0 - p1)
+        second = second / (1.0 - p1) - p1 * m * m if equal_beta else second / (1.0 - p2)
+    return {"m": m, "delta" if equal_beta else "v": second}
 
 
-def _powers(config: OptimizerConfig, state: OptimizerState, powers):
-    """``powers`` if given, else ``(beta1**k, beta2**k)`` when bias correction reads them."""
-    if powers is None and config.bias_correction and config.kind in _SECOND_MOMENT_KINDS:
-        return state.beta1**state.step, state.beta2**state.step
-    return powers
+def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[list, list | None]:
+    """Advance ``state`` by each (checked, finite) gradient of ``signal`` in turn, along axis 0.
+
+    ``signal`` is a sequence of gradients of the state's shape: a list of
+    Python floats for a scalar state, the rows of an array, or the one-gradient
+    tuple of :func:`advance`. The recursions are the EMA of ``m`` (of
+    ``sign(g)`` for EMA_SIGN, a signed zero keeping its sign), the EMA of ``v``
+    for Adam/RMSprop and, for equal-beta Adam, the variance recursion
+    ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``, skipped on the step that
+    seeds ``m`` from the first sample. SIGN_SGD keeps no moments. The
+    coefficients ``1 - b`` and ``b*(1-b)``, the kind and the seeding are
+    settled once per call; every step rounds as it would alone, since
+    ``b*(1-b)*diff*diff`` is ``((b*(1-b))*diff)*diff`` either way. Python
+    floats step as Python floats, arrays as arrays; nothing is written in
+    place, since a seeded ``m`` is the caller's first gradient itself.
+
+    Returns the ``m`` after each step, and for equal-beta Adam the ``delta``
+    after each step (else ``None``), as lists.
+    """
+    kind = config.kind
+    ms: list = []
+    deltas = [] if kind is OptimizerKind.ADAM_EQUAL_BETA else None
+    steps = len(signal)
+    if kind is OptimizerKind.SIGN_SGD or not steps:
+        state.step += steps
+        return ms, deltas
+    xs = signal
+    if kind is OptimizerKind.EMA_SIGN:
+        xs = np.sign(signal)
+        xs = xs.tolist() if xs.ndim == 1 else xs  # a scalar state's signs step as Python floats
+    b, m, v, delta = state.beta1, state.m, state.v, state.delta
+    c = 1.0 - b
+    first = 0
+    if state.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE:
+        first = 1
+        m = xs[0]
+        if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
+            v = signal[0] * signal[0]
+        ms.append(m)
+        if deltas is not None:
+            deltas.append(delta)
+    if deltas is not None:
+        bc = b * c
+        for g in signal[first:]:
+            diff = m - g
+            delta = b * delta + bc * diff * diff
+            m = b * m + c * g
+            ms.append(m)
+            deltas.append(delta)
+    elif kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
+        b2 = state.beta2
+        c2 = 1.0 - b2
+        for g in signal[first:]:
+            m = b * m + c * g
+            v = b2 * v + c2 * (g * g)
+            ms.append(m)
+    else:
+        for x in xs[first:]:
+            m = b * m + c * x
+            ms.append(m)
+    state.m, state.v, state.delta = m, v, delta
+    state.step += steps
+    return ms, deltas
 
 
 def advance(config: OptimizerConfig, state: OptimizerState, g) -> OptimizerState:
-    """Advance the moment recursions of ``state`` by the (checked, finite) gradient ``g``.
-
-    These are the EMA of ``m`` (of ``sign(g)`` for EMA_SIGN), the EMA of ``v``
-    for Adam/RMSprop and, for equal-beta Adam, the variance recursion
-    ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``, skipped on the step that
-    seeds ``m`` from the first sample. SIGN_SGD keeps no moments. Python
-    floats step as Python floats, arrays as arrays; nothing is written in
-    place, since a seeded ``m`` is the caller's ``g`` itself.
-    """
-    kind = config.kind
-    if kind is not OptimizerKind.SIGN_SGD:
-        seed = state.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE
-        x = np.sign(g) if kind is OptimizerKind.EMA_SIGN else g
-        b = state.beta1
-        if kind is OptimizerKind.ADAM_EQUAL_BETA and not seed:
-            diff = state.m - g
-            state.delta = b * state.delta + b * (1.0 - b) * diff * diff
-        state.m = x if seed else b * state.m + (1.0 - b) * x
-        if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
-            b2 = state.beta2
-            state.v = g * g if seed else b2 * state.v + (1.0 - b2) * (g * g)
-    state.step += 1
+    """Advance ``state`` by the one (checked, finite) gradient ``g``: the one-step :func:`scan`."""
+    scan(config, state, (g,))
     return state
 
 
-def direction_map(config: OptimizerConfig, *, g=None, m=None, v=None, delta=None, powers=None) -> np.ndarray:
+def direction_map(config: OptimizerConfig, *, g=None, m=None, v=None, delta=None) -> np.ndarray:
     """The direction ``d`` that the moments give, elementwise.
 
     Reads ``g`` (SIGN_SGD), ``m`` (every other kind), ``v`` (Adam/RMSprop)
-    or ``delta`` (equal-beta Adam), and ``powers`` when bias correction is
-    on. Any shape works, so a leading time axis maps a whole history at once.
+    or ``delta`` (equal-beta Adam), as :func:`corrected_moments` gives them:
+    already bias-corrected where that is configured. Any shape works, so a
+    leading time axis maps a whole history at once.
     """
     kind = config.kind
     if kind in (OptimizerKind.SGD, OptimizerKind.EMA_SIGN):
-        return m.copy()
+        return np.copy(m)
     if kind is OptimizerKind.SIGN_SGD:
         return np.sign(g)
     if kind is OptimizerKind.SIGNUM:
         return np.sign(m) if config.epsilon == 0.0 else m / _denominator(m * m, config)
     if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
-        m, v = _adam_view(config, m, v, powers)
         return _safe_div(m, _denominator(v, config))
-    m, delta = _equal_beta_view(config, m, delta, powers)
     # one fresh buffer holds the clamped root and then the direction: a (T, C) history needs no other
     root = np.multiply(m, m, out=np.empty(np.shape(m)))
     root += delta
@@ -215,19 +260,13 @@ def direction(
 ) -> tuple[np.ndarray, OptimizerState]:
     """One optimizer step: :func:`advance` ``state`` once, then :func:`direction_map` it.
 
-    Bias correction divides by ``1 - beta**k`` after ``k`` steps. Float betas
-    take ``beta**k`` from Python's ``**``; a state with ``(R, 1)`` beta
-    columns needs ``powers = (beta1**k, beta2**k)`` as columns built the same
-    way (numpy's power does not always round like Python's).
+    ``powers`` is as in :func:`corrected_moments`.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
     advance(config, state, g)
-    d = direction_map(
-        config, g=g, m=state.m, v=state.v, delta=state.delta, powers=_powers(config, state, powers)
-    )
-    return d, state
+    return direction_map(config, g=g, **corrected_moments(config, state, powers)), state
 
 
 def apply_step(w, d, lr: float) -> np.ndarray:
@@ -239,20 +278,22 @@ def apply_step(w, d, lr: float) -> np.ndarray:
     return w - lr * d
 
 
-def delta_estimate(config: OptimizerConfig, state: OptimizerState, powers=None) -> np.ndarray | None:
+def delta_estimate(config: OptimizerConfig, state: OptimizerState, moments=None) -> np.ndarray | None:
     """Current per-coordinate gradient-variance estimate, if the method has one.
 
     Equal-beta Adam exposes its recursion directly; plain Adam/RMSprop report
     ``max(v_hat - m_hat**2, 0)``. Sign and momentum methods return ``None``.
-    ``powers`` is as in :func:`direction`.
+    ``moments`` is :func:`corrected_moments` of ``state``, computed here with
+    float betas when not given; for a state with ``(R, 1)`` beta columns,
+    pass it computed with their ``powers``.
     """
     if config.kind not in _SECOND_MOMENT_KINDS:
         return None
     if state.step == 0:
         return np.copy(state.delta)
-    powers = _powers(config, state, powers)
+    if moments is None:
+        moments = corrected_moments(config, state)
     if config.kind is OptimizerKind.ADAM_EQUAL_BETA:
-        _, delta = _equal_beta_view(config, state.m, state.delta, powers)
-        return np.maximum(delta, 0.0)
-    m, v = _adam_view(config, state.m, state.v, powers)
-    return np.maximum(v - m * m, 0.0)
+        return np.maximum(moments["delta"], 0.0)
+    m = moments["m"]
+    return np.maximum(moments["v"] - m * m, 0.0)

@@ -15,8 +15,10 @@ Stochasticity comes from subsampling rows of the symmetric square root
 ``(n/|B|) * sum_{i in B} x_i (x_i . w)``.
 
 Runs are stepped by one engine, :func:`run_batch`, which advances R runs as the
-rows of ``(R, dim)`` arrays through the unchanged
-``direction``/``apply_step``/``delta_estimate`` maps. Each run brings its own
+rows of ``(R, dim)`` arrays, one ``advance`` of the optimizer's recursions per
+step. Each step computes the bias-corrected moments once and hands them to
+both ``direction_map`` and ``delta_estimate``, then ``apply_step``. Each run
+brings its own
 ``OptimizerConfig``; the configs of a batch may differ only in ``beta1`` and
 ``beta2``. Every record it returns equals, bit for bit, the record of stepping
 that run alone:
@@ -55,9 +57,12 @@ from .optim import (
     EpsilonPlacement,
     OptimizerConfig,
     OptimizerKind,
+    advance,
     apply_step,
+    corrected_moments,
     delta_estimate,
-    direction,
+    direction,  # unused here; perfbench/tracer.py still wraps adamlab.quadbench.direction
+    direction_map,
     init_state,
 )
 
@@ -75,14 +80,19 @@ def derive_seed(base: int, *labels) -> int:
 
     blake2b (8-byte digest, little-endian) is stable across platforms and
     Python versions, so equal configurations always replay the same streams.
-    ``base`` must lie in [0, 2**64), so that distinct bases give distinct seeds.
+    ``base`` must pass :func:`check_seed`, so that distinct bases give distinct seeds.
     """
+    text = "|".join(str(label) for label in labels)
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    return check_seed(base) ^ int.from_bytes(digest, "little")
+
+
+def check_seed(base) -> int:
+    """``base`` as an int, or ``ValueError`` if it is outside [0, 2**64)."""
     base = int(base)
     if not 0 <= base < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {base}")
-    text = "|".join(str(label) for label in labels)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return base ^ int.from_bytes(digest, "little")
+    return base
 
 
 class Layout(enum.Enum):
@@ -325,7 +335,8 @@ def run_batch(
     ``(seed, config_id)``, so records are reproducible run by run.
     ``track_delta=False`` skips the variance-term snapshots
     (``delta_block_means`` is then ``None``). Raises ``ValueError`` if the
-    runs' configs differ in anything but ``beta1`` and ``beta2``.
+    runs' configs differ in anything but ``beta1`` and ``beta2``, or a
+    gradient is not finite.
     """
     config = _shared_config(runs)
     n_runs = len(runs)
@@ -368,12 +379,15 @@ def run_batch(
         for k in range(steps):
             g = subset_gradient(problem, w, rows[k, active])
             step_powers = None if powers is None else tuple(table[k, active, None] for table in powers)
-            d, state = direction(config, state, g, step_powers)
-            w = apply_step(w, d, lrs[k, active, None])
+            if not np.all(np.isfinite(g)):
+                raise ValueError("gradient contains non-finite entries")
+            advance(config, state, g)
+            moments = corrected_moments(config, state, step_powers)
+            w = apply_step(w, direction_map(config, g=g, **moments), lrs[k, active, None])
             loss = problem.loss(w)
             losses[active, k] = loss
             if track_delta:
-                snapshot = delta_estimate(config, state, step_powers)
+                snapshot = delta_estimate(config, state, moments=moments)
                 for j, sl in enumerate(slices):
                     deltas[active, k, j] = snapshot[:, sl].mean(axis=-1)
             finite = np.isfinite(loss)

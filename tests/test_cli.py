@@ -240,7 +240,13 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize(
         "argv",
-        [["verify"], ["quad", "--steps", "5", "--seeds", "1"], ["signal", "--length", "50"], ["sweep", "--steps", "5"]],
+        [
+            ["verify"],
+            ["quad", "--steps", "5", "--seeds", "1"],
+            ["signal", "--length", "50"],
+            ["sweep", "--steps", "5"],
+            ["verify", "--suite", "equalbeta"],  # draws no random numbers: rejected before any suite runs
+        ],
     )
     def test_seed_outside_64_bits_exits_2(self, tmp_path, argv, seed):
         # masked to 64 bits, -1 would replay the streams of 2**64 - 1
@@ -264,19 +270,6 @@ class TestRejectedInputs:
         _assert_usage_error(rc, err)
         assert f"unknown config field {name!r}" in err
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "--suite", "trust"],
-            ["quad", "--optim", "sgd", "--layout", "het", "--steps", "5", "--seeds", "1"],
-            ["signal", "--length", "50"],
-        ],
-    )
-    def test_bad_jobs_env_var_is_ignored_outside_sweep(self, tmp_path, monkeypatch, argv):
-        monkeypatch.setenv("ADAMLAB_JOBS", "junk")
-        rc, err = _run(argv + ["--out", str(tmp_path / "out")])
-        assert rc == EXIT_OK, err
 
     @pytest.mark.parametrize("command", ["verify", "quad", "signal"])
     def test_jobs_is_a_sweep_only_flag(self, command, capsys):

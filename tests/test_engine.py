@@ -14,6 +14,7 @@ from adamlab.optim import (
     OptimizerConfig,
     OptimizerKind,
     apply_step,
+    corrected_moments,
     delta_estimate,
     direction,
     init_state,
@@ -315,11 +316,11 @@ def test_bias_correction_powers_are_python_powers(monkeypatch):
 
     seen = []
 
-    def recording_direction(config, state, g, powers=None):
+    def recording_moments(config, state, powers=None):
         seen.append(powers)
-        return direction(config, state, g, powers)
+        return corrected_moments(config, state, powers)
 
-    monkeypatch.setattr(quadbench, "direction", recording_direction)
+    monkeypatch.setattr(quadbench, "corrected_moments", recording_moments)
     problem = build_problem(BlockSpec.heterogeneous(), seed=3)
     runs = mixed_runs(OptimizerKind.ADAM, [(0.9, 0.9), (0.95, 0.9)], [2.0**-7], 2, 16)
     batch = run_batch(problem, runs, 16, 3)
@@ -328,6 +329,30 @@ def test_bias_correction_powers_are_python_powers(monkeypatch):
     assert p2[:, 0].tolist() == [0.9**12] * 4
     for run, got in zip(runs, batch):
         assert_same_run(reference_run(problem, *run[:2], 16, 3, *run[2:]), got)
+
+
+@pytest.mark.parametrize("kind", [OptimizerKind.ADAM_EQUAL_BETA, OptimizerKind.ADAM])
+def test_block_means_match_reference_for_unequal_blocks(kind):
+    blocks = ((1.0, 2.0), (3.0, 4.0, 5.0, 6.0), (7.0, 8.0, 9.0))
+    problem = build_problem(BlockSpec(blocks, Layout.HETEROGENEOUS), seed=5)
+    config = OptimizerConfig(kind, beta1=0.9, beta2=0.9)
+    runs = [
+        RunSpec(config, Schedule(peak_lr=lr, total_steps=30), initial_point(problem.dim, seed), seed, f"lr={lr!r}")
+        for lr in (2.0**-9, 2.0**-4)
+        for seed in range(2)
+    ]
+    for run, got in zip(runs, run_batch(problem, runs, 30, 2)):
+        assert_same_run(reference_run(problem, *run[:2], 30, 2, *run[2:]), got)
+
+
+@pytest.mark.parametrize("start", [np.nan, 1e307])
+def test_batch_rejects_a_non_finite_gradient(start):
+    # a finite start point can still overflow the first gradient
+    problem = build_problem(BlockSpec.heterogeneous(), seed=0)
+    w0 = np.full(9, start)
+    run = RunSpec(OptimizerConfig(OptimizerKind.SIGNUM), Schedule(peak_lr=0.01, total_steps=5), w0, 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_batch(problem, [run], 5, 3)
 
 
 def test_batch_rejects_configs_that_differ_beyond_betas():

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from adamlab.core import InitMode
 from adamlab.filters import (
+    ADAMEQ_PEAK_RANGE,
     SCALING_FACTORS,
     SIGNAL_LENGTH,
     TRUNCATIONS_PER_TRIAL,
@@ -179,11 +180,35 @@ class TestColumnEngine:
         assert np.array_equal(filter_response(filt, -signal), -base)
         assert np.array_equal(filter_response(filt, 2.0**k * signal), base)
 
+    @given(
+        kind=st.sampled_from(list(FilterKind)),
+        init_mode=st.sampled_from(list(InitMode)),
+        beta=st.floats(0.0, 1.0, exclude_max=True),
+        # signed zeros, subnormals and the ends of ADAMEQ_PEAK_RANGE next to ordinary values
+        entries=st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.0**-500, -(2.0**500)]) | st.floats(-1e3, 1e3),
+            min_size=1,
+            max_size=64,
+        ),
+        leading_negative_zero=st.booleans(),
+    )
+    def test_one_dim_matches_scalar_reference_bitwise(self, kind, init_mode, beta, entries, leading_negative_zero):
+        # the Python-float scan of a (T,) signal, against direction stepped on one sample at a time
+        signal = np.array(([-0.0] if leading_negative_zero else []) + entries)[:64]
+        filt = FilterSpec(kind, beta=beta, init_mode=init_mode)
+        peak = np.max(np.abs(signal))
+        if kind is FilterKind.ADAM_EQUAL_BETA and peak and not ADAMEQ_PEAK_RANGE[0] <= peak <= ADAMEQ_PEAK_RANGE[1]:
+            with pytest.raises(ValueError, match="outside"):
+                filter_response(filt, signal)
+            return
+        out = filter_response(filt, signal)
+        assert out.shape == signal.shape
+        assert out.tobytes() == reference_response(filt, signal).tobytes()
+
     def test_one_dim_and_scalar_inputs_are_flattened(self):
         filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.9)
         g = np.random.default_rng(56).standard_normal(40)
         assert filter_response(filt, g).shape == (40,)
-        assert np.array_equal(filter_response(filt, g), reference_response(filt, g))
         assert filter_response(filt, 2.5).shape == (1,)
         assert filter_response(filt, g[:, None]).shape == (40, 1)
 

@@ -18,6 +18,7 @@ from adamlab.optim import (
     delta_estimate,
     direction,
     init_state,
+    scan,
 )
 
 SIGN_FAMILY = (OptimizerKind.SIGN_SGD, OptimizerKind.SIGNUM, OptimizerKind.EMA_SIGN)
@@ -76,45 +77,60 @@ BETAS = st.floats(0.0, 1.0, exclude_max=True)
     layout=st.sampled_from(["python-float", "0-d", "vector", "batch"]),
     data=st.data(),
 )
-def test_advance_matches_reference_stepper_bitwise(kind, init_mode, layout, data):
-    """Plain-value ``advance`` equals the ``EmaBuffer`` stepper bit for bit, step by step.
+def test_scan_matches_reference_stepper_bitwise(kind, init_mode, layout, data):
+    """``scan`` over a whole sequence, and ``advance`` step by step, equal the ``EmaBuffer`` stepper bit for bit.
 
-    Scalar states are fed Python floats or 0-d arrays; ``(R, dim)`` states
-    get ``(R, 1)`` momentum columns, shared by both moments for equal-beta Adam.
+    A scalar state takes a list of Python floats or of 0-d arrays; a vector
+    or ``(R, dim)`` state takes the rows of a ``(T, ...)`` array, with
+    ``(R, 1)`` momentum columns for a batch, shared by both moments for
+    equal-beta Adam. Every step of the ``m`` (and equal-beta ``delta``)
+    history that ``scan`` returns is compared, and every state ``advance``
+    leaves, then the final states.
     """
     beta1, beta2 = data.draw(BETAS), data.draw(BETAS)
     if kind is OptimizerKind.ADAM_EQUAL_BETA:
         beta2 = beta1
     config = OptimizerConfig(kind, beta1=beta1, beta2=beta2, init_mode=init_mode)
     columns = ()
-    if layout == "batch":
-        n_runs, dim = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
-        shape = (n_runs, dim)
+    shape = ()
+    if layout == "vector":
+        shape = (data.draw(st.integers(1, 4)),)
+    elif layout == "batch":
+        n_runs = data.draw(st.integers(1, 4))
+        shape = (n_runs, data.draw(st.integers(1, 3)))
         column = st.lists(BETAS, min_size=n_runs, max_size=n_runs).map(lambda b: np.array(b)[:, None])
-        col1, col2 = data.draw(column), data.draw(column)
-        if kind is OptimizerKind.RMSPROP:
-            col1 = np.zeros((n_runs, 1))
-        if kind is OptimizerKind.ADAM_EQUAL_BETA:
-            col2 = col1
-        columns = (col1, col2)
-    else:
-        shape = (data.draw(st.integers(1, 4)),) if layout == "vector" else ()
+        col1 = np.zeros((n_runs, 1)) if kind is OptimizerKind.RMSPROP else data.draw(column)
+        columns = (col1, col1 if kind is OptimizerKind.ADAM_EQUAL_BETA else data.draw(column))
+    length = data.draw(st.integers(1, 24))
+    # Gaussian noise, where rounding differs between parenthesizations, with drawn entries mixed in
+    noise = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((length, *shape))
+    drawn = data.draw(arrays(np.float64, noise.shape, elements=GRADIENT_ENTRIES))
+    signal = np.where(data.draw(arrays(np.bool_, noise.shape)), drawn, noise)
     if layout == "python-float":
-        grad = GRADIENT_ENTRIES
+        signal = signal.tolist()
     elif layout == "0-d":
-        grad = GRADIENT_ENTRIES.map(np.asarray)
-    else:
-        grad = arrays(np.float64, shape, elements=GRADIENT_ENTRIES)
-    grads = data.draw(st.lists(grad, min_size=1, max_size=8))
+        signal = [np.asarray(g) for g in signal]
 
-    state, ref = init_state(config, shape, *columns), reference_state(config, shape, *columns)
-    for g in grads:
-        advance(config, state, g)
+    state, stepped = init_state(config, shape, *columns), init_state(config, shape, *columns)
+    ref = reference_state(config, shape, *columns)
+    ms, deltas = scan(config, state, signal)
+    assert (deltas is None) == (kind is not OptimizerKind.ADAM_EQUAL_BETA)
+    assert len(ms) == (0 if kind is OptimizerKind.SIGN_SGD else length)
+    for k, g in enumerate(signal):
+        advance(config, stepped, g)
         reference_advance(config, ref, g)
-        assert state.step == ref.step
-        assert_bitwise(state.m, ref.m.value)
-        assert_bitwise(state.v, ref.v.value)
-        assert_bitwise(state.delta, ref.delta)
+        if ms:
+            assert_bitwise(ms[k], ref.m.value)
+        if deltas is not None:
+            assert_bitwise(deltas[k], ref.delta)
+        assert stepped.step == ref.step
+        assert_bitwise(stepped.m, ref.m.value)
+        assert_bitwise(stepped.v, ref.v.value)
+        assert_bitwise(stepped.delta, ref.delta)
+    assert state.step == length
+    assert_bitwise(state.m, ref.m.value)
+    assert_bitwise(state.v, ref.v.value)
+    assert_bitwise(state.delta, ref.delta)
 
 
 @pytest.mark.parametrize("init_mode", list(InitMode))
