@@ -155,8 +155,9 @@ def corrected_moments(config: OptimizerConfig, state: OptimizerState, powers=Non
     m, second = state.m, state.delta if equal_beta else state.v
     if config.bias_correction:
         p1, p2 = (state.beta1**state.step, state.beta2**state.step) if powers is None else powers
-        m = m / (1.0 - p1)
-        second = second / (1.0 - p1) - p1 * m * m if equal_beta else second / (1.0 - p2)
+        c1 = 1.0 - p1
+        m = m / c1
+        second = second / c1 - p1 * m * m if equal_beta else second / (1.0 - p2)
     return {"m": m, "delta" if equal_beta else "v": second}
 
 

@@ -24,9 +24,10 @@ brings its own
 that run alone:
 
 * each run's row subsets are drawn before the loop from its own
-  ``derive_seed(seed, "batches", config_id)`` generator; shuffling the rows of
-  an ``(steps, n)`` tile with ``rng.permuted(..., axis=1)`` consumes the
-  generator exactly like ``steps`` successive ``rng.permutation(n)`` calls;
+  ``derive_seed(seed, "batches", config_id)`` generator, into one reused
+  ``(steps, n)`` block; shuffling its rows in place with
+  ``rng.permuted(..., axis=1)`` consumes the generator exactly like ``steps``
+  successive ``rng.permutation(n)`` calls;
 * the gradient ``xb^T @ (xb @ w)`` and the loss ``w^T @ (H @ w)`` are written
   as stacked matrix products, which make the same BLAS calls per run as the
   one-run vector forms (``einsum`` and row-wise dot products do not round
@@ -34,7 +35,13 @@ that run alone:
 * the learning rate and the momentum differ per run, as ``(R, 1)`` columns;
   the bias-correction powers ``beta**step`` are tabulated before the loop with
   Python's ``**``, once per distinct beta and step, because numpy's power does
-  not always round the same way.
+  not always round the same way;
+* a block mean of the variance term is ``np.mean``'s own sum, ``np.add.reduce``
+  over the block, divided by the block size once the loop is done;
+* the arrays keep their shape for the whole loop: everything indexed by step
+  is stored step-major, so step ``k`` reads and writes plain views, and a run
+  that ends stays in the arrays with its point and moments set to zero, which
+  give a zero direction and a zero loss from then on.
 
 :func:`run_experiment` is the one-run call of the engine, and
 :func:`run_cell` batches cells of one optimizer kind (rates, and momentum
@@ -161,7 +168,7 @@ def haar_rotation(rng: np.random.Generator, dim: int = 3) -> np.ndarray:
         a = rng.standard_normal((dim, dim))
         evals = np.linalg.eigvalsh(a @ a.T)
         gaps = np.diff(evals)
-        if np.min(gaps) <= 1e-12 * max(evals[-1], 1e-300):
+        if gaps.size and np.min(gaps) <= 1e-12 * max(evals[-1], 1e-300):
             continue
         return rotation_from_factor(a)
     raise RuntimeError("could not sample a non-degenerate rotation")
@@ -239,21 +246,30 @@ def stochastic_grad(
 ) -> np.ndarray:
     """Unbiased gradient from a uniform without-replacement row subset."""
     n = problem.dim
-    if not 1 <= batch_size <= n:
-        raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
+    _check_batch_size(n, batch_size)
     rows = rng.permutation(n)[:batch_size]
     return subset_gradient(problem, w, rows)
 
 
-def draw_rows(rng: np.random.Generator, n: int, steps: int, batch_size: int) -> np.ndarray:
-    """The row subsets of ``steps`` successive :func:`stochastic_grad` calls, shape ``(steps, batch_size)``.
-
-    ``rng.permuted`` over the rows of an ``(steps, n)`` tile consumes ``rng``
-    exactly like ``steps`` calls of ``rng.permutation(n)``.
-    """
+def _check_batch_size(n: int, batch_size: int) -> None:
+    """``ValueError`` unless a subset of ``batch_size`` rows out of ``n`` can be drawn."""
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
-    return rng.permuted(np.tile(np.arange(n), (steps, 1)), axis=1)[:, :batch_size]
+
+
+def draw_rows(rng: np.random.Generator, n: int, steps: int, batch_size: int, block=None) -> np.ndarray:
+    """The row subsets of ``steps`` successive :func:`stochastic_grad` calls, shape ``(steps, batch_size)``.
+
+    The rows of an ``(steps, n)`` integer ``block`` (a fresh one unless given;
+    a given one is overwritten and the result is a view of it) are refilled
+    with ``arange(n)`` and shuffled in place: ``rng.permuted`` over them
+    consumes ``rng`` exactly like ``steps`` calls of ``rng.permutation(n)``.
+    """
+    _check_batch_size(n, batch_size)
+    if block is None:
+        block = np.empty((steps, n), dtype=np.intp)
+    block[...] = np.arange(n)
+    return rng.permuted(block, axis=1, out=block)[:, :batch_size]
 
 
 @dataclass
@@ -296,12 +312,6 @@ class RunSpec(NamedTuple):
     config_id: str = ""
 
 
-def _keep_rows(state, keep: np.ndarray) -> None:
-    """Drop the runs outside ``keep`` from a batched optimizer state, momentum columns included."""
-    state.m, state.v, state.delta = state.m[keep], state.v[keep], state.delta[keep]
-    state.beta1, state.beta2 = state.beta1[keep], state.beta2[keep]
-
-
 def _shared_config(runs: Sequence[RunSpec]) -> OptimizerConfig:
     """The optimizer settings of a batch; the runs' configs may differ only in their betas."""
     config = runs[0].config
@@ -313,9 +323,9 @@ def _shared_config(runs: Sequence[RunSpec]) -> OptimizerConfig:
 
 
 def _power_table(betas: list[float], steps: int) -> np.ndarray:
-    """``beta**k`` for ``k = 1..steps`` per run, shape ``(steps, R)``; Python ``**`` once per distinct beta."""
+    """``beta**k`` for ``k = 1..steps`` per run, shape ``(steps, R, 1)``; Python ``**`` once per distinct beta."""
     rows = {beta: [beta**k for k in range(1, steps + 1)] for beta in dict.fromkeys(betas)}
-    return np.array([rows[beta] for beta in betas]).T
+    return np.array([rows[beta] for beta in betas]).T[:, :, None]
 
 
 def run_batch(
@@ -330,35 +340,31 @@ def run_batch(
 
     The runs are the rows of ``(R, dim)`` arrays. A non-finite loss ends a run
     without recording that loss; a loss above ``DIVERGENCE_THRESHOLD`` is
-    recorded and then ends the run. An ended run leaves the arrays, so later
-    steps never see it. Each run's row-subsampling stream is derived from
-    ``(seed, config_id)``, so records are reproducible run by run.
-    ``track_delta=False`` skips the variance-term snapshots
-    (``delta_block_means`` is then ``None``). Raises ``ValueError`` if the
-    runs' configs differ in anything but ``beta1`` and ``beta2``, or a
-    gradient is not finite.
+    recorded and then ends the run. An ended run keeps its row, with its
+    point and moments set to zero: its direction and loss are zero from then
+    on, so it never ends again, and its record stops where it ended. Each
+    run's row-subsampling stream is derived from ``(seed, config_id)``, so
+    records are reproducible run by run. ``track_delta=False`` skips the
+    variance-term snapshots (``delta_block_means`` is then ``None``). Raises
+    ``ValueError`` if ``batch_size`` is not in ``[1, dim]`` (before any row is
+    drawn), the runs' configs differ in anything but ``beta1`` and ``beta2``,
+    or a gradient is not finite.
     """
     config = _shared_config(runs)
     n_runs = len(runs)
-    rows = np.stack(
-        [
-            draw_rows(
-                np.random.default_rng(derive_seed(run.seed, "batches", run.config_id)),
-                problem.dim,
-                steps,
-                batch_size,
-            )
-            for run in runs
-        ],
-        axis=1,
-    )
-    lrs = np.empty((steps, n_runs))
+    _check_batch_size(problem.dim, batch_size)
+    rows = np.empty((steps, n_runs, batch_size), dtype=np.intp)
+    block = np.empty((steps, problem.dim), dtype=np.intp)
+    for i, run in enumerate(runs):
+        rng = np.random.default_rng(derive_seed(run.seed, "batches", run.config_id))
+        rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size, block)
+    lrs = np.empty((steps, n_runs, 1))
     groups: dict[tuple[int, float], list[int]] = {}
     for i, run in enumerate(runs):
         groups.setdefault((run.sched.total_steps, run.sched.warmup_fraction), []).append(i)
     for members in groups.values():
         peaks = np.array([runs[i].sched.peak_lr for i in members])
-        lrs[:, members] = [lr_at(runs[members[0]].sched, k, peaks) for k in range(steps)]
+        lrs[:, members, 0] = [lr_at(runs[members[0]].sched, k, peaks) for k in range(steps)]
     w = np.array([run.w0 for run in runs], dtype=float)
     beta1 = [run.config.beta1 for run in runs]
     beta2 = [run.config.beta2 for run in runs]
@@ -370,37 +376,38 @@ def run_batch(
     track_delta = track_delta and config.kind in _SECOND_MOMENT_KINDS
     slices = problem.block_slices
 
-    losses = np.empty((n_runs, steps))
-    deltas = np.empty((n_runs, steps, len(slices))) if track_delta else None
+    losses = np.empty((steps, n_runs))
+    # block sums, step-major; divided by the block sizes when the records are cut
+    deltas = np.empty((steps, len(slices), n_runs)) if track_delta else None
     ended_at: dict[int, tuple[int, str]] = {}
-    active = np.arange(n_runs)
     # a diverging run may overflow on its way out; its non-finite loss ends it below
     with np.errstate(over="ignore"):
         for k in range(steps):
-            g = subset_gradient(problem, w, rows[k, active])
-            step_powers = None if powers is None else tuple(table[k, active, None] for table in powers)
-            if not np.all(np.isfinite(g)):
+            g = subset_gradient(problem, w, rows[k])
+            if not np.isfinite(g).all():
                 raise ValueError("gradient contains non-finite entries")
             advance(config, state, g)
-            moments = corrected_moments(config, state, step_powers)
-            w = apply_step(w, direction_map(config, g=g, **moments), lrs[k, active, None])
+            moments = corrected_moments(config, state, None if powers is None else (powers[0][k], powers[1][k]))
+            w = apply_step(w, direction_map(config, g=g, **moments), lrs[k])
             loss = problem.loss(w)
-            losses[active, k] = loss
+            losses[k] = loss
             if track_delta:
                 snapshot = delta_estimate(config, state, moments=moments)
                 for j, sl in enumerate(slices):
-                    deltas[active, k, j] = snapshot[:, sl].mean(axis=-1)
+                    np.add.reduce(snapshot[:, sl], axis=-1, out=deltas[k, j])
             finite = np.isfinite(loss)
             ended = ~finite | (loss > DIVERGENCE_THRESHOLD)
             if ended.any():
                 for i in np.flatnonzero(ended):
-                    ended_at[int(active[i])] = (k, "threshold" if finite[i] else "non_finite")
-                keep = ~ended
-                active, w = active[keep], w[keep]
-                _keep_rows(state, keep)
-                if not active.size:
+                    ended_at[int(i)] = (k, "threshold" if finite[i] else "non_finite")
+                if len(ended_at) == n_runs:
                     break
+                # fresh arrays, not writes into the state: a first-sample-seeded m is the gradient array itself
+                zero = ended[:, None]
+                w = np.where(zero, 0.0, w)
+                state.m, state.v, state.delta = (np.where(zero, 0.0, x) for x in (state.m, state.v, state.delta))
 
+    sizes = np.array([sl.stop - sl.start for sl in slices], dtype=float)
     records = []
     for i, run in enumerate(runs):
         at, reason = ended_at.get(i, (None, None))
@@ -409,8 +416,8 @@ def run_batch(
             RunRecord(
                 config_id=run.config_id,
                 seed=run.seed,
-                losses=losses[i, :recorded].copy(),
-                delta_block_means=None if deltas is None else deltas[i, :recorded].copy(),
+                losses=losses[:recorded, i].copy(),
+                delta_block_means=None if deltas is None else deltas[:recorded, :, i] / sizes,
                 diverged=reason is not None,
                 diverged_at=at,
                 reason=reason,

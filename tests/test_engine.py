@@ -1,12 +1,13 @@
 """The batched run engine, pinned bit for bit to the per-step reference stepper."""
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adamlab.cli import _QUAD_KINDS, EXIT_OK, SweepConfig, _beta_pairs, _write_csv, fmt_float, main
+from adamlab.cli import _QUAD_KINDS, EXIT_OK, EXIT_USAGE, SweepConfig, _beta_pairs, _write_csv, fmt_float, main
 from adamlab.core import InitMode, Schedule, beta_grid, lr_at
 from adamlab.optim import (
     _SECOND_MOMENT_KINDS,
@@ -23,6 +24,7 @@ from adamlab.quadbench import (
     DIVERGENCE_THRESHOLD,
     BlockSpec,
     Layout,
+    QuadraticProblem,
     RunRecord,
     RunSpec,
     build_problem,
@@ -148,7 +150,6 @@ def test_batch_equals_reference_stepper(
         batch = run_batch(problem, runs, steps, batch_size)
         for run, got in zip(runs, batch):
             assert_same_run(reference_run(problem, *run[:2], steps, batch_size, *run[2:]), got)
-            assert_same_run(run_experiment(problem, *run[:2], steps, batch_size, *run[2:]), got)
             assert_divergence_fields(got)
 
 
@@ -221,11 +222,27 @@ def test_pre_drawn_rows_replay_successive_permutations(seed, n, data):
     assert lazy.integers(2**63) == eager.integers(2**63)
 
 
-def test_pre_drawn_rows_validate_batch_size():
+def test_pre_drawn_rows_validate_batch_size(monkeypatch, tmp_path, capsys):
+    import adamlab.quadbench as quadbench
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("rows drawn for an invalid batch size")
+
     rng = np.random.default_rng(0)
-    for batch_size in (0, 10):
-        with pytest.raises(ValueError):
+    problem = build_problem(BlockSpec.heterogeneous(), seed=0)
+    run = RunSpec(OptimizerConfig(OptimizerKind.SIGNUM), Schedule(peak_lr=0.01, total_steps=5), initial_point(9, 0), 0)
+    for batch_size in (0, -1, 10):
+        message = re.escape(f"batch_size must be in [1, 9], got {batch_size}")
+        with pytest.raises(ValueError, match=message):
             draw_rows(rng, 9, 5, batch_size)
+        # the engine checks before its first draw, with draw_rows' message
+        with monkeypatch.context() as patch:
+            patch.setattr(quadbench, "draw_rows", no_draw)
+            with pytest.raises(ValueError, match=message):
+                run_batch(problem, [run], 5, batch_size)
+    assert main(["quad", "--batch-size", "10", "--steps", "5", "--out", str(tmp_path / "quad")]) == EXIT_USAGE
+    assert capsys.readouterr().err == "invalid configuration: batch_size must be in [1, 9], got 10\n"
+    assert not (tmp_path / "quad").exists()
 
 
 @settings(max_examples=50)
@@ -274,6 +291,62 @@ def assert_same_record(expected: RunRecord, got: RunRecord) -> None:
     assert (got.diverged_at, got.reason) == (expected.diverged_at, expected.reason)
 
 
+@pytest.mark.parametrize("init_mode", InitMode)
+@pytest.mark.parametrize("kind", OptimizerKind)
+@settings(max_examples=8, deadline=None)
+@given(
+    mix=st.lists(
+        st.tuples(st.sampled_from(RATES), st.sampled_from(MIXED_BETAS), st.sampled_from(MIXED_BETAS)),
+        min_size=2,
+        max_size=5,
+    ),
+    warmup_fraction=st.sampled_from((0.0, 0.1)),
+    layout=st.sampled_from(Layout),
+)
+def test_record_does_not_depend_on_its_neighbours(kind, init_mode, mix, warmup_fraction, layout):
+    """A run's record in a mixed batch is its record alone, bit for bit, however its neighbours end."""
+    problem = build_problem(BlockSpec.for_layout(layout), seed=len(mix))
+    steps = 30
+    runs = []
+    for i, (lr, beta1, beta2) in enumerate(mix):
+        beta2 = beta1 if kind is OptimizerKind.ADAM_EQUAL_BETA else beta2
+        config = OptimizerConfig(kind, beta1=beta1, beta2=beta2, init_mode=init_mode)
+        sched = Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=warmup_fraction)
+        runs.append(RunSpec(config, sched, initial_point(problem.dim, i % 2), i % 2, f"run{i}:lr={lr!r}"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = run_batch(problem, runs, steps, 3)
+        for run, got in zip(runs, mixed):
+            assert_same_record(run_experiment(problem, *run[:2], steps, 3, *run[2:]), got)
+
+
+def test_minus_infinite_loss_ends_the_run_unrecorded(monkeypatch):
+    """``quad --lr 1e300`` on the homogeneous layout: 0.5 w^T H w overflows to -inf at step 1."""
+    seen = []
+    loss = QuadraticProblem.loss
+
+    def recording_loss(self, w):
+        seen.append(loss(self, w))
+        return seen[-1]
+
+    monkeypatch.setattr(QuadraticProblem, "loss", recording_loss)
+    problem = build_problem(BlockSpec.homogeneous(), derive_seed(0, "problem", "hom"))
+    config = default_quad_config(OptimizerKind.ADAM_EQUAL_BETA)
+    sched = Schedule(peak_lr=1e300, total_steps=50)
+    runs = [RunSpec(config, sched, initial_point(9, seed), seed, make_config_id("hom", "adameq", 1e300)) for seed in (0, 1)]
+    # a slow neighbour keeps the batch stepping after both overflowing runs have ended
+    runs.append(RunSpec(config, Schedule(peak_lr=2.0**-7, total_steps=50), initial_point(9, 0), 0, "slow"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = run_batch(problem, runs, 50, 3)
+    assert len(seen) == 50
+    for i, record in enumerate(records[:2]):
+        assert seen[1][i] == -math.inf
+        assert (record.diverged, record.diverged_at, record.reason) == (True, 1, "non_finite")
+        assert record.losses.size == 1 and np.isfinite(record.losses[0])
+        # an ended run stays in the arrays at zero
+        assert np.all(np.array(seen[2:])[:, i] == 0.0)
+    assert not records[2].diverged and records[2].losses.size == 50
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(OptimizerKind),
@@ -288,11 +361,11 @@ def assert_same_record(expected: RunRecord, got: RunRecord) -> None:
 def test_mixed_momentum_batch_equals_batch_per_pair_and_reference(
     kind, bias_correction, init_mode, epsilon, pairs, rates, n_seeds, layout
 ):
-    """Runs that differ in momentum step together, and ended runs take their beta rows with them."""
+    """Runs that differ in momentum step together, beside ended runs that keep their beta rows."""
     problem = build_problem(BlockSpec.for_layout(layout), seed=len(pairs))
     steps = 24
     settings = dict(epsilon=epsilon, bias_correction=bias_correction, init_mode=init_mode)
-    # the drop-out rates come first, so every later row moves up when they end
+    # the drop-out rates come first, so every later run steps on beside ended ones
     runs = mixed_runs(kind, pairs, [*DROP_OUT_RATES, *rates], n_seeds, steps, **settings)
     with np.errstate(over="ignore", invalid="ignore"):
         mixed = run_batch(problem, runs, steps, 3)
@@ -333,7 +406,7 @@ def test_bias_correction_powers_are_python_powers(monkeypatch):
 
 @pytest.mark.parametrize("kind", [OptimizerKind.ADAM_EQUAL_BETA, OptimizerKind.ADAM])
 def test_block_means_match_reference_for_unequal_blocks(kind):
-    blocks = ((1.0, 2.0), (3.0, 4.0, 5.0, 6.0), (7.0, 8.0, 9.0))
+    blocks = ((1.0, 2.0, 3.0, 4.0), (5.0,), (6.0, 7.0))
     problem = build_problem(BlockSpec(blocks, Layout.HETEROGENEOUS), seed=5)
     config = OptimizerConfig(kind, beta1=0.9, beta2=0.9)
     runs = [
