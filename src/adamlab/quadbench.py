@@ -24,7 +24,7 @@ brings its own
 that run alone:
 
 * each run's row subsets are drawn before the loop from its own
-  ``derive_seed(seed, "batches", config_id)`` generator, into one reused
+  ``derive_seed(seed, "batches", config_id)`` generator, into a fresh
   ``(steps, n)`` block; shuffling its rows in place with
   ``rng.permuted(..., axis=1)`` consumes the generator exactly like ``steps``
   successive ``rng.permutation(n)`` calls;
@@ -40,8 +40,9 @@ that run alone:
   over the block, divided by the block size once the loop is done;
 * the arrays keep their shape for the whole loop: everything indexed by step
   is stored step-major, so step ``k`` reads and writes plain views, and a run
-  that ends stays in the arrays with its point and moments set to zero, which
-  give a zero direction and a zero loss from then on.
+  that ends stays in the arrays with its point, moments and later rates set
+  to zero, which give a zero direction and a zero loss from then on; it is not
+  checked for an end again.
 
 :func:`run_experiment` is the one-run call of the engine, and
 :func:`run_cell` batches cells of one optimizer kind (rates, and momentum
@@ -257,17 +258,15 @@ def _check_batch_size(n: int, batch_size: int) -> None:
         raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
 
 
-def draw_rows(rng: np.random.Generator, n: int, steps: int, batch_size: int, block=None) -> np.ndarray:
+def draw_rows(rng: np.random.Generator, n: int, steps: int, batch_size: int) -> np.ndarray:
     """The row subsets of ``steps`` successive :func:`stochastic_grad` calls, shape ``(steps, batch_size)``.
 
-    The rows of an ``(steps, n)`` integer ``block`` (a fresh one unless given;
-    a given one is overwritten and the result is a view of it) are refilled
-    with ``arange(n)`` and shuffled in place: ``rng.permuted`` over them
-    consumes ``rng`` exactly like ``steps`` calls of ``rng.permutation(n)``.
+    The rows of a fresh ``(steps, n)`` block are filled with ``arange(n)`` and
+    shuffled in place: ``rng.permuted`` over them consumes ``rng`` exactly like
+    ``steps`` calls of ``rng.permutation(n)``.
     """
     _check_batch_size(n, batch_size)
-    if block is None:
-        block = np.empty((steps, n), dtype=np.intp)
+    block = np.empty((steps, n), dtype=np.intp)
     block[...] = np.arange(n)
     return rng.permuted(block, axis=1, out=block)[:, :batch_size]
 
@@ -341,10 +340,10 @@ def run_batch(
     The runs are the rows of ``(R, dim)`` arrays. A non-finite loss ends a run
     without recording that loss; a loss above ``DIVERGENCE_THRESHOLD`` is
     recorded and then ends the run. An ended run keeps its row, with its
-    point and moments set to zero: its direction and loss are zero from then
-    on, so it never ends again, and its record stops where it ended. Each
-    run's row-subsampling stream is derived from ``(seed, config_id)``, so
-    records are reproducible run by run. ``track_delta=False`` skips the
+    point, moments and later rates set to zero: its direction and loss are
+    zero from then on, it is never checked for an end again, and its record
+    stops where it ended. Each run's row-subsampling stream is derived from
+    ``(seed, config_id)``, so records are reproducible run by run. ``track_delta=False`` skips the
     variance-term snapshots (``delta_block_means`` is then ``None``). Raises
     ``ValueError`` if ``batch_size`` is not in ``[1, dim]`` (before any row is
     drawn), the runs' configs differ in anything but ``beta1`` and ``beta2``,
@@ -354,10 +353,9 @@ def run_batch(
     n_runs = len(runs)
     _check_batch_size(problem.dim, batch_size)
     rows = np.empty((steps, n_runs, batch_size), dtype=np.intp)
-    block = np.empty((steps, problem.dim), dtype=np.intp)
     for i, run in enumerate(runs):
         rng = np.random.default_rng(derive_seed(run.seed, "batches", run.config_id))
-        rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size, block)
+        rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size)
     lrs = np.empty((steps, n_runs, 1))
     groups: dict[tuple[int, float], list[int]] = {}
     for i, run in enumerate(runs):
@@ -380,6 +378,7 @@ def run_batch(
     # block sums, step-major; divided by the block sizes when the records are cut
     deltas = np.empty((steps, len(slices), n_runs)) if track_delta else None
     ended_at: dict[int, tuple[int, str]] = {}
+    live = np.ones(n_runs, dtype=bool)
     # a diverging run may overflow on its way out; its non-finite loss ends it below
     with np.errstate(over="ignore"):
         for k in range(steps):
@@ -396,12 +395,15 @@ def run_batch(
                 for j, sl in enumerate(slices):
                     np.add.reduce(snapshot[:, sl], axis=-1, out=deltas[k, j])
             finite = np.isfinite(loss)
-            ended = ~finite | (loss > DIVERGENCE_THRESHOLD)
+            ended = live & (~finite | (loss > DIVERGENCE_THRESHOLD))
             if ended.any():
                 for i in np.flatnonzero(ended):
                     ended_at[int(i)] = (k, "threshold" if finite[i] else "non_finite")
                 if len(ended_at) == n_runs:
                     break
+                live &= ~ended
+                # a zero rate keeps the zeroed point at zero even where the schedule's rate overflows to inf
+                lrs[k + 1 :, ended] = 0.0
                 # fresh arrays, not writes into the state: a first-sample-seeded m is the gradient array itself
                 zero = ended[:, None]
                 w = np.where(zero, 0.0, w)

@@ -266,8 +266,9 @@ def test_stacked_gradient_and_loss_match_one_run_forms(seed, batch_size, n_runs)
 
 #: momentum values for mixed batches; 0.9 and 0.95 are the benchmark's, 0.0 turns momentum off
 MIXED_BETAS = (0.0, 0.5, 0.9, 0.95, 0.999)
-#: 1e7 ends runs by the threshold and 1e300 by a non-finite loss, for every kind
-DROP_OUT_RATES = (1e7, 1e300)
+#: 1e7 ends runs by the threshold and 1e300 by a non-finite loss, for every kind;
+#: 1e308 ends by a non-finite loss too, and its scheduled rates then overflow to inf
+DROP_OUT_RATES = (1e7, 1e300, 1e308)
 
 
 def mixed_runs(kind, pairs, rates, n_seeds, steps, **settings):
@@ -295,8 +296,9 @@ def assert_same_record(expected: RunRecord, got: RunRecord) -> None:
 @pytest.mark.parametrize("kind", OptimizerKind)
 @settings(max_examples=8, deadline=None)
 @given(
+    # 1e308 ends at once, and its schedule's rate then overflows to inf
     mix=st.lists(
-        st.tuples(st.sampled_from(RATES), st.sampled_from(MIXED_BETAS), st.sampled_from(MIXED_BETAS)),
+        st.tuples(st.sampled_from((*RATES, 1e308)), st.sampled_from(MIXED_BETAS), st.sampled_from(MIXED_BETAS)),
         min_size=2,
         max_size=5,
     ),
