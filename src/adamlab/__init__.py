@@ -1,15 +1,15 @@
 """adamlab: a laboratory for adaptive sign-based optimizers.
 
-Core pieces: normalized moving averages and schedules (:mod:`adamlab.core`),
-the optimizer direction maps (:mod:`adamlab.optim`), numeric checkers for
-their closed-form identities (:mod:`adamlab.identities`), the online Gaussian
-mean/variance estimator with an independent oracle (:mod:`adamlab.vi`), a
-block-rotated quadratic benchmark (:mod:`adamlab.quadbench`), a signal-filter
-view of the direction maps (:mod:`adamlab.filters`), and a CLI harness
-(:mod:`adamlab.cli`).
+Core pieces: normalized moving averages and the learning-rate schedule
+(:mod:`adamlab.core`), the optimizer direction maps (:mod:`adamlab.optim`),
+numeric checkers for their closed-form identities (:mod:`adamlab.identities`),
+the online Gaussian mean/variance estimator with an independent oracle
+(:mod:`adamlab.vi`), a block-rotated quadratic benchmark
+(:mod:`adamlab.quadbench`), a signal-filter view of the direction maps
+(:mod:`adamlab.filters`), and a CLI harness (:mod:`adamlab.cli`).
 """
 
-from .core import EmaBuffer, InitMode, Schedule, beta_grid, lr_at
+from .core import EmaBuffer, InitMode, beta_grid, lr_at
 from .optim import (
     EpsilonPlacement,
     OptimizerConfig,
@@ -30,7 +30,6 @@ __all__ = [
     "OptimizerConfig",
     "OptimizerKind",
     "OptimizerState",
-    "Schedule",
     "apply_step",
     "beta_grid",
     "delta_estimate",

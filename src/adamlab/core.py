@@ -1,4 +1,4 @@
-"""Shared numerics: moving averages, schedules and momentum grids.
+"""Shared numerics: moving averages, the learning-rate schedule and momentum grids.
 
 Everything downstream (optimizers, identity checkers, benchmark runner)
 builds on the normalized exponential moving average
@@ -74,41 +74,23 @@ class EmaBuffer:
         return self.value
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Linear warmup to ``peak_lr`` followed by cosine annealing to 0."""
-
-    peak_lr: float
-    total_steps: int
-    warmup_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.peak_lr) and self.peak_lr >= 0):
-            raise ValueError(f"peak_lr must be finite and nonnegative, got {self.peak_lr}")
-        if self.total_steps <= 0:
-            raise ValueError("total_steps must be positive")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-
-    @property
-    def warmup_steps(self) -> int:
-        return round(self.warmup_fraction * self.total_steps)
+#: share of a run's steps spent in linear warmup before the cosine decay
+WARMUP_FRACTION = 0.1
 
 
-def lr_at(sched: Schedule, step: int, peak_lr=None):
-    """Learning rate at ``step``, ``0 <= step <= total_steps``; an array ``peak_lr`` gives one rate per peak."""
-    if not 0 <= step <= sched.total_steps:
-        raise ValueError(
-            f"step {step} outside schedule range [0, {sched.total_steps}]"
-        )
-    peak = sched.peak_lr if peak_lr is None else peak_lr
-    warmup = sched.warmup_steps
+def lr_at(step: int, steps: int, peak):
+    """Rate at ``step`` of a ``steps``-step run: linear warmup to ``peak``, then cosine annealing to 0.
+
+    ``0 <= step <= steps``; an array ``peak`` gives one rate per peak. The
+    warmup takes ``round(WARMUP_FRACTION * steps)`` steps, fewer than
+    ``steps`` for every ``steps >= 1``; a run of at most 5 steps has none.
+    """
+    if not 0 <= step <= steps:
+        raise ValueError(f"step {step} outside schedule range [0, {steps}]")
+    warmup = round(WARMUP_FRACTION * steps)
     if step < warmup:
         return peak * step / warmup
-    span = sched.total_steps - warmup
-    if span == 0:
-        return peak * 0.0
-    phase = math.pi * (step - warmup) / span
+    phase = math.pi * (step - warmup) / (steps - warmup)
     return peak * (1.0 + math.cos(phase)) / 2.0
 
 

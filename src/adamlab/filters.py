@@ -60,7 +60,9 @@ class SignalSpec:
 
 def gen_signal(spec: SignalSpec) -> np.ndarray:
     k = np.arange(spec.length)
-    with np.errstate(over="ignore"):  # a huge decay overflows -decay*k to -inf, and exp(-inf) = 0 is meant
+    # a huge decay overflows -decay*k to -inf, and exp(-inf) = 0 is meant; an infinite
+    # input gives nan entries, which as_signal rejects
+    with np.errstate(over="ignore", invalid="ignore"):
         return spec.amplitude * np.sin(spec.frequency * k) * np.exp(-spec.decay * k)
 
 

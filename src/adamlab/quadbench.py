@@ -32,7 +32,9 @@ that run alone:
   as stacked matrix products, which make the same BLAS calls per run as the
   one-run vector forms (``einsum`` and row-wise dot products do not round
   the same way);
-* the learning rate and the momentum differ per run, as ``(R, 1)`` columns;
+* each run scales the one schedule of :func:`lr_at` by its own peak rate,
+  tabulated before the loop by one ``lr_at`` call per step over the peaks;
+  the rate and the momentum differ per run, as ``(R, 1)`` columns;
   the bias-correction powers ``beta**step`` are tabulated before the loop with
   Python's ``**``, once per distinct beta and step, because numpy's power does
   not always round the same way;
@@ -59,7 +61,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Schedule, lr_at
+from .core import lr_at
 from .optim import (
     _SECOND_MOMENT_KINDS,
     EpsilonPlacement,
@@ -181,7 +183,6 @@ class QuadraticProblem:
 
     hessian: np.ndarray
     design: np.ndarray
-    seed: int
     spec: BlockSpec
 
     @property
@@ -226,7 +227,7 @@ def build_problem(spec: BlockSpec, seed: int) -> QuadraticProblem:
         hessian[sl, sl] = (h_b + h_b.T) / 2.0
         design[sl, sl] = (x_b + x_b.T) / 2.0
         start += size
-    return QuadraticProblem(hessian=hessian, design=design, seed=seed, spec=spec)
+    return QuadraticProblem(hessian=hessian, design=design, spec=spec)
 
 
 def subset_gradient(problem: QuadraticProblem, w: np.ndarray, rows) -> np.ndarray:
@@ -284,9 +285,12 @@ class RunRecord:
     seed: int
     losses: np.ndarray
     delta_block_means: np.ndarray | None
-    diverged: bool = False
     diverged_at: int | None = None
     reason: str | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.reason is not None
 
     def final_loss(self) -> float:
         if self.diverged or self.losses.size == 0:
@@ -302,10 +306,10 @@ def initial_point(dim: int, seed: int, radius: float = 3.0) -> np.ndarray:
 
 
 class RunSpec(NamedTuple):
-    """One run of a batch: its optimizer config, schedule, start point, seed and stream label."""
+    """One run of a batch: its optimizer config, peak learning rate, start point, seed and stream label."""
 
     config: OptimizerConfig
-    sched: Schedule
+    lr: float
     w0: np.ndarray
     seed: int
     config_id: str = ""
@@ -342,13 +346,20 @@ def run_batch(
     recorded and then ends the run. An ended run keeps its row, with its
     point, moments and later rates set to zero: its direction and loss are
     zero from then on, it is never checked for an end again, and its record
-    stops where it ended. Each run's row-subsampling stream is derived from
-    ``(seed, config_id)``, so records are reproducible run by run. ``track_delta=False`` skips the
+    stops where it ended. Each run's rate is :func:`lr_at` of its peak ``lr``,
+    and its row-subsampling stream is derived from ``(seed, config_id)``, so
+    records are reproducible run by run. ``track_delta=False`` skips the
     variance-term snapshots (``delta_block_means`` is then ``None``). Raises
-    ``ValueError`` if ``batch_size`` is not in ``[1, dim]`` (before any row is
-    drawn), the runs' configs differ in anything but ``beta1`` and ``beta2``,
-    or a gradient is not finite.
+    ``ValueError`` if a peak is not finite and nonnegative, ``steps < 1``,
+    ``batch_size`` is not in ``[1, dim]``, or the runs' configs differ in
+    anything but ``beta1`` and ``beta2`` (all before any row is drawn), or if
+    a gradient is not finite.
     """
+    for run in runs:
+        if not (math.isfinite(run.lr) and run.lr >= 0):
+            raise ValueError(f"peak_lr must be finite and nonnegative, got {run.lr}")
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
     config = _shared_config(runs)
     n_runs = len(runs)
     _check_batch_size(problem.dim, batch_size)
@@ -356,13 +367,6 @@ def run_batch(
     for i, run in enumerate(runs):
         rng = np.random.default_rng(derive_seed(run.seed, "batches", run.config_id))
         rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size)
-    lrs = np.empty((steps, n_runs, 1))
-    groups: dict[tuple[int, float], list[int]] = {}
-    for i, run in enumerate(runs):
-        groups.setdefault((run.sched.total_steps, run.sched.warmup_fraction), []).append(i)
-    for members in groups.values():
-        peaks = np.array([runs[i].sched.peak_lr for i in members])
-        lrs[:, members, 0] = [lr_at(runs[members[0]].sched, k, peaks) for k in range(steps)]
     w = np.array([run.w0 for run in runs], dtype=float)
     beta1 = [run.config.beta1 for run in runs]
     beta2 = [run.config.beta2 for run in runs]
@@ -379,8 +383,11 @@ def run_batch(
     deltas = np.empty((steps, len(slices), n_runs)) if track_delta else None
     ended_at: dict[int, tuple[int, str]] = {}
     live = np.ones(n_runs, dtype=bool)
-    # a diverging run may overflow on its way out; its non-finite loss ends it below
-    with np.errstate(over="ignore"):
+    # a huge peak may overflow its rates, and a diverging run its point and loss
+    # on the way out; its non-finite loss ends it below
+    with np.errstate(over="ignore", invalid="ignore"):
+        peaks = np.array([run.lr for run in runs])
+        lrs = np.array([lr_at(k, steps, peaks) for k in range(steps)])[:, :, None]
         for k in range(steps):
             g = subset_gradient(problem, w, rows[k])
             if not np.isfinite(g).all():
@@ -420,7 +427,6 @@ def run_batch(
                 seed=run.seed,
                 losses=losses[:recorded, i].copy(),
                 delta_block_means=None if deltas is None else deltas[:recorded, :, i] / sizes,
-                diverged=reason is not None,
                 diverged_at=at,
                 reason=reason,
             )
@@ -431,7 +437,7 @@ def run_batch(
 def run_experiment(
     problem: QuadraticProblem,
     config: OptimizerConfig,
-    sched: Schedule,
+    lr: float,
     steps: int,
     batch_size: int,
     w0: np.ndarray,
@@ -439,7 +445,7 @@ def run_experiment(
     config_id: str = "",
 ) -> RunRecord:
     """One run through :func:`run_batch`."""
-    return run_batch(problem, [RunSpec(config, sched, w0, seed, config_id)], steps, batch_size)[0]
+    return run_batch(problem, [RunSpec(config, lr, w0, seed, config_id)], steps, batch_size)[0]
 
 
 def loss_quantiles(finals):
@@ -476,7 +482,6 @@ class OptimizerResult:
 
 @dataclass(frozen=True)
 class ComparisonSummary:
-    layout: str
     results: tuple[OptimizerResult, ...]
 
     def result(self, label: str) -> OptimizerResult:
@@ -509,10 +514,7 @@ def run_cell(
     """
     if not starts:
         raise ValueError("at least one seed is required")
-    runs = []
-    for config, lr, config_id in cells:
-        sched = Schedule(peak_lr=lr, total_steps=steps)
-        runs += [RunSpec(config, sched, w0, seed, config_id) for seed, w0 in starts]
+    runs = [RunSpec(config, lr, w0, seed, config_id) for config, lr, config_id in cells for seed, w0 in starts]
     records = run_batch(problem, runs, steps, batch_size, track_delta=track_delta)
     return [records[i : i + len(starts)] for i in range(0, len(records), len(starts))]
 
@@ -561,7 +563,7 @@ def tune_and_compare(
                 records=tuple(per_cell[best]),
             )
         )
-    return ComparisonSummary(layout=layout, results=tuple(results))
+    return ComparisonSummary(results=tuple(results))
 
 
 def default_quad_config(

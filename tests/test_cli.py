@@ -29,7 +29,6 @@ from adamlab.cli import (
     parse_config,
     serialize_config,
 )
-from adamlab.core import Schedule
 from adamlab.optim import OptimizerConfig, OptimizerKind
 from adamlab.quadbench import (
     BlockSpec,
@@ -404,13 +403,30 @@ class TestStartup:
 class TestWarnings:
     @pytest.mark.parametrize(
         "argv",
-        [["quad", "--lr", "1e300", "--steps", "50", "--seeds", "2"], ["signal", "--decay", "1e308"]],
+        [
+            ["quad", "--lr", "1e300", "--steps", "50", "--seeds", "2"],
+            ["signal", "--decay", "1e308"],
+            # the scheduled rates of a 1e308 peak overflow to inf
+            ["quad", "--lr", "1e308", "--steps", "20", "--seeds", "1", "--optim", "sgd"],
+        ],
     )
     def test_handled_overflow_prints_no_warning(self, tmp_path, argv):
         # a diverging quad run ends as non_finite, and exp(-inf) = 0 is the decayed signal
         done = _run_python("-m", "adamlab.cli", *argv, "--out", str(tmp_path))
         assert done.returncode == EXIT_OK
         assert done.stderr.startswith(f"wrote {tmp_path}") and done.stderr.count("\n") == 1, done.stderr
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--frequency", "inf"), ("--frequency", "1e308"), ("--amplitude", "inf"), ("--decay", "inf")],
+    )
+    def test_non_finite_signal_prints_one_line(self, tmp_path, flag, value):
+        # a separate process, since pytest captures warnings raised in-process
+        out = tmp_path / "out"
+        done = _run_python("-m", "adamlab.cli", "signal", "--length", "20", flag, value, "--out", str(out))
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == "invalid configuration: signal contains non-finite entries\n"
+        assert not out.exists()
 
 
 class TestQuadCommand:
@@ -603,11 +619,10 @@ class TestSweepCommand:
         assert row[3:5] == ["0.90000000000000002", "0.90000000000000002"]
         problem = build_problem(BlockSpec.heterogeneous(), derive_seed(0, "problem", "het"))
         config = OptimizerConfig(OptimizerKind.SIGNUM, beta1=0.9, beta2=0.9, epsilon=0.0)
-        sched = Schedule(peak_lr=0.0078125, total_steps=30, warmup_fraction=0.1)
         cid = "het:signum:lr=0.0078125:b1=0.90000000000000002:b2=0.90000000000000002"
         finals = [
             run_experiment(
-                problem, config, sched, 30, 3, initial_point(problem.dim, seed), seed, config_id=cid
+                problem, config, 0.0078125, 30, 3, initial_point(problem.dim, seed), seed, config_id=cid
             ).final_loss()
             for seed in range(3)
         ]

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from adamlab.core import EmaBuffer, InitMode, Schedule, beta_grid, lr_at
+from adamlab.core import WARMUP_FRACTION, EmaBuffer, InitMode, beta_grid, lr_at
 
 
 class TestEmaBuffer:
@@ -66,36 +66,42 @@ class TestEmaBuffer:
 
 
 class TestSchedule:
-    def setup_method(self):
-        self.sched = Schedule(peak_lr=0.008, total_steps=1000, warmup_fraction=0.1)
+    """``lr_at`` over a 1000-step run with peak 0.008: 100 warmup steps, then 900 of cosine."""
 
     def test_warmup_end_hits_peak(self):
-        assert lr_at(self.sched, 100) == pytest.approx(0.008)
+        assert lr_at(100, 1000, 0.008) == pytest.approx(0.008)
 
     def test_cosine_endpoint_hits_floor(self):
-        assert lr_at(self.sched, 1000) == pytest.approx(0.0, abs=1e-18)
+        assert lr_at(1000, 1000, 0.008) == pytest.approx(0.0, abs=1e-18)
 
     def test_cosine_midpoint_by_symmetry(self):
-        assert lr_at(self.sched, 550) == pytest.approx(0.004)
+        assert lr_at(550, 1000, 0.008) == pytest.approx(0.004)
 
     def test_starts_at_zero_with_warmup(self):
-        assert lr_at(self.sched, 0) == 0.0
+        assert lr_at(0, 1000, 0.008) == 0.0
 
     def test_no_warmup_starts_at_peak(self):
-        sched = Schedule(peak_lr=0.1, total_steps=100, warmup_fraction=0.0)
-        assert lr_at(sched, 0) == pytest.approx(0.1)
+        # 10% of at most 5 steps rounds to no warmup
+        for steps in range(1, 6):
+            assert round(WARMUP_FRACTION * steps) == 0
+            assert lr_at(0, steps, 0.1) == 0.1
+            assert lr_at(steps, steps, 0.1) == pytest.approx(0.0, abs=1e-18)
+
+    def test_warmup_is_shorter_than_the_run(self):
+        # so the cosine always has a step to span
+        assert all(round(WARMUP_FRACTION * steps) < steps for steps in range(1, 100_001))
 
     def test_monotone_up_then_down(self):
-        values = [lr_at(self.sched, k) for k in range(1001)]
-        warmup = self.sched.warmup_steps
+        values = [lr_at(k, 1000, 0.008) for k in range(1001)]
+        warmup = round(WARMUP_FRACTION * 1000)
         assert all(a <= b + 1e-18 for a, b in zip(values[:warmup], values[1 : warmup + 1]))
         assert all(a >= b - 1e-18 for a, b in zip(values[warmup:-1], values[warmup + 1 :]))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            lr_at(self.sched, -1)
+            lr_at(-1, 1000, 0.008)
         with pytest.raises(ValueError):
-            lr_at(self.sched, 1001)
+            lr_at(1001, 1000, 0.008)
 
 
 class TestBetaGrid:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adamlab.cli import _QUAD_KINDS, EXIT_OK, EXIT_USAGE, SweepConfig, _beta_pairs, _write_csv, fmt_float, main
-from adamlab.core import InitMode, Schedule, beta_grid, lr_at
+from adamlab.core import InitMode, beta_grid, lr_at
 from adamlab.optim import (
     _SECOND_MOMENT_KINDS,
     EpsilonPlacement,
@@ -45,7 +45,7 @@ from adamlab.quadbench import (
 RATES = (0.0, 2.0**-12, 2.0**-7, 2.0**-3, 1.0, 8.0, 1e150, 1e300)
 
 
-def reference_run(problem, config, sched, steps, batch_size, w0, seed, config_id=""):
+def reference_run(problem, config, lr, steps, batch_size, w0, seed, config_id=""):
     """The per-step runner the engine replaced, one run and one step at a time."""
     rng = np.random.default_rng(derive_seed(seed, "batches", config_id))
     w = np.asarray(w0, dtype=float).copy()
@@ -55,28 +55,28 @@ def reference_run(problem, config, sched, steps, batch_size, w0, seed, config_id
 
     losses: list[float] = []
     deltas: list[list[float]] = []
-    diverged = False
+    reason = None
     for k in range(steps):
         g = stochastic_grad(problem, w, batch_size, rng)
         d, state = direction(config, state, g)
-        w = apply_step(w, d, lr_at(sched, k))
+        w = apply_step(w, d, lr_at(k, steps, lr))
         loss = problem.loss(w)
         if not math.isfinite(loss):
-            diverged = True
+            reason = "non_finite"
             break
         losses.append(loss)
         if track_delta:
             snapshot = delta_estimate(config, state)
             deltas.append([float(np.mean(snapshot[sl])) for sl in slices])
         if loss > DIVERGENCE_THRESHOLD:
-            diverged = True
+            reason = "threshold"
             break
     return RunRecord(
         config_id=config_id,
         seed=seed,
         losses=np.asarray(losses),
         delta_block_means=np.asarray(deltas) if track_delta else None,
-        diverged=diverged,
+        reason=reason,
     )
 
 
@@ -115,11 +115,10 @@ def assert_divergence_fields(record: RunRecord) -> None:
     batch_size=st.integers(1, 9),
     rates=st.lists(st.sampled_from(RATES), min_size=1, max_size=4, unique=True),
     n_seeds=st.integers(1, 3),
-    warmup_fraction=st.sampled_from((0.0, 0.1)),
     layout=st.sampled_from(Layout),
 )
 def test_batch_equals_reference_stepper(
-    kind, placement, bias_correction, init_mode, epsilon, betas, batch_size, rates, n_seeds, warmup_fraction, layout
+    kind, placement, bias_correction, init_mode, epsilon, betas, batch_size, rates, n_seeds, layout
 ):
     beta1, beta2 = betas
     if kind is OptimizerKind.ADAM_EQUAL_BETA:
@@ -136,13 +135,7 @@ def test_batch_equals_reference_stepper(
     problem = build_problem(BlockSpec.for_layout(layout), seed=len(rates))
     steps = 40
     runs = [
-        RunSpec(
-            config,
-            Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=warmup_fraction),
-            initial_point(problem.dim, seed),
-            seed,
-            f"cell:{lr!r}",
-        )
+        RunSpec(config, lr, initial_point(problem.dim, seed), seed, f"cell:{lr!r}")
         for lr in rates
         for seed in range(n_seeds)
     ]
@@ -157,17 +150,14 @@ def test_rates_cover_both_divergence_reasons():
     """The example rates above reach both ways of diverging."""
     problem = build_problem(BlockSpec.heterogeneous(), seed=1)
     config = OptimizerConfig(OptimizerKind.SGD, beta1=0.0)
-    runs = [
-        RunSpec(config, Schedule(peak_lr=lr, total_steps=40, warmup_fraction=0.1), initial_point(9, 0), 0)
-        for lr in RATES
-    ]
+    runs = [RunSpec(config, lr, initial_point(9, 0), 0) for lr in RATES]
     with np.errstate(over="ignore", invalid="ignore"):
         reasons = {record.reason for record in run_batch(problem, runs, 40, 3)}
     assert reasons == {None, "threshold", "non_finite"}
 
 
 class TestDivergenceReasons:
-    """Full-batch SGD without momentum and warmup: every step is ``w - lr*H w``."""
+    """Full-batch SGD without momentum over 5 steps, too few for a warmup: every step is ``w - lr*H w``."""
 
     def setup_method(self):
         self.problem = build_problem(BlockSpec.heterogeneous(), seed=2)
@@ -175,9 +165,8 @@ class TestDivergenceReasons:
         self.w0 = initial_point(9, 0)
 
     def run(self, lr):
-        sched = Schedule(peak_lr=lr, total_steps=20, warmup_fraction=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            return run_experiment(self.problem, self.config, sched, 20, 9, self.w0, 0)
+            return run_experiment(self.problem, self.config, lr, 5, 9, self.w0, 0)
 
     def test_threshold(self):
         # each step multiplies the top-eigenvalue component by |1 - 5000| ~ 5e3
@@ -200,7 +189,7 @@ class TestDivergenceReasons:
         record = self.run(1e-5)
         assert not record.diverged
         assert record.diverged_at is None and record.reason is None
-        assert record.losses.size == 20
+        assert record.losses.size == 5
 
 
 @settings(max_examples=40)
@@ -230,7 +219,7 @@ def test_pre_drawn_rows_validate_batch_size(monkeypatch, tmp_path, capsys):
 
     rng = np.random.default_rng(0)
     problem = build_problem(BlockSpec.heterogeneous(), seed=0)
-    run = RunSpec(OptimizerConfig(OptimizerKind.SIGNUM), Schedule(peak_lr=0.01, total_steps=5), initial_point(9, 0), 0)
+    run = RunSpec(OptimizerConfig(OptimizerKind.SIGNUM), 0.01, initial_point(9, 0), 0)
     for batch_size in (0, -1, 10):
         message = re.escape(f"batch_size must be in [1, 9], got {batch_size}")
         with pytest.raises(ValueError, match=message):
@@ -243,6 +232,29 @@ def test_pre_drawn_rows_validate_batch_size(monkeypatch, tmp_path, capsys):
     assert main(["quad", "--batch-size", "10", "--steps", "5", "--out", str(tmp_path / "quad")]) == EXIT_USAGE
     assert capsys.readouterr().err == "invalid configuration: batch_size must be in [1, 9], got 10\n"
     assert not (tmp_path / "quad").exists()
+
+
+@pytest.mark.parametrize(
+    "rates, steps, message",
+    [
+        ((0.01, math.nan), 5, "peak_lr must be finite and nonnegative, got nan"),
+        ((math.inf,), 5, "peak_lr must be finite and nonnegative, got inf"),
+        ((0.01, -1.0, math.nan), 5, "peak_lr must be finite and nonnegative, got -1.0"),
+        ((0.01,), 0, "steps must be positive, got 0"),
+        ((0.01,), -3, "steps must be positive, got -3"),
+    ],
+)
+def test_batch_checks_rates_and_steps_before_drawing(monkeypatch, rates, steps, message):
+    import adamlab.quadbench as quadbench
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("rows drawn for an invalid schedule")
+
+    monkeypatch.setattr(quadbench, "draw_rows", no_draw)
+    problem = build_problem(BlockSpec.heterogeneous(), seed=0)
+    runs = [RunSpec(OptimizerConfig(OptimizerKind.SIGNUM), lr, initial_point(9, 0), 0) for lr in rates]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_batch(problem, runs, steps, 3)
 
 
 @settings(max_examples=50)
@@ -279,9 +291,8 @@ def mixed_runs(kind, pairs, rates, n_seeds, steps, **settings):
             kind, beta1=beta1, beta2=beta1 if kind is OptimizerKind.ADAM_EQUAL_BETA else beta2, **settings
         )
         for lr in rates:
-            sched = Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=0.1)
             runs += [
-                RunSpec(config, sched, initial_point(9, seed), seed, f"b={beta1!r},{beta2!r}:lr={lr!r}")
+                RunSpec(config, lr, initial_point(9, seed), seed, f"b={beta1!r},{beta2!r}:lr={lr!r}")
                 for seed in range(n_seeds)
             ]
     return runs
@@ -302,10 +313,9 @@ def assert_same_record(expected: RunRecord, got: RunRecord) -> None:
         min_size=2,
         max_size=5,
     ),
-    warmup_fraction=st.sampled_from((0.0, 0.1)),
     layout=st.sampled_from(Layout),
 )
-def test_record_does_not_depend_on_its_neighbours(kind, init_mode, mix, warmup_fraction, layout):
+def test_record_does_not_depend_on_its_neighbours(kind, init_mode, mix, layout):
     """A run's record in a mixed batch is its record alone, bit for bit, however its neighbours end."""
     problem = build_problem(BlockSpec.for_layout(layout), seed=len(mix))
     steps = 30
@@ -313,8 +323,7 @@ def test_record_does_not_depend_on_its_neighbours(kind, init_mode, mix, warmup_f
     for i, (lr, beta1, beta2) in enumerate(mix):
         beta2 = beta1 if kind is OptimizerKind.ADAM_EQUAL_BETA else beta2
         config = OptimizerConfig(kind, beta1=beta1, beta2=beta2, init_mode=init_mode)
-        sched = Schedule(peak_lr=lr, total_steps=steps, warmup_fraction=warmup_fraction)
-        runs.append(RunSpec(config, sched, initial_point(problem.dim, i % 2), i % 2, f"run{i}:lr={lr!r}"))
+        runs.append(RunSpec(config, lr, initial_point(problem.dim, i % 2), i % 2, f"run{i}:lr={lr!r}"))
     with np.errstate(over="ignore", invalid="ignore"):
         mixed = run_batch(problem, runs, steps, 3)
         for run, got in zip(runs, mixed):
@@ -333,10 +342,9 @@ def test_minus_infinite_loss_ends_the_run_unrecorded(monkeypatch):
     monkeypatch.setattr(QuadraticProblem, "loss", recording_loss)
     problem = build_problem(BlockSpec.homogeneous(), derive_seed(0, "problem", "hom"))
     config = default_quad_config(OptimizerKind.ADAM_EQUAL_BETA)
-    sched = Schedule(peak_lr=1e300, total_steps=50)
-    runs = [RunSpec(config, sched, initial_point(9, seed), seed, make_config_id("hom", "adameq", 1e300)) for seed in (0, 1)]
+    runs = [RunSpec(config, 1e300, initial_point(9, seed), seed, make_config_id("hom", "adameq", 1e300)) for seed in (0, 1)]
     # a slow neighbour keeps the batch stepping after both overflowing runs have ended
-    runs.append(RunSpec(config, Schedule(peak_lr=2.0**-7, total_steps=50), initial_point(9, 0), 0, "slow"))
+    runs.append(RunSpec(config, 2.0**-7, initial_point(9, 0), 0, "slow"))
     with np.errstate(over="ignore", invalid="ignore"):
         records = run_batch(problem, runs, 50, 3)
     assert len(seen) == 50
@@ -412,7 +420,7 @@ def test_block_means_match_reference_for_unequal_blocks(kind):
     problem = build_problem(BlockSpec(blocks, Layout.HETEROGENEOUS), seed=5)
     config = OptimizerConfig(kind, beta1=0.9, beta2=0.9)
     runs = [
-        RunSpec(config, Schedule(peak_lr=lr, total_steps=30), initial_point(problem.dim, seed), seed, f"lr={lr!r}")
+        RunSpec(config, lr, initial_point(problem.dim, seed), seed, f"lr={lr!r}")
         for lr in (2.0**-9, 2.0**-4)
         for seed in range(2)
     ]
@@ -425,22 +433,21 @@ def test_batch_rejects_a_non_finite_gradient(start):
     # a finite start point can still overflow the first gradient
     problem = build_problem(BlockSpec.heterogeneous(), seed=0)
     w0 = np.full(9, start)
-    run = RunSpec(OptimizerConfig(OptimizerKind.SIGNUM), Schedule(peak_lr=0.01, total_steps=5), w0, 0)
+    run = RunSpec(OptimizerConfig(OptimizerKind.SIGNUM), 0.01, w0, 0)
     with pytest.raises(ValueError, match="non-finite"):
         run_batch(problem, [run], 5, 3)
 
 
 def test_batch_rejects_configs_that_differ_beyond_betas():
     problem = build_problem(BlockSpec.heterogeneous(), seed=0)
-    sched = Schedule(peak_lr=0.01, total_steps=5)
     for other in (
         OptimizerConfig(OptimizerKind.ADAM, beta1=0.9, epsilon=0.0),
         OptimizerConfig(OptimizerKind.ADAM, beta1=0.9, bias_correction=False),
         OptimizerConfig(OptimizerKind.RMSPROP, beta2=0.9),
     ):
         runs = [
-            RunSpec(OptimizerConfig(OptimizerKind.ADAM, beta1=0.8, beta2=0.9), sched, initial_point(9, 0), 0),
-            RunSpec(other, sched, initial_point(9, 1), 1),
+            RunSpec(OptimizerConfig(OptimizerKind.ADAM, beta1=0.8, beta2=0.9), 0.01, initial_point(9, 0), 0),
+            RunSpec(other, 0.01, initial_point(9, 1), 1),
         ]
         with pytest.raises(ValueError, match="differ only in beta1 and beta2"):
             run_batch(problem, runs, 5, 3)
@@ -467,7 +474,7 @@ def reference_sweep_batch(payload) -> list[list[str]]:
 
     Verbatim apart from the engine call, which passes the pair's one config
     with each cell as :func:`run_cell` now takes it, and no longer passes the
-    warmup fraction, now always the schedule's default.
+    warmup fraction, now the one fraction of :func:`lr_at`.
     """
     (problem, name, lrs, beta1, beta2, starts, steps, batch_size) = payload
     layout = problem.spec.layout.value

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adamlab.core import Schedule
+from adamlab.core import WARMUP_FRACTION
 from adamlab.optim import OptimizerConfig, OptimizerKind
 from adamlab.quadbench import (
     BlockSpec,
@@ -158,52 +158,46 @@ class TestRunExperiment:
         assert not np.array_equal(self.w0, initial_point(9, seed=1))
 
     def test_zero_lr_keeps_loss_constant(self):
-        sched = Schedule(peak_lr=0.0, total_steps=50, warmup_fraction=0.1)
         record = run_experiment(
-            self.problem, default_quad_config(OptimizerKind.SGD), sched, 50, 3, self.w0, 0
+            self.problem, default_quad_config(OptimizerKind.SGD), 0.0, 50, 3, self.w0, 0
         )
         np.testing.assert_allclose(record.losses, self.problem.loss(self.w0), rtol=1e-12)
 
     def test_full_batch_descent_is_monotone(self):
         config = OptimizerConfig(OptimizerKind.SGD, beta1=0.0)
-        sched = Schedule(peak_lr=1e-5, total_steps=200, warmup_fraction=0.0)
-        record = run_experiment(self.problem, config, sched, 200, 9, self.w0, 0)
+        record = run_experiment(self.problem, config, 1e-5, 200, 9, self.w0, 0)
         assert not record.diverged
         assert np.all(np.diff(record.losses) <= 1e-12)
 
     @pytest.mark.parametrize("batch_size", [3, 9])
     def test_equal_seeds_reproduce_records_bitwise(self, batch_size):
-        sched = Schedule(peak_lr=0.01, total_steps=100, warmup_fraction=0.1)
         config = default_quad_config(OptimizerKind.ADAM_EQUAL_BETA)
-        a = run_experiment(self.problem, config, sched, 100, batch_size, self.w0, 7, config_id="x")
-        b = run_experiment(self.problem, config, sched, 100, batch_size, self.w0, 7, config_id="x")
+        a = run_experiment(self.problem, config, 0.01, 100, batch_size, self.w0, 7, config_id="x")
+        b = run_experiment(self.problem, config, 0.01, 100, batch_size, self.w0, 7, config_id="x")
         np.testing.assert_array_equal(a.losses, b.losses)
         np.testing.assert_array_equal(a.delta_block_means, b.delta_block_means)
 
     def test_divergence_flagged_not_raised(self):
         config = OptimizerConfig(OptimizerKind.SGD, beta1=0.9)
-        sched = Schedule(peak_lr=4.0, total_steps=200, warmup_fraction=0.0)
-        record = run_experiment(self.problem, config, sched, 200, 9, self.w0, 0)
+        record = run_experiment(self.problem, config, 4.0, 200, 9, self.w0, 0)
         assert record.diverged
         assert record.final_loss() == math.inf
         assert np.all(np.isfinite(record.losses))
 
     def test_delta_traces_nonnegative_and_present_for_adaptive(self):
-        sched = Schedule(peak_lr=0.008, total_steps=100, warmup_fraction=0.1)
         config = default_quad_config(OptimizerKind.ADAM_EQUAL_BETA)
-        record = run_experiment(self.problem, config, sched, 100, 3, self.w0, 0)
+        record = run_experiment(self.problem, config, 0.008, 100, 3, self.w0, 0)
         assert record.delta_block_means.shape == (100, 3)
         assert np.all(record.delta_block_means >= 0)
         sgd = run_experiment(
-            self.problem, default_quad_config(OptimizerKind.SGD), sched, 100, 3, self.w0, 0
+            self.problem, default_quad_config(OptimizerKind.SGD), 0.008, 100, 3, self.w0, 0
         )
         assert sgd.delta_block_means is None
 
     def test_block_deltas_separate_on_heterogeneous_landscape(self):
-        sched = Schedule(peak_lr=0.008, total_steps=300, warmup_fraction=0.1)
         config = default_quad_config(OptimizerKind.ADAM_EQUAL_BETA)
-        record = run_experiment(self.problem, config, sched, 300, 3, self.w0, 0)
-        at_peak = record.delta_block_means[sched.warmup_steps]
+        record = run_experiment(self.problem, config, 0.008, 300, 3, self.w0, 0)
+        at_peak = record.delta_block_means[round(WARMUP_FRACTION * 300)]
         assert at_peak.max() >= 2.0 * at_peak.min()
 
 
