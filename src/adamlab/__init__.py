@@ -9,32 +9,4 @@ the online Gaussian mean/variance estimator with an independent oracle
 (:mod:`adamlab.filters`), and a CLI harness (:mod:`adamlab.cli`).
 """
 
-from .core import EmaBuffer, InitMode, beta_grid, lr_at
-from .optim import (
-    EpsilonPlacement,
-    OptimizerConfig,
-    OptimizerKind,
-    OptimizerState,
-    apply_step,
-    delta_estimate,
-    direction,
-    init_state,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "EmaBuffer",
-    "EpsilonPlacement",
-    "InitMode",
-    "OptimizerConfig",
-    "OptimizerKind",
-    "OptimizerState",
-    "apply_step",
-    "beta_grid",
-    "delta_estimate",
-    "direction",
-    "init_state",
-    "lr_at",
-    "__version__",
-]

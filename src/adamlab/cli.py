@@ -5,8 +5,8 @@ included): CSV files use ``.`` decimals, ``\\n`` line endings, a header row
 and 17-significant-digit floats, so reruns are byte-identical. Config files
 are flat JSON with a ``schema_version`` field and round-trip exactly.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error
+(sizes too large for memory included), 3 I/O error.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from .identities import (
     steepest_descent_minimizer,
     trust_radius,
 )
-from .optim import OptimizerConfig, OptimizerKind
+from .optim import OptimizerKind
 from .quadbench import (
     DEFAULT_LR_GRID,
     BlockSpec,
@@ -163,8 +163,17 @@ def _typed(name: str, hint, value):
     raise ConfigError(f"field {name!r} must be {expected}, got {json.dumps(value)}")
 
 
+#: the fields that hold names, with the enum whose values they must be
+_NAMED_FIELDS = {
+    "layouts": ("layout", Layout),
+    "layout": ("layout", Layout),
+    "optimizers": ("optimizer", OptimizerKind),
+    "filters": ("filter", FilterKind),
+}
+
+
 def _build_config(cls, data: dict):
-    """Build ``cls`` from field values, rejecting unknown fields, wrong types and empty lists."""
+    """Build ``cls`` from field values, rejecting unknown fields, wrong types, empty lists and unknown names."""
     hints = typing.get_type_hints(cls)
     unknown = sorted(set(data) - set(hints))
     if unknown:
@@ -173,11 +182,20 @@ def _build_config(cls, data: dict):
     for name, value in values.items():
         if value == ():
             raise ConfigError(f"field {name!r} must not be empty")
+        if name in _NAMED_FIELDS:
+            what, kinds = _NAMED_FIELDS[name]
+            choices = sorted(kind.value for kind in kinds)
+            for item in value if isinstance(value, tuple) else (value,):
+                if item not in choices:
+                    raise ConfigError(f"unknown {what} {item!r}; choose from {choices}")
     return cls(**values)
 
 
 def parse_config(text: str, command: str):
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ConfigError("config file is nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
     version = data.get("schema_version")
@@ -395,18 +413,6 @@ def cmd_verify(args) -> int:
 # quad
 
 
-_QUAD_KINDS = {kind.value: kind for kind in OptimizerKind}
-
-
-def _quad_optimizers(names, beta: float) -> dict[str, OptimizerConfig]:
-    out = {}
-    for name in names:
-        if name not in _QUAD_KINDS:
-            raise ConfigError(f"unknown optimizer {name!r}; choose from {sorted(_QUAD_KINDS)}")
-        out[name] = default_quad_config(_QUAD_KINDS[name], beta)
-    return out
-
-
 def cmd_quad(args) -> int:
     overrides = {
         "layouts": None if args.layout is None else _layout_names(args.layout),
@@ -422,14 +428,15 @@ def cmd_quad(args) -> int:
 
     run_rows = []
     summary_rows = []
+    optimizers = {name: default_quad_config(OptimizerKind(name), cfg.beta) for name in cfg.optimizers}
     for layout_name in cfg.layouts:
-        layout = _parse_layout(layout_name)
+        layout = Layout(layout_name)
         problem = build_problem(
             BlockSpec.for_layout(layout), derive_seed(cfg.base_seed, "problem", layout.value)
         )
         summary = tune_and_compare(
             problem,
-            _quad_optimizers(cfg.optimizers, cfg.beta),
+            optimizers,
             lr_grid=cfg.lr_grid,
             seeds=cfg.seeds,
             steps=cfg.steps,
@@ -482,9 +489,6 @@ def cmd_quad(args) -> int:
 # signal
 
 
-_FILTER_KINDS = {kind.value: kind for kind in FilterKind}
-
-
 def cmd_signal(args) -> int:
     overrides = {
         "filters": tuple(args.filter) if args.filter else None,
@@ -496,9 +500,6 @@ def cmd_signal(args) -> int:
         "base_seed": args.seed,
     }
     cfg = _load_config(args.config, "signal", overrides)
-    for name in cfg.filters:
-        if name not in _FILTER_KINDS:
-            raise ConfigError(f"unknown filter {name!r}; choose from {sorted(_FILTER_KINDS)}")
 
     spec = cfg.signal_spec()
     signal = gen_signal(spec)
@@ -509,7 +510,7 @@ def cmd_signal(args) -> int:
     reports = {}
     rng = np.random.default_rng(derive_seed(cfg.base_seed, "signal", "properties"))
     for name in cfg.filters:
-        filt = FilterSpec(_FILTER_KINDS[name], beta=cfg.beta)
+        filt = FilterSpec(FilterKind(name), beta=cfg.beta)
         response = filter_response(filt, signal)
         rows += [[name, beta_text, k, x, fmt_float(r)] for (k, x), r in zip(shared, response.tolist())]
         reports[name] = check_properties(filt, trials=cfg.property_trials, rng=rng).to_dict()
@@ -532,7 +533,7 @@ def cmd_signal(args) -> int:
 def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[list[str]]:
     """Run every (betas, rate, seed) of one optimizer as one batch; one CSV row per (betas, rate)."""
     layout = problem.spec.layout.value
-    kind = _QUAD_KINDS[name]
+    kind = OptimizerKind(name)
     pairs = _beta_pairs(kind, betas, cfg.equal_betas)
     cells = [(beta1, beta2, lr) for beta1, beta2 in pairs for lr in cfg.lr_grid]
     configs = {pair: default_quad_config(kind, *pair) for pair in pairs}
@@ -598,11 +599,7 @@ def cmd_sweep(args) -> int:
     if args.jobs != 1:
         raise ConfigError(f"--jobs must be 1 (sweep runs in one process), got {args.jobs}")
     cfg = _load_config(args.config, "sweep", overrides)
-    for name in cfg.optimizers:
-        if name not in _QUAD_KINDS:
-            raise ConfigError(f"unknown optimizer {name!r}; choose from {sorted(_QUAD_KINDS)}")
-
-    layout = _parse_layout(cfg.layout)
+    layout = Layout(cfg.layout)
     problem = build_problem(
         BlockSpec.for_layout(layout), derive_seed(cfg.base_seed, "problem", layout.value)
     )
@@ -637,13 +634,6 @@ def cmd_sweep(args) -> int:
 
 def _layout_names(value: str) -> tuple[str, ...]:
     return ("het", "hom") if value == "both" else (value,)
-
-
-def _parse_layout(name: str) -> Layout:
-    try:
-        return Layout(name)
-    except ValueError:
-        raise ConfigError(f"unknown layout {name!r}; choose het or hom") from None
 
 
 def _ensure_out(out: str) -> Path:
@@ -722,6 +712,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (json.JSONDecodeError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'the requested sizes are too large'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

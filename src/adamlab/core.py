@@ -26,7 +26,7 @@ class InitMode(enum.Enum):
 
 @dataclass
 class EmaBuffer:
-    """One normalized exponential-moving-average accumulator.
+    """One normalized exponential-moving-average accumulator (kept for ``perfbench/tracer.py``, which wraps ``update``).
 
     The buffer tracks a signal of fixed shape. With ``InitMode.ZERO`` the
     recursion starts from zeros (so the weights on the samples seen so far

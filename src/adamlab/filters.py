@@ -156,12 +156,6 @@ class PropertyReport:
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    def check(self, name: str) -> PropertyCheck:
-        for check in self.checks:
-            if check.name == name:
-                return check
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
 
@@ -241,14 +235,12 @@ class DecayBlindnessReport:
     passed: bool
 
 
-def decay_blindness(
-    beta: float, spec: SignalSpec, tol: float = 0.05
-) -> DecayBlindnessReport:
-    """Gap between responses to the damped and undamped signal after burn-in.
+#: decay blindness is an empirical observation about slowly decaying envelopes, not an exact identity
+BLINDNESS_TOL = 0.05
 
-    This is an empirical observation about slowly-decaying envelopes, not an
-    exact operator identity, hence the loose default tolerance.
-    """
+
+def decay_blindness(beta: float, spec: SignalSpec) -> DecayBlindnessReport:
+    """Gap between responses to the damped and undamped signal after burn-in, judged against :data:`BLINDNESS_TOL`."""
     filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=beta)
     # two 1-D calls: their Python-float state steps faster than one (T, 2) stack
     damped = filter_response(filt, gen_signal(spec))
@@ -256,7 +248,7 @@ def decay_blindness(
     # capped before rounding up: 2*pi/frequency overflows to inf below about 3.5e-308
     burn_in = math.ceil(min(2.0 * math.pi / spec.frequency, spec.length - 1))
     gap = float(np.max(np.abs(damped[burn_in:] - undamped[burn_in:])))
-    return DecayBlindnessReport(max_gap=gap, tolerance=tol, burn_in=burn_in, passed=gap <= tol)
+    return DecayBlindnessReport(max_gap=gap, tolerance=BLINDNESS_TOL, burn_in=burn_in, passed=gap <= BLINDNESS_TOL)
 
 
 @dataclass(frozen=True)
@@ -266,17 +258,15 @@ class DensityWitness:
     achieved: float
     target: float
     tolerance: float
-    iterations: int
 
 
-def density_witness(
-    target: float,
-    k: int,
-    beta: float,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> DensityWitness:
-    """Search for a signal whose step-k response equals ``target``.
+#: how close a density witness's response must come to its target, and how many bisections it may take
+WITNESS_TOL = 1e-6
+WITNESS_MAX_ITER = 200
+
+
+def density_witness(target: float, k: int, beta: float) -> DensityWitness:
+    """Search for a signal whose step-k response is within :data:`WITNESS_TOL` of ``target``.
 
     Uses a two-phase family: a constant prefix of k steps followed by one
     free sample, under first-sample seeding. Along that family the response
@@ -305,10 +295,10 @@ def density_witness(
     hi = 1.0
     f_lo, f_hi = response_at_k(lo), response_at_k(hi)
     best_t, best_val = (lo, f_lo) if abs(f_lo - goal) <= abs(f_hi - goal) else (hi, f_hi)
-    iterations = 0
     # bisect only a bracketed goal; otherwise the nearer endpoint is the answer
-    bracketed = f_lo <= goal <= f_hi
-    while bracketed and iterations < max_iter and abs(best_val - goal) > tol:
+    for _ in range(WITNESS_MAX_ITER if f_lo <= goal <= f_hi else 0):
+        if abs(best_val - goal) <= WITNESS_TOL:
+            break
         mid = (lo + hi) / 2.0
         f_mid = response_at_k(mid)
         if abs(f_mid - goal) < abs(best_val - goal):
@@ -317,12 +307,10 @@ def density_witness(
             lo = mid
         else:
             hi = mid
-        iterations += 1
     return DensityWitness(
-        found=abs(best_val - goal) <= tol,
+        found=abs(best_val - goal) <= WITNESS_TOL,
         signal=make_signal(best_t),
         achieved=sign * best_val,
         target=target,
-        tolerance=tol,
-        iterations=iterations,
+        tolerance=WITNESS_TOL,
     )

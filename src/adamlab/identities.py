@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InitMode, as_signal
+from .core import as_signal
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,8 @@ class Prop1Report:
         return bool(np.all(self.direction.passed) and np.all(self.variance.passed))
 
 
-def scalar_adam_trace(
-    signal, beta: float | np.ndarray, init_mode: InitMode = InitMode.ZERO
-) -> dict[str, np.ndarray]:
-    """Run both direction forms over ``signal`` along axis 0 (eps=0, no bias correction).
+def scalar_adam_trace(signal, beta: float | np.ndarray) -> dict[str, np.ndarray]:
+    """Run both direction forms over ``signal`` along axis 0 (eps=0, zero init, no bias correction).
 
     ``signal`` is ``(T,)``, or ``(T, C)`` for C independent columns streamed
     together; ``beta`` is a float or one value per column. Every operation is
@@ -93,13 +91,10 @@ def scalar_adam_trace(
     rows = signal.tolist() if signal.ndim == 1 else signal
     m = v = delta = 0.0 if signal.ndim == 1 else np.zeros(signal.shape[1])
     for k, g in enumerate(rows):
-        if k == 0 and init_mode is InitMode.FIRST_SAMPLE:
-            m, v = g, g * g
-        else:
-            diff = m - g
-            delta = beta * delta + spread * diff * diff
-            m = beta * m + keep * g
-            v = beta * v + keep * g * g
+        diff = m - g
+        delta = beta * delta + spread * diff * diff
+        m = beta * m + keep * g
+        v = beta * v + keep * g * g
         m_arr[k] = m
         v_arr[k] = v
         delta_arr[k] = delta
@@ -118,7 +113,6 @@ def check_prop1(
     tol: float = 1e-9,
     *,
     variance_tol: float | None = None,
-    init_mode: InitMode = InitMode.ZERO,
 ) -> Prop1Report:
     """Compare the two direction forms and the two variance computations.
 
@@ -131,7 +125,7 @@ def check_prop1(
     if variance_tol is None:
         variance_tol = tol / 10.0
     # no caller sees the trace, so the residuals overwrite its arrays: the working set stays at its size
-    trace = scalar_adam_trace(signal, beta, init_mode)
+    trace = scalar_adam_trace(signal, beta)
     direction_res = np.subtract(trace["d_standard"], trace["d_variance"], out=trace["d_standard"])
     np.abs(direction_res, out=direction_res)
 
@@ -214,9 +208,13 @@ def trust_radius(m: float, variance: float) -> float:
     return 1.0 / math.sqrt(1.0 + variance / (m * m))
 
 
-def steepest_descent_minimizer(m: float, radius: float, num: int = 4001) -> float:
+#: points of the brute-force grid over ``[-radius, radius]``
+MINIMIZER_GRID_POINTS = 4001
+
+
+def steepest_descent_minimizer(m: float, radius: float) -> float:
     """Brute-force argmin of ``-m * theta`` over a grid of ``|theta| <= radius``."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    thetas = np.linspace(-radius, radius, num)
+    thetas = np.linspace(-radius, radius, MINIMIZER_GRID_POINTS)
     return float(thetas[np.argmin(-m * thetas)])

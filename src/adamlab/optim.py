@@ -256,44 +256,29 @@ def direction_map(config: OptimizerConfig, *, g=None, m=None, v=None, delta=None
     return _safe_div(m, _denominator(root, config, out=root), out=root)
 
 
-def direction(
-    config: OptimizerConfig, state: OptimizerState, g, powers=None
-) -> tuple[np.ndarray, OptimizerState]:
-    """One optimizer step: :func:`advance` ``state`` once, then :func:`direction_map` it.
-
-    ``powers`` is as in :func:`corrected_moments`.
-    """
+def direction(config: OptimizerConfig, state: OptimizerState, g) -> tuple[np.ndarray, OptimizerState]:
+    """One optimizer step with float betas: :func:`advance` ``state`` once, then :func:`direction_map` it."""
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
     advance(config, state, g)
-    return direction_map(config, g=g, **corrected_moments(config, state, powers)), state
+    return direction_map(config, g=g, **corrected_moments(config, state)), state
 
 
-def apply_step(w, d, lr: float) -> np.ndarray:
-    """The update ``w - lr*d``."""
-    w = np.asarray(w, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if w.shape != d.shape:
-        raise ValueError(f"shape mismatch: w {w.shape} vs d {d.shape}")
+def apply_step(w: np.ndarray, d: np.ndarray, lr) -> np.ndarray:
+    """The update ``w - lr*d`` of float arrays (``lr`` a float or a column that broadcasts)."""
     return w - lr * d
 
 
-def delta_estimate(config: OptimizerConfig, state: OptimizerState, moments=None) -> np.ndarray | None:
-    """Current per-coordinate gradient-variance estimate, if the method has one.
+def delta_estimate(config: OptimizerConfig, moments: dict) -> np.ndarray | None:
+    """Per-coordinate gradient-variance estimate from :func:`corrected_moments`, if the method has one.
 
     Equal-beta Adam exposes its recursion directly; plain Adam/RMSprop report
     ``max(v_hat - m_hat**2, 0)``. Sign and momentum methods return ``None``.
-    ``moments`` is :func:`corrected_moments` of ``state``, computed here with
-    float betas when not given; for a state with ``(R, 1)`` beta columns,
-    pass it computed with their ``powers``.
+    ``moments`` must come from a state that has taken at least one step.
     """
     if config.kind not in _SECOND_MOMENT_KINDS:
         return None
-    if state.step == 0:
-        return np.copy(state.delta)
-    if moments is None:
-        moments = corrected_moments(config, state)
     if config.kind is OptimizerKind.ADAM_EQUAL_BETA:
         return np.maximum(moments["delta"], 0.0)
     m = moments["m"]

@@ -298,11 +298,15 @@ class RunRecord:
         return float(self.losses[-1])
 
 
-def initial_point(dim: int, seed: int, radius: float = 3.0) -> np.ndarray:
-    """Standard-normal direction rescaled to the given radius, fixed per seed."""
+#: distance of every run's starting point from the minimum at the origin
+START_RADIUS = 3.0
+
+
+def initial_point(dim: int, seed: int) -> np.ndarray:
+    """Standard-normal direction rescaled to :data:`START_RADIUS`, fixed per seed."""
     rng = np.random.default_rng(derive_seed(seed, "w0"))
     w = rng.standard_normal(dim)
-    return w * (radius / np.linalg.norm(w))
+    return w * (START_RADIUS / np.linalg.norm(w))
 
 
 class RunSpec(NamedTuple):
@@ -398,7 +402,7 @@ def run_batch(
             loss = problem.loss(w)
             losses[k] = loss
             if track_delta:
-                snapshot = delta_estimate(config, state, moments=moments)
+                snapshot = delta_estimate(config, moments)
                 for j, sl in enumerate(slices):
                     np.add.reduce(snapshot[:, sl], axis=-1, out=deltas[k, j])
             finite = np.isfinite(loss)

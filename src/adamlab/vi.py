@@ -30,6 +30,10 @@ import numpy as np
 
 #: evaluation cap of one bounded search, as in the classic ``fminbound``
 MAX_EVALUATIONS = 500
+#: relative tolerance of the oracle's inner search over the mean
+ORACLE_TOL = 1e-7
+#: how often the oracle widens its log-variance bracket before giving up
+ORACLE_WIDENINGS = 6
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
@@ -182,13 +186,6 @@ def lambda_beta(lam: float) -> float:
     return lam / (1.0 + lam)
 
 
-def beta_lambda(beta: float) -> float:
-    """Regularization weight that yields momentum ``beta``: ``beta / (1 - beta)``."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must be in [0, 1), got {beta}")
-    return beta / (1.0 - beta)
-
-
 def vi_update(prior: GaussianBelief, g: float, lam: float) -> GaussianBelief:
     """Closed-form minimizer of the penalized likelihood.
 
@@ -207,18 +204,14 @@ def vi_update(prior: GaussianBelief, g: float, lam: float) -> GaussianBelief:
     return GaussianBelief(mean=mean, variance=variance)
 
 
-def vi_numeric_oracle(
-    prior: GaussianBelief,
-    g: float,
-    lam: float,
-    tol: float = 1e-7,
-    max_widenings: int = 6,
-) -> GaussianBelief:
+def vi_numeric_oracle(prior: GaussianBelief, g: float, lam: float) -> GaussianBelief:
     """Minimize the objective by nested bracketed 1-D searches.
 
-    Outer bounded search over ``log(variance)`` (widened on bracket hits),
-    inner bounded search over the mean. No closed-form shortcuts; raises
-    :class:`OracleError` if a finite bracket cannot be found.
+    Outer bounded search over ``log(variance)`` (widened by 20 on a bracket
+    hit, at most :data:`ORACLE_WIDENINGS` times), inner bounded search over
+    the mean to :data:`ORACLE_TOL` relative to the bracket's magnitude. No
+    closed-form shortcuts; raises :class:`OracleError` if a finite bracket
+    cannot be found.
     """
     if prior.variance <= 0:
         raise ValueError("oracle needs a strictly positive prior variance")
@@ -229,7 +222,7 @@ def vi_numeric_oracle(
     spread = abs(prior.mean - g)
     m_lo = min(prior.mean, g) - 0.5 * spread - 1.0
     m_hi = max(prior.mean, g) + 0.5 * spread + 1.0
-    m_atol = tol * max(1.0, abs(m_lo), abs(m_hi)) * 1e-2
+    m_atol = ORACLE_TOL * max(1.0, abs(m_lo), abs(m_hi)) * 1e-2
 
     def best_mean(variance: float) -> float:
         return minimize_scalar(
@@ -243,7 +236,7 @@ def vi_numeric_oracle(
     scale = prior.variance + spread * spread + 1e-30
     lo = math.log(scale) - 30.0
     hi = math.log(scale) + 5.0
-    for _ in range(max_widenings):
+    for _ in range(ORACLE_WIDENINGS):
         log_var = minimize_scalar(profile, lo, hi, 1e-12)
         edge = 1e-6 * (hi - lo)
         if log_var - lo < edge:
@@ -254,6 +247,6 @@ def vi_numeric_oracle(
             variance = math.exp(log_var)
             return GaussianBelief(mean=best_mean(variance), variance=variance)
     raise OracleError(
-        f"bracket exhausted after {max_widenings} widenings "
+        f"bracket exhausted after {ORACLE_WIDENINGS} widenings "
         f"(prior={prior}, g={g}, lam={lam})"
     )

@@ -29,9 +29,11 @@ from adamlab.cli import (
     parse_config,
     serialize_config,
 )
+from adamlab.filters import FilterKind
 from adamlab.optim import OptimizerConfig, OptimizerKind
 from adamlab.quadbench import (
     BlockSpec,
+    Layout,
     build_problem,
     derive_seed,
     initial_point,
@@ -93,10 +95,16 @@ FAST_CONFIGS = {
 NON_NUMBER = st.one_of(st.booleans(), st.text(max_size=5), st.lists(st.integers(), max_size=2))
 
 
-def _values(hint):
-    """Well-typed values for a config field; lists are nonempty."""
+#: the config fields that hold names, and the enum whose values they take
+NAME_FIELDS = {"layouts": Layout, "layout": Layout, "optimizers": OptimizerKind, "filters": FilterKind}
+
+
+def _values(hint, kinds=None):
+    """Well-typed values for a config field; lists are nonempty, and names are values of ``kinds``."""
     if typing.get_origin(hint) is tuple:
-        return st.lists(_values(typing.get_args(hint)[0]), min_size=1, max_size=4).map(tuple)
+        return st.lists(_values(typing.get_args(hint)[0], kinds), min_size=1, max_size=4).map(tuple)
+    if kinds is not None:
+        return st.sampled_from([kind.value for kind in kinds])
     return {
         int: st.integers(),
         float: st.floats(allow_nan=False),
@@ -124,7 +132,7 @@ def _configs(cls):
     return st.builds(
         cls,
         **{
-            f.name: _values(hints[f.name])
+            f.name: _values(hints[f.name], NAME_FIELDS.get(f.name))
             for f in dataclasses.fields(cls)
             if f.name not in ("schema_version", "command")
         },
@@ -196,6 +204,10 @@ class TestTypedConfigLoader:
         assert all(type(lr) is float for lr in config.lr_grid)
 
 
+#: the message of numpy's MemoryError for an array that does not fit
+NUMPY_OOM = "Unable to allocate 7.28 TiB for an array with shape (1000000000000, 1) and data type float64"
+
+
 class TestRejectedInputs:
     @pytest.mark.parametrize(
         "argv",
@@ -214,6 +226,8 @@ class TestRejectedInputs:
             ["signal", "--amplitude", "1e-200", "--length", "50"],
             # sweep runs in one process; --jobs stays only as the benchmark's pinned "--jobs 1"
             ["sweep", "--jobs", "2", "--steps", "5"],
+            ["signal", "--filter", "bogus", "--length", "50"],
+            ["sweep", "--optim", "bogus", "--steps", "5"],
         ],
     )
     def test_flag_values_exit_2(self, tmp_path, argv):
@@ -231,10 +245,49 @@ class TestRejectedInputs:
             ("sweep", "optimizers", []),
             ("signal", "filters", []),
             ("quad", "base_seed", 2**64),
+            # names are checked with the types, before any work
+            ("quad", "optimizers", ["sgd", "bogus"]),
+            ("quad", "layouts", ["both"]),
+            ("sweep", "layout", "both"),
+            ("sweep", "optimizers", ["bogus"]),
+            ("signal", "filters", ["sign", "bogus"]),
         ],
     )
     def test_config_values_exit_2(self, tmp_path, command, name, value):
         _assert_usage_error(*_run_config(tmp_path, command, _with_field(command, name, value)))
+
+    def test_deeply_nested_config_exits_2(self, tmp_path):
+        # json.loads raises RecursionError long before it reads all 200,000 brackets
+        path = tmp_path / "config.json"
+        path.write_text("[" * 200_000)
+        rc, err = _run(["quad", "--config", str(path), "--out", str(tmp_path / "out")])
+        _assert_usage_error(rc, err)
+        assert "nested too deeply" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, name, message",
+        [
+            (["quad", "--steps", "1000000000000", "--seeds", "1", "--optim", "sgd", "--layout", "het"], "tune_and_compare", NUMPY_OOM),
+            (["signal", "--length", "1000000000000"], "gen_signal", NUMPY_OOM),
+            (["sweep", "--steps", "1000000000000", "--seeds", "1"], "run_cell", NUMPY_OOM),
+            # tuple(range(seeds)) raises Python's MemoryError, which has no message
+            (["quad", "--seeds", "100000000000"], "_load_config", ""),
+        ],
+    )
+    def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, argv, name, message):
+        # the function on the path raises instead of allocating
+        import adamlab.cli as cli
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, name, out_of_memory)
+        out = tmp_path / "out"
+        rc, err = _run(argv + ["--out", str(out)])
+        _assert_usage_error(rc, err)
+        assert err == f"out of memory: {message or 'the requested sizes are too large'}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize(
@@ -276,6 +329,77 @@ class TestRejectedInputs:
             main([command, "--jobs", "2"])
         capsys.readouterr()
         assert err.value.code == EXIT_USAGE
+
+
+#: float flag values at the edges of what a double holds, and momentum at or near 1
+EDGE_FLOATS = ("nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-1", "1", "0.9999999999999999", "0.5")
+#: batch sizes around the nine rows of the quadratics
+BATCH_SIZES = ("-1", "0", "1", "3", "9", "10")
+
+
+def _flag(name: str, values):
+    """``[--name=value]`` for one of ``values``, or (twice as likely) ``[]``; ``=`` keeps ``-1e308`` a value."""
+    return st.one_of(st.just([]), st.just([]), st.sampled_from(values).map(lambda value: [f"--{name}={value}"]))
+
+
+def _size(name: str, high: int):
+    """``[--name=N]``: a few steps, seeds or samples, or (a third as likely) 0 or -1."""
+    sizes = st.one_of(st.integers(1, high), st.integers(1, high), st.sampled_from((0, -1)))
+    return sizes.map(lambda value: [f"--{name}={value}"])
+
+
+SEED_FLAG = _flag("seed", ("-1", "0", "18446744073709551616"))
+CLI_ARGV = st.one_of(
+    st.tuples(
+        st.just(["quad"]),
+        _size("steps", 3),
+        _size("seeds", 2),
+        _flag("lr", EDGE_FLOATS),
+        _flag("beta", EDGE_FLOATS),
+        _flag("batch-size", BATCH_SIZES),
+        _flag("layout", ("het", "hom", "both")),
+        _flag("optim", [kind.value for kind in OptimizerKind]),
+        SEED_FLAG,
+    ),
+    st.tuples(
+        st.just(["signal"]),
+        _size("length", 40),
+        _flag("beta", EDGE_FLOATS),
+        _flag("amplitude", EDGE_FLOATS),
+        _flag("frequency", EDGE_FLOATS),
+        _flag("decay", EDGE_FLOATS),
+        _flag("filter", [kind.value for kind in FilterKind]),
+        SEED_FLAG,
+    ),
+    st.tuples(
+        st.just(["sweep"]),
+        _size("steps", 3),
+        _size("seeds", 2),
+        _flag("beta-base", EDGE_FLOATS),
+        _flag("kappas", EDGE_FLOATS),
+        _flag("batch-size", BATCH_SIZES),
+        _flag("optim", [kind.value for kind in OptimizerKind]),
+        st.sampled_from([[], ["--equal-betas"]]),
+        SEED_FLAG,
+    ),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=150)
+@given(argv=CLI_ARGV)
+def test_generated_flags_exit_0_or_2_with_one_line(tmp_path_factory, argv):
+    """The CLI contract over generated argv: an artifact, or exit 2 with one line and no ``--out``.
+
+    Any other exception escapes ``main`` and fails the test, and so does a
+    numpy warning, which the test settings raise as an error.
+    """
+    out = tmp_path_factory.mktemp("contract") / "out"
+    rc, err = _run(argv + ["--out", str(out)])
+    if rc == EXIT_OK:
+        assert any(out.iterdir())
+    else:
+        _assert_usage_error(rc, err)
+        assert not out.exists()
 
 
 def test_float_format_round_trips():

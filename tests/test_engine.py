@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adamlab.cli import _QUAD_KINDS, EXIT_OK, EXIT_USAGE, SweepConfig, _beta_pairs, _write_csv, fmt_float, main
+from adamlab.cli import EXIT_OK, EXIT_USAGE, SweepConfig, _beta_pairs, _write_csv, fmt_float, main
 from adamlab.core import InitMode, beta_grid, lr_at
 from adamlab.optim import (
     _SECOND_MOMENT_KINDS,
@@ -66,7 +66,7 @@ def reference_run(problem, config, lr, steps, batch_size, w0, seed, config_id=""
             break
         losses.append(loss)
         if track_delta:
-            snapshot = delta_estimate(config, state)
+            snapshot = delta_estimate(config, corrected_moments(config, state))
             deltas.append([float(np.mean(snapshot[sl])) for sl in slices])
         if loss > DIVERGENCE_THRESHOLD:
             reason = "threshold"
@@ -479,7 +479,7 @@ def reference_sweep_batch(payload) -> list[list[str]]:
     (problem, name, lrs, beta1, beta2, starts, steps, batch_size) = payload
     layout = problem.spec.layout.value
     suffix = f":b1={beta1:.17g}:b2={beta2:.17g}"
-    config = default_quad_config(_QUAD_KINDS[name], beta1, beta2)
+    config = default_quad_config(OptimizerKind(name), beta1, beta2)
     per_cell = run_cell(
         problem,
         [(config, lr, make_config_id(layout, name, lr) + suffix) for lr in lrs],
@@ -531,7 +531,7 @@ def test_sweep_csv_equals_batch_per_pair(tmp_path, capsys):
     payloads = [
         (problem, name, lrs, float(beta1), float(beta2), starts, steps, cfg.batch_size)
         for name in names
-        for beta1, beta2 in _beta_pairs(_QUAD_KINDS[name], betas, False)
+        for beta1, beta2 in _beta_pairs(OptimizerKind(name), betas, False)
     ]
     with np.errstate(over="ignore", invalid="ignore"):
         rows = [row for payload in payloads for row in reference_sweep_batch(payload)]

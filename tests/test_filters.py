@@ -13,6 +13,7 @@ from adamlab.filters import (
     SCALING_FACTORS,
     SIGNAL_LENGTH,
     TRUNCATIONS_PER_TRIAL,
+    WITNESS_TOL,
     FilterKind,
     FilterSpec,
     PropertyCheck,
@@ -250,6 +251,11 @@ class TestColumnEngine:
             assert np.all(np.isfinite(filter_response(FilterSpec(kind), signal)))
 
 
+def by_name(report) -> dict:
+    """A property report's checks keyed by their names."""
+    return {check.name: check for check in report.checks}
+
+
 class TestProperties:
     @pytest.mark.parametrize("kind", list(FilterKind))
     def test_all_four_properties_pass(self, kind):
@@ -268,7 +274,7 @@ class TestProperties:
             rng=rng,
             label="broken",
         )
-        assert not report.check("odd").passed
+        assert not by_name(report)["odd"].passed
         assert not report.passed
 
     def test_future_reading_response_fails_causal_check(self):
@@ -278,16 +284,16 @@ class TestProperties:
         report = run_property_checks(
             lambda s: filter_response(base, s[::-1])[::-1], trials=5, tol=1e-12, rng=rng
         )
-        assert not report.check("causal").passed
-        assert report.check("scaling").passed and report.check("odd").passed
+        assert not by_name(report)["causal"].passed
+        assert by_name(report)["scaling"].passed and by_name(report)["odd"].passed
 
     def test_scale_dependent_response_fails_scaling_check(self):
         # negative control: tanh is causal, odd and bounded but not scale-invariant
         rng = np.random.default_rng(58)
         report = run_property_checks(np.tanh, trials=5, tol=1e-12, rng=rng)
-        assert not report.check("scaling").passed
-        assert report.check("causal").passed
-        assert report.check("odd").passed and report.check("bounded").passed
+        assert not by_name(report)["scaling"].passed
+        assert by_name(report)["causal"].passed
+        assert by_name(report)["odd"].passed and by_name(report)["bounded"].passed
 
     def test_nan_response_fails_every_check(self):
         # negative control: flooring a violation with max(0.0, nan) used to read 0.0
@@ -305,9 +311,9 @@ class TestProperties:
         report = run_property_checks(
             lambda s: np.where(np.abs(s) > 9.0, np.nan, np.sign(s)), trials=3, tol=1e-12, rng=np.random.default_rng(60)
         )
-        assert math.isnan(report.check("scaling").max_violation)
-        assert not report.check("scaling").passed
-        assert all(report.check(name).passed for name in ("causal", "odd", "bounded"))
+        assert math.isnan(by_name(report)["scaling"].max_violation)
+        assert not by_name(report)["scaling"].passed
+        assert all(by_name(report)[name].passed for name in ("causal", "odd", "bounded"))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_report_and_stream_match_per_trial_reference(self, seed):
@@ -331,7 +337,7 @@ class TestProperties:
         report = run_property_checks(response, 6, 1e-12, np.random.default_rng(seed))
         expected = reference_property_checks(response, 6, 1e-12, np.random.default_rng(seed))
         assert report == expected
-        assert all(report.check(name).max_violation > 0 for name in ("scaling", "odd", "bounded"))
+        assert all(by_name(report)[name].max_violation > 0 for name in ("scaling", "odd", "bounded"))
 
     def test_report_shape(self):
         rng = np.random.default_rng(55)
@@ -399,11 +405,10 @@ class TestDensityWitness:
         response = filter_response(filt, witness.signal)
         assert response[10] == pytest.approx(witness.achieved, abs=1e-12)
 
-    @pytest.mark.parametrize("tol", [1e-6, 1e-3])
-    def test_reports_the_tolerance_it_decided_with(self, tol):
-        witness = density_witness(0.37, k=10, beta=0.9, tol=tol)
-        assert witness.tolerance == tol
-        assert witness.found and abs(witness.achieved - 0.37) <= tol
+    def test_reports_the_tolerance_it_decided_with(self):
+        witness = density_witness(0.37, k=10, beta=0.9)
+        assert witness.tolerance == WITNESS_TOL == 1e-6
+        assert witness.found and abs(witness.achieved - 0.37) <= WITNESS_TOL
 
     def test_sign_only_filter_reports_miss_honestly(self):
         # beta=0 keeps only {-1, 0, 1}; a miss is an expected outcome

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adamlab.core import InitMode
 from adamlab.identities import (
     CompletionReport,
     ResidualReport,
@@ -25,8 +24,8 @@ BETA_GRID_ROWS = (0.8, 0.9, 0.95, 0.975, 0.9875)
 BETA_GRID_COLS = (0.6, 0.8, 0.9, 0.95, 0.975, 0.9875, 0.99375, 0.996875)
 
 
-def reference_trace(signal, beta: float, init_mode: InitMode = InitMode.ZERO) -> dict[str, np.ndarray]:
-    """The 1-D scalar loop the column trace replaced, kept verbatim."""
+def reference_trace(signal, beta: float) -> dict[str, np.ndarray]:
+    """The 1-D scalar loop the column trace replaced, verbatim but for its first-sample branch."""
     signal = np.asarray(signal, dtype=float).ravel()
     if not np.all(np.isfinite(signal)):
         raise ValueError("signal contains non-finite entries")
@@ -43,13 +42,10 @@ def reference_trace(signal, beta: float, init_mode: InitMode = InitMode.ZERO) ->
     m = v = delta = 0.0
     for k, g in enumerate(signal):
         g = float(g)
-        if k == 0 and init_mode is InitMode.FIRST_SAMPLE:
-            m, v = g, g * g
-        else:
-            diff = m - g
-            delta = beta * delta + beta * (1.0 - beta) * diff * diff
-            m = beta * m + (1.0 - beta) * g
-            v = beta * v + (1.0 - beta) * g * g
+        diff = m - g
+        delta = beta * delta + beta * (1.0 - beta) * diff * diff
+        m = beta * m + (1.0 - beta) * g
+        v = beta * v + (1.0 - beta) * g * g
         m_arr[k] = m
         v_arr[k] = v
         delta_arr[k] = delta
@@ -69,13 +65,6 @@ TRACE_BETAS = st.sampled_from([0.0, 0.5, 0.9, 0.95, 0.999]) | st.floats(0.0, 0.9
 
 
 class TestProp1:
-    def test_constant_signal_first_sample_residual_zero(self):
-        for c in (2.0, -0.7):
-            report = check_prop1([c] * 50, 0.9, init_mode=InitMode.FIRST_SAMPLE)
-            assert report.direction.max_abs_residual == 0.0
-            trace = scalar_adam_trace([c] * 50, 0.9, InitMode.FIRST_SAMPLE)
-            np.testing.assert_array_equal(trace["d_standard"], math.copysign(1.0, c))
-
     def test_standard_normal_signal(self):
         rng = np.random.default_rng(21)
         report = check_prop1(rng.standard_normal(1000), 0.95)
@@ -127,22 +116,22 @@ class TestProp1:
 class TestColumnTrace:
     """``scalar_adam_trace`` on ``(T, C)`` is the old scalar loop run on each column."""
 
-    @given(signal=TRACE_SIGNALS, init_mode=st.sampled_from(list(InitMode)), data=st.data())
-    def test_columns_match_scalar_loop_bitwise(self, signal, init_mode, data):
+    @given(signal=TRACE_SIGNALS, data=st.data())
+    def test_columns_match_scalar_loop_bitwise(self, signal, data):
         betas = data.draw(st.lists(TRACE_BETAS, min_size=signal.shape[1], max_size=signal.shape[1]))
-        trace = scalar_adam_trace(signal, np.array(betas), init_mode)
+        trace = scalar_adam_trace(signal, np.array(betas))
         for c, beta in enumerate(betas):
-            expected = reference_trace(signal[:, c], beta, init_mode)
-            alone = scalar_adam_trace(signal[:, c], beta, init_mode)
+            expected = reference_trace(signal[:, c], beta)
+            alone = scalar_adam_trace(signal[:, c], beta)
             for key, column in expected.items():
                 assert trace[key].shape == signal.shape
                 assert np.array_equal(trace[key][:, c], column), key
                 assert np.array_equal(alone[key], column), key
 
-    @given(signal=TRACE_SIGNALS, beta=TRACE_BETAS, init_mode=st.sampled_from(list(InitMode)))
-    def test_float_beta_is_shared_by_every_column(self, signal, beta, init_mode):
-        shared = scalar_adam_trace(signal, beta, init_mode)
-        per_column = scalar_adam_trace(signal, np.full(signal.shape[1], beta), init_mode)
+    @given(signal=TRACE_SIGNALS, beta=TRACE_BETAS)
+    def test_float_beta_is_shared_by_every_column(self, signal, beta):
+        shared = scalar_adam_trace(signal, beta)
+        per_column = scalar_adam_trace(signal, np.full(signal.shape[1], beta))
         for key in shared:
             assert np.array_equal(shared[key], per_column[key])
 
