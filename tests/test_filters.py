@@ -284,16 +284,18 @@ class TestProperties:
         report = run_property_checks(
             lambda s: filter_response(base, s[::-1])[::-1], trials=5, tol=1e-12, rng=rng
         )
-        assert not by_name(report)["causal"].passed
-        assert by_name(report)["scaling"].passed and by_name(report)["odd"].passed
+        checks = by_name(report)
+        assert not checks["causal"].passed
+        assert checks["scaling"].passed and checks["odd"].passed
 
     def test_scale_dependent_response_fails_scaling_check(self):
         # negative control: tanh is causal, odd and bounded but not scale-invariant
         rng = np.random.default_rng(58)
         report = run_property_checks(np.tanh, trials=5, tol=1e-12, rng=rng)
-        assert not by_name(report)["scaling"].passed
-        assert by_name(report)["causal"].passed
-        assert by_name(report)["odd"].passed and by_name(report)["bounded"].passed
+        checks = by_name(report)
+        assert not checks["scaling"].passed
+        assert checks["causal"].passed
+        assert checks["odd"].passed and checks["bounded"].passed
 
     def test_nan_response_fails_every_check(self):
         # negative control: flooring a violation with max(0.0, nan) used to read 0.0
@@ -311,9 +313,10 @@ class TestProperties:
         report = run_property_checks(
             lambda s: np.where(np.abs(s) > 9.0, np.nan, np.sign(s)), trials=3, tol=1e-12, rng=np.random.default_rng(60)
         )
-        assert math.isnan(by_name(report)["scaling"].max_violation)
-        assert not by_name(report)["scaling"].passed
-        assert all(by_name(report)[name].passed for name in ("causal", "odd", "bounded"))
+        checks = by_name(report)
+        assert math.isnan(checks["scaling"].max_violation)
+        assert not checks["scaling"].passed
+        assert all(checks[name].passed for name in ("causal", "odd", "bounded"))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_report_and_stream_match_per_trial_reference(self, seed):
@@ -337,7 +340,8 @@ class TestProperties:
         report = run_property_checks(response, 6, 1e-12, np.random.default_rng(seed))
         expected = reference_property_checks(response, 6, 1e-12, np.random.default_rng(seed))
         assert report == expected
-        assert all(by_name(report)[name].max_violation > 0 for name in ("scaling", "odd", "bounded"))
+        checks = by_name(report)
+        assert all(checks[name].max_violation > 0 for name in ("scaling", "odd", "bounded"))
 
     def test_report_shape(self):
         rng = np.random.default_rng(55)
