@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -172,9 +173,15 @@ _NAMED_FIELDS = {
 }
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """``cls``'s field types, resolved once per class: ``get_type_hints`` evaluates every string annotation."""
+    return typing.get_type_hints(cls)
+
+
 def _build_config(cls, data: dict):
     """Build ``cls`` from field values, rejecting unknown fields, wrong types, empty lists and unknown names."""
-    hints = typing.get_type_hints(cls)
+    hints = _field_types(cls)
     unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"unknown config field {unknown[0]!r}")
@@ -702,9 +709,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first :func:`main` call rather than at import.
+
+    ``parse_args`` leaves the parser as it found it (each call starts from a
+    fresh namespace and copies its defaults), so calls can share it.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

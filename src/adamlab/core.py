@@ -78,20 +78,32 @@ class EmaBuffer:
 WARMUP_FRACTION = 0.1
 
 
-def lr_at(step: int, steps: int, peak):
+def lr_at(step, steps: int, peak):
     """Rate at ``step`` of a ``steps``-step run: linear warmup to ``peak``, then cosine annealing to 0.
 
-    ``0 <= step <= steps``; an array ``peak`` gives one rate per peak. The
-    warmup takes ``round(WARMUP_FRACTION * steps)`` steps, fewer than
-    ``steps`` for every ``steps >= 1``; a run of at most 5 steps has none.
+    ``0 <= step <= steps``; an array ``peak`` gives one rate per peak. A
+    sequence of steps gives a table with one row per step, of shape
+    ``(len(step), *np.shape(peak))``, equal bit for bit to the rows of one
+    call per step. The warmup takes ``round(WARMUP_FRACTION * steps)`` steps,
+    fewer than ``steps`` for every ``steps >= 1``; a run of at most 5 steps
+    has none.
     """
-    if not 0 <= step <= steps:
-        raise ValueError(f"step {step} outside schedule range [0, {steps}]")
     warmup = round(WARMUP_FRACTION * steps)
-    if step < warmup:
-        return peak * step / warmup
-    phase = math.pi * (step - warmup) / (steps - warmup)
-    return peak * (1.0 + math.cos(phase)) / 2.0
+
+    def fraction(k: int) -> tuple[float, float]:
+        """``(num, den)`` with rate ``peak * num / den`` at step ``k``."""
+        if not 0 <= k <= steps:
+            raise ValueError(f"step {k} outside schedule range [0, {steps}]")
+        if k < warmup:
+            return k, warmup
+        return 1.0 + math.cos(math.pi * (k - warmup) / (steps - warmup)), 2.0
+
+    if np.ndim(step) == 0:
+        num, den = fraction(step)
+    else:
+        terms = np.array([fraction(k) for k in step], dtype=float).reshape(-1, 2, *(1,) * np.ndim(peak))
+        num, den = terms[:, 0], terms[:, 1]
+    return peak * num / den
 
 
 def as_signal(signal) -> np.ndarray:

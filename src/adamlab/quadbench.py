@@ -33,7 +33,7 @@ that run alone:
   one-run vector forms (``einsum`` and row-wise dot products do not round
   the same way);
 * each run scales the one schedule of :func:`lr_at` by its own peak rate,
-  tabulated before the loop by one ``lr_at`` call per step over the peaks;
+  tabulated before the loop by one ``lr_at`` call over all steps and peaks;
   the rate and the momentum differ per run, as ``(R, 1)`` columns;
   the bias-correction powers ``beta**step`` are tabulated before the loop with
   Python's ``**``, once per distinct beta and step, because numpy's power does
@@ -165,7 +165,8 @@ def haar_rotation(rng: np.random.Generator, dim: int = 3) -> np.ndarray:
 
     Resamples (advancing the generator) in the measure-zero event that the
     eigenvalues of ``A A^T`` coincide to machine precision, since the
-    eigenbasis is then not unique.
+    eigenbasis is then not unique; raises ``ValueError`` if 100 samples in a
+    row are degenerate.
     """
     for _ in range(100):
         a = rng.standard_normal((dim, dim))
@@ -174,7 +175,7 @@ def haar_rotation(rng: np.random.Generator, dim: int = 3) -> np.ndarray:
         if gaps.size and np.min(gaps) <= 1e-12 * max(evals[-1], 1e-300):
             continue
         return rotation_from_factor(a)
-    raise RuntimeError("could not sample a non-degenerate rotation")
+    raise ValueError("could not sample a non-degenerate rotation in 100 draws")
 
 
 @dataclass(frozen=True)
@@ -390,8 +391,7 @@ def run_batch(
     # a huge peak may overflow its rates, and a diverging run its point and loss
     # on the way out; its non-finite loss ends it below
     with np.errstate(over="ignore", invalid="ignore"):
-        peaks = np.array([run.lr for run in runs])
-        lrs = np.array([lr_at(k, steps, peaks) for k in range(steps)])[:, :, None]
+        lrs = lr_at(range(steps), steps, np.array([run.lr for run in runs]))[:, :, None]
         for k in range(steps):
             g = subset_gradient(problem, w, rows[k])
             if not np.isfinite(g).all():
@@ -405,6 +405,9 @@ def run_batch(
                 snapshot = delta_estimate(config, moments)
                 for j, sl in enumerate(slices):
                     np.add.reduce(snapshot[:, sl], axis=-1, out=deltas[k, j])
+            # one test for the common step on which no loss is out of bounds; -inf and nan fail it too
+            if (np.abs(loss) <= DIVERGENCE_THRESHOLD).all():
+                continue
             finite = np.isfinite(loss)
             ended = live & (~finite | (loss > DIVERGENCE_THRESHOLD))
             if ended.any():

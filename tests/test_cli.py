@@ -289,6 +289,16 @@ class TestRejectedInputs:
         assert err == f"out of memory: {message or 'the requested sizes are too large'}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["quad", "--steps", "5", "--seeds", "1"], ["sweep", "--steps", "5", "--seeds", "1"]])
+    def test_degenerate_rotation_exits_2(self, tmp_path, monkeypatch, argv):
+        # every draw of the problem's generator is rank one: A A^T has a double zero eigenvalue
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: types.SimpleNamespace(standard_normal=np.ones))
+        out = tmp_path / "out"
+        rc, err = _run(argv + ["--out", str(out)])
+        _assert_usage_error(rc, err)
+        assert err == "invalid configuration: could not sample a non-degenerate rotation in 100 draws\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize(
         "argv",
@@ -778,6 +788,61 @@ class TestAtomicArtifacts:
         _write_json(tmp_path / "report.json", {"b": 1, "a": [2]})
         assert (tmp_path / "report.json").read_text() == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "runs.csv"]
+
+
+class TestReusedParser:
+    """``main`` parses with one parser per process; no call may see what an earlier call parsed."""
+
+    @staticmethod
+    def _calls(tmp_path) -> list[list[str]]:
+        config = tmp_path / "quad.json"
+        config.write_text(json.dumps({"schema_version": 1, "command": "quad", "optimizers": ["signum"], "beta": 0.9}))
+        quad = ["quad", "--layout", "het", "--steps", "20", "--seeds", "1", "--lr", "0.0078125"]
+        return [
+            quad + ["--optim", "sgd"],
+            quad,  # no --optim: the default optimizers, not the sgd of the call before
+            ["quad", "--layout", "bogus"],  # an argparse error, then a valid call
+            quad + ["--config", str(config)],
+            ["verify", "--suite", "trust"],
+            ["sweep", "--steps", "10", "--seeds", "1", "--kappas", "1"],
+        ]
+
+    @staticmethod
+    def _run_all(calls, out: Path, fresh: bool) -> list:
+        import adamlab.cli as cli
+
+        results = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                cli._parser.cache_clear()
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    rc = main(argv + ["--out", str(out / str(i))])
+                except SystemExit as exc:
+                    rc = exc.code
+            artifacts = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+            results.append((rc, stdout.getvalue(), stderr.getvalue().replace(str(out), "OUT"), artifacts))
+        return results
+
+    def test_calls_in_one_process_match_fresh_parsers(self, tmp_path, monkeypatch):
+        import adamlab.cli as cli
+
+        built, resolved = [], []
+        build_parser, get_type_hints = cli.build_parser, typing.get_type_hints
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        monkeypatch.setattr(typing, "get_type_hints", lambda cls: resolved.append(cls) or get_type_hints(cls))
+        cli._parser.cache_clear()
+        cli._field_types.cache_clear()
+        calls = self._calls(tmp_path)
+        reused = self._run_all(calls, tmp_path / "reused", fresh=False)
+        assert len(built) == 1
+        assert sorted(cls.__name__ for cls in resolved) == ["QuadConfig", "SweepConfig"]
+
+        assert [rc for rc, *_ in reused] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+        summary = reused[1][3]["1/summary.csv"].decode()
+        assert [line.split(",")[0] for line in summary.splitlines()[1:]] == ["adameq", "sgd", "signum"]
+        assert self._run_all(calls, tmp_path / "fresh", fresh=True) == reused
 
 
 def test_usage_error_exit_code_from_argparse():

@@ -1,6 +1,8 @@
 """Moving averages, bias correction, schedules, momentum grids."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adamlab.core import WARMUP_FRACTION, EmaBuffer, InitMode, beta_grid, lr_at
 
@@ -65,6 +67,10 @@ class TestEmaBuffer:
             EmaBuffer(beta=-0.1)
 
 
+def _bits(values) -> list[str]:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
 class TestSchedule:
     """``lr_at`` over a 1000-step run with peak 0.008: 100 warmup steps, then 900 of cosine."""
 
@@ -102,6 +108,28 @@ class TestSchedule:
             lr_at(-1, 1000, 0.008)
         with pytest.raises(ValueError):
             lr_at(1001, 1000, 0.008)
+        with pytest.raises(ValueError):
+            lr_at([0, 1001], 1000, 0.008)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.integers(1, 5000),
+        peaks=st.lists(
+            st.sampled_from((0.0, 5e-324, 2.0**-16, 1e308)) | st.floats(0.0, 1e308),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_table_equals_one_call_per_step(self, steps, peaks):
+        # under the engine's errstate: a peak near 1e308 times a step or 1 + cos overflows to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = lr_at(range(steps + 1), steps, np.array(peaks))
+            rows = [lr_at(k, steps, np.array(peaks)) for k in range(steps + 1)]
+            scalar = lr_at(range(steps + 1), steps, peaks[0])
+        assert table.shape == (steps + 1, len(peaks)) and scalar.shape == (steps + 1,)
+        assert _bits(table) == _bits(rows)
+        # a Python float peak: Python's float arithmetic, which overflows to inf without a warning
+        assert _bits(scalar) == _bits([lr_at(k, steps, peaks[0]) for k in range(steps + 1)])
 
 
 class TestBetaGrid:

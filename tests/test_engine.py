@@ -357,6 +357,63 @@ def test_minus_infinite_loss_ends_the_run_unrecorded(monkeypatch):
     assert not records[2].diverged and records[2].losses.size == 50
 
 
+#: losses at and around the end test's bounds
+EDGE_LOSSES = (
+    DIVERGENCE_THRESHOLD,
+    float(np.nextafter(DIVERGENCE_THRESHOLD, math.inf)),
+    -2 * DIVERGENCE_THRESHOLD,
+    math.inf,
+    -math.inf,
+    math.nan,
+    -0.0,
+    -5e-324,
+    -1e-300,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    columns=st.integers(1, 4).flatmap(
+        lambda n_runs: st.lists(
+            st.lists(st.sampled_from(EDGE_LOSSES) | st.floats(0.0, 1e13), min_size=n_runs, max_size=n_runs),
+            min_size=1,
+            max_size=8,
+        )
+    )
+)
+def test_end_test_follows_the_per_run_rule(columns):
+    """Losses drawn per step and run, fed to the engine in place of the real ones."""
+    steps, n_runs = len(columns), len(columns[0])
+    calls = 0
+
+    def drawn_loss(self, w):
+        nonlocal calls
+        calls += 1
+        return np.array(columns[calls - 1])
+
+    problem = build_problem(BlockSpec.heterogeneous(), 0)
+    config = default_quad_config(OptimizerKind.SGD)
+    runs = [RunSpec(config, 2.0**-7, initial_point(9, seed), seed) for seed in range(n_runs)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QuadraticProblem, "loss", drawn_loss)
+        records = run_batch(problem, runs, steps, 3)
+    for i, record in enumerate(records):
+        trace = [column[i] for column in columns]
+        # the first step whose loss is not finite, or above the threshold, ends the run; nothing ends it again
+        end = next((k for k, loss in enumerate(trace) if not math.isfinite(loss) or loss > DIVERGENCE_THRESHOLD), None)
+        if end is None:
+            assert (record.diverged_at, record.reason) == (None, None)
+            recorded = steps
+        else:
+            reason = "threshold" if math.isfinite(trace[end]) else "non_finite"
+            assert (record.diverged_at, record.reason) == (end, reason)
+            recorded = end + (reason == "threshold")
+        assert [x.hex() for x in record.losses.tolist()] == [x.hex() for x in trace[:recorded]]
+    # the batch stops once every run has ended
+    ends = [record.diverged_at for record in records]
+    assert calls == (steps if None in ends else max(ends) + 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(OptimizerKind),

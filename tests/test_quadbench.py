@@ -1,6 +1,7 @@
 """Problem construction invariants, gradient unbiasedness, runner determinism."""
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ class TestRotations:
         q1 = haar_rotation(np.random.default_rng(99))
         q2 = haar_rotation(np.random.default_rng(99))
         np.testing.assert_array_equal(q1, q2)
+
+    def test_degenerate_draws_raise_value_error(self):
+        # a rank-one factor: the eigenbasis of A A^T is never unique
+        with pytest.raises(ValueError, match="non-degenerate rotation"):
+            haar_rotation(types.SimpleNamespace(standard_normal=np.ones))
 
     def test_identity_factor_decomposes_to_identity(self):
         # identity up to column order (the eigenvalues are all equal) and sign
