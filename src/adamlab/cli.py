@@ -720,7 +720,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error (2) or help (0)
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

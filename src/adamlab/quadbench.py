@@ -38,13 +38,13 @@ that run alone:
   the bias-correction powers ``beta**step`` are tabulated before the loop with
   Python's ``**``, once per distinct beta and step, because numpy's power does
   not always round the same way;
-* a block mean of the variance term is ``np.mean``'s own sum, ``np.add.reduce``
-  over the block, divided by the block size once the loop is done;
-* the arrays keep their shape for the whole loop: everything indexed by step
-  is stored step-major, so step ``k`` reads and writes plain views, and a run
-  that ends stays in the arrays with its point, moments and later rates set
-  to zero, which give a zero direction and a zero loss from then on; it is not
-  checked for an end again.
+* the loop keeps only what feeds the next point, and writes each step's
+  points (and variance-term snapshots) into ``(steps, R, dim)`` histories; the
+  losses are one ``loss`` call over the point history, and a block mean of the
+  variance term is ``np.mean``'s own sum, one ``np.add.reduce`` per block over
+  the snapshot history, divided by the block size;
+* a run that ends keeps stepping in its own row (to inf or nan), and its
+  record is cut at its first loss that is not finite or above the threshold.
 
 :func:`run_experiment` is the one-run call of the engine, and
 :func:`run_cell` batches cells of one optimizer kind (rates, and momentum
@@ -199,7 +199,7 @@ class QuadraticProblem:
         return tuple(out)
 
     def loss(self, w: np.ndarray):
-        """``0.5 * w^T H w``; a ``(R, dim)`` stack of points gives one loss per row."""
+        """``0.5 * w^T H w`` over the last axis: a ``(steps, R, dim)`` history gives ``(steps, R)`` losses."""
         w = np.asarray(w, dtype=float)
         return 0.5 * (w[..., None, :] @ (self.hessian @ w[..., :, None]))[..., 0, 0]
 
@@ -346,19 +346,21 @@ def run_batch(
 ) -> list[RunRecord]:
     """Iterate gradient -> direction -> update for all ``runs`` at once, one record per run.
 
-    The runs are the rows of ``(R, dim)`` arrays. A non-finite loss ends a run
-    without recording that loss; a loss above ``DIVERGENCE_THRESHOLD`` is
-    recorded and then ends the run. An ended run keeps its row, with its
-    point, moments and later rates set to zero: its direction and loss are
-    zero from then on, it is never checked for an end again, and its record
-    stops where it ended. Each run's rate is :func:`lr_at` of its peak ``lr``,
-    and its row-subsampling stream is derived from ``(seed, config_id)``, so
-    records are reproducible run by run. ``track_delta=False`` skips the
-    variance-term snapshots (``delta_block_means`` is then ``None``). Raises
-    ``ValueError`` if a peak is not finite and nonnegative, ``steps < 1``,
-    ``batch_size`` is not in ``[1, dim]``, or the runs' configs differ in
-    anything but ``beta1`` and ``beta2`` (all before any row is drawn), or if
-    a gradient is not finite.
+    The runs are the rows of ``(R, dim)`` arrays. The loop steps every run to
+    the end and keeps each step's points; the losses, ends and block sums come
+    from these histories once the loop is done. A run ends at its first loss
+    that is not finite (not recorded) or above ``DIVERGENCE_THRESHOLD``
+    (recorded); it keeps stepping in its own row, which touches no other row,
+    and its record stops where it ended. Each run's rate is :func:`lr_at` of
+    its peak ``lr``, and its row-subsampling stream is derived from
+    ``(seed, config_id)``, so records are reproducible run by run.
+    ``track_delta=False`` skips the variance-term snapshots
+    (``delta_block_means`` is then ``None``). Raises ``ValueError`` if a peak
+    is not finite and nonnegative, ``steps < 1``, ``batch_size`` is not in
+    ``[1, dim]``, or the runs' configs differ in anything but ``beta1`` and
+    ``beta2`` (all before any row is drawn), or if the first step's gradient
+    is not finite (a point whose loss is within the threshold has a finite
+    gradient, so later steps are not checked).
     """
     for run in runs:
         if not (math.isfinite(run.lr) and run.lr >= 0):
@@ -381,59 +383,42 @@ def run_batch(
     if config.bias_correction and config.kind in _SECOND_MOMENT_KINDS:
         powers = (_power_table(beta1, steps), _power_table(beta2, steps))
     track_delta = track_delta and config.kind in _SECOND_MOMENT_KINDS
-    slices = problem.block_slices
 
-    losses = np.empty((steps, n_runs))
-    # block sums, step-major; divided by the block sizes when the records are cut
-    deltas = np.empty((steps, len(slices), n_runs)) if track_delta else None
-    ended_at: dict[int, tuple[int, str]] = {}
-    live = np.ones(n_runs, dtype=bool)
-    # a huge peak may overflow its rates, and a diverging run its point and loss
-    # on the way out; its non-finite loss ends it below
+    points = np.empty((steps, *w.shape))
+    snapshots = np.empty_like(points) if track_delta else None
+    # a huge peak may overflow its rates, and a run that has ended overflows its point, moments and loss
     with np.errstate(over="ignore", invalid="ignore"):
         lrs = lr_at(range(steps), steps, np.array([run.lr for run in runs]))[:, :, None]
         for k in range(steps):
             g = subset_gradient(problem, w, rows[k])
-            if not np.isfinite(g).all():
+            if k == 0 and not np.isfinite(g).all():
                 raise ValueError("gradient contains non-finite entries")
             advance(config, state, g)
             moments = corrected_moments(config, state, None if powers is None else (powers[0][k], powers[1][k]))
-            w = apply_step(w, direction_map(config, g=g, **moments), lrs[k])
-            loss = problem.loss(w)
-            losses[k] = loss
+            w = points[k] = apply_step(w, direction_map(config, g=g, **moments), lrs[k])
             if track_delta:
-                snapshot = delta_estimate(config, moments)
-                for j, sl in enumerate(slices):
-                    np.add.reduce(snapshot[:, sl], axis=-1, out=deltas[k, j])
-            # one test for the common step on which no loss is out of bounds; -inf and nan fail it too
-            if (np.abs(loss) <= DIVERGENCE_THRESHOLD).all():
-                continue
-            finite = np.isfinite(loss)
-            ended = live & (~finite | (loss > DIVERGENCE_THRESHOLD))
-            if ended.any():
-                for i in np.flatnonzero(ended):
-                    ended_at[int(i)] = (k, "threshold" if finite[i] else "non_finite")
-                if len(ended_at) == n_runs:
-                    break
-                live &= ~ended
-                # a zero rate keeps the zeroed point at zero even where the schedule's rate overflows to inf
-                lrs[k + 1 :, ended] = 0.0
-                # fresh arrays, not writes into the state: a first-sample-seeded m is the gradient array itself
-                zero = ended[:, None]
-                w = np.where(zero, 0.0, w)
-                state.m, state.v, state.delta = (np.where(zero, 0.0, x) for x in (state.m, state.v, state.delta))
+                snapshots[k] = delta_estimate(config, moments)
+        if track_delta:
+            block_sums = np.stack([np.add.reduce(snapshots[..., sl], axis=-1) for sl in problem.block_slices], -1)
+            del snapshots
+        losses = problem.loss(points)
+        # not ``abs(loss) <= threshold``: a finite loss below -threshold does not end a run
+        beyond = ~np.isfinite(losses) | (losses > DIVERGENCE_THRESHOLD)
+    ended = beyond.any(axis=0).tolist()
+    ends = beyond.argmax(axis=0).tolist()
 
-    sizes = np.array([sl.stop - sl.start for sl in slices], dtype=float)
+    sizes = np.array([sl.stop - sl.start for sl in problem.block_slices], dtype=float)
     records = []
     for i, run in enumerate(runs):
-        at, reason = ended_at.get(i, (None, None))
+        at = ends[i] if ended[i] else None
+        reason = None if at is None else "threshold" if math.isfinite(losses[at, i]) else "non_finite"
         recorded = steps if at is None else at + (reason == "threshold")
         records.append(
             RunRecord(
                 config_id=run.config_id,
                 seed=run.seed,
                 losses=losses[:recorded, i].copy(),
-                delta_block_means=None if deltas is None else deltas[:recorded, :, i] / sizes,
+                delta_block_means=block_sums[:recorded, i] / sizes if track_delta else None,
                 diverged_at=at,
                 reason=reason,
             )

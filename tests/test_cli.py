@@ -335,10 +335,8 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("command", ["verify", "quad", "signal"])
     def test_jobs_is_a_sweep_only_flag(self, command, capsys):
-        with pytest.raises(SystemExit) as err:
-            main([command, "--jobs", "2"])
-        capsys.readouterr()
-        assert err.value.code == EXIT_USAGE
+        assert main([command, "--jobs", "2"]) == EXIT_USAGE
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 #: float flag values at the edges of what a double holds, and momentum at or near 1
@@ -817,10 +815,7 @@ class TestReusedParser:
                 cli._parser.cache_clear()
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                try:
-                    rc = main(argv + ["--out", str(out / str(i))])
-                except SystemExit as exc:
-                    rc = exc.code
+                rc = main(argv + ["--out", str(out / str(i))])
             artifacts = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
             results.append((rc, stdout.getvalue(), stderr.getvalue().replace(str(out), "OUT"), artifacts))
         return results
@@ -845,10 +840,12 @@ class TestReusedParser:
         assert self._run_all(calls, tmp_path / "fresh", fresh=True) == reused
 
 
-def test_usage_error_exit_code_from_argparse():
-    with pytest.raises(SystemExit) as err:
-        main(["quad", "--layout", "bogus"])
-    assert err.value.code == EXIT_USAGE
+def test_usage_error_exit_code_from_argparse(capsys):
+    # returned, not raised, so that an in-process caller records it
+    assert main(["quad", "--layout", "bogus"]) == EXIT_USAGE
+    assert "argument --layout: invalid choice: 'bogus'" in capsys.readouterr().err
+    assert main(["quad", "--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: adamlab quad")
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -22,6 +22,7 @@ from adamlab.optim import (
 )
 from adamlab.quadbench import (
     DIVERGENCE_THRESHOLD,
+    HOMOGENEOUS_BLOCKS,
     BlockSpec,
     Layout,
     QuadraticProblem,
@@ -257,23 +258,42 @@ def test_batch_checks_rates_and_steps_before_drawing(monkeypatch, rates, steps, 
         run_batch(problem, runs, steps, 3)
 
 
+#: the blocks of unequal sizes that the block means are also pinned on
+UNEQUAL_BLOCKS = ((1.0, 2.0, 3.0, 4.0), (5.0,), (6.0, 7.0))
+
+
 @settings(max_examples=50)
-@given(seed=st.integers(0, 2**32 - 1), batch_size=st.integers(1, 9), n_runs=st.integers(1, 5))
-def test_stacked_gradient_and_loss_match_one_run_forms(seed, batch_size, n_runs):
-    """Row r of the stacked forms equals the one-run vector expressions bitwise."""
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch_size=st.integers(1, 9),
+    n_runs=st.integers(1, 5),
+    steps=st.integers(1, 6),
+    blocks=st.sampled_from((HOMOGENEOUS_BLOCKS, UNEQUAL_BLOCKS)),
+)
+def test_stacked_gradient_and_loss_match_one_run_forms(seed, batch_size, n_runs, steps, blocks):
+    """Row r of the stacked forms, at step k of a history, equals the one-run vector expressions bitwise."""
     rng = np.random.default_rng(seed)
-    problem = build_problem(BlockSpec.homogeneous(), seed=seed % 7)
-    w = rng.standard_normal((n_runs, 9)) * 10.0 ** rng.integers(-6, 6, size=(n_runs, 1))
-    rows = draw_rows(rng, 9, n_runs, batch_size)
-    g = subset_gradient(problem, w, rows)
-    losses = problem.loss(w)
-    for r in range(n_runs):
-        xb = problem.design[rows[r]]
-        g_r = (9 / batch_size) * (xb.T @ (xb @ w[r]))
-        loss_r = 0.5 * float(w[r] @ (problem.hessian @ w[r]))
-        assert np.array_equal(g[r], g_r)
-        assert np.array_equal(subset_gradient(problem, w[r], rows[r]), g_r)
-        assert losses[r] == loss_r == problem.loss(w[r])
+    problem = build_problem(BlockSpec(blocks, Layout.HOMOGENEOUS), seed=seed % 7)
+    dim = problem.dim
+    batch_size = min(batch_size, dim)
+    history = rng.standard_normal((steps, n_runs, dim)) * 10.0 ** rng.integers(-6, 6, size=(steps, n_runs, 1))
+    rows = draw_rows(rng, dim, steps * n_runs, batch_size).reshape(steps, n_runs, batch_size)
+    losses = problem.loss(history)
+    block_sums = [np.add.reduce(history[..., sl], axis=-1) for sl in problem.block_slices]
+    for k, w in enumerate(history):
+        g = subset_gradient(problem, w, rows[k])
+        assert np.array_equal(losses[k], problem.loss(w))
+        for sl, sums in zip(problem.block_slices, block_sums):
+            assert np.array_equal(sums[k], np.add.reduce(w[:, sl], axis=-1))
+        for r in range(n_runs):
+            xb = problem.design[rows[k, r]]
+            g_r = (dim / batch_size) * (xb.T @ (xb @ w[r]))
+            loss_r = 0.5 * float(w[r] @ (problem.hessian @ w[r]))
+            assert np.array_equal(g[r], g_r)
+            assert np.array_equal(subset_gradient(problem, w[r], rows[k, r]), g_r)
+            assert losses[k, r] == loss_r == problem.loss(w[r])
+            for sl, sums in zip(problem.block_slices, block_sums):
+                assert sums[k, r] / (sl.stop - sl.start) == np.mean(w[r, sl])
 
 
 #: momentum values for mixed batches; 0.9 and 0.95 are the benchmark's, 0.0 turns momentum off
@@ -343,17 +363,14 @@ def test_minus_infinite_loss_ends_the_run_unrecorded(monkeypatch):
     problem = build_problem(BlockSpec.homogeneous(), derive_seed(0, "problem", "hom"))
     config = default_quad_config(OptimizerKind.ADAM_EQUAL_BETA)
     runs = [RunSpec(config, 1e300, initial_point(9, seed), seed, make_config_id("hom", "adameq", 1e300)) for seed in (0, 1)]
-    # a slow neighbour keeps the batch stepping after both overflowing runs have ended
+    # a slow neighbour steps on beside both overflowing runs
     runs.append(RunSpec(config, 2.0**-7, initial_point(9, 0), 0, "slow"))
     with np.errstate(over="ignore", invalid="ignore"):
         records = run_batch(problem, runs, 50, 3)
-    assert len(seen) == 50
     for i, record in enumerate(records[:2]):
-        assert seen[1][i] == -math.inf
+        assert seen[0][1, i] == -math.inf
         assert (record.diverged, record.diverged_at, record.reason) == (True, 1, "non_finite")
         assert record.losses.size == 1 and np.isfinite(record.losses[0])
-        # an ended run stays in the arrays at zero
-        assert np.all(np.array(seen[2:])[:, i] == 0.0)
     assert not records[2].diverged and records[2].losses.size == 50
 
 
@@ -389,7 +406,8 @@ def test_end_test_follows_the_per_run_rule(columns):
     def drawn_loss(self, w):
         nonlocal calls
         calls += 1
-        return np.array(columns[calls - 1])
+        assert w.shape == (steps, n_runs, 9)
+        return np.array(columns)
 
     problem = build_problem(BlockSpec.heterogeneous(), 0)
     config = default_quad_config(OptimizerKind.SGD)
@@ -409,9 +427,8 @@ def test_end_test_follows_the_per_run_rule(columns):
             assert (record.diverged_at, record.reason) == (end, reason)
             recorded = end + (reason == "threshold")
         assert [x.hex() for x in record.losses.tolist()] == [x.hex() for x in trace[:recorded]]
-    # the batch stops once every run has ended
-    ends = [record.diverged_at for record in records]
-    assert calls == (steps if None in ends else max(ends) + 1)
+    # the losses of the whole point history come from one call
+    assert calls == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -449,6 +466,21 @@ def test_mixed_momentum_batch_equals_batch_per_pair_and_reference(
     assert {record.reason for record in mixed} >= {"threshold", "non_finite"}
 
 
+@pytest.mark.parametrize("kind", OptimizerKind)
+def test_batch_in_which_every_run_ends_early_equals_reference(kind):
+    """No run is left after the first few steps, and the batch steps on to the end all the same."""
+    problem = build_problem(BlockSpec.homogeneous(), seed=6)
+    steps = 30
+    runs = mixed_runs(kind, [(0.9, 0.999), (0.5, 0.9)], DROP_OUT_RATES, 2, steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = run_batch(problem, runs, steps, 3)
+        for run, got in zip(runs, batch):
+            assert_same_run(reference_run(problem, *run[:2], steps, 3, *run[2:]), got)
+            assert_divergence_fields(got)
+    assert max(record.diverged_at for record in batch) < steps // 2
+    assert {record.reason for record in batch} == {"threshold", "non_finite"}
+
+
 def test_bias_correction_powers_are_python_powers(monkeypatch):
     """Pinned: numpy's power of 0.9 at step 12 is one ulp off Python's, and the engine must not use it."""
     assert (np.array([[0.9]]) ** 12)[0, 0] != 0.9**12  # numpy 2.4.6; without it this case pins nothing
@@ -473,8 +505,7 @@ def test_bias_correction_powers_are_python_powers(monkeypatch):
 
 @pytest.mark.parametrize("kind", [OptimizerKind.ADAM_EQUAL_BETA, OptimizerKind.ADAM])
 def test_block_means_match_reference_for_unequal_blocks(kind):
-    blocks = ((1.0, 2.0, 3.0, 4.0), (5.0,), (6.0, 7.0))
-    problem = build_problem(BlockSpec(blocks, Layout.HETEROGENEOUS), seed=5)
+    problem = build_problem(BlockSpec(UNEQUAL_BLOCKS, Layout.HETEROGENEOUS), seed=5)
     config = OptimizerConfig(kind, beta1=0.9, beta2=0.9)
     runs = [
         RunSpec(config, lr, initial_point(problem.dim, seed), seed, f"lr={lr!r}")
