@@ -787,6 +787,97 @@ class TestAtomicArtifacts:
         assert (tmp_path / "report.json").read_text() == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "runs.csv"]
 
+    @pytest.mark.parametrize("last", [0, 1])
+    def test_last_of_two_writers_to_finish_wins(self, tmp_path, last):
+        # two open writers of one name (nested when the first finishes last)
+        from adamlab.cli import _atomic_open
+
+        target = tmp_path / "runs.csv"
+        target.write_bytes(b"old\n")
+        writers = [_atomic_open(target), _atomic_open(target)]
+        for writer, text in zip(writers, ["aaa\n", "BBBB\n"]):
+            writer.__enter__().write(text)
+        writers[1 - last].__exit__(None, None, None)
+        writers[last].__exit__(None, None, None)
+        assert target.read_bytes() == [b"aaa\n", b"BBBB\n"][last]
+        assert os.listdir(tmp_path) == ["runs.csv"]
+
+    @given(
+        writes=st.lists(
+            st.tuples(st.booleans(), st.lists(st.integers(-5, 5), max_size=4)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=40)
+    def test_generated_writes_keep_the_last_complete_one(self, tmp_path_factory, writes):
+        import adamlab.cli as cli
+
+        out = tmp_path_factory.mktemp("writes")
+        target = out / "runs.csv"
+        replace, onto_existing = os.replace, []
+
+        def recording_replace(src, dst):
+            onto_existing.append(os.path.lexists(dst))
+            replace(src, dst)
+
+        def rows(values, complete):
+            for value in values:
+                yield [str(value)]
+            if not complete:
+                raise RuntimeError("interrupted")
+
+        expected = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "replace", recording_replace)
+            for complete, values in writes:
+                if complete:
+                    cli._write_csv(target, ["x"], rows(values, True))
+                    expected = "".join(f"{v}\n" for v in ["x", *values]).encode()
+                else:
+                    with pytest.raises(RuntimeError):
+                        cli._write_csv(target, ["x"], rows(values, False))
+                if expected is None:
+                    assert os.listdir(out) == []
+                else:
+                    assert os.listdir(out) == ["runs.csv"]
+                    assert target.read_bytes() == expected
+        assert onto_existing == [False] * sum(complete for complete, _ in writes)
+
+
+class TestRerunsIntoOneOut:
+    COMMANDS = {
+        "quad": (["quad", "--layout", "het", "--optim", "signum", "--steps", "20", "--seeds", "1"], ["runs.csv", "summary.csv"]),
+        "sweep": (["sweep", "--steps", "10", "--seeds", "1", "--kappas", "1"], ["sweep.csv"]),
+        "signal": (["signal", "--length", "50"], ["responses.csv", "signal_properties.json"]),
+        "verify": (["verify", "--suite", "trust"], ["verify.json"]),
+    }
+
+    def test_three_runs_write_identical_artifacts(self, tmp_path):
+        names = sorted(name for _, artifacts in self.COMMANDS.values() for name in artifacts)
+        rounds = []
+        for _ in range(3):
+            for argv, _ in self.COMMANDS.values():
+                assert _run(argv + ["--out", str(tmp_path)])[0] == EXIT_OK
+            assert sorted(os.listdir(tmp_path)) == names
+            rounds.append({name: (tmp_path / name).read_bytes() for name in names})
+        assert rounds[0] == rounds[1] == rounds[2]
+
+    @pytest.mark.parametrize(
+        "command, name", [(command, name) for command, (_, names) in COMMANDS.items() for name in names]
+    )
+    def test_artifact_name_taken_by_a_directory_exits_3(self, tmp_path, command, name):
+        blocker = tmp_path / name
+        blocker.mkdir()
+        (blocker / "keep").write_bytes(b"kept")
+        rc, err = _run(self.COMMANDS[command][0] + ["--out", str(tmp_path)])
+        assert rc == EXIT_IO
+        # verify prints one status line per check before its artifact
+        lines = [line for line in err.splitlines() if not line.startswith("[")]
+        assert len(lines) == 1 and lines[0].startswith("i/o error: ") and name in lines[0], err
+        assert os.listdir(blocker) == ["keep"] and (blocker / "keep").read_bytes() == b"kept"
+        assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
 
 class TestReusedParser:
     """``main`` parses with one parser per process; no call may see what an earlier call parsed."""
