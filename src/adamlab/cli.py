@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import typing
 from dataclasses import dataclass
@@ -247,7 +248,9 @@ def _atomic_open(path: Path):
     before the rename: renaming onto an existing file (or truncating it)
     stalls about 35-60 ms per write on ext4, which starts writing the
     replacing file back to disk first. A process killed between the two
-    steps leaves no file under ``path``, never a partial one.
+    steps leaves no file under ``path``, never a partial one. A write that
+    completes removes the temporary files of ``path`` that killed writers
+    left behind.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp")
     try:
@@ -255,8 +258,30 @@ def _atomic_open(path: Path):
             yield fh
         path.unlink(missing_ok=True)
         os.replace(tmp, path)
+        _remove_stale_temporaries(path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _remove_stale_temporaries(path: Path) -> None:
+    """Remove the ``.NAME.<pid>.<n>.tmp`` files of ``path`` whose pid no longer runs.
+
+    Files of this process and of running pids stay: a writer may still be
+    busy with them. A pid reused since its writer was killed reads as
+    running, so such a file stays until the pid is free again.
+    """
+    own = re.compile(rf"\.{re.escape(path.name)}\.([0-9]+)\.[0-9]+\.tmp")
+    for entry in os.scandir(path.parent):
+        match = own.fullmatch(entry.name)
+        if match is None or int(match[1]) == os.getpid():
+            continue
+        try:
+            os.kill(int(match[1]), 0)
+        except ProcessLookupError:
+            with contextlib.suppress(OSError):
+                os.unlink(entry.path)
+        except (OSError, OverflowError):
+            pass  # running, or not ours to signal
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

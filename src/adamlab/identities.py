@@ -29,13 +29,12 @@ from .core import as_signal
 class ResidualReport:
     """Outcome of one max-|residual| comparison along axis 0.
 
-    Residuals of shape ``(T,)`` give a float, an int and a bool; ``(T, C)``
+    Residuals of shape ``(T,)`` give a float and a bool; ``(T, C)``
     residuals give one value per column in ``(C,)`` arrays.
     """
 
     name: str
     max_abs_residual: float | np.ndarray
-    argmax_index: int | np.ndarray
     tolerance: float
     passed: bool | np.ndarray
 
@@ -43,12 +42,11 @@ class ResidualReport:
     def from_residuals(cls, name: str, residuals, tolerance: float) -> "ResidualReport":
         residuals = np.asarray(residuals, dtype=float)
         if residuals.size == 0:
-            return cls(name, 0.0, -1, tolerance, True)
-        idx = np.argmax(residuals, axis=0)  # the first NaN, if there is one
+            return cls(name, 0.0, tolerance, True)
         worst = np.max(residuals, axis=0)  # NaN if there is one
         if residuals.ndim == 1:
-            return cls(name, float(worst), int(idx), tolerance, bool(worst <= tolerance))
-        return cls(name, worst, idx, tolerance, worst <= tolerance)
+            return cls(name, float(worst), tolerance, bool(worst <= tolerance))
+        return cls(name, worst, tolerance, worst <= tolerance)
 
 
 @dataclass(frozen=True)

@@ -30,16 +30,8 @@ from adamlab.cli import (
     serialize_config,
 )
 from adamlab.filters import FilterKind
-from adamlab.optim import OptimizerConfig, OptimizerKind
-from adamlab.quadbench import (
-    BlockSpec,
-    Layout,
-    build_problem,
-    derive_seed,
-    initial_point,
-    loss_quantiles,
-    run_experiment,
-)
+from adamlab.optim import OptimizerKind
+from adamlab.quadbench import Layout, derive_seed
 
 FAST_QUAD = [
     "quad",
@@ -736,30 +728,6 @@ class TestSweepCommand:
         capsys.readouterr()
         assert rc == EXIT_USAGE
 
-    def test_cell_row_matches_direct_runs(self, tmp_path, capsys):
-        """Pins the sweep's stream labels and its zero epsilon for sign methods."""
-        rc = main(
-            [
-                "sweep", "--optim", "signum", "--kappas", "1",
-                "--steps", "30", "--seeds", "3", "--out", str(tmp_path),
-            ]
-        )
-        capsys.readouterr()
-        assert rc == EXIT_OK
-        rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
-        row = next(r for r in rows if r[2] == "0.0078125")
-        assert row[3:5] == ["0.90000000000000002", "0.90000000000000002"]
-        problem = build_problem(BlockSpec.heterogeneous(), derive_seed(0, "problem", "het"))
-        config = OptimizerConfig(OptimizerKind.SIGNUM, beta1=0.9, beta2=0.9, epsilon=0.0)
-        cid = "het:signum:lr=0.0078125:b1=0.90000000000000002:b2=0.90000000000000002"
-        finals = [
-            run_experiment(
-                problem, config, 0.0078125, 30, 3, initial_point(problem.dim, seed), seed, config_id=cid
-            ).final_loss()
-            for seed in range(3)
-        ]
-        assert row[6:9] == [fmt_float(x) for x in loss_quantiles(finals)]
-
 
 class TestAtomicArtifacts:
     def rows_then_failure(self):
@@ -801,6 +769,38 @@ class TestAtomicArtifacts:
         writers[last].__exit__(None, None, None)
         assert target.read_bytes() == [b"aaa\n", b"BBBB\n"][last]
         assert os.listdir(tmp_path) == ["runs.csv"]
+
+    #: a writer killed inside the write, as SIGKILL would: no clean-up runs
+    KILLED_WRITER = """
+import os, sys
+from pathlib import Path
+from adamlab.cli import _atomic_open
+with _atomic_open(Path(sys.argv[1])) as fh:
+    fh.write("partial")
+    os._exit(9)
+"""
+
+    def test_temporaries_of_killed_writers_are_removed(self, tmp_path):
+        from adamlab.cli import _write_csv
+
+        target = tmp_path / "runs.csv"
+        for _ in range(2):
+            assert _run_python("-c", self.KILLED_WRITER, str(target)).returncode == 9
+        stale = os.listdir(tmp_path)
+        assert len(stale) == 2 and all(name.startswith(".runs.csv.") for name in stale)
+        # files of this process and of a running one, which may still be writing them, a name
+        # that is not a temporary of the writer's, and a temporary of another artifact
+        kept = [
+            f".runs.csv.{os.getpid()}.999999.tmp",
+            f".runs.csv.{os.getppid()}.0.tmp",
+            ".runs.csv.x.0.tmp",
+            stale[0].replace("runs.csv", "summary.csv"),
+        ]
+        for name in kept:
+            (tmp_path / name).write_bytes(b"busy\n")
+        _write_csv(target, ["a"], [["1"]])
+        assert target.read_bytes() == b"a\n1\n"
+        assert sorted(os.listdir(tmp_path)) == sorted([*kept, "runs.csv"])
 
     @given(
         writes=st.lists(

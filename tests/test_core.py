@@ -8,6 +8,8 @@ from adamlab.core import WARMUP_FRACTION, EmaBuffer, InitMode, beta_grid, lr_at
 
 
 class TestEmaBuffer:
+    """``EmaBuffer``, which only perfbench/tracer.py still wraps."""
+
     def test_zero_init_single_step(self):
         buf = EmaBuffer(beta=0.5)
         assert buf.update(1.0) == pytest.approx(0.5)

@@ -1,25 +1,18 @@
-"""The batched run engine, pinned bit for bit to the per-step reference stepper."""
+"""The batched run engine, pinned bit for bit to the one-run reference stepper of ``reference.py``."""
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from adamlab.cli import EXIT_OK, EXIT_USAGE, SweepConfig, _beta_pairs, _write_csv, fmt_float, main
-from adamlab.core import InitMode, beta_grid, lr_at
-from adamlab.optim import (
-    _SECOND_MOMENT_KINDS,
-    EpsilonPlacement,
-    OptimizerConfig,
-    OptimizerKind,
-    apply_step,
-    corrected_moments,
-    delta_estimate,
-    direction,
-    init_state,
-)
+from adamlab.core import InitMode, beta_grid
+from adamlab.optim import EpsilonPlacement, OptimizerConfig, OptimizerKind, corrected_moments
 from adamlab.quadbench import (
     DIVERGENCE_THRESHOLD,
     HOMOGENEOUS_BLOCKS,
@@ -36,73 +29,56 @@ from adamlab.quadbench import (
     loss_quantiles,
     make_config_id,
     run_batch,
-    run_cell,
-    run_experiment,
-    stochastic_grad,
     subset_gradient,
 )
 
 #: rates from vanishing to overflowing; the last two make losses non-finite
 RATES = (0.0, 2.0**-12, 2.0**-7, 2.0**-3, 1.0, 8.0, 1e150, 1e300)
 
-
-def reference_run(problem, config, lr, steps, batch_size, w0, seed, config_id=""):
-    """The per-step runner the engine replaced, one run and one step at a time."""
-    rng = np.random.default_rng(derive_seed(seed, "batches", config_id))
-    w = np.asarray(w0, dtype=float).copy()
-    state = init_state(config, w.shape)
-    track_delta = config.kind in _SECOND_MOMENT_KINDS
-    slices = problem.block_slices
-
-    losses: list[float] = []
-    deltas: list[list[float]] = []
-    reason = None
-    for k in range(steps):
-        g = stochastic_grad(problem, w, batch_size, rng)
-        d, state = direction(config, state, g)
-        w = apply_step(w, d, lr_at(k, steps, lr))
-        loss = problem.loss(w)
-        if not math.isfinite(loss):
-            reason = "non_finite"
-            break
-        losses.append(loss)
-        if track_delta:
-            snapshot = delta_estimate(config, corrected_moments(config, state))
-            deltas.append([float(np.mean(snapshot[sl])) for sl in slices])
-        if loss > DIVERGENCE_THRESHOLD:
-            reason = "threshold"
-            break
-    return RunRecord(
-        config_id=config_id,
-        seed=seed,
-        losses=np.asarray(losses),
-        delta_block_means=np.asarray(deltas) if track_delta else None,
-        reason=reason,
-    )
+#: everything ``reference.py`` may import: no step function that it pins
+REFERENCE_IMPORTS = {
+    "math",
+    "numpy",
+    "adamlab.core.InitMode",
+    "adamlab.core.lr_at",
+    "adamlab.optim.EpsilonPlacement",
+    "adamlab.optim.OptimizerKind",
+    "adamlab.quadbench.DIVERGENCE_THRESHOLD",
+    "adamlab.quadbench.RunRecord",
+    "adamlab.quadbench.derive_seed",
+    "adamlab.quadbench.subset_gradient",
+}
 
 
-def assert_same_run(expected: RunRecord, got: RunRecord) -> None:
-    assert got.config_id == expected.config_id and got.seed == expected.seed
-    assert got.losses.size == expected.losses.size
+def test_reference_imports_no_step_function_it_pins():
+    """``reference.py`` imports none of the code it pins, such as ``scan`` or ``direction_map``."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(reference.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert imported <= REFERENCE_IMPORTS
+
+
+def assert_same_record(expected: RunRecord, got: RunRecord) -> None:
+    assert (got.config_id, got.seed) == (expected.config_id, expected.seed)
     assert np.array_equal(got.losses, expected.losses)
-    assert got.diverged == expected.diverged
+    assert (got.diverged_at, got.reason) == (expected.diverged_at, expected.reason)
     if expected.delta_block_means is None:
         assert got.delta_block_means is None
     else:
-        # the reference stores an empty trace as shape (0,), the engine as (0, blocks)
-        assert got.delta_block_means.shape == (got.losses.size, 3)
-        assert np.array_equal(got.delta_block_means.reshape(-1), expected.delta_block_means.reshape(-1))
+        assert got.delta_block_means.shape == expected.delta_block_means.shape
+        assert np.array_equal(got.delta_block_means, expected.delta_block_means)
 
 
-def assert_divergence_fields(record: RunRecord) -> None:
-    if not record.diverged:
-        assert record.diverged_at is None and record.reason is None
-    elif record.reason == "non_finite":
-        assert record.diverged_at == record.losses.size
-    else:
-        assert record.reason == "threshold"
-        assert record.diverged_at == record.losses.size - 1
-        assert record.losses[-1] > DIVERGENCE_THRESHOLD
+def assert_batch_equals_reference(problem, runs, steps, batch_size) -> list[RunRecord]:
+    """Run ``runs`` as one batch, pin each record to the reference stepper, and return the records."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = run_batch(problem, runs, steps, batch_size)
+        for run, got in zip(runs, batch):
+            assert_same_record(reference.run(problem, run, steps, batch_size), got)
+    return batch
 
 
 @settings(max_examples=80)
@@ -140,11 +116,7 @@ def test_batch_equals_reference_stepper(
         for lr in rates
         for seed in range(n_seeds)
     ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        batch = run_batch(problem, runs, steps, batch_size)
-        for run, got in zip(runs, batch):
-            assert_same_run(reference_run(problem, *run[:2], steps, batch_size, *run[2:]), got)
-            assert_divergence_fields(got)
+    assert_batch_equals_reference(problem, runs, steps, batch_size)
 
 
 def test_rates_cover_both_divergence_reasons():
@@ -167,7 +139,7 @@ class TestDivergenceReasons:
 
     def run(self, lr):
         with np.errstate(over="ignore", invalid="ignore"):
-            return run_experiment(self.problem, self.config, lr, 5, 9, self.w0, 0)
+            return run_batch(self.problem, [RunSpec(self.config, lr, self.w0, 0)], 5, 9)[0]
 
     def test_threshold(self):
         # each step multiplies the top-eigenvalue component by |1 - 5000| ~ 5e3
@@ -318,11 +290,6 @@ def mixed_runs(kind, pairs, rates, n_seeds, steps, **settings):
     return runs
 
 
-def assert_same_record(expected: RunRecord, got: RunRecord) -> None:
-    assert_same_run(expected, got)
-    assert (got.diverged_at, got.reason) == (expected.diverged_at, expected.reason)
-
-
 @pytest.mark.parametrize("init_mode", InitMode)
 @pytest.mark.parametrize("kind", OptimizerKind)
 @settings(max_examples=8, deadline=None)
@@ -347,7 +314,7 @@ def test_record_does_not_depend_on_its_neighbours(kind, init_mode, mix, layout):
     with np.errstate(over="ignore", invalid="ignore"):
         mixed = run_batch(problem, runs, steps, 3)
         for run, got in zip(runs, mixed):
-            assert_same_record(run_experiment(problem, *run[:2], steps, 3, *run[2:]), got)
+            assert_same_record(run_batch(problem, [run], steps, 3)[0], got)
 
 
 def test_minus_infinite_loss_ends_the_run_unrecorded(monkeypatch):
@@ -451,18 +418,15 @@ def test_mixed_momentum_batch_equals_batch_per_pair_and_reference(
     settings = dict(epsilon=epsilon, bias_correction=bias_correction, init_mode=init_mode)
     # the drop-out rates come first, so every later run steps on beside ended ones
     runs = mixed_runs(kind, pairs, [*DROP_OUT_RATES, *rates], n_seeds, steps, **settings)
+    mixed = assert_batch_equals_reference(problem, runs, steps, 3)
+    per_pair: dict[tuple[float, float], list[int]] = {}
+    for i, run in enumerate(runs):
+        per_pair.setdefault((run.config.beta1, run.config.beta2), []).append(i)
     with np.errstate(over="ignore", invalid="ignore"):
-        mixed = run_batch(problem, runs, steps, 3)
-        per_pair: dict[tuple[float, float], list[int]] = {}
-        for i, run in enumerate(runs):
-            per_pair.setdefault((run.config.beta1, run.config.beta2), []).append(i)
         for own in per_pair.values():
             alone = run_batch(problem, [runs[i] for i in own], steps, 3)
             for i, record in zip(own, alone):
                 assert_same_record(record, mixed[i])
-        for run, got in zip(runs, mixed):
-            assert_same_run(reference_run(problem, *run[:2], steps, 3, *run[2:]), got)
-            assert_divergence_fields(got)
     assert {record.reason for record in mixed} >= {"threshold", "non_finite"}
 
 
@@ -472,11 +436,7 @@ def test_batch_in_which_every_run_ends_early_equals_reference(kind):
     problem = build_problem(BlockSpec.homogeneous(), seed=6)
     steps = 30
     runs = mixed_runs(kind, [(0.9, 0.999), (0.5, 0.9)], DROP_OUT_RATES, 2, steps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        batch = run_batch(problem, runs, steps, 3)
-        for run, got in zip(runs, batch):
-            assert_same_run(reference_run(problem, *run[:2], steps, 3, *run[2:]), got)
-            assert_divergence_fields(got)
+    batch = assert_batch_equals_reference(problem, runs, steps, 3)
     assert max(record.diverged_at for record in batch) < steps // 2
     assert {record.reason for record in batch} == {"threshold", "non_finite"}
 
@@ -495,12 +455,10 @@ def test_bias_correction_powers_are_python_powers(monkeypatch):
     monkeypatch.setattr(quadbench, "corrected_moments", recording_moments)
     problem = build_problem(BlockSpec.heterogeneous(), seed=3)
     runs = mixed_runs(OptimizerKind.ADAM, [(0.9, 0.9), (0.95, 0.9)], [2.0**-7], 2, 16)
-    batch = run_batch(problem, runs, 16, 3)
+    assert_batch_equals_reference(problem, runs, 16, 3)
     p1, p2 = seen[11]  # after step 12
     assert p1[:, 0].tolist() == [0.9**12] * 2 + [0.95**12] * 2
     assert p2[:, 0].tolist() == [0.9**12] * 4
-    for run, got in zip(runs, batch):
-        assert_same_run(reference_run(problem, *run[:2], 16, 3, *run[2:]), got)
 
 
 @pytest.mark.parametrize("kind", [OptimizerKind.ADAM_EQUAL_BETA, OptimizerKind.ADAM])
@@ -512,8 +470,7 @@ def test_block_means_match_reference_for_unequal_blocks(kind):
         for lr in (2.0**-9, 2.0**-4)
         for seed in range(2)
     ]
-    for run, got in zip(runs, run_batch(problem, runs, 30, 2)):
-        assert_same_run(reference_run(problem, *run[:2], 30, 2, *run[2:]), got)
+    assert_batch_equals_reference(problem, runs, 30, 2)
 
 
 @pytest.mark.parametrize("start", [np.nan, 1e307])
@@ -554,56 +511,15 @@ def test_skipping_variance_snapshots_changes_nothing_else():
 
 
 # ---------------------------------------------------------------------------
-# sweep.csv against the per-(optimizer, betas) batches it used to be built from
-
-
-def reference_sweep_batch(payload) -> list[list[str]]:
-    """The former ``cli._sweep_batch``, one (optimizer, betas) pair per batch.
-
-    Verbatim apart from the engine call, which passes the pair's one config
-    with each cell as :func:`run_cell` now takes it, and no longer passes the
-    warmup fraction, now the one fraction of :func:`lr_at`.
-    """
-    (problem, name, lrs, beta1, beta2, starts, steps, batch_size) = payload
-    layout = problem.spec.layout.value
-    suffix = f":b1={beta1:.17g}:b2={beta2:.17g}"
-    config = default_quad_config(OptimizerKind(name), beta1, beta2)
-    per_cell = run_cell(
-        problem,
-        [(config, lr, make_config_id(layout, name, lr) + suffix) for lr in lrs],
-        starts,
-        steps,
-        batch_size,
-    )
-    rows = []
-    for lr, records in zip(lrs, per_cell):
-        n_diverged = sum(record.diverged for record in records)
-        if n_diverged == len(records):
-            status = "all_diverged"
-        elif n_diverged:
-            status = "partial"
-        else:
-            status = "ok"
-        median, q25, q75 = loss_quantiles([record.final_loss() for record in records])
-        rows.append(
-            [
-                layout,
-                name,
-                fmt_float(lr),
-                fmt_float(beta1),
-                fmt_float(beta2),
-                str(len(records)),
-                fmt_float(median),
-                fmt_float(q25),
-                fmt_float(q75),
-                str(n_diverged),
-                status,
-            ]
-        )
-    return rows
+# sweep.csv, every cell run on the reference stepper
 
 
 def test_sweep_csv_equals_batch_per_pair(tmp_path, capsys):
+    """Every row of ``sweep.csv`` is its cell's runs on the reference stepper.
+
+    Pins the sweep's stream labels, its zero epsilon for sign methods, and
+    each cell's status and quantiles.
+    """
     names = ("sgd", "signum", "adameq", "adam", "rmsprop")
     kappas, n_seeds, steps = (0.5, 1.0, 2.0), 2, 60
     argv = ["sweep", *(f"--optim={name}" for name in names), "--kappas", *map(str, kappas)]
@@ -613,16 +529,21 @@ def test_sweep_csv_equals_batch_per_pair(tmp_path, capsys):
 
     cfg = SweepConfig()
     problem = build_problem(BlockSpec.heterogeneous(), derive_seed(0, "problem", "het"))
-    betas = beta_grid(cfg.beta_base, kappas)
-    starts = [(seed, initial_point(problem.dim, seed)) for seed in range(n_seeds)]
-    lrs = [float(lr) for lr in cfg.lr_grid]
-    payloads = [
-        (problem, name, lrs, float(beta1), float(beta2), starts, steps, cfg.batch_size)
-        for name in names
-        for beta1, beta2 in _beta_pairs(OptimizerKind(name), betas, False)
-    ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = [row for payload in payloads for row in reference_sweep_batch(payload)]
+    starts = [initial_point(problem.dim, seed) for seed in range(n_seeds)]
+    rows = []
+    for name in names:
+        kind = OptimizerKind(name)
+        for beta1, beta2 in _beta_pairs(kind, beta_grid(cfg.beta_base, kappas), False):
+            config = OptimizerConfig(kind, beta1, beta2, epsilon=0.0 if kind is OptimizerKind.SIGNUM else 1e-8)
+            for lr in cfg.lr_grid:
+                label = f"het:{name}:lr={lr:.17g}:b1={beta1:.17g}:b2={beta2:.17g}"
+                runs = [RunSpec(config, lr, w0, seed, label) for seed, w0 in enumerate(starts)]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    records = [reference.run(problem, run, steps, cfg.batch_size) for run in runs]
+                n_diverged = sum(record.diverged for record in records)
+                status = "all_diverged" if n_diverged == n_seeds else "partial" if n_diverged else "ok"
+                stats = loss_quantiles([record.final_loss() for record in records])
+                rows.append(["het", name, *map(fmt_float, (lr, beta1, beta2)), str(n_seeds), *map(fmt_float, stats), str(n_diverged), status])
     assert {row[10] for row in rows} == {"ok", "partial", "all_diverged"}
     header = ["layout", "optimizer", "lr", "beta1", "beta2", "n_seeds", "median_final", "q25", "q75", "n_diverged", "status"]
     _write_csv(tmp_path / "reference.csv", header, rows)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import reference
 from adamlab.core import InitMode
 from adamlab.filters import (
     ADAMEQ_PEAK_RANGE,
@@ -27,23 +28,8 @@ from adamlab.filters import (
     run_property_checks,
 )
 from adamlab.identities import scalar_adam_trace
-from adamlab.optim import direction, init_state
 
 REFERENCE_SIGNAL = SignalSpec(amplitude=1.8, frequency=0.03, decay=0.0025, length=2000)
-
-
-def reference_response(filt: FilterSpec, signal) -> np.ndarray:
-    """The scalar stepper the column engine replaced, kept verbatim."""
-    signal = np.asarray(signal, dtype=float).ravel()
-    if not np.all(np.isfinite(signal)):
-        raise ValueError("signal contains non-finite entries")
-    config = filt.optimizer_config()
-    state = init_state(config, ())
-    out = np.empty(signal.size)
-    for k in range(signal.size):
-        d, state = direction(config, state, signal[k])
-        out[k] = float(d)
-    return out
 
 
 def reference_property_checks(response, trials, tol, rng, label="filter") -> PropertyReport:
@@ -143,7 +129,7 @@ def _scale_test_signals(zeros: bool):
 
 
 class TestColumnEngine:
-    """``filter_response`` on ``(T, C)`` is the scalar stepper run on each column."""
+    """``filter_response`` on ``(T, C)`` is the reference stepper run on each column."""
 
     @given(
         kind=st.sampled_from(list(FilterKind)),
@@ -161,7 +147,7 @@ class TestColumnEngine:
         out = filter_response(filt, signal)
         assert out.shape == signal.shape
         for c in range(signal.shape[1]):
-            assert np.array_equal(out[:, c], reference_response(filt, signal[:, c]))
+            assert np.array_equal(out[:, c], reference.directions(filt.optimizer_config(), signal[:, c]))
 
     @given(
         kind=st.sampled_from(list(FilterKind)),
@@ -194,7 +180,7 @@ class TestColumnEngine:
         leading_negative_zero=st.booleans(),
     )
     def test_one_dim_matches_scalar_reference_bitwise(self, kind, init_mode, beta, entries, leading_negative_zero):
-        # the Python-float scan of a (T,) signal, against direction stepped on one sample at a time
+        # the Python-float scan of a (T,) signal, against the reference stepped on one sample at a time
         signal = np.array(([-0.0] if leading_negative_zero else []) + entries)[:64]
         filt = FilterSpec(kind, beta=beta, init_mode=init_mode)
         peak = np.max(np.abs(signal))
@@ -204,7 +190,7 @@ class TestColumnEngine:
             return
         out = filter_response(filt, signal)
         assert out.shape == signal.shape
-        assert out.tobytes() == reference_response(filt, signal).tobytes()
+        assert out.tobytes() == reference.directions(filt.optimizer_config(), signal).tobytes()
 
     def test_one_dim_and_scalar_inputs_are_flattened(self):
         filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.9)
@@ -326,7 +312,7 @@ class TestProperties:
             filt = FilterSpec(kind, beta=0.95)
             report = check_properties(filt, trials=4, tol=1e-12, rng=rng)
             expected = reference_property_checks(
-                lambda s: reference_response(filt, s), 4, 1e-12, ref_rng, label=kind.value
+                lambda s: reference.directions(filt.optimizer_config(), s), 4, 1e-12, ref_rng, label=kind.value
             )
             assert report == expected
             assert rng.bit_generator.state == ref_rng.bit_generator.state

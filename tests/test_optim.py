@@ -1,6 +1,5 @@
 """Direction maps: examples, boundedness, symmetry, and the variance-form identity."""
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adamlab.core import EmaBuffer, InitMode
+import reference
+from adamlab.core import InitMode
 from adamlab.optim import (
     EpsilonPlacement,
     OptimizerConfig,
@@ -18,48 +18,12 @@ from adamlab.optim import (
     corrected_moments,
     delta_estimate,
     direction,
+    direction_map,
     init_state,
     scan,
 )
 
 SIGN_FAMILY = (OptimizerKind.SIGN_SGD, OptimizerKind.SIGNUM, OptimizerKind.EMA_SIGN)
-
-
-@dataclass
-class ReferenceState:
-    """The ``EmaBuffer``-based state that plain-value state replaced."""
-
-    m: EmaBuffer
-    v: EmaBuffer
-    delta: np.ndarray
-    step: int = 0
-
-
-def reference_state(config, shape, beta1=None, beta2=None) -> ReferenceState:
-    return ReferenceState(
-        m=EmaBuffer.zeros(shape, config.beta1 if beta1 is None else beta1, config.init_mode),
-        v=EmaBuffer.zeros(shape, config.beta2 if beta2 is None else beta2, config.init_mode),
-        delta=np.zeros(shape),
-    )
-
-
-def reference_advance(config, state, g):
-    """The ``EmaBuffer``-based recursion step that plain-value ``advance`` replaced, kept verbatim."""
-    kind = config.kind
-    if kind is OptimizerKind.EMA_SIGN:
-        state.m.update(np.sign(g))
-    elif kind is OptimizerKind.ADAM_EQUAL_BETA:
-        beta = state.m.beta
-        if not (state.m.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE):
-            diff = state.m.value - g
-            state.delta = beta * state.delta + beta * (1.0 - beta) * diff * diff
-        state.m.update(g)
-    elif kind is not OptimizerKind.SIGN_SGD:
-        state.m.update(g)
-        if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
-            state.v.update(g * g)
-    state.step += 1
-    return state
 
 
 def assert_bitwise(got, expected):
@@ -79,7 +43,7 @@ BETAS = st.floats(0.0, 1.0, exclude_max=True)
     data=st.data(),
 )
 def test_scan_matches_reference_stepper_bitwise(kind, init_mode, layout, data):
-    """``scan`` over a whole sequence, and ``advance`` step by step, equal the ``EmaBuffer`` stepper bit for bit.
+    """``scan`` over a whole sequence, and ``advance`` step by step, equal the reference stepper bit for bit.
 
     A scalar state takes a list of Python floats or of 0-d arrays; a vector
     or ``(R, dim)`` state takes the rows of a ``(T, ...)`` array, with
@@ -113,24 +77,24 @@ def test_scan_matches_reference_stepper_bitwise(kind, init_mode, layout, data):
         signal = [np.asarray(g) for g in signal]
 
     state, stepped = init_state(config, shape, *columns), init_state(config, shape, *columns)
-    ref = reference_state(config, shape, *columns)
+    ref = reference.Stepper(config, shape, *columns)
     ms, deltas = scan(config, state, signal)
     assert (deltas is None) == (kind is not OptimizerKind.ADAM_EQUAL_BETA)
     assert len(ms) == (0 if kind is OptimizerKind.SIGN_SGD else length)
     for k, g in enumerate(signal):
         advance(config, stepped, g)
-        reference_advance(config, ref, g)
+        ref.update(g)
         if ms:
-            assert_bitwise(ms[k], ref.m.value)
+            assert_bitwise(ms[k], ref.m)
         if deltas is not None:
             assert_bitwise(deltas[k], ref.delta)
         assert stepped.step == ref.step
-        assert_bitwise(stepped.m, ref.m.value)
-        assert_bitwise(stepped.v, ref.v.value)
+        assert_bitwise(stepped.m, ref.m)
+        assert_bitwise(stepped.v, ref.v)
         assert_bitwise(stepped.delta, ref.delta)
     assert state.step == length
-    assert_bitwise(state.m, ref.m.value)
-    assert_bitwise(state.v, ref.v.value)
+    assert_bitwise(state.m, ref.m)
+    assert_bitwise(state.v, ref.v)
     assert_bitwise(state.delta, ref.delta)
 
 
@@ -145,13 +109,20 @@ def test_python_float_gradients_keep_python_float_state(kind, init_mode):
         assert type(state.delta) is float
 
 
-def run_directions(config, grads):
-    state = init_state(config, grads[0].shape)
-    out = []
-    for g in grads:
-        d, state = direction(config, state, g)
-        out.append(d)
-    return np.asarray(out), state
+def step(config, state, g):
+    """One step of the engine's chain: ``advance``, then ``corrected_moments`` into ``direction_map``.
+
+    Returns the direction and the corrected moments.
+    """
+    advance(config, state, g)
+    moments = corrected_moments(config, state)
+    return direction_map(config, g=g, **moments), moments
+
+
+def directions(config, grads) -> np.ndarray:
+    """The direction after each gradient of ``grads``, from a zero state."""
+    state = init_state(config, np.shape(grads[0]))
+    return np.array([step(config, state, g)[0] for g in grads])
 
 
 def test_constant_gradient_gives_unit_direction():
@@ -164,45 +135,14 @@ def test_constant_gradient_gives_unit_direction():
         init_mode=InitMode.FIRST_SAMPLE,
     )
     grads = [np.full(3, 2.7)] * 50
-    dirs, _ = run_directions(config, grads)
+    dirs = directions(config, grads)
     np.testing.assert_allclose(dirs, 1.0, rtol=1e-15)
 
 
 def test_signsgd_is_elementwise_sign():
     config = OptimizerConfig(OptimizerKind.SIGN_SGD)
-    d, _ = direction(config, init_state(config, (3,)), np.array([3.0, -2.0, 0.0]))
+    d, _ = step(config, init_state(config, (3,)), np.array([3.0, -2.0, 0.0]))
     np.testing.assert_array_equal(d, [1.0, -1.0, 0.0])
-
-
-def test_adam_equals_variance_form_on_shared_stream():
-    rng = np.random.default_rng(7)
-    grads = [rng.standard_normal(5) for _ in range(1000)]
-    kwargs = dict(beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
-    da, _ = run_directions(OptimizerConfig(OptimizerKind.ADAM, **kwargs), grads)
-    de, _ = run_directions(
-        OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, beta1=0.9, epsilon=0.0, bias_correction=False),
-        grads,
-    )
-    assert np.max(np.abs(da - de)) <= 1e-9
-
-
-@pytest.mark.parametrize("init_mode", list(InitMode))
-def test_variance_form_matches_adam_with_bias_correction(init_mode):
-    rng = np.random.default_rng(8)
-    grads = [rng.standard_normal(4) for _ in range(300)]
-    da, _ = run_directions(
-        OptimizerConfig(
-            OptimizerKind.ADAM, beta1=0.95, beta2=0.95, epsilon=0.0, init_mode=init_mode
-        ),
-        grads,
-    )
-    de, _ = run_directions(
-        OptimizerConfig(
-            OptimizerKind.ADAM_EQUAL_BETA, beta1=0.95, epsilon=0.0, init_mode=init_mode
-        ),
-        grads,
-    )
-    assert np.max(np.abs(da - de)) <= 1e-12
 
 
 def test_delta_recursion_matches_direct_summation():
@@ -218,7 +158,7 @@ def test_delta_recursion_matches_direct_summation():
     worst = 0.0
     for g in grads:
         squared_devs.append((m_prev - g) ** 2)
-        _, state = direction(config, state, g)
+        advance(config, state, g)
         m_prev = float(state.m)
         k = len(squared_devs)
         direct = beta * (1.0 - beta) * math.fsum(
@@ -232,7 +172,7 @@ def test_delta_recursion_matches_direct_summation():
 def test_sign_family_directions_bounded_by_one(kind):
     rng = np.random.default_rng(10)
     config = OptimizerConfig(kind, beta1=0.9, epsilon=0.0)
-    dirs, _ = run_directions(config, [10.0 * rng.standard_normal(6) for _ in range(200)])
+    dirs = directions(config, [10.0 * rng.standard_normal(6) for _ in range(200)])
     assert np.max(np.abs(dirs)) <= 1.0
 
 
@@ -247,7 +187,7 @@ def test_equal_beta_direction_bounded_by_one(init_mode, epsilon):
         bias_correction=False,
         init_mode=init_mode,
     )
-    dirs, _ = run_directions(config, [rng.standard_normal(4) * 5.0 for _ in range(300)])
+    dirs = directions(config, [rng.standard_normal(4) * 5.0 for _ in range(300)])
     assert np.max(np.abs(dirs)) <= 1.0 + 1e-12
 
 
@@ -260,10 +200,10 @@ def test_positive_scale_invariance_exact_for_power_of_two(kind):
     grads = [rng.standard_normal(5) for _ in range(100)]
     beta2 = 0.9 if kind in (OptimizerKind.ADAM, OptimizerKind.ADAM_EQUAL_BETA) else None
     config = OptimizerConfig(kind, beta1=0.9, beta2=beta2, epsilon=0.0, bias_correction=False)
-    base, _ = run_directions(config, grads)
-    scaled, _ = run_directions(config, [2.0 * g for g in grads])
+    base = directions(config, grads)
+    scaled = directions(config, [2.0 * g for g in grads])
     np.testing.assert_array_equal(base, scaled)
-    scaled10, _ = run_directions(config, [10.0 * g for g in grads])
+    scaled10 = directions(config, [10.0 * g for g in grads])
     assert np.max(np.abs(scaled10 - base)) <= 1e-12
 
 
@@ -276,18 +216,18 @@ def test_odd_symmetry_is_exact(kind):
     grads = [rng.standard_normal(5) for _ in range(100)]
     beta2 = 0.95 if kind in (OptimizerKind.ADAM, OptimizerKind.ADAM_EQUAL_BETA) else None
     config = OptimizerConfig(kind, beta1=0.95, beta2=beta2, epsilon=0.0, bias_correction=False)
-    pos, _ = run_directions(config, grads)
-    neg, _ = run_directions(config, [-g for g in grads])
+    pos = directions(config, grads)
+    neg = directions(config, [-g for g in grads])
     np.testing.assert_array_equal(pos, -neg)
 
 
 def test_ema_of_sign_differs_from_sign_of_ema():
     # two-step regression pinning the operator-order distinction
     grads = [np.array([3.0]), np.array([-1.0])]
-    signum, _ = run_directions(
+    signum = directions(
         OptimizerConfig(OptimizerKind.SIGNUM, beta1=0.5, epsilon=0.0), grads
     )
-    emasign, _ = run_directions(OptimizerConfig(OptimizerKind.EMA_SIGN, beta1=0.5), grads)
+    emasign = directions(OptimizerConfig(OptimizerKind.EMA_SIGN, beta1=0.5), grads)
     assert signum[1, 0] == 1.0  # momentum still positive
     assert emasign[1, 0] == pytest.approx(-0.25)  # averaged signs already negative
     assert np.sign(signum[1, 0]) != np.sign(emasign[1, 0])
@@ -317,6 +257,7 @@ class TestConfigValidation:
         assert OptimizerConfig(OptimizerKind.ADAM, beta1=0.93).beta2 == 0.93
 
     def test_non_finite_gradient_rejected(self):
+        # the one direct test of direction, which only perfbench/tracer.py still wraps
         config = OptimizerConfig(OptimizerKind.SGD, beta1=0.9)
         with pytest.raises(ValueError, match="finite"):
             direction(config, init_state(config, (2,)), np.array([1.0, np.nan]))
@@ -329,7 +270,7 @@ def test_rmsprop_direction_formula():
     v = np.zeros(4)
     for _ in range(20):
         g = rng.standard_normal(4)
-        d, state = direction(config, state, g)
+        d, _ = step(config, state, g)
         v = 0.9 * v + 0.1 * g * g
         np.testing.assert_allclose(d, g / (np.sqrt(v) + 1e-8), rtol=1e-14)
 
@@ -337,10 +278,10 @@ def test_rmsprop_direction_formula():
 def test_signum_epsilon_zero_recovers_exact_sign():
     rng = np.random.default_rng(16)
     grads = [rng.standard_normal(4) for _ in range(50)]
-    exact, _ = run_directions(
+    exact = directions(
         OptimizerConfig(OptimizerKind.SIGNUM, beta1=0.9, epsilon=0.0), grads
     )
-    molly, _ = run_directions(
+    molly = directions(
         OptimizerConfig(OptimizerKind.SIGNUM, beta1=0.9, epsilon=1e-300), grads
     )
     assert np.all(np.abs(exact) <= 1.0)
@@ -356,7 +297,7 @@ def test_signum_large_epsilon_approaches_rescaled_momentum():
     state = init_state(config, (3,))
     for _ in range(30):
         g = rng.standard_normal(3)
-        d, state = direction(config, state, g)
+        d, _ = step(config, state, g)
         np.testing.assert_allclose(d, state.m / math.sqrt(eps), rtol=1e-6)
 
 
@@ -364,25 +305,8 @@ def test_state_advances_exactly_once_per_call():
     config = OptimizerConfig(OptimizerKind.ADAM, beta1=0.9, beta2=0.95)
     state = init_state(config, (2,))
     for expected in range(1, 5):
-        _, state = direction(config, state, np.ones(2))
+        advance(config, state, np.ones(2))
         assert state.step == expected
-
-
-def test_delta_estimate_nonnegative_and_consistent():
-    rng = np.random.default_rng(18)
-    eq = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, beta1=0.9, epsilon=0.0, bias_correction=False)
-    ad = OptimizerConfig(OptimizerKind.ADAM, beta1=0.9, beta2=0.9, epsilon=0.0, bias_correction=False)
-    s_eq, s_ad = init_state(eq, (3,)), init_state(ad, (3,))
-    for _ in range(100):
-        g = rng.standard_normal(3)
-        _, s_eq = direction(eq, s_eq, g)
-        _, s_ad = direction(ad, s_ad, g)
-        d_eq = delta_estimate(eq, corrected_moments(eq, s_eq))
-        d_ad = delta_estimate(ad, corrected_moments(ad, s_ad))
-        assert np.all(d_eq >= 0) and np.all(d_ad >= 0)
-        np.testing.assert_allclose(d_ad, d_eq, atol=1e-12)
-    assert delta_estimate(OptimizerConfig(OptimizerKind.SGD), {}) is None
-
 
 
 @given(
@@ -397,7 +321,7 @@ def test_delta_estimate_nonnegative_and_consistent():
 def test_equal_beta_adam_matches_variance_form(
     beta, bias_correction, placement, init_mode, epsilon, seed, log2_scale
 ):
-    """Adam(b, b) and adameq agree on ``direction`` and ``delta_estimate``.
+    """Adam(b, b) and adameq agree on the direction and on ``delta_estimate``.
 
     The power-of-two scale keeps the stream clear of underflow and overflow,
     so residuals measure the identity. Rounding in ``v_hat - m_hat**2`` is
@@ -422,12 +346,14 @@ def test_equal_beta_adam_matches_variance_form(
     s_ad, s_eq = init_state(adam, (4,)), init_state(eq, (4,))
     d_scale, var_scale = 1.0, 0.0
     for k, g in enumerate(grads, start=1):
-        d_ad, s_ad = direction(adam, s_ad, g)
-        d_eq, s_eq = direction(eq, s_eq, g)
+        d_ad, moments_ad = step(adam, s_ad, g)
+        d_eq, moments_eq = step(eq, s_eq, g)
         correction = 1.0 - beta**k if bias_correction else 1.0
         m_hat, v_hat = s_ad.m / correction, s_ad.v / correction
         d_scale = max(d_scale, float(np.max(np.abs(d_ad))))
         var_scale = max(var_scale, float(np.max(np.maximum(m_hat * m_hat, v_hat))))
         assert np.max(np.abs(d_ad - d_eq)) <= 1e-11 * d_scale, k
-        residual = np.abs(delta_estimate(adam, corrected_moments(adam, s_ad)) - delta_estimate(eq, corrected_moments(eq, s_eq)))
-        assert np.max(residual) <= 1e-12 * var_scale, k
+        var_ad, var_eq = delta_estimate(adam, moments_ad), delta_estimate(eq, moments_eq)
+        assert np.all(var_ad >= 0) and np.all(var_eq >= 0)
+        assert np.max(np.abs(var_ad - var_eq)) <= 1e-12 * var_scale, k
+    assert delta_estimate(OptimizerConfig(OptimizerKind.SGD), {}) is None

@@ -13,6 +13,7 @@ from adamlab.optim import OptimizerConfig, OptimizerKind
 from adamlab.quadbench import (
     BlockSpec,
     Layout,
+    RunSpec,
     build_problem,
     default_quad_config,
     derive_seed,
@@ -20,6 +21,7 @@ from adamlab.quadbench import (
     initial_point,
     loss_quantiles,
     rotation_from_factor,
+    run_batch,
     run_experiment,
     stochastic_grad,
     subset_gradient,
@@ -125,13 +127,13 @@ class TestStochasticGradient:
 
     def test_full_batch_recovers_exact_gradient(self):
         w = self.rng.standard_normal(9)
-        g = stochastic_grad(self.problem, w, 9, self.rng)
+        g = subset_gradient(self.problem, w, self.rng.permutation(9))
         expected = self.problem.full_gradient(w)
         np.testing.assert_allclose(g, expected, rtol=1e-12)
 
     def test_zero_point_gives_zero(self):
         for batch in (1, 3, 9):
-            g = stochastic_grad(self.problem, np.zeros(9), batch, self.rng)
+            g = subset_gradient(self.problem, np.zeros(9), self.rng.permutation(9)[:batch])
             np.testing.assert_array_equal(g, np.zeros(9))
 
     @pytest.mark.parametrize("batch", [1, 3])
@@ -147,6 +149,7 @@ class TestStochasticGradient:
         assert np.max(np.abs(avg - expected)) / scale <= 1e-12
 
     def test_batch_size_validated(self):
+        # the one direct test of stochastic_grad, which only perfbench/tracer.py still wraps
         with pytest.raises(ValueError):
             stochastic_grad(self.problem, np.zeros(9), 0, self.rng)
         with pytest.raises(ValueError):
@@ -158,51 +161,51 @@ class TestRunExperiment:
         self.problem = build_problem(BlockSpec.heterogeneous(), seed=5)
         self.w0 = initial_point(9, seed=0)
 
+    def run(self, config, lr, steps, batch_size, seed=0, config_id=""):
+        return run_batch(self.problem, [RunSpec(config, lr, self.w0, seed, config_id)], steps, batch_size)[0]
+
     def test_initial_point_radius_fixed_per_seed(self):
         assert np.linalg.norm(self.w0) == pytest.approx(3.0)
         np.testing.assert_array_equal(self.w0, initial_point(9, seed=0))
         assert not np.array_equal(self.w0, initial_point(9, seed=1))
 
     def test_zero_lr_keeps_loss_constant(self):
-        record = run_experiment(
-            self.problem, default_quad_config(OptimizerKind.SGD), 0.0, 50, 3, self.w0, 0
-        )
+        record = self.run(default_quad_config(OptimizerKind.SGD), 0.0, 50, 3)
         np.testing.assert_allclose(record.losses, self.problem.loss(self.w0), rtol=1e-12)
 
     def test_full_batch_descent_is_monotone(self):
         config = OptimizerConfig(OptimizerKind.SGD, beta1=0.0)
-        record = run_experiment(self.problem, config, 1e-5, 200, 9, self.w0, 0)
+        record = self.run(config, 1e-5, 200, 9)
         assert not record.diverged
         assert np.all(np.diff(record.losses) <= 1e-12)
 
     @pytest.mark.parametrize("batch_size", [3, 9])
     def test_equal_seeds_reproduce_records_bitwise(self, batch_size):
         config = default_quad_config(OptimizerKind.ADAM_EQUAL_BETA)
+        # the one direct test of run_experiment, which only perfbench/tracer.py still wraps
         a = run_experiment(self.problem, config, 0.01, 100, batch_size, self.w0, 7, config_id="x")
-        b = run_experiment(self.problem, config, 0.01, 100, batch_size, self.w0, 7, config_id="x")
+        b = self.run(config, 0.01, 100, batch_size, seed=7, config_id="x")
         np.testing.assert_array_equal(a.losses, b.losses)
         np.testing.assert_array_equal(a.delta_block_means, b.delta_block_means)
 
     def test_divergence_flagged_not_raised(self):
         config = OptimizerConfig(OptimizerKind.SGD, beta1=0.9)
-        record = run_experiment(self.problem, config, 4.0, 200, 9, self.w0, 0)
+        record = self.run(config, 4.0, 200, 9)
         assert record.diverged
         assert record.final_loss() == math.inf
         assert np.all(np.isfinite(record.losses))
 
     def test_delta_traces_nonnegative_and_present_for_adaptive(self):
         config = default_quad_config(OptimizerKind.ADAM_EQUAL_BETA)
-        record = run_experiment(self.problem, config, 0.008, 100, 3, self.w0, 0)
+        record = self.run(config, 0.008, 100, 3)
         assert record.delta_block_means.shape == (100, 3)
         assert np.all(record.delta_block_means >= 0)
-        sgd = run_experiment(
-            self.problem, default_quad_config(OptimizerKind.SGD), 0.008, 100, 3, self.w0, 0
-        )
+        sgd = self.run(default_quad_config(OptimizerKind.SGD), 0.008, 100, 3)
         assert sgd.delta_block_means is None
 
     def test_block_deltas_separate_on_heterogeneous_landscape(self):
         config = default_quad_config(OptimizerKind.ADAM_EQUAL_BETA)
-        record = run_experiment(self.problem, config, 0.008, 300, 3, self.w0, 0)
+        record = self.run(config, 0.008, 300, 3)
         at_peak = record.delta_block_means[round(WARMUP_FRACTION * 300)]
         assert at_peak.max() >= 2.0 * at_peak.min()
 

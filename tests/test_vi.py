@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from adamlab import vi
 from adamlab.core import InitMode
-from adamlab.optim import OptimizerConfig, OptimizerKind, direction, init_state
+from adamlab.optim import OptimizerConfig, OptimizerKind, advance, init_state
 from adamlab.vi import (
     MAX_EVALUATIONS,
     GaussianBelief,
@@ -275,7 +275,7 @@ class TestConsistencyWithOptimizer:
         state = init_state(config, ())
 
         if init_mode is InitMode.FIRST_SAMPLE:
-            _, state = direction(config, state, grads[0])
+            advance(config, state, grads[0])
             belief = GaussianBelief(float(grads[0]), 0.0)
             stream = grads[1:]
         else:
@@ -284,6 +284,6 @@ class TestConsistencyWithOptimizer:
 
         for g in stream:
             belief = vi_update(belief, float(g), lam)
-            _, state = direction(config, state, g)
+            advance(config, state, g)
             assert belief.mean == float(state.m)
             assert belief.variance == float(state.delta)
