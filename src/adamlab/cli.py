@@ -2,8 +2,12 @@
 
 All artifacts are deterministic functions of the configuration (seeds
 included): CSV files use ``.`` decimals, ``\\n`` line endings, a header row
-and 17-significant-digit floats, so reruns are byte-identical. Config files
-are flat JSON with a ``schema_version`` field and round-trip exactly.
+and 17-significant-digit floats, so reruns are byte-identical. Each CSV line
+is rendered by one ``%`` format string per artifact, and no field is ever
+quoted: every field is a fixed name, a config id (layout, optimizer and
+``%.17g`` rates joined by ``:``), an integer or a ``%.17g`` float, and none
+of these can hold a comma, a quote or a line break. Config files are flat
+JSON with a ``schema_version`` field and round-trip exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error
 (sizes too large for memory included), 3 I/O error.
@@ -12,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
 import itertools
@@ -159,7 +162,10 @@ def _typed(name: str, hint, value):
         if hint is bool:
             return value
     elif hint is float and isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"field {name!r} must be within the float range, got an integer beyond it") from None
     elif hint in (int, str) and isinstance(value, hint):
         return value
     expected = "a list" if typing.get_origin(hint) is tuple else hint.__name__
@@ -284,11 +290,18 @@ def _remove_stale_temporaries(path: Path) -> None:
             pass  # running, or not ours to signal
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+#: line formats of ``summary.csv``, ``sweep.csv`` and ``responses.csv`` (whose ``k,input,`` prefix is shared)
+_SUMMARY_LINE = "%s,%s,%s,%.17g,%.17g,%.17g,%s\n"
+_SWEEP_LINE = "%s,%s,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%d,%s\n"
+_RESPONSES_PREFIX = "%d,%.17g,"
+_RESPONSES_LINE = "%s,%s,%s%.17g\n"
+
+
+def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
+    """Write the comma-joined ``header``, then ``lines``: a list, since ``perfbench/tracer.py`` takes its ``len``."""
     with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -462,14 +475,14 @@ def cmd_quad(args) -> int:
         "lr_grid": None if args.lr is None else (args.lr,),
         "steps": args.steps,
         "batch_size": args.batch_size,
-        "seeds": None if args.seeds is None else tuple(range(args.seeds)),
+        "seeds": _seed_range(args.seeds),
         "beta": args.beta,
         "base_seed": args.seed,
     }
     cfg = _load_config(args.config, "quad", overrides)
 
-    run_rows = []
-    summary_rows = []
+    run_lines = []
+    summary_lines = []
     optimizers = {name: default_quad_config(OptimizerKind(name), cfg.beta) for name in cfg.optimizers}
     for layout_name in cfg.layouts:
         layout = Layout(layout_name)
@@ -485,46 +498,31 @@ def cmd_quad(args) -> int:
             batch_size=cfg.batch_size,
         )
         for result in summary.results:
-            summary_rows.append(
-                [
-                    result.label,
-                    layout.value,
-                    fmt_float(result.best_lr),
-                    fmt_float(result.median_final),
-                    fmt_float(result.q25),
-                    fmt_float(result.q75),
-                    "all_diverged" if result.all_diverged else "ok",
-                ]
+            status = "all_diverged" if result.all_diverged else "ok"
+            best_lr = fmt_float(result.best_lr)
+            summary_lines.append(
+                _SUMMARY_LINE % (result.label, layout.value, best_lr, result.median_final, result.q25, result.q75, status)
             )
             for record in result.records:
-                deltas = record.delta_block_means
-                for step in range(record.losses.size):
-                    if deltas is None:
-                        block_cols = ["", "", ""]
-                    else:
-                        block_cols = [fmt_float(x) for x in deltas[step]]
-                    run_rows.append(
-                        [
-                            record.config_id,
-                            str(record.seed),
-                            str(step),
-                            fmt_float(record.losses[step]),
-                            *block_cols,
-                        ]
-                    )
+                run_lines += _run_lines(record)
     out_dir = _ensure_out(args.out)
-    _write_csv(
-        out_dir / "runs.csv",
-        ["config_id", "seed", "step", "loss", "delta_b1", "delta_b2", "delta_b3"],
-        run_rows,
-    )
-    _write_csv(
-        out_dir / "summary.csv",
-        ["optimizer", "layout", "best_lr", "median_final", "q25", "q75", "status"],
-        summary_rows,
-    )
+    runs_header = ["config_id", "seed", "step", "loss", "delta_b1", "delta_b2", "delta_b3"]
+    _write_csv(out_dir / "runs.csv", runs_header, run_lines)
+    summary_header = ["optimizer", "layout", "best_lr", "median_final", "q25", "q75", "status"]
+    _write_csv(out_dir / "summary.csv", summary_header, summary_lines)
     print(f"wrote {out_dir / 'runs.csv'} and {out_dir / 'summary.csv'}", file=sys.stderr)
     return EXIT_OK
+
+
+def _run_lines(record) -> list[str]:
+    """``record``'s ``runs.csv`` lines, one per recorded step; without variance terms each ends in ``,,,``."""
+    prefix = f"{record.config_id},{record.seed},"
+    losses = record.losses.tolist()
+    if record.delta_block_means is None:
+        return ["%s%d,%.17g,,,\n" % (prefix, step, loss) for step, loss in enumerate(losses)]
+    deltas = record.delta_block_means.tolist()
+    line = "%s%d,%.17g,%.17g,%.17g,%.17g\n"
+    return [line % (prefix, step, loss, *block) for step, (loss, block) in enumerate(zip(losses, deltas))]
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +543,16 @@ def cmd_signal(args) -> int:
 
     spec = cfg.signal_spec()
     signal = gen_signal(spec)
-    # the columns every filter shares are formatted once
     beta_text = fmt_float(cfg.beta)
-    shared = [(str(k), fmt_float(x)) for k, x in enumerate(signal.tolist())]
-    rows = []
+    # the "k,input," prefix every filter shares is formatted once
+    shared = [_RESPONSES_PREFIX % (k, x) for k, x in enumerate(signal.tolist())]
+    lines = []
     reports = {}
     rng = np.random.default_rng(derive_seed(cfg.base_seed, "signal", "properties"))
     for name in cfg.filters:
         filt = FilterSpec(FilterKind(name), beta=cfg.beta)
         response = filter_response(filt, signal)
-        rows += [[name, beta_text, k, x, fmt_float(r)] for (k, x), r in zip(shared, response.tolist())]
+        lines += [_RESPONSES_LINE % (name, beta_text, prefix, r) for prefix, r in zip(shared, response.tolist())]
         reports[name] = check_properties(filt, trials=cfg.property_trials, rng=rng).to_dict()
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -562,7 +560,7 @@ def cmd_signal(args) -> int:
         "decay_blindness": dataclasses.asdict(decay_blindness(cfg.beta, spec)),
     }
     out_dir = _ensure_out(args.out)
-    _write_csv(out_dir / "responses.csv", ["filter", "beta", "k", "input", "response"], rows)
+    _write_csv(out_dir / "responses.csv", ["filter", "beta", "k", "input", "response"], lines)
     _write_json(out_dir / "signal_properties.json", payload)
     print(f"wrote {out_dir / 'responses.csv'} and {out_dir / 'signal_properties.json'}", file=sys.stderr)
     return EXIT_OK
@@ -572,8 +570,8 @@ def cmd_signal(args) -> int:
 # sweep
 
 
-def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[list[str]]:
-    """Run every (betas, rate, seed) of one optimizer as one batch; one CSV row per (betas, rate)."""
+def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[str]:
+    """Run every (betas, rate, seed) of one optimizer as one batch; one CSV line per (betas, rate)."""
     layout = problem.spec.layout.value
     kind = OptimizerKind(name)
     pairs = _beta_pairs(kind, betas, cfg.equal_betas)
@@ -591,7 +589,7 @@ def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[li
         track_delta=False,
     )
     stats = loss_quantiles([[record.final_loss() for record in records] for records in per_cell])
-    rows = []
+    lines = []
     for (beta1, beta2, lr), records, (median, q25, q75) in zip(cells, per_cell, stats):
         n_diverged = sum(record.diverged for record in records)
         if n_diverged == len(records):
@@ -600,22 +598,10 @@ def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[li
             status = "partial"
         else:
             status = "ok"
-        rows.append(
-            [
-                layout,
-                name,
-                fmt_float(lr),
-                fmt_float(beta1),
-                fmt_float(beta2),
-                str(len(records)),
-                fmt_float(median),
-                fmt_float(q25),
-                fmt_float(q75),
-                str(n_diverged),
-                status,
-            ]
+        lines.append(
+            _SWEEP_LINE % (layout, name, lr, beta1, beta2, len(records), median, q25, q75, n_diverged, status)
         )
-    return rows
+    return lines
 
 
 def _beta_pairs(kind: OptimizerKind, betas, equal_betas: bool):
@@ -635,7 +621,7 @@ def cmd_sweep(args) -> int:
         "equal_betas": True if args.equal_betas else None,
         "steps": args.steps,
         "batch_size": args.batch_size,
-        "seeds": None if args.seeds is None else tuple(range(args.seeds)),
+        "seeds": _seed_range(args.seeds),
         "base_seed": args.seed,
     }
     if args.jobs != 1:
@@ -647,31 +633,27 @@ def cmd_sweep(args) -> int:
     )
     betas = beta_grid(cfg.beta_base, cfg.kappas)
     starts = [(seed, initial_point(problem.dim, seed)) for seed in cfg.seeds]
-    rows = [row for name in cfg.optimizers for row in _sweep_batch(problem, cfg, name, betas, starts)]
+    lines = [line for name in cfg.optimizers for line in _sweep_batch(problem, cfg, name, betas, starts)]
     out_dir = _ensure_out(args.out)
     _write_csv(
         out_dir / "sweep.csv",
-        [
-            "layout",
-            "optimizer",
-            "lr",
-            "beta1",
-            "beta2",
-            "n_seeds",
-            "median_final",
-            "q25",
-            "q75",
-            "n_diverged",
-            "status",
-        ],
-        rows,
+        ["layout", "optimizer", "lr", "beta1", "beta2", "n_seeds", "median_final", "q25", "q75", "n_diverged", "status"],
+        lines,
     )
-    print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} cells)", file=sys.stderr)
+    print(f"wrote {out_dir / 'sweep.csv'} ({len(lines)} cells)", file=sys.stderr)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # plumbing
+
+
+def _seed_range(count: int | None) -> tuple[int, ...] | None:
+    """``--seeds N`` as the seeds ``0..N-1``; ``None`` when the flag is absent."""
+    try:
+        return None if count is None else tuple(range(count))
+    except OverflowError:  # a count beyond the index range: ``range`` raises before it allocates anything
+        raise ConfigError(f"--seeds must be at most {sys.maxsize}, got {count}") from None
 
 
 def _layout_names(value: str) -> tuple[str, ...]:

@@ -90,7 +90,7 @@ def test_criterion_1_variance_form_equivalence():
     worst_dir = worst_var = 0.0
     for beta in BETA1_GRID:
         for _ in range(50):
-            rep = check_prop1(rng.standard_normal(1000), beta, tol=1e-9, variance_tol=1e-10)
+            rep = check_prop1(rng.standard_normal(1000), beta, tol=1e-9)
             worst_dir = max(worst_dir, rep.direction.max_abs_residual)
             worst_var = max(worst_var, rep.variance.max_abs_residual)
     report(

@@ -5,7 +5,8 @@ class methods) from outside the package, and ``perfbench/workloads.py`` runs
 fixed ``adamlab`` command lines. A name or flag that the package drops is only
 reported at benchmark time, and ``perfbench/tests`` is not part of this suite,
 so these tests load both files by path: each traced name is resolved the way
-:meth:`Tracer.install` does, and each workload command is parsed by the CLI.
+:meth:`Tracer.install` does, each workload command is parsed by the CLI, and a
+small ``quad`` and ``signal`` run in-process under the tracer.
 """
 import importlib.util
 import sys
@@ -41,3 +42,24 @@ def test_every_workload_command_parses(tmp_path, capsys):
     first_sweep = workloads.WORKLOADS["sweep-momentum"].commands(0, str(tmp_path / "run"))[0]
     assert cli.main(first_sweep) == cli.EXIT_OK
     capsys.readouterr()
+
+
+def test_traced_commands_keep_the_tracer_contract(tmp_path, capsys):
+    """Under :class:`Tracer`, a small ``quad`` and ``signal`` find every name, and each CSV span counts its artifact."""
+    tracer_module = _load("tracer")
+    before = [(owner, attr, vars(tracer_module._resolve(owner))[attr]) for owner, attr, *_ in tracer_module.PATCHES]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        quad = ["quad", "--layout", "het", "--optim", "adameq", "--optim", "sgd", "--seeds", "2", "--steps", "5"]
+        assert cli.main([*quad, "--out", str(tmp_path / "quad")]) == cli.EXIT_OK
+        assert cli.main(["signal", "--length", "50", "--out", str(tmp_path / "signal")]) == cli.EXIT_OK
+    finally:
+        restored = tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.missing == []
+    assert restored
+    assert [(owner, attr, vars(tracer_module._resolve(owner))[attr]) for owner, attr, *_ in tracer_module.PATCHES] == before
+    written = [(span["rows"], span["bytes"]) for span in tracer.kept if span["name"] == "cli.write_csv"]
+    artifacts = [tmp_path / "quad" / "runs.csv", tmp_path / "quad" / "summary.csv", tmp_path / "signal" / "responses.csv"]
+    assert written == [(len(path.read_text().splitlines()) - 1, path.stat().st_size) for path in artifacts]

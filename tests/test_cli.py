@@ -1,5 +1,6 @@
 """CLI harness: config round-trips, artifact formats, determinism, exit codes."""
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adamlab import cli
 from adamlab.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_IO,
@@ -31,7 +33,7 @@ from adamlab.cli import (
 )
 from adamlab.filters import FilterKind
 from adamlab.optim import OptimizerKind
-from adamlab.quadbench import Layout, derive_seed
+from adamlab.quadbench import Layout, RunRecord, derive_seed, make_config_id
 
 FAST_QUAD = [
     "quad",
@@ -220,6 +222,9 @@ class TestRejectedInputs:
             ["sweep", "--jobs", "2", "--steps", "5"],
             ["signal", "--filter", "bogus", "--length", "50"],
             ["sweep", "--optim", "bogus", "--steps", "5"],
+            # more seeds than range() can count: rejected before anything is allocated
+            ["quad", "--seeds", "100000000000000000000", "--steps", "5"],
+            ["sweep", "--seeds", "100000000000000000000", "--steps", "5"],
         ],
     )
     def test_flag_values_exit_2(self, tmp_path, argv):
@@ -243,6 +248,9 @@ class TestRejectedInputs:
             ("sweep", "layout", "both"),
             ("sweep", "optimizers", ["bogus"]),
             ("signal", "filters", ["sign", "bogus"]),
+            # integers beyond the float range in float fields
+            pytest.param("quad", "beta", 10**400, id="quad-beta-10**400"),
+            pytest.param("quad", "lr_grid", [10**400], id="quad-lr_grid-[10**400]"),
         ],
     )
     def test_config_values_exit_2(self, tmp_path, command, name, value):
@@ -406,6 +414,102 @@ def test_float_format_round_trips():
     for x in (0.1, 2.0**-13, 0.95, 1.0 / 3.0, 12345.678901234567):
         assert float(fmt_float(x)) == x
     assert fmt_float(None) == ""
+
+
+#: values a float field of an artifact can hold, the edge cases always among them
+FIELD_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**20), 10**20),
+)
+COUNTS = st.integers(0, 2**64 - 1)
+LAYOUTS = st.sampled_from([layout.value for layout in Layout])
+OPTIMIZERS = st.sampled_from([kind.value for kind in OptimizerKind])
+
+
+def _csv_writer_line(*fields) -> str:
+    """The line ``csv.writer`` writes for the row ``fields``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+def _g(x) -> str:
+    """A float field as ``fmt_float`` formats it: 17 significant digits."""
+    return format(x, ".17g")
+
+
+class TestCsvLines:
+    """Each artifact's preformatted line is what ``csv.writer`` writes for the same fields."""
+
+    @settings(max_examples=60)
+    @given(
+        config_id=st.builds(make_config_id, LAYOUTS, OPTIMIZERS, FIELD_FLOATS),
+        seed=COUNTS,
+        losses=st.lists(FIELD_FLOATS, max_size=5),
+        with_deltas=st.booleans(),
+        data=st.data(),
+    )
+    def test_runs_lines(self, config_id, seed, losses, with_deltas, data):
+        losses = np.array(losses, dtype=float)
+        deltas = None
+        if with_deltas:
+            rows = st.lists(st.tuples(*[FIELD_FLOATS] * 3), min_size=losses.size, max_size=losses.size)
+            deltas = np.array(data.draw(rows), dtype=float).reshape(-1, 3)
+        record = RunRecord(config_id, seed, losses, deltas)
+        expected = []
+        for step, loss in enumerate(losses.tolist()):
+            blocks = ["", "", ""] if deltas is None else map(_g, deltas[step].tolist())
+            expected.append(_csv_writer_line(config_id, seed, step, _g(loss), *blocks))
+        assert cli._run_lines(record) == expected
+
+    @settings(max_examples=60)
+    @given(
+        label=OPTIMIZERS,
+        layout=LAYOUTS,
+        best_lr=st.one_of(st.none(), FIELD_FLOATS),
+        stats=st.tuples(*[FIELD_FLOATS] * 3),
+        status=st.sampled_from(["ok", "all_diverged"]),
+    )
+    def test_summary_line(self, label, layout, best_lr, stats, status):
+        line = cli._SUMMARY_LINE % (label, layout, fmt_float(best_lr), *stats, status)
+        assert line == _csv_writer_line(label, layout, "" if best_lr is None else _g(best_lr), *map(_g, stats), status)
+
+    @settings(max_examples=60)
+    @given(
+        layout=LAYOUTS,
+        name=OPTIMIZERS,
+        rates=st.tuples(*[FIELD_FLOATS] * 3),
+        n_seeds=COUNTS,
+        stats=st.tuples(*[FIELD_FLOATS] * 3),
+        n_diverged=COUNTS,
+        status=st.sampled_from(["ok", "partial", "all_diverged"]),
+    )
+    def test_sweep_line(self, layout, name, rates, n_seeds, stats, n_diverged, status):
+        line = cli._SWEEP_LINE % (layout, name, *rates, n_seeds, *stats, n_diverged, status)
+        expected = _csv_writer_line(layout, name, *map(_g, rates), n_seeds, *map(_g, stats), n_diverged, status)
+        assert line == expected
+
+    @settings(max_examples=60)
+    @given(
+        name=st.sampled_from([kind.value for kind in FilterKind]),
+        beta=FIELD_FLOATS,
+        k=COUNTS,
+        x=FIELD_FLOATS,
+        response=FIELD_FLOATS,
+    )
+    def test_responses_line(self, name, beta, k, x, response):
+        line = cli._RESPONSES_LINE % (name, fmt_float(beta), cli._RESPONSES_PREFIX % (k, x), response)
+        assert line == _csv_writer_line(name, _g(float(beta)), k, _g(x), _g(response))
+
+    @settings(max_examples=100)
+    @given(rate=st.floats(allow_nan=True, allow_infinity=True))
+    def test_config_ids_never_need_quoting(self, rate):
+        # csv.writer quotes a field only for a delimiter, a quote or a line break, so none may occur
+        for layout in Layout:
+            for kind in OptimizerKind:
+                config_id = make_config_id(layout.value, kind.value, rate)
+                assert not set(config_id) & set(',"\r\n'), config_id
 
 
 class TestVerifyCommand:
@@ -730,8 +834,8 @@ class TestSweepCommand:
 
 
 class TestAtomicArtifacts:
-    def rows_then_failure(self):
-        yield ["1", "2"]
+    def lines_then_failure(self):
+        yield "1,2\n"
         raise RuntimeError("interrupted")
 
     def test_failed_write_leaves_no_file(self, tmp_path):
@@ -739,17 +843,17 @@ class TestAtomicArtifacts:
 
         target = tmp_path / "runs.csv"
         with pytest.raises(RuntimeError):
-            _write_csv(target, ["a", "b"], self.rows_then_failure())
+            _write_csv(target, ["a", "b"], self.lines_then_failure())
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         from adamlab.cli import _write_csv, _write_json
 
         target = tmp_path / "runs.csv"
-        _write_csv(target, ["a", "b"], [["1", "2"]])
+        _write_csv(target, ["a", "b"], ["1,2\n"])
         before = target.read_bytes()
         with pytest.raises(RuntimeError):
-            _write_csv(target, ["a", "b"], self.rows_then_failure())
+            _write_csv(target, ["a", "b"], self.lines_then_failure())
         assert target.read_bytes() == before == b"a,b\n1,2\n"
         _write_json(tmp_path / "report.json", {"b": 1, "a": [2]})
         assert (tmp_path / "report.json").read_text() == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
@@ -798,7 +902,7 @@ with _atomic_open(Path(sys.argv[1])) as fh:
         ]
         for name in kept:
             (tmp_path / name).write_bytes(b"busy\n")
-        _write_csv(target, ["a"], [["1"]])
+        _write_csv(target, ["a"], ["1\n"])
         assert target.read_bytes() == b"a\n1\n"
         assert sorted(os.listdir(tmp_path)) == sorted([*kept, "runs.csv"])
 
@@ -821,9 +925,9 @@ with _atomic_open(Path(sys.argv[1])) as fh:
             onto_existing.append(os.path.lexists(dst))
             replace(src, dst)
 
-        def rows(values, complete):
+        def lines(values, complete):
             for value in values:
-                yield [str(value)]
+                yield f"{value}\n"
             if not complete:
                 raise RuntimeError("interrupted")
 
@@ -832,11 +936,11 @@ with _atomic_open(Path(sys.argv[1])) as fh:
             mp.setattr(os, "replace", recording_replace)
             for complete, values in writes:
                 if complete:
-                    cli._write_csv(target, ["x"], rows(values, True))
+                    cli._write_csv(target, ["x"], lines(values, True))
                     expected = "".join(f"{v}\n" for v in ["x", *values]).encode()
                 else:
                     with pytest.raises(RuntimeError):
-                        cli._write_csv(target, ["x"], rows(values, False))
+                        cli._write_csv(target, ["x"], lines(values, False))
                 if expected is None:
                     assert os.listdir(out) == []
                 else:

@@ -1,5 +1,6 @@
 """The batched run engine, pinned bit for bit to the one-run reference stepper of ``reference.py``."""
 import ast
+import csv
 import math
 import re
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from adamlab.cli import EXIT_OK, EXIT_USAGE, SweepConfig, _beta_pairs, _write_csv, fmt_float, main
+from adamlab.cli import EXIT_OK, EXIT_USAGE, SweepConfig, _beta_pairs, fmt_float, main
 from adamlab.core import InitMode, beta_grid
 from adamlab.optim import EpsilonPlacement, OptimizerConfig, OptimizerKind, corrected_moments
 from adamlab.quadbench import (
@@ -546,5 +547,6 @@ def test_sweep_csv_equals_batch_per_pair(tmp_path, capsys):
                 rows.append(["het", name, *map(fmt_float, (lr, beta1, beta2)), str(n_seeds), *map(fmt_float, stats), str(n_diverged), status])
     assert {row[10] for row in rows} == {"ok", "partial", "all_diverged"}
     header = ["layout", "optimizer", "lr", "beta1", "beta2", "n_seeds", "median_final", "q25", "q75", "n_diverged", "status"]
-    _write_csv(tmp_path / "reference.csv", header, rows)
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
     assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
