@@ -5,8 +5,9 @@ a direction map (epsilon 0, zero init, no bias correction by default) and the
 output sequence is studied. Several signals of one length can be streamed
 together as the columns of a ``(T, C)`` array. The whole signal goes through
 one ``scan`` of the optimizer's moment recursions (a scalar signal as Python
-floats, a ``(T, C)`` signal row by row); the moments the map reads come back
-as histories, and ``direction_map`` turns them into the response in one
+floats, a ``(T, C)`` signal row by row, each row's moments written in place
+into histories made once); the moments the map reads come back as those
+``(T, C)`` arrays, and ``direction_map`` turns them into the response in one
 call. Every operation is elementwise, so every column rounds exactly as it
 would alone, step by step through ``direction``. The interesting operator
 properties:
@@ -133,9 +134,7 @@ def filter_response(filt: FilterSpec, signal) -> np.ndarray:
     state = init_state(config, signal.shape[1:])
     # a (T,) signal steps as Python floats, several times cheaper than 0-d arrays
     ms, deltas = scan(config, state, signal.tolist() if signal.ndim == 1 else signal)
-    step = np.dtype((float, signal.shape[1:]))  # one history row: a float, or C of them
-    delta = None if deltas is None else np.fromiter(deltas, step, len(deltas))
-    return direction_map(config, m=np.fromiter(ms, step, len(ms)), delta=delta)
+    return direction_map(config, m=ms, delta=deltas)
 
 
 @dataclass(frozen=True)
@@ -186,16 +185,22 @@ def run_property_checks(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    signals, cuts = [], []
-    for _ in range(trials):
-        signals.append(rng.standard_normal(SIGNAL_LENGTH))
-        cuts.append(rng.integers(1, SIGNAL_LENGTH, size=TRUNCATIONS_PER_TRIAL))
-    g = np.stack(signals, axis=1)  # (SIGNAL_LENGTH, trials)
+    # the check's peak, made before any draw: a size that cannot fit fails here at once
+    blocks = np.empty((SIGNAL_LENGTH, 2 + TRUNCATIONS_PER_TRIAL + len(SCALING_FACTORS), trials))
+    g = blocks[:, 0]
+    cuts = np.empty((TRUNCATIONS_PER_TRIAL, trials), dtype=np.int64)
+    for i in range(trials):
+        g[:, i] = rng.standard_normal(SIGNAL_LENGTH)
+        cuts[:, i] = rng.integers(1, SIGNAL_LENGTH, size=TRUNCATIONS_PER_TRIAL)
     steps = np.arange(SIGNAL_LENGTH)[:, None]
-    kept = [steps <= k for k in np.stack(cuts, axis=1)]  # one (SIGNAL_LENGTH, trials) mask per cut
-    truncated = [np.where(mask, g, 0.0) for mask in kept]
-    columns = [g, *truncated, *(alpha * g for alpha in SCALING_FACTORS), -g]
-    base, *rest = np.split(response(np.concatenate(columns, axis=1)), len(columns), axis=1)
+    kept = [steps <= k for k in cuts]  # one (SIGNAL_LENGTH, trials) mask per cut
+    for j, mask in enumerate(kept, start=1):
+        blocks[:, j] = 0.0
+        np.copyto(blocks[:, j], g, where=mask)
+    for j, alpha in enumerate(SCALING_FACTORS, start=1 + len(kept)):
+        np.multiply(alpha, g, out=blocks[:, j])
+    np.negative(g, out=blocks[:, -1])
+    base, *rest = np.split(response(blocks.reshape(SIGNAL_LENGTH, -1)), blocks.shape[1], axis=1)
     heads, scaled, negated = rest[: len(kept)], rest[len(kept) : -1], rest[-1]
     worst = {
         "causal": max_or_nan(

@@ -19,13 +19,17 @@ Supported directions:
 
 A step has three parts. :func:`scan` runs the moment recursions (an online
 estimate of the gradient's mean and variance) along a whole gradient
-sequence, and is the one place they are written; :func:`advance` is its
-one-step call. :func:`corrected_moments` applies bias correction, and
-:func:`direction_map` turns the corrected moments into ``d`` elementwise.
-:func:`direction` checks the gradient and does all three. ``filters`` scans a
-whole signal and maps its moment history in one call; the ``quadbench``
-engine advances a batch of runs a step at a time and shares one corrected
-view between the map and :func:`delta_estimate`.
+sequence; :func:`advance` is its one-step call. The recursions have one
+implementation per number type: Python floats step in :func:`scan`'s own
+loop, and arrays through :func:`step_moments`, which writes in place.
+:func:`corrected_moments` applies bias correction, and :func:`direction_map`
+turns the corrected moments into ``d`` elementwise. :func:`direction` checks
+the gradient and does all three. ``filters`` scans a whole signal and maps its
+moment history in one call. The ``quadbench`` engine steps a batch of runs
+with :func:`step_moments` and shares one corrected view between the map and
+:func:`delta_estimate`; it makes every array a step writes once per batch and
+hands it to each step function as ``out``, while callers that map whole
+histories leave ``out`` unset and get fresh arrays.
 """
 from __future__ import annotations
 
@@ -52,10 +56,13 @@ class EpsilonPlacement(enum.Enum):
     INSIDE_SQRT = "inside"
 
 
+# the members as module globals: the step functions test the kind on every engine step, and a global
+# is read several times faster than an enum attribute
+_SGD, _SIGN_SGD, _SIGNUM, _EMA_SIGN, _RMSPROP, _ADAM, _ADAM_EQUAL_BETA = OptimizerKind
+_INSIDE_SQRT = EpsilonPlacement.INSIDE_SQRT
+
 #: the methods that carry a gradient-variance term
-_SECOND_MOMENT_KINDS = frozenset(
-    {OptimizerKind.RMSPROP, OptimizerKind.ADAM, OptimizerKind.ADAM_EQUAL_BETA}
-)
+_SECOND_MOMENT_KINDS = (_RMSPROP, _ADAM, _ADAM_EQUAL_BETA)
 
 
 @dataclass
@@ -116,52 +123,124 @@ def init_state(config: OptimizerConfig, shape, beta1=None, beta2=None) -> Optimi
     return OptimizerState(m, v, delta, beta1, config.beta2 if beta2 is None else beta2)
 
 
-def _safe_div(num: np.ndarray, denom: np.ndarray, out=None) -> np.ndarray:
-    """Elementwise num/denom with the 0/0 -> 0 convention (a NaN ``denom`` also gives 0); ``out`` may be ``denom``."""
-    positive = denom > 0
-    if out is None:
-        out = np.zeros_like(num)
-    else:
-        np.copyto(out, 0.0, where=~positive)
-    return np.divide(num, denom, out=out, where=positive)
+def _safe_div(num: np.ndarray, denom: np.ndarray, out: np.ndarray, positive=None) -> np.ndarray:
+    """Elementwise num/denom into ``out`` with the 0/0 -> 0 convention (a NaN ``denom`` also gives 0).
+
+    ``out`` may be ``denom``; ``positive`` is a bool scratch array of its shape (``None`` allocates one).
+    """
+    positive = np.greater(denom, 0.0, out=positive)
+    np.divide(num, denom, out=out, where=positive)
+    np.copyto(out, 0.0, where=np.logical_not(positive, out=positive))
+    return out
 
 
 def _denominator(second: np.ndarray, config: OptimizerConfig, out=None) -> np.ndarray:
     """``sqrt(second)`` floored by epsilon at the configured placement; ``out`` may be ``second``."""
-    if config.epsilon_placement is EpsilonPlacement.INSIDE_SQRT:
+    if config.epsilon_placement is _INSIDE_SQRT:
         return np.sqrt(np.add(second, config.epsilon, out=out), out=out)
     return np.add(np.sqrt(second, out=out), config.epsilon, out=out)
 
 
-def corrected_moments(config: OptimizerConfig, state: OptimizerState, powers=None) -> dict:
+def corrected_moments(config: OptimizerConfig, state: OptimizerState, corrections=None, out=None) -> dict:
     """The moments that :func:`direction_map` reads from ``state``, bias-corrected when configured.
 
     ``m`` for every kind but SIGN_SGD, with ``v`` (Adam/RMSprop) or ``delta``
-    (equal-beta Adam), as :func:`direction_map`'s keyword arguments. Bias
-    correction divides by ``1 - beta**k`` after ``k`` steps. Float betas take
-    ``beta**k`` from Python's ``**``; a state with ``(R, 1)`` beta columns
-    needs ``powers = (beta1**k, beta2**k)`` as columns built the same way
-    (numpy's power does not always round like Python's). The corrected
-    equal-beta variance term is ``v_hat - m_hat**2``, which the recursion
-    gives as ``delta / (1 - beta**k) - beta**k * m_hat**2``. It can dip below
-    zero in floating point; callers clamp.
+    (equal-beta Adam), as :func:`direction_map`'s keyword arguments; the
+    state's own arrays where nothing is corrected. Bias correction divides by
+    ``1 - beta**k`` after ``k`` steps. Float betas take ``beta**k`` from
+    Python's ``**``; a state with ``(R, 1)`` beta columns needs
+    ``corrections = (beta1**k, 1 - beta1**k, 1 - beta2**k)`` as columns built
+    the same way (numpy's power does not always round like Python's). The
+    corrected equal-beta variance term is ``v_hat - m_hat**2``, which the
+    recursion gives as ``delta / (1 - beta**k) - beta**k * m_hat**2``. It can
+    dip below zero in floating point; callers clamp. ``out = (m_hat, second,
+    scratch)`` receives the corrected moments, in arrays of the state's shape
+    that are none of its own.
     """
     kind = config.kind
-    if kind is OptimizerKind.SIGN_SGD:
+    if kind is _SIGN_SGD:
         return {}
     if kind not in _SECOND_MOMENT_KINDS:
         return {"m": state.m}
-    equal_beta = kind is OptimizerKind.ADAM_EQUAL_BETA
+    equal_beta = kind is _ADAM_EQUAL_BETA
     m, second = state.m, state.delta if equal_beta else state.v
     if config.bias_correction:
-        p1, p2 = (state.beta1**state.step, state.beta2**state.step) if powers is None else powers
-        c1 = 1.0 - p1
-        m = m / c1
-        second = second / c1 - p1 * m * m if equal_beta else second / (1.0 - p2)
+        if corrections is None:
+            p1 = state.beta1**state.step
+            corrections = (p1, 1.0 - p1, 1.0 - state.beta2**state.step)
+        p1, c1, c2 = corrections
+        m_out, second_out, scratch = (None, None, None) if out is None else out
+        m = np.divide(m, c1, out=m_out)
+        if equal_beta:
+            second = np.divide(second, c1, out=second_out)
+            shrink = np.multiply(p1, m, out=scratch)
+            shrink *= m
+            second -= shrink
+        else:
+            second = np.divide(second, c2, out=second_out)
     return {"m": m, "delta" if equal_beta else "v": second}
 
 
-def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[list, list | None]:
+def recursion_coefficients(state: OptimizerState) -> tuple:
+    """``(b1, 1 - b1, b1*(1 - b1), b2, 1 - b2)`` of the state's betas.
+
+    Python floats for a scalar state; for an array state, each is computed
+    from the betas as they are (floats or ``(R, 1)`` columns) and then spread
+    over an array of the state's shape, since a product of two whole arrays
+    is several times faster than one that broadcasts a column or a scalar.
+    """
+    b, b2 = state.beta1, state.beta2
+    c = 1.0 - b
+    coefficients = (b, c, b * c, b2, 1.0 - b2)
+    shape = np.shape(state.m)
+    return tuple(np.broadcast_to(x, shape).copy() for x in coefficients) if shape else coefficients
+
+
+def step_moments(kind: OptimizerKind, coefficients, g, m, v, delta, *, out, scratch, seed=False) -> None:
+    """One step of the moment recursions on arrays, written in place: the array form of :func:`scan`'s step.
+
+    Reads the moments ``m``, ``v`` and ``delta`` before the (checked, finite)
+    gradient ``g`` and writes ``m`` and ``delta`` after it into
+    ``out = (m_out, delta_out)``, which may be ``m`` and ``delta``
+    themselves; ``v`` is advanced in place. ``coefficients`` come from
+    :func:`recursion_coefficients` and ``scratch`` is two arrays of the
+    moments' shape. ``seed`` takes the first-sample step: ``m_out`` gets a
+    copy of the sample (its sign for EMA_SIGN), ``v`` its square, and
+    ``delta_out`` the unchanged ``delta``. SIGN_SGD keeps no moments. Each
+    element takes the float step's operations on the same operands, so it
+    rounds as it would there.
+    """
+    if kind is _SIGN_SGD:
+        return
+    m_out, delta_out = out
+    diff, term = scratch
+    x = np.sign(g, out=term) if kind is _EMA_SIGN else g
+    two_moments = kind in (_RMSPROP, _ADAM)
+    if seed:
+        np.copyto(m_out, x)
+        if two_moments:
+            np.multiply(g, g, out=v)
+        if kind is _ADAM_EQUAL_BETA:
+            np.copyto(delta_out, delta)
+        return
+    b, c, bc, b2, c2 = coefficients
+    if kind is _ADAM_EQUAL_BETA:
+        np.subtract(m, g, out=diff)
+        np.multiply(bc, diff, out=term)
+        term *= diff
+        np.multiply(b, delta, out=delta_out)
+        delta_out += term
+    elif two_moments:
+        np.multiply(g, g, out=diff)
+        np.multiply(c2, diff, out=diff)
+        v *= b2
+        v += diff
+    np.multiply(c, x, out=term)
+    np.multiply(b, m, out=m_out)
+    m_out += term
+
+
+def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[np.ndarray, np.ndarray | None]:
     """Advance ``state`` by each (checked, finite) gradient of ``signal`` in turn, along axis 0.
 
     ``signal`` is a sequence of gradients of the state's shape: a list of
@@ -173,46 +252,61 @@ def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[list, 
     seeds ``m`` from the first sample. SIGN_SGD keeps no moments. The
     coefficients ``1 - b`` and ``b*(1-b)``, the kind and the seeding are
     settled once per call; every step rounds as it would alone, since
-    ``b*(1-b)*diff*diff`` is ``((b*(1-b))*diff)*diff`` either way. Python
-    floats step as Python floats, arrays as arrays; nothing is written in
-    place, since a seeded ``m`` is the caller's first gradient itself.
+    ``b*(1-b)*diff*diff`` is ``((b*(1-b))*diff)*diff`` either way. A scalar
+    state steps as Python floats, several times faster than 0-d arrays; an
+    array state takes one :func:`step_moments` per gradient, which writes
+    each step's moments straight into the history rows. The state's arrays
+    are then updated in place, and the caller's gradients never are.
 
     Returns the ``m`` after each step, and for equal-beta Adam the ``delta``
-    after each step (else ``None``), as lists.
+    after each step (else ``None``), as ``(steps, *shape)`` arrays.
     """
     kind = config.kind
-    ms: list = []
-    deltas = [] if kind is OptimizerKind.ADAM_EQUAL_BETA else None
     steps = len(signal)
-    if kind is OptimizerKind.SIGN_SGD or not steps:
+    shape = np.shape(state.m)
+    if kind is _SIGN_SGD:
+        state.step += steps
+        return np.empty((0, *shape)), None
+    seed = state.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE
+    equal_beta = kind is _ADAM_EQUAL_BETA
+    if shape:
+        ms = np.empty((steps, *shape))
+        deltas = np.empty_like(ms) if equal_beta else None
+        coefficients = recursion_coefficients(state)
+        scratch = (np.empty(shape), np.empty(shape))
+        m, delta = state.m, state.delta
+        for k, g in enumerate(signal):
+            out = (ms[k], deltas[k] if equal_beta else delta)
+            step_moments(kind, coefficients, g, m, state.v, delta, out=out, scratch=scratch, seed=seed and not k)
+            m, delta = out
+        np.copyto(state.m, m)
+        np.copyto(state.delta, delta)
         state.step += steps
         return ms, deltas
+    ms: list = []
+    deltas = [] if equal_beta else None
     xs = signal
-    if kind is OptimizerKind.EMA_SIGN:
-        xs = np.sign(signal)
-        xs = xs.tolist() if xs.ndim == 1 else xs  # a scalar state's signs step as Python floats
-    b, m, v, delta = state.beta1, state.m, state.v, state.delta
-    c = 1.0 - b
+    if kind is _EMA_SIGN:
+        xs = np.sign(signal).tolist()  # the signs step as Python floats
+    b, c, bc, b2, c2 = recursion_coefficients(state)
+    m, v, delta = state.m, state.v, state.delta
     first = 0
-    if state.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE:
+    if seed and steps:
         first = 1
         m = xs[0]
-        if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
+        if kind in (_RMSPROP, _ADAM):
             v = signal[0] * signal[0]
         ms.append(m)
-        if deltas is not None:
+        if equal_beta:
             deltas.append(delta)
-    if deltas is not None:
-        bc = b * c
+    if equal_beta:
         for g in signal[first:]:
             diff = m - g
             delta = b * delta + bc * diff * diff
             m = b * m + c * g
             ms.append(m)
             deltas.append(delta)
-    elif kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
-        b2 = state.beta2
-        c2 = 1.0 - b2
+    elif kind in (_RMSPROP, _ADAM):
         for g in signal[first:]:
             m = b * m + c * g
             v = b2 * v + c2 * (g * g)
@@ -223,7 +317,7 @@ def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[list, 
             ms.append(m)
     state.m, state.v, state.delta = m, v, delta
     state.step += steps
-    return ms, deltas
+    return np.array(ms, dtype=float), None if deltas is None else np.array(deltas, dtype=float)
 
 
 def advance(config: OptimizerConfig, state: OptimizerState, g) -> OptimizerState:
@@ -232,28 +326,34 @@ def advance(config: OptimizerConfig, state: OptimizerState, g) -> OptimizerState
     return state
 
 
-def direction_map(config: OptimizerConfig, *, g=None, m=None, v=None, delta=None) -> np.ndarray:
+def direction_map(config: OptimizerConfig, *, g=None, m=None, v=None, delta=None, out=None) -> np.ndarray:
     """The direction ``d`` that the moments give, elementwise.
 
     Reads ``g`` (SIGN_SGD), ``m`` (every other kind), ``v`` (Adam/RMSprop)
     or ``delta`` (equal-beta Adam), as :func:`corrected_moments` gives them:
     already bias-corrected where that is configured. Any shape works, so a
-    leading time axis maps a whole history at once.
+    leading time axis maps a whole history at once. ``out = (d, positive)``
+    receives the direction in ``d``, a float array that is none of the
+    inputs, using ``positive``, a bool array of its shape, as scratch.
     """
     kind = config.kind
-    if kind in (OptimizerKind.SGD, OptimizerKind.EMA_SIGN):
-        return np.copy(m)
-    if kind is OptimizerKind.SIGN_SGD:
-        return np.sign(g)
-    if kind is OptimizerKind.SIGNUM:
-        return np.sign(m) if config.epsilon == 0.0 else m / _denominator(m * m, config)
-    if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
-        return _safe_div(m, _denominator(v, config))
-    # one fresh buffer holds the clamped root and then the direction: a (T, C) history needs no other
-    root = np.multiply(m, m, out=np.empty(np.shape(m)))
+    d, positive = (np.empty(np.shape(g if kind is _SIGN_SGD else m)), None) if out is None else out
+    if kind in (_SGD, _EMA_SIGN):
+        np.copyto(d, m)
+        return d
+    if kind is _SIGN_SGD:
+        return np.sign(g, out=d)
+    if kind is _SIGNUM:
+        if config.epsilon == 0.0:
+            return np.sign(m, out=d)
+        return np.divide(m, _denominator(np.multiply(m, m, out=d), config, out=d), out=d)
+    if kind in (_RMSPROP, _ADAM):
+        return _safe_div(m, _denominator(v, config, out=d), d, positive)
+    # d holds the clamped root and then the direction: a (T, C) history needs no other float array
+    root = np.multiply(m, m, out=d)
     root += delta
     np.maximum(root, 0.0, out=root)
-    return _safe_div(m, _denominator(root, config, out=root), out=root)
+    return _safe_div(m, _denominator(root, config, out=root), root, positive)
 
 
 def direction(config: OptimizerConfig, state: OptimizerState, g) -> tuple[np.ndarray, OptimizerState]:
@@ -265,21 +365,28 @@ def direction(config: OptimizerConfig, state: OptimizerState, g) -> tuple[np.nda
     return direction_map(config, g=g, **corrected_moments(config, state)), state
 
 
-def apply_step(w: np.ndarray, d: np.ndarray, lr) -> np.ndarray:
-    """The update ``w - lr*d`` of float arrays (``lr`` a float or a column that broadcasts)."""
-    return w - lr * d
+def apply_step(w: np.ndarray, d: np.ndarray, lr, out=None) -> np.ndarray:
+    """The update ``w - lr*d`` of float arrays (``lr`` a float or a column that broadcasts).
+
+    ``out`` receives it; it may be ``d``, but not ``w``.
+    """
+    step = np.multiply(lr, d, out=out)
+    return np.subtract(w, step, out=step)
 
 
-def delta_estimate(config: OptimizerConfig, moments: dict) -> np.ndarray | None:
+def delta_estimate(config: OptimizerConfig, moments: dict, out=None) -> np.ndarray | None:
     """Per-coordinate gradient-variance estimate from :func:`corrected_moments`, if the method has one.
 
     Equal-beta Adam exposes its recursion directly; plain Adam/RMSprop report
     ``max(v_hat - m_hat**2, 0)``. Sign and momentum methods return ``None``.
     ``moments`` must come from a state that has taken at least one step.
+    ``out`` receives the estimate; it is none of the moments.
     """
     if config.kind not in _SECOND_MOMENT_KINDS:
         return None
-    if config.kind is OptimizerKind.ADAM_EQUAL_BETA:
-        return np.maximum(moments["delta"], 0.0)
+    if config.kind is _ADAM_EQUAL_BETA:
+        return np.maximum(moments["delta"], 0.0, out=out)
     m = moments["m"]
-    return np.maximum(moments["v"] - m * m, 0.0)
+    out = np.multiply(m, m, out=out)
+    np.subtract(moments["v"], out, out=out)
+    return np.maximum(out, 0.0, out=out)

@@ -15,13 +15,16 @@ Stochasticity comes from subsampling rows of the symmetric square root
 ``(n/|B|) * sum_{i in B} x_i (x_i . w)``.
 
 Runs are stepped by one engine, :func:`run_batch`, which advances R runs as the
-rows of ``(R, dim)`` arrays, one ``advance`` of the optimizer's recursions per
-step. Each step computes the bias-corrected moments once and hands them to
-both ``direction_map`` and ``delta_estimate``, then ``apply_step``. Each run
-brings its own
-``OptimizerConfig``; the configs of a batch may differ only in ``beta1`` and
-``beta2``. Every record it returns equals, bit for bit, the record of stepping
-that run alone:
+rows of ``(R, dim)`` arrays, one in-place ``step_moments`` of the optimizer's
+recursions per step. Each step computes the bias-corrected moments once and
+hands them to both ``direction_map`` and ``delta_estimate``, then
+``apply_step``. A step writes only into buffers made once per batch (the
+moments, the gathered design rows and the gradient, the corrected moments, the
+direction and their scratch), which it passes as ``out``; the new point goes
+straight into its row of the point history. Each run brings
+its own ``OptimizerConfig``; the configs of a batch may differ only in
+``beta1`` and ``beta2``. Every record it returns equals, bit for bit, the
+record of stepping that run alone:
 
 * each run's row subsets are drawn before the loop from its own
   ``derive_seed(seed, "batches", config_id)`` generator, into a fresh
@@ -34,10 +37,14 @@ that run alone:
   the same way);
 * each run scales the one schedule of :func:`lr_at` by its own peak rate,
   tabulated before the loop by one ``lr_at`` call over all steps and peaks;
-  the rate and the momentum differ per run, as ``(R, 1)`` columns;
-  the bias-correction powers ``beta**step`` are tabulated before the loop with
-  Python's ``**``, once per distinct beta and step, because numpy's power does
-  not always round the same way;
+  the rate and the momentum differ per run, as ``(R, 1)`` columns, and the
+  recursions' coefficients ``1 - b``, ``b*(1 - b)`` and ``1 - b2`` are worked
+  out from them once per batch; the bias-correction powers ``beta**step`` are
+  tabulated before the loop with Python's ``**``, once per distinct beta and
+  step, because numpy's power does not always round the same way, beside
+  their complements ``1 - beta**step``;
+* the design rows are gathered step by step, not for the whole batch, whose
+  gather would hold ``steps x R x batch_size x dim`` floats;
 * the loop keeps only what feeds the next point, and writes each step's
   points (and variance-term snapshots) into ``(steps, R, dim)`` histories; the
   losses are one ``loss`` call over the point history, and a block mean of the
@@ -61,19 +68,20 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import lr_at
+from .core import InitMode, lr_at
 from .optim import (
     _SECOND_MOMENT_KINDS,
     EpsilonPlacement,
     OptimizerConfig,
     OptimizerKind,
-    advance,
     apply_step,
     corrected_moments,
     delta_estimate,
     direction,  # unused here; perfbench/tracer.py still wraps adamlab.quadbench.direction
     direction_map,
     init_state,
+    recursion_coefficients,
+    step_moments,
 )
 
 HETEROGENEOUS_BLOCKS = ((1.0, 2.0, 3.0), (99.0, 100.0, 101.0), (4998.0, 4999.0, 5000.0))
@@ -231,17 +239,23 @@ def build_problem(spec: BlockSpec, seed: int) -> QuadraticProblem:
     return QuadraticProblem(hessian=hessian, design=design, spec=spec)
 
 
-def subset_gradient(problem: QuadraticProblem, w: np.ndarray, rows) -> np.ndarray:
+def subset_gradient(problem: QuadraticProblem, w: np.ndarray, rows, out=(None, None, None)) -> np.ndarray:
     """Gradient estimate from the given design-matrix rows.
 
     ``w`` may be a ``(R, dim)`` stack of points with ``rows`` a ``(R, b)``
-    stack of row subsets, giving one gradient per run.
+    stack of row subsets, giving one gradient per run. Every row index must
+    be in ``[0, dim)``. ``out = (xb, xw, g)`` are the arrays it writes: the
+    gathered rows ``(..., b, dim)``, their products with ``w`` ``(..., b, 1)``
+    and the gradient column ``(..., dim, 1)``, whose ``[..., 0]`` view it
+    returns. Each is C-contiguous, as the allocating form's would be, so the
+    products make the same BLAS calls.
     """
+    xb, xw, g = out
     rows = np.asarray(rows, dtype=int)
-    xb = problem.design[rows]
-    w = np.asarray(w, dtype=float)
-    g = xb.swapaxes(-1, -2) @ (xb @ w[..., None])
-    return (problem.dim / rows.shape[-1]) * g[..., 0]
+    xb = problem.design.take(rows, axis=0, out=xb, mode="clip")  # "raise" would copy through a buffer
+    xw = np.matmul(xb, np.asarray(w, dtype=float)[..., None], out=xw)
+    g = np.matmul(xb.swapaxes(-1, -2), xw, out=g)[..., 0]
+    return np.multiply(problem.dim / rows.shape[-1], g, out=g)
 
 
 def stochastic_grad(
@@ -324,16 +338,21 @@ def _shared_config(runs: Sequence[RunSpec]) -> OptimizerConfig:
     """The optimizer settings of a batch; the runs' configs may differ only in their betas."""
     config = runs[0].config
     shared = [f.name for f in dataclasses.fields(config) if f.name not in ("beta1", "beta2")]
-    for run in runs:
-        if any(getattr(run.config, name) != getattr(config, name) for name in shared):
-            raise ValueError(f"runs of one batch may differ only in beta1 and beta2: {config} vs {run.config}")
+    # the runs of one cell share one config object, so each distinct object is compared once
+    for other in {id(run.config): run.config for run in runs}.values():
+        if any(getattr(other, name) != getattr(config, name) for name in shared):
+            raise ValueError(f"runs of one batch may differ only in beta1 and beta2: {config} vs {other}")
     return config
 
 
-def _power_table(betas: list[float], steps: int) -> np.ndarray:
-    """``beta**k`` for ``k = 1..steps`` per run, shape ``(steps, R, 1)``; Python ``**`` once per distinct beta."""
-    rows = {beta: [beta**k for k in range(1, steps + 1)] for beta in dict.fromkeys(betas)}
-    return np.array([rows[beta] for beta in betas]).T[:, :, None]
+def _correction_table(beta1: list[float], beta2: list[float], steps: int) -> np.ndarray:
+    """The bias corrections ``(beta1**k, 1 - beta1**k, 1 - beta2**k)`` for ``k = 1..steps``, shape ``(steps, 3, R, 1)``.
+
+    ``beta**k`` is Python's ``**``, once per distinct beta and step.
+    """
+    rows = {beta: [beta**k for k in range(1, steps + 1)] for beta in dict.fromkeys(beta1 + beta2)}
+    p1, p2 = (np.array([rows[beta] for beta in betas]).T for betas in (beta1, beta2))
+    return np.stack([p1, 1.0 - p1, 1.0 - p2], axis=1)[..., None]
 
 
 def run_batch(
@@ -375,29 +394,40 @@ def run_batch(
         rng = np.random.default_rng(derive_seed(run.seed, "batches", run.config_id))
         rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size)
     w = np.array([run.w0 for run in runs], dtype=float)
+    shape = w.shape
     beta1 = [run.config.beta1 for run in runs]
     beta2 = [run.config.beta2 for run in runs]
-    columns = (np.array(beta1, dtype=float)[:, None], np.array(beta2, dtype=float)[:, None])
-    state = init_state(config, w.shape, *columns)
-    powers = None
+    state = init_state(config, shape, np.array(beta1, dtype=float)[:, None], np.array(beta2, dtype=float)[:, None])
+    coefficients = recursion_coefficients(state)
+    corrections = None
     if config.bias_correction and config.kind in _SECOND_MOMENT_KINDS:
-        powers = (_power_table(beta1, steps), _power_table(beta2, steps))
+        corrections = _correction_table(beta1, beta2, steps)
     track_delta = track_delta and config.kind in _SECOND_MOMENT_KINDS
+    first_sample = config.init_mode is InitMode.FIRST_SAMPLE
 
-    points = np.empty((steps, *w.shape))
+    points = np.empty((steps, *shape))
     snapshots = np.empty_like(points) if track_delta else None
+    # every array a step writes, made once: the gather, the recursion scratch, the corrected moments, the direction
+    gather = (np.empty((n_runs, batch_size, problem.dim)), np.empty((n_runs, batch_size, 1)), np.empty((*shape, 1)))
+    scratch = (np.empty(shape), np.empty(shape))
+    corrected = (np.empty(shape), np.empty(shape), scratch[0])
+    direction_out = (np.empty(shape), np.empty(shape, dtype=bool))
+    moments = (state.m, state.v, state.delta)
+    in_place = (state.m, state.delta)
     # a huge peak may overflow its rates, and a run that has ended overflows its point, moments and loss
     with np.errstate(over="ignore", invalid="ignore"):
         lrs = lr_at(range(steps), steps, np.array([run.lr for run in runs]))[:, :, None]
         for k in range(steps):
-            g = subset_gradient(problem, w, rows[k])
+            g = subset_gradient(problem, w, rows[k], out=gather)
             if k == 0 and not np.isfinite(g).all():
                 raise ValueError("gradient contains non-finite entries")
-            advance(config, state, g)
-            moments = corrected_moments(config, state, None if powers is None else (powers[0][k], powers[1][k]))
-            w = points[k] = apply_step(w, direction_map(config, g=g, **moments), lrs[k])
+            step_moments(
+                config.kind, coefficients, g, *moments, out=in_place, scratch=scratch, seed=first_sample and not k
+            )
+            hat = corrected_moments(config, state, None if corrections is None else corrections[k], out=corrected)
+            w = apply_step(w, direction_map(config, g=g, **hat, out=direction_out), lrs[k], out=points[k])
             if track_delta:
-                snapshots[k] = delta_estimate(config, moments)
+                delta_estimate(config, hat, out=snapshots[k])
         if track_delta:
             block_sums = np.stack([np.add.reduce(snapshots[..., sl], axis=-1) for sl in problem.block_slices], -1)
             del snapshots
@@ -446,15 +476,26 @@ def loss_quantiles(finals):
     A ``(cells, seeds)`` array gives a ``(cells, 3)`` array; a 1-D array of
     seeds is the one-row case and gives a tuple of three floats. A row of
     infinities, and interpolating between two infinities, read as infinity
-    rather than nan.
+    rather than nan. Each statistic is numpy's ``median`` or default
+    (``"linear"``) ``quantile``, taken from one sort, since those functions
+    import ``numpy.ma`` on their first call. They agree bit for bit on final
+    losses, which hold no nan and no -0.0 (numpy's median reads -0.0 as 0.0,
+    and sorts order 0.0 and -0.0 unlike its partitions).
     """
     finals = np.asarray(finals, dtype=float)
-    rows = np.atleast_2d(finals)
+    rows = np.sort(np.atleast_2d(finals), axis=-1)
+    n = rows.shape[-1]
+    half = n // 2
     with np.errstate(invalid="ignore"):
-        stats = np.stack(
-            [np.median(rows, axis=-1), np.quantile(rows, 0.25, axis=-1), np.quantile(rows, 0.75, axis=-1)],
-            axis=-1,
-        )
+        stats = [rows[:, half] if n % 2 else (rows[:, half - 1] + rows[:, half]) / 2]
+        for q in (0.25, 0.75):
+            at = (n - 1) * q
+            below = min(math.floor(at), n - 2)  # as numpy: one value is its own neighbours, at weight 1
+            a, b = rows[:, below], rows[:, below + 1]
+            t = at - below
+            diff = b - a
+            stats.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+        stats = np.stack(stats, axis=-1)
     stats[np.isnan(stats) | np.all(np.isinf(rows), axis=-1, keepdims=True)] = math.inf
     return tuple(stats[0].tolist()) if finals.ndim == 1 else stats
 

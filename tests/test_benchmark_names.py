@@ -5,10 +5,12 @@ class methods) from outside the package, and ``perfbench/workloads.py`` runs
 fixed ``adamlab`` command lines. A name or flag that the package drops is only
 reported at benchmark time, and ``perfbench/tests`` is not part of this suite,
 so these tests load both files by path: each traced name is resolved the way
-:meth:`Tracer.install` does, each workload command is parsed by the CLI, and a
-small ``quad`` and ``signal`` run in-process under the tracer.
+:meth:`Tracer.install` does, each workload command is parsed by the CLI, a
+small ``quad`` and ``signal`` run in-process under the tracer, and one pass of
+each workload passes the benchmark's own correctness checks.
 """
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -63,3 +65,20 @@ def test_traced_commands_keep_the_tracer_contract(tmp_path, capsys):
     written = [(span["rows"], span["bytes"]) for span in tracer.kept if span["name"] == "cli.write_csv"]
     artifacts = [tmp_path / "quad" / "runs.csv", tmp_path / "quad" / "summary.csv", tmp_path / "signal" / "responses.csv"]
     assert written == [(len(path.read_text().splitlines()) - 1, path.stat().st_size) for path in artifacts]
+
+
+def test_one_pass_of_each_workload_passes_the_benchmarks_checks(tmp_path, capsys):
+    """At the reference seed, every check passes and the summary matches ``reference.json``.
+
+    A change that moves a best rate, a status or a check, or a median by more
+    than ``REFERENCE_RTOL``, fails here as well as in the benchmark.
+    """
+    workloads = _load("workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    for name, workload in workloads.WORKLOADS.items():
+        out = tmp_path / name
+        codes = [cli.main(argv) for argv in workload.commands(workloads.REFERENCE_SEED, str(out))]
+        assert codes == [cli.EXIT_OK] * len(codes), name
+        checks = workload.checks(out) + workloads.compare_summary(reference[name], workload.summary(out))
+        assert [check for check, passed in checks if not passed] == [], name
+    capsys.readouterr()

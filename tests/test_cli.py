@@ -251,6 +251,8 @@ class TestRejectedInputs:
             # integers beyond the float range in float fields
             pytest.param("quad", "beta", 10**400, id="quad-beta-10**400"),
             pytest.param("quad", "lr_grid", [10**400], id="quad-lr_grid-[10**400]"),
+            # the property checks' column matrix is made before the first draw, so this fails at once
+            pytest.param("signal", "property_trials", 10**29, id="signal-property_trials-10**29"),
         ],
     )
     def test_config_values_exit_2(self, tmp_path, command, name, value):
@@ -626,6 +628,24 @@ class TestStartup:
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
         )
         assert done.stdout.split("\n") == ["0", "0", "0", "0", "[]", ""], done.stderr
+
+    def test_tuning_commands_import_no_numpy_ma(self, tmp_path):
+        # np.median and np.quantile import numpy.ma on their first call: about 2 MB and 4.5 ms per process
+        commands = [
+            FAST_QUAD + ["--out", str(tmp_path / "quad")],
+            ["sweep", "--steps", "20", "--seeds", "3", "--out", str(tmp_path / "sweep")],
+        ]
+        done = _run_python(
+            "-c",
+            "import contextlib, io, sys\n"
+            "from adamlab.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    print(code)\n"
+            "print('numpy.ma' in sys.modules)",
+        )
+        assert done.stdout.split("\n") == ["0", "0", "False", ""], done.stderr
 
 
 class TestWarnings:

@@ -13,7 +13,17 @@ from hypothesis import strategies as st
 import reference
 from adamlab.cli import EXIT_OK, EXIT_USAGE, SweepConfig, _beta_pairs, fmt_float, main
 from adamlab.core import InitMode, beta_grid
-from adamlab.optim import EpsilonPlacement, OptimizerConfig, OptimizerKind, corrected_moments
+from adamlab.optim import (
+    EpsilonPlacement,
+    OptimizerConfig,
+    OptimizerKind,
+    advance,
+    apply_step,
+    corrected_moments,
+    delta_estimate,
+    direction_map,
+    init_state,
+)
 from adamlab.quadbench import (
     DIVERGENCE_THRESHOLD,
     HOMOGENEOUS_BLOCKS,
@@ -269,6 +279,80 @@ def test_stacked_gradient_and_loss_match_one_run_forms(seed, batch_size, n_runs,
                 assert sums[k, r] / (sl.stop - sl.start) == np.mean(w[r, sl])
 
 
+def assert_bitwise(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes(), (got, expected)
+
+
+def garbage(rng, shape, dtype=float):
+    """A buffer filled with what a previous step could have left: a written ``out`` must not read it."""
+    if dtype is bool:
+        return rng.random(shape) < 0.5
+    return rng.choice([np.nan, -np.inf, -0.0, 1e300, 3.0], size=shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(OptimizerKind),
+    placement=st.sampled_from(EpsilonPlacement),
+    epsilon=st.sampled_from((0.0, 1e-8, 1e-3)),
+    bias_correction=st.booleans(),
+    init_mode=st.sampled_from(InitMode),
+    n_runs=st.integers(1, 5),
+    batch_size=st.integers(1, 9),
+    steps=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_out_forms_equal_allocating_forms(
+    kind, placement, epsilon, bias_correction, init_mode, n_runs, batch_size, steps, seed
+):
+    """Each step function writes into the engine's buffers exactly what its allocating form returns.
+
+    The buffers start as garbage (nan, infinities, -0.0) and the state comes
+    from gradients that are zero in some coordinates, so 0/0 directions and
+    their guards are met; ``apply_step`` also writes over its own ``d``.
+    """
+    rng = np.random.default_rng(seed)
+    problem = build_problem(BlockSpec.heterogeneous(), seed=seed % 3)
+    shape = (n_runs, problem.dim)
+    w = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=(n_runs, 1))
+    rows = draw_rows(rng, problem.dim, n_runs, batch_size)
+    sizes = ((n_runs, batch_size, problem.dim), (n_runs, batch_size, 1), (*shape, 1))
+    gather = tuple(garbage(rng, size) for size in sizes)
+    g = subset_gradient(problem, w, rows, out=gather)
+    assert_bitwise(g, subset_gradient(problem, w, rows))
+    assert g.base is gather[2]
+
+    beta1 = rng.choice(MIXED_BETAS, size=n_runs).tolist()
+    beta2 = beta1 if kind is OptimizerKind.ADAM_EQUAL_BETA else rng.choice(MIXED_BETAS, size=n_runs).tolist()
+    if kind is OptimizerKind.RMSPROP:
+        beta1 = [0.0] * n_runs
+    config = OptimizerConfig(
+        kind, epsilon=epsilon, epsilon_placement=placement, bias_correction=bias_correction, init_mode=init_mode
+    )
+    state = init_state(config, shape, np.array(beta1)[:, None], np.array(beta2)[:, None])
+    silent = rng.random(problem.dim) < 0.3  # coordinates whose gradient is always 0
+    for _ in range(steps):
+        advance(config, state, np.where(silent, 0.0, rng.standard_normal(shape)))
+    p1 = np.array([[b**steps] for b in beta1])
+    corrections = (p1, 1.0 - p1, 1.0 - np.array([[b**steps] for b in beta2]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fresh = corrected_moments(config, state, corrections)
+        hat = corrected_moments(config, state, corrections, out=tuple(garbage(rng, shape) for _ in range(3)))
+        assert fresh.keys() == hat.keys()
+        for name in fresh:
+            assert_bitwise(hat[name], fresh[name])
+        d = direction_map(config, g=g, **fresh)
+        d_out = direction_map(config, g=g, **hat, out=(garbage(rng, shape), garbage(rng, shape, bool)))
+        assert_bitwise(d_out, d)
+        if kind in reference.SECOND_MOMENT:
+            assert_bitwise(delta_estimate(config, hat, out=garbage(rng, shape)), delta_estimate(config, fresh))
+        lr = 10.0 ** rng.integers(-8, 2, size=(n_runs, 1))
+        stepped = apply_step(w, d, lr)
+        assert_bitwise(apply_step(w, d, lr, out=garbage(rng, shape)), stepped)
+        assert_bitwise(apply_step(w, d_out, lr, out=d_out), stepped)
+
+
 #: momentum values for mixed batches; 0.9 and 0.95 are the benchmark's, 0.0 turns momentum off
 MIXED_BETAS = (0.0, 0.5, 0.9, 0.95, 0.999)
 #: 1e7 ends runs by the threshold and 1e300 by a non-finite loss, for every kind;
@@ -449,17 +533,18 @@ def test_bias_correction_powers_are_python_powers(monkeypatch):
 
     seen = []
 
-    def recording_moments(config, state, powers=None):
-        seen.append(powers)
-        return corrected_moments(config, state, powers)
+    def recording_moments(config, state, corrections=None, out=None):
+        seen.append(corrections)
+        return corrected_moments(config, state, corrections, out)
 
     monkeypatch.setattr(quadbench, "corrected_moments", recording_moments)
     problem = build_problem(BlockSpec.heterogeneous(), seed=3)
     runs = mixed_runs(OptimizerKind.ADAM, [(0.9, 0.9), (0.95, 0.9)], [2.0**-7], 2, 16)
     assert_batch_equals_reference(problem, runs, 16, 3)
-    p1, p2 = seen[11]  # after step 12
+    p1, c1, c2 = seen[11]  # after step 12
     assert p1[:, 0].tolist() == [0.9**12] * 2 + [0.95**12] * 2
-    assert p2[:, 0].tolist() == [0.9**12] * 4
+    assert c1[:, 0].tolist() == [1.0 - 0.9**12] * 2 + [1.0 - 0.95**12] * 2
+    assert c2[:, 0].tolist() == [1.0 - 0.9**12] * 4
 
 
 @pytest.mark.parametrize("kind", [OptimizerKind.ADAM_EQUAL_BETA, OptimizerKind.ADAM])

@@ -84,7 +84,7 @@ def test_scan_matches_reference_stepper_bitwise(kind, init_mode, layout, data):
     for k, g in enumerate(signal):
         advance(config, stepped, g)
         ref.update(g)
-        if ms:
+        if len(ms):
             assert_bitwise(ms[k], ref.m)
         if deltas is not None:
             assert_bitwise(deltas[k], ref.delta)
@@ -96,6 +96,32 @@ def test_scan_matches_reference_stepper_bitwise(kind, init_mode, layout, data):
     assert_bitwise(state.m, ref.m)
     assert_bitwise(state.v, ref.v)
     assert_bitwise(state.delta, ref.delta)
+
+
+@given(
+    kind=st.sampled_from(OptimizerKind),
+    init_mode=st.sampled_from(InitMode),
+    shape=st.sampled_from([(3,), (2, 4)]),
+    length=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scan_and_advance_leave_the_signal_unchanged(kind, init_mode, shape, length, seed):
+    """An array state is stepped in place, and a seeded ``m`` is a copy of the first gradient, not that row."""
+    beta2 = 0.9 if kind is OptimizerKind.ADAM_EQUAL_BETA else 0.99
+    config = OptimizerConfig(kind, beta1=0.9, beta2=beta2, init_mode=init_mode)
+    rng = np.random.default_rng(seed)
+    signal = rng.standard_normal((length, *shape))
+    before = signal.copy()
+    scanned, stepped = init_state(config, shape), init_state(config, shape)
+    scan(config, scanned, signal)
+    for g in signal:
+        advance(config, stepped, g)
+    # steps after the signal would write through any state array that is one of its rows
+    for _ in range(2):
+        g = rng.standard_normal(shape)
+        scan(config, scanned, g[None])
+        advance(config, stepped, g)
+    assert signal.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("init_mode", list(InitMode))
