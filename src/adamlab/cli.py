@@ -59,7 +59,6 @@ from .quadbench import (
     default_quad_config,
     derive_seed,
     initial_point,
-    loss_quantiles,
     make_config_id,
     run_cell,
     run_experiment,  # unused here; perfbench/tracer.py still wraps adamlab.cli.run_experiment
@@ -489,19 +488,12 @@ def cmd_quad(args) -> int:
         problem = build_problem(
             BlockSpec.for_layout(layout), derive_seed(cfg.base_seed, "problem", layout.value)
         )
-        summary = tune_and_compare(
-            problem,
-            optimizers,
-            lr_grid=cfg.lr_grid,
-            seeds=cfg.seeds,
-            steps=cfg.steps,
-            batch_size=cfg.batch_size,
-        )
-        for result in summary.results:
+        results = tune_and_compare(problem, optimizers, cfg.lr_grid, cfg.seeds, cfg.steps, cfg.batch_size)
+        for label, result in results.items():
             status = "all_diverged" if result.all_diverged else "ok"
             best_lr = fmt_float(result.best_lr)
             summary_lines.append(
-                _SUMMARY_LINE % (result.label, layout.value, best_lr, result.median_final, result.q25, result.q75, status)
+                _SUMMARY_LINE % (label, layout.value, best_lr, result.median_final, result.q25, result.q75, status)
             )
             for record in result.records:
                 run_lines += _run_lines(record)
@@ -540,6 +532,8 @@ def cmd_signal(args) -> int:
         "base_seed": args.seed,
     }
     cfg = _load_config(args.config, "signal", overrides)
+    if cfg.property_trials < 1:
+        raise ConfigError(f"field 'property_trials' must be at least 1, got {cfg.property_trials}")
 
     spec = cfg.signal_spec()
     signal = gen_signal(spec)
@@ -553,7 +547,11 @@ def cmd_signal(args) -> int:
         filt = FilterSpec(FilterKind(name), beta=cfg.beta)
         response = filter_response(filt, signal)
         lines += [_RESPONSES_LINE % (name, beta_text, prefix, r) for prefix, r in zip(shared, response.tolist())]
-        reports[name] = check_properties(filt, trials=cfg.property_trials, rng=rng).to_dict()
+        try:
+            report = check_properties(filt, trials=cfg.property_trials, rng=rng)
+        except (MemoryError, ValueError) as exc:  # numpy's refusal to make the checks' column matrix
+            raise ConfigError(f"field 'property_trials' is too large, got {cfg.property_trials}: {exc}") from None
+        reports[name] = report.to_dict()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "properties": reports,
@@ -577,7 +575,7 @@ def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[st
     pairs = _beta_pairs(kind, betas, cfg.equal_betas)
     cells = [(beta1, beta2, lr) for beta1, beta2 in pairs for lr in cfg.lr_grid]
     configs = {pair: default_quad_config(kind, *pair) for pair in pairs}
-    per_cell = run_cell(
+    results = run_cell(
         problem,
         [
             (configs[beta1, beta2], lr, make_config_id(layout, name, lr) + f":b1={beta1:.17g}:b2={beta2:.17g}")
@@ -588,19 +586,15 @@ def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[st
         cfg.batch_size,
         track_delta=False,
     )
-    stats = loss_quantiles([[record.final_loss() for record in records] for records in per_cell])
     lines = []
-    for (beta1, beta2, lr), records, (median, q25, q75) in zip(cells, per_cell, stats):
-        n_diverged = sum(record.diverged for record in records)
+    for (beta1, beta2, lr), (records, quantiles, n_diverged) in zip(cells, results):
         if n_diverged == len(records):
             status = "all_diverged"
         elif n_diverged:
             status = "partial"
         else:
             status = "ok"
-        lines.append(
-            _SWEEP_LINE % (layout, name, lr, beta1, beta2, len(records), median, q25, q75, n_diverged, status)
-        )
+        lines.append(_SWEEP_LINE % (layout, name, lr, beta1, beta2, len(records), *quantiles, n_diverged, status))
     return lines
 
 

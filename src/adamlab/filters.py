@@ -1,16 +1,16 @@
 """Optimizer direction maps viewed as causal operators on gradient signals.
 
 There is no loss or training here: a fixed scalar signal is streamed through
-a direction map (epsilon 0, zero init, no bias correction by default) and the
-output sequence is studied. Several signals of one length can be streamed
-together as the columns of a ``(T, C)`` array. The whole signal goes through
-one ``scan`` of the optimizer's moment recursions (a scalar signal as Python
-floats, a ``(T, C)`` signal row by row, each row's moments written in place
-into histories made once); the moments the map reads come back as those
-``(T, C)`` arrays, and ``direction_map`` turns them into the response in one
-call. Every operation is elementwise, so every column rounds exactly as it
-would alone, step by step through ``direction``. The interesting operator
-properties:
+a direction map (epsilon 0, zero init by default) and the output sequence is
+studied. The map reads the raw moments: the filters apply no bias correction.
+Several signals of one length can be streamed together as the columns of a
+``(T, C)`` array. The whole signal goes through one ``scan`` of the
+optimizer's moment recursions (a scalar signal as Python floats, a ``(T, C)``
+signal row by row, each row's moments written in place into histories made
+once); the moments the map reads come back as those ``(T, C)`` arrays, and
+``direction_map`` turns them into the response in one call. Every operation
+is elementwise, so every column rounds exactly as it would alone, one sample
+at a time. The interesting operator properties:
 
 1. causality - the output up to step k only depends on the input up to k;
 2. invariance to positive rescaling of the whole signal;
@@ -96,7 +96,6 @@ class FilterSpec:
             beta1=self.beta,
             beta2=self.beta,
             epsilon=0.0,
-            bias_correction=False,
             init_mode=self.init_mode,
         )
 

@@ -22,10 +22,11 @@ estimate of the gradient's mean and variance) along a whole gradient
 sequence; :func:`advance` is its one-step call. The recursions have one
 implementation per number type: Python floats step in :func:`scan`'s own
 loop, and arrays through :func:`step_moments`, which writes in place.
-:func:`corrected_moments` applies bias correction, and :func:`direction_map`
+:func:`corrected_moments` applies bias correction, always, to the kinds with a
+second moment (RMSprop, Adam and equal-beta Adam), and :func:`direction_map`
 turns the corrected moments into ``d`` elementwise. :func:`direction` checks
 the gradient and does all three. ``filters`` scans a whole signal and maps its
-moment history in one call. The ``quadbench`` engine steps a batch of runs
+raw moment history in one call. The ``quadbench`` engine steps a batch of runs
 with :func:`step_moments` and shares one corrected view between the map and
 :func:`delta_estimate`; it makes every array a step writes once per batch and
 hands it to each step function as ``out``, while callers that map whole
@@ -79,7 +80,6 @@ class OptimizerConfig:
     beta2: float | None = None
     epsilon: float = 1e-8
     epsilon_placement: EpsilonPlacement = EpsilonPlacement.OUTSIDE_SQRT
-    bias_correction: bool = True
     init_mode: InitMode = InitMode.ZERO
 
     def __post_init__(self) -> None:
@@ -142,20 +142,22 @@ def _denominator(second: np.ndarray, config: OptimizerConfig, out=None) -> np.nd
 
 
 def corrected_moments(config: OptimizerConfig, state: OptimizerState, corrections=None, out=None) -> dict:
-    """The moments that :func:`direction_map` reads from ``state``, bias-corrected when configured.
+    """The moments that :func:`direction_map` reads from ``state``, bias-corrected for the kinds with a second moment.
 
     ``m`` for every kind but SIGN_SGD, with ``v`` (Adam/RMSprop) or ``delta``
-    (equal-beta Adam), as :func:`direction_map`'s keyword arguments; the
-    state's own arrays where nothing is corrected. Bias correction divides by
-    ``1 - beta**k`` after ``k`` steps. Float betas take ``beta**k`` from
-    Python's ``**``; a state with ``(R, 1)`` beta columns needs
-    ``corrections = (beta1**k, 1 - beta1**k, 1 - beta2**k)`` as columns built
-    the same way (numpy's power does not always round like Python's). The
-    corrected equal-beta variance term is ``v_hat - m_hat**2``, which the
-    recursion gives as ``delta / (1 - beta**k) - beta**k * m_hat**2``. It can
-    dip below zero in floating point; callers clamp. ``out = (m_hat, second,
-    scratch)`` receives the corrected moments, in arrays of the state's shape
-    that are none of its own.
+    (equal-beta Adam), as :func:`direction_map`'s keyword arguments; SGD,
+    SIGNUM and EMA_SIGN read the state's own ``m``. Bias correction divides by
+    ``1 - beta**k`` after ``k`` steps. ``corrections`` are the two factors
+    the kind reads: ``(1 - beta1**k, beta1**k)`` for equal-beta Adam and
+    ``(1 - beta1**k, 1 - beta2**k)`` otherwise. Float betas may leave them
+    ``None``, to be computed with Python's ``**``; a state with ``(R, 1)``
+    beta columns needs them as columns built the same way (numpy's power does
+    not always round like Python's). The corrected equal-beta variance term is
+    ``v_hat - m_hat**2``, which the recursion gives as
+    ``delta / (1 - beta**k) - beta**k * m_hat**2``. It can dip below zero in
+    floating point; callers clamp. ``out = (m_hat, second, scratch)``
+    receives the corrected moments, in arrays of the state's shape that are
+    none of its own.
     """
     kind = config.kind
     if kind is _SIGN_SGD:
@@ -163,21 +165,19 @@ def corrected_moments(config: OptimizerConfig, state: OptimizerState, correction
     if kind not in _SECOND_MOMENT_KINDS:
         return {"m": state.m}
     equal_beta = kind is _ADAM_EQUAL_BETA
-    m, second = state.m, state.delta if equal_beta else state.v
-    if config.bias_correction:
-        if corrections is None:
-            p1 = state.beta1**state.step
-            corrections = (p1, 1.0 - p1, 1.0 - state.beta2**state.step)
-        p1, c1, c2 = corrections
-        m_out, second_out, scratch = (None, None, None) if out is None else out
-        m = np.divide(m, c1, out=m_out)
-        if equal_beta:
-            second = np.divide(second, c1, out=second_out)
-            shrink = np.multiply(p1, m, out=scratch)
-            shrink *= m
-            second -= shrink
-        else:
-            second = np.divide(second, c2, out=second_out)
+    if corrections is None:
+        p1 = state.beta1**state.step
+        corrections = (1.0 - p1, p1 if equal_beta else 1.0 - state.beta2**state.step)
+    c1, c2 = corrections
+    m_out, second_out, scratch = (None, None, None) if out is None else out
+    m = np.divide(state.m, c1, out=m_out)
+    if equal_beta:
+        second = np.divide(state.delta, c1, out=second_out)
+        shrink = np.multiply(c2, m, out=scratch)
+        shrink *= m
+        second -= shrink
+    else:
+        second = np.divide(state.v, c2, out=second_out)
     return {"m": m, "delta" if equal_beta else "v": second}
 
 
@@ -330,8 +330,8 @@ def direction_map(config: OptimizerConfig, *, g=None, m=None, v=None, delta=None
     """The direction ``d`` that the moments give, elementwise.
 
     Reads ``g`` (SIGN_SGD), ``m`` (every other kind), ``v`` (Adam/RMSprop)
-    or ``delta`` (equal-beta Adam), as :func:`corrected_moments` gives them:
-    already bias-corrected where that is configured. Any shape works, so a
+    or ``delta`` (equal-beta Adam): bias-corrected as :func:`corrected_moments`
+    gives them, or raw, as the filters map them. Any shape works, so a
     leading time axis maps a whole history at once. ``out = (d, positive)``
     receives the direction in ``d``, a float array that is none of the
     inputs, using ``positive``, a bool array of its shape, as scratch.
@@ -374,16 +374,14 @@ def apply_step(w: np.ndarray, d: np.ndarray, lr, out=None) -> np.ndarray:
     return np.subtract(w, step, out=step)
 
 
-def delta_estimate(config: OptimizerConfig, moments: dict, out=None) -> np.ndarray | None:
-    """Per-coordinate gradient-variance estimate from :func:`corrected_moments`, if the method has one.
+def delta_estimate(config: OptimizerConfig, moments: dict, out=None) -> np.ndarray:
+    """Per-coordinate gradient-variance estimate of a kind with a second moment, from :func:`corrected_moments`.
 
     Equal-beta Adam exposes its recursion directly; plain Adam/RMSprop report
-    ``max(v_hat - m_hat**2, 0)``. Sign and momentum methods return ``None``.
-    ``moments`` must come from a state that has taken at least one step.
-    ``out`` receives the estimate; it is none of the moments.
+    ``max(v_hat - m_hat**2, 0)``. ``moments`` must come from a state that has
+    taken at least one step. ``out`` receives the estimate; it is none of the
+    moments.
     """
-    if config.kind not in _SECOND_MOMENT_KINDS:
-        return None
     if config.kind is _ADAM_EQUAL_BETA:
         return np.maximum(moments["delta"], 0.0, out=out)
     m = moments["m"]

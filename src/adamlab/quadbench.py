@@ -39,10 +39,11 @@ record of stepping that run alone:
   tabulated before the loop by one ``lr_at`` call over all steps and peaks;
   the rate and the momentum differ per run, as ``(R, 1)`` columns, and the
   recursions' coefficients ``1 - b``, ``b*(1 - b)`` and ``1 - b2`` are worked
-  out from them once per batch; the bias-correction powers ``beta**step`` are
-  tabulated before the loop with Python's ``**``, once per distinct beta and
-  step, because numpy's power does not always round the same way, beside
-  their complements ``1 - beta**step``;
+  out from them once per batch; the kinds with a second moment are always
+  bias-corrected, by the two factors each reads (``1 - beta1**step`` with
+  ``beta1**step`` for equal-beta Adam, else with ``1 - beta2**step``),
+  tabulated before the loop from Python's ``**``, once per distinct beta and
+  step, because numpy's power does not always round the same way;
 * the design rows are gathered step by step, not for the whole batch, whose
   gather would hold ``steps x R x batch_size x dim`` floats;
 * the loop keeps only what feeds the next point, and writes each step's
@@ -53,9 +54,11 @@ record of stepping that run alone:
 * a run that ends keeps stepping in its own row (to inf or nan), and its
   record is cut at its first loss that is not finite or above the threshold.
 
-:func:`run_experiment` is the one-run call of the engine, and
+:func:`run_experiment` is the one-run call of the engine.
 :func:`run_cell` batches cells of one optimizer kind (rates, and momentum
-pairs) over all seeds.
+pairs) over all seeds and returns each cell's runs with their final-loss
+quantiles and divergence count, the statistics that both ``quad``
+(through :func:`tune_and_compare`) and ``sweep`` report.
 """
 from __future__ import annotations
 
@@ -345,14 +348,16 @@ def _shared_config(runs: Sequence[RunSpec]) -> OptimizerConfig:
     return config
 
 
-def _correction_table(beta1: list[float], beta2: list[float], steps: int) -> np.ndarray:
-    """The bias corrections ``(beta1**k, 1 - beta1**k, 1 - beta2**k)`` for ``k = 1..steps``, shape ``(steps, 3, R, 1)``.
+def _correction_table(kind: OptimizerKind, beta1: list[float], beta2: list[float], steps: int) -> np.ndarray:
+    """The two factors ``kind``'s :func:`corrected_moments` reads for ``k = 1..steps``, shape ``(steps, 2, R, 1)``.
 
-    ``beta**k`` is Python's ``**``, once per distinct beta and step.
+    ``(1 - beta1**k, beta1**k)`` for equal-beta Adam, ``(1 - beta1**k,
+    1 - beta2**k)`` otherwise; ``beta**k`` is Python's ``**``, once per
+    distinct beta and step.
     """
     rows = {beta: [beta**k for k in range(1, steps + 1)] for beta in dict.fromkeys(beta1 + beta2)}
     p1, p2 = (np.array([rows[beta] for beta in betas]).T for betas in (beta1, beta2))
-    return np.stack([p1, 1.0 - p1, 1.0 - p2], axis=1)[..., None]
+    return np.stack([1.0 - p1, p1 if kind is OptimizerKind.ADAM_EQUAL_BETA else 1.0 - p2], axis=1)[..., None]
 
 
 def run_batch(
@@ -399,10 +404,9 @@ def run_batch(
     beta2 = [run.config.beta2 for run in runs]
     state = init_state(config, shape, np.array(beta1, dtype=float)[:, None], np.array(beta2, dtype=float)[:, None])
     coefficients = recursion_coefficients(state)
-    corrections = None
-    if config.bias_correction and config.kind in _SECOND_MOMENT_KINDS:
-        corrections = _correction_table(beta1, beta2, steps)
-    track_delta = track_delta and config.kind in _SECOND_MOMENT_KINDS
+    second_moment = config.kind in _SECOND_MOMENT_KINDS
+    corrections = _correction_table(config.kind, beta1, beta2, steps) if second_moment else [None] * steps
+    track_delta = track_delta and second_moment
     first_sample = config.init_mode is InitMode.FIRST_SAMPLE
 
     points = np.empty((steps, *shape))
@@ -424,7 +428,7 @@ def run_batch(
             step_moments(
                 config.kind, coefficients, g, *moments, out=in_place, scratch=scratch, seed=first_sample and not k
             )
-            hat = corrected_moments(config, state, None if corrections is None else corrections[k], out=corrected)
+            hat = corrected_moments(config, state, corrections[k], out=corrected)
             w = apply_step(w, direction_map(config, g=g, **hat, out=direction_out), lrs[k], out=points[k])
             if track_delta:
                 delta_estimate(config, hat, out=snapshots[k])
@@ -470,20 +474,18 @@ def run_experiment(
     return run_batch(problem, [RunSpec(config, lr, w0, seed, config_id)], steps, batch_size)[0]
 
 
-def loss_quantiles(finals):
-    """(median, q25, q75) of final losses per row, treating diverged runs as +inf.
+def loss_quantiles(finals: np.ndarray) -> np.ndarray:
+    """(median, q25, q75) of each row of a ``(cells, seeds)`` array of final losses, as a ``(cells, 3)`` array.
 
-    A ``(cells, seeds)`` array gives a ``(cells, 3)`` array; a 1-D array of
-    seeds is the one-row case and gives a tuple of three floats. A row of
-    infinities, and interpolating between two infinities, read as infinity
-    rather than nan. Each statistic is numpy's ``median`` or default
-    (``"linear"``) ``quantile``, taken from one sort, since those functions
-    import ``numpy.ma`` on their first call. They agree bit for bit on final
-    losses, which hold no nan and no -0.0 (numpy's median reads -0.0 as 0.0,
-    and sorts order 0.0 and -0.0 unlike its partitions).
+    Diverged runs count as +inf. A row of infinities, and interpolating
+    between two infinities, read as infinity rather than nan. Each statistic
+    is numpy's ``median`` or default (``"linear"``) ``quantile``, taken from
+    one sort, since those functions import ``numpy.ma`` on their first call.
+    They agree bit for bit on final losses, which hold no nan and no -0.0
+    (numpy's median reads -0.0 as 0.0, and sorts order 0.0 and -0.0 unlike
+    its partitions).
     """
-    finals = np.asarray(finals, dtype=float)
-    rows = np.sort(np.atleast_2d(finals), axis=-1)
+    rows = np.sort(finals, axis=-1)
     n = rows.shape[-1]
     half = n // 2
     with np.errstate(invalid="ignore"):
@@ -497,31 +499,27 @@ def loss_quantiles(finals):
             stats.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
         stats = np.stack(stats, axis=-1)
     stats[np.isnan(stats) | np.all(np.isinf(rows), axis=-1, keepdims=True)] = math.inf
-    return tuple(stats[0].tolist()) if finals.ndim == 1 else stats
+    return stats
+
+
+class Cell(NamedTuple):
+    """The runs of one cell, one per seed, with their final-loss ``(median, q25, q75)`` and divergence count."""
+
+    records: list[RunRecord]
+    quantiles: tuple[float, float, float]
+    n_diverged: int
 
 
 @dataclass(frozen=True)
 class OptimizerResult:
-    """Tuning outcome for one optimizer on one problem."""
+    """Tuning outcome for one optimizer on one problem: its best cell, whose rate is ``None`` if every run diverged."""
 
-    label: str
     best_lr: float | None
     median_final: float
     q25: float
     q75: float
     all_diverged: bool
-    records: tuple[RunRecord, ...]
-
-
-@dataclass(frozen=True)
-class ComparisonSummary:
-    results: tuple[OptimizerResult, ...]
-
-    def result(self, label: str) -> OptimizerResult:
-        for res in self.results:
-            if res.label == label:
-                return res
-        raise KeyError(label)
+    records: list[RunRecord]
 
 
 def make_config_id(layout: str, label: str, lr: float) -> str:
@@ -536,12 +534,13 @@ def run_cell(
     batch_size: int,
     *,
     track_delta: bool = True,
-) -> list[list[RunRecord]]:
-    """Run each ``(config, lr, config_id)`` cell once per ``(seed, w0)`` in ``starts``.
+) -> list[Cell]:
+    """Run each ``(config, lr, config_id)`` cell once per ``(seed, w0)`` in ``starts``; one :class:`Cell` per cell.
 
     All runs of all cells go through :func:`run_batch` as one batch, so the
-    cells' configs may differ only in their betas; the records come back
-    grouped per cell, in ``starts`` order. Every run of a cell shares its
+    cells' configs may differ only in their betas; each cell's records come
+    in ``starts`` order, and its quantiles are its row of one
+    :func:`loss_quantiles` call over all cells. Every run of a cell shares its
     ``config_id``, so each seed's subsampling stream is
     ``derive_seed(seed, "batches", config_id)``.
     """
@@ -549,54 +548,41 @@ def run_cell(
         raise ValueError("at least one seed is required")
     runs = [RunSpec(config, lr, w0, seed, config_id) for config, lr, config_id in cells for seed, w0 in starts]
     records = run_batch(problem, runs, steps, batch_size, track_delta=track_delta)
-    return [records[i : i + len(starts)] for i in range(0, len(records), len(starts))]
+    per_cell = [records[i : i + len(starts)] for i in range(0, len(records), len(starts))]
+    stats = loss_quantiles(np.array([[record.final_loss() for record in own] for own in per_cell])).tolist()
+    return [Cell(own, tuple(row), sum(record.diverged for record in own)) for own, row in zip(per_cell, stats)]
 
 
 def tune_and_compare(
-    problem: QuadraticProblem,
-    optimizers: dict[str, OptimizerConfig],
-    lr_grid=DEFAULT_LR_GRID,
-    seeds=tuple(range(10)),
-    steps: int = 1000,
-    batch_size: int = 3,
-) -> ComparisonSummary:
-    """Tune each optimizer over the learning-rate grid and summarize final losses.
+    problem: QuadraticProblem, optimizers: dict[str, OptimizerConfig], lr_grid, seeds, steps: int, batch_size: int
+) -> dict[str, OptimizerResult]:
+    """Tune each optimizer over the learning-rate grid; the result of each label, in sorted label order.
 
     For every grid point all seeds are run (all rates and seeds of one
     optimizer as one :func:`run_cell` batch); the selected rate minimizes the
-    median final loss (ties break toward the smaller rate). Per-seed starting
-    points are shared across optimizers; the subsampling stream is derived
-    from ``(seed, config_id)`` so each cell replays identically in isolation.
+    median final loss (ties break toward the smaller rate). A cell in which
+    every run diverged has no rate to report. Per-seed starting points are
+    shared across optimizers; the subsampling stream is derived from
+    ``(seed, config_id)`` so each cell replays identically in isolation.
     """
     lr_grid = tuple(sorted(float(lr) for lr in lr_grid))
     if not lr_grid or not optimizers:
         raise ValueError("lr_grid and optimizers must be nonempty")
-    seeds = tuple(int(s) for s in seeds)
     layout = problem.spec.layout.value
-    starts = [(seed, initial_point(problem.dim, seed)) for seed in seeds]
+    starts = [(seed, initial_point(problem.dim, seed)) for seed in map(int, seeds)]
 
-    results = []
+    results = {}
     for label in sorted(optimizers):
-        cells = [(optimizers[label], lr, make_config_id(layout, label, lr)) for lr in lr_grid]
-        per_cell = run_cell(problem, cells, starts, steps, batch_size)
-        finals = np.array([[r.final_loss() for r in records] for records in per_cell])
-        stats = loss_quantiles(finals)
-        medians = stats[:, 0].tolist()
+        grid = [(optimizers[label], lr, make_config_id(layout, label, lr)) for lr in lr_grid]
+        cells = run_cell(problem, grid, starts, steps, batch_size)
+        medians = [cell.quantiles[0] for cell in cells]
         best = medians.index(min(medians))  # the first minimum: ties break toward the smaller rate
-        all_diverged = bool(np.all(np.isinf(finals[best])))
-        median, q25, q75 = stats[best].tolist()
-        results.append(
-            OptimizerResult(
-                label=label,
-                best_lr=None if all_diverged else lr_grid[best],
-                median_final=median,
-                q25=q25,
-                q75=q75,
-                all_diverged=all_diverged,
-                records=tuple(per_cell[best]),
-            )
+        cell = cells[best]
+        all_diverged = cell.n_diverged == len(starts)
+        results[label] = OptimizerResult(
+            None if all_diverged else lr_grid[best], *cell.quantiles, all_diverged, cell.records
         )
-    return ComparisonSummary(results=tuple(results))
+    return results
 
 
 def default_quad_config(
@@ -613,14 +599,8 @@ def default_quad_config(
 
 
 def signum_epsilon_ablation(
-    problem: QuadraticProblem,
-    eps_values=(1e-9, 1e-6, 1e-3),
-    lr_grid=DEFAULT_LR_GRID,
-    seeds=tuple(range(10)),
-    steps: int = 1000,
-    batch_size: int = 3,
-    beta: float = 0.95,
-) -> ComparisonSummary:
+    problem: QuadraticProblem, eps_values, lr_grid, seeds, steps: int, batch_size: int, beta: float
+) -> dict[str, OptimizerResult]:
     """Fixed-epsilon mollified sign momentum (both placements) vs the adaptive form.
 
     Labels are ``signum-eps{value}-{placement}`` plus the ``adameq`` baseline.
@@ -638,6 +618,4 @@ def signum_epsilon_ablation(
                 epsilon=float(eps),
                 epsilon_placement=placement,
             )
-    return tune_and_compare(
-        problem, optimizers, lr_grid=lr_grid, seeds=seeds, steps=steps, batch_size=batch_size
-    )
+    return tune_and_compare(problem, optimizers, lr_grid, seeds, steps, batch_size)

@@ -10,7 +10,8 @@ the package's step functions:
   ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``; first-sample seeding copies
   the first sample into ``m`` (its square into ``v``) and leaves ``delta``;
 * bias correction by ``1 - beta**k`` with Python's ``**``, for the kinds
-  with a second moment;
+  with a second moment, as every optimizer step applies it (the filters map
+  the raw moments);
 * each kind's direction, with epsilon inside or outside the square root and
   0/0 read as 0, and the variance-term estimate;
 * on a quadratic problem, the row draw ``rng.permutation(n)[:b]``, the update
@@ -35,11 +36,13 @@ class Stepper:
     """The moments of one run after each gradient, and the direction they give.
 
     ``beta1`` and ``beta2`` default to the config's; ``(R, 1)`` columns give
-    each row of an ``(R, dim)`` state its own momentum.
+    each row of an ``(R, dim)`` state its own momentum. ``corrected=False``
+    maps the raw moments, as the filters do.
     """
 
-    def __init__(self, config, shape=(), beta1=None, beta2=None):
+    def __init__(self, config, shape=(), beta1=None, beta2=None, corrected=True):
         self.config = config
+        self.corrected = corrected
         self.beta1 = config.beta1 if beta1 is None else beta1
         self.beta2 = config.beta2 if beta2 is None else beta2
         self.m = self.v = self.delta = np.zeros(shape)
@@ -64,11 +67,11 @@ class Stepper:
         self.step += 1
 
     def moments(self):
-        """``m`` and the second moment (``delta`` for equal-beta Adam, else ``v``), bias-corrected where configured."""
+        """``m`` and the second moment (``delta`` for equal-beta Adam, else ``v``), bias-corrected unless raw."""
         config, k = self.config, self.step
         equal_beta = config.kind is OptimizerKind.ADAM_EQUAL_BETA
         m, second = self.m, self.delta if equal_beta else self.v
-        if config.bias_correction and config.kind in SECOND_MOMENT:
+        if self.corrected and config.kind in SECOND_MOMENT:
             p1 = self.beta1**k
             m = m / (1.0 - p1)
             # the corrected variance term is v_hat - m_hat**2
@@ -103,8 +106,11 @@ class Stepper:
 
 
 def directions(config, signal) -> np.ndarray:
-    """The direction after each gradient of ``signal`` (along axis 0), from a zero state."""
-    stepper = Stepper(config, np.shape(signal)[1:])
+    """The filters' response: the raw-moment direction after each gradient of ``signal`` (along axis 0).
+
+    The stepper starts from a zero state.
+    """
+    stepper = Stepper(config, np.shape(signal)[1:], corrected=False)
     out = []
     for g in signal:
         stepper.update(g)

@@ -160,13 +160,13 @@ def test_criterion_3_equal_betas_characterization():
 def test_criterion_4_heterogeneous_ordering(het_summary, hom_summary):
     """Tuned medians order adaptive < sign momentum < plain momentum on the
     heterogeneous landscape; the plain/adaptive gap shrinks on the homogeneous one."""
-    het_adam = het_summary.result("adameq").median_final
-    het_signum = het_summary.result("signum").median_final
-    het_sgd = het_summary.result("sgd").median_final
+    het_adam = het_summary["adameq"].median_final
+    het_signum = het_summary["signum"].median_final
+    het_sgd = het_summary["sgd"].median_final
     ordering = het_adam < het_signum < het_sgd
 
-    hom_adam = hom_summary.result("adameq").median_final
-    hom_sgd = hom_summary.result("sgd").median_final
+    hom_adam = hom_summary["adameq"].median_final
+    hom_sgd = hom_summary["sgd"].median_final
     het_ratio = het_sgd / het_adam
     hom_ratio = hom_sgd / hom_adam
     shrinks = hom_ratio < het_ratio
@@ -181,7 +181,7 @@ def test_criterion_4_heterogeneous_ordering(het_summary, hom_summary):
 
 def test_criterion_5_variance_term_separates_blocks(het_summary):
     """Per-block variance terms differ by >= 2x on the heterogeneous landscape."""
-    result = het_summary.result("adameq")
+    result = het_summary["adameq"]
     worst_ratio = math.inf
     for record in result.records:
         means = record.delta_block_means.mean(axis=0)
@@ -210,8 +210,8 @@ def test_criterion_6_fixed_mollifier_no_gain(het_summary):
         batch_size=BATCH_SIZE,
         beta=BETA,
     )
-    adaptive = ablation.result("adameq").median_final
-    fixed = {r.label: r.median_final for r in ablation.results if r.label != "adameq"}
+    adaptive = ablation["adameq"].median_final
+    fixed = {label: r.median_final for label, r in ablation.items() if label != "adameq"}
     best_label, best_fixed = min(fixed.items(), key=lambda kv: kv[1])
     report(
         6,

@@ -47,7 +47,11 @@ def test_every_workload_command_parses(tmp_path, capsys):
 
 
 def test_traced_commands_keep_the_tracer_contract(tmp_path, capsys):
-    """Under :class:`Tracer`, a small ``quad`` and ``signal`` find every name, and each CSV span counts its artifact."""
+    """Under :class:`Tracer`, a small ``quad`` and ``signal`` find every name, and each CSV span counts its artifact.
+
+    ``quad`` opens one kept ``quadbench.tune_and_compare`` span per layout, so
+    the benchmark's ``quadbench.tune_and_compare.s`` times the tuning.
+    """
     tracer_module = _load("tracer")
     before = [(owner, attr, vars(tracer_module._resolve(owner))[attr]) for owner, attr, *_ in tracer_module.PATCHES]
     tracer = tracer_module.Tracer()
@@ -65,6 +69,7 @@ def test_traced_commands_keep_the_tracer_contract(tmp_path, capsys):
     written = [(span["rows"], span["bytes"]) for span in tracer.kept if span["name"] == "cli.write_csv"]
     artifacts = [tmp_path / "quad" / "runs.csv", tmp_path / "quad" / "summary.csv", tmp_path / "signal" / "responses.csv"]
     assert written == [(len(path.read_text().splitlines()) - 1, path.stat().st_size) for path in artifacts]
+    assert [span["name"] for span in tracer.kept].count("quadbench.tune_and_compare") == 1  # quad's one layout
 
 
 def test_one_pass_of_each_workload_passes_the_benchmarks_checks(tmp_path, capsys):

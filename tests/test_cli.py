@@ -251,12 +251,20 @@ class TestRejectedInputs:
             # integers beyond the float range in float fields
             pytest.param("quad", "beta", 10**400, id="quad-beta-10**400"),
             pytest.param("quad", "lr_grid", [10**400], id="quad-lr_grid-[10**400]"),
-            # the property checks' column matrix is made before the first draw, so this fails at once
+            ("signal", "property_trials", 0),
+            ("signal", "property_trials", -3),
+            # the property checks' column matrix is made before the first draw, so these fail at once:
+            # beyond memory, beyond numpy's size limit, beyond its dimension limit
+            pytest.param("signal", "property_trials", 10**9, id="signal-property_trials-10**9"),
+            pytest.param("signal", "property_trials", 10**15, id="signal-property_trials-10**15"),
             pytest.param("signal", "property_trials", 10**29, id="signal-property_trials-10**29"),
         ],
     )
     def test_config_values_exit_2(self, tmp_path, command, name, value):
-        _assert_usage_error(*_run_config(tmp_path, command, _with_field(command, name, value)))
+        rc, err = _run_config(tmp_path, command, _with_field(command, name, value))
+        _assert_usage_error(rc, err)
+        if name == "property_trials":
+            assert err.startswith("config error: field 'property_trials' "), err
 
     def test_deeply_nested_config_exits_2(self, tmp_path):
         # json.loads raises RecursionError long before it reads all 200,000 brackets

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from adamlab.cli import EXIT_OK, EXIT_USAGE, SweepConfig, _beta_pairs, fmt_float, main
+from adamlab.cli import EXIT_OK, EXIT_USAGE, QuadConfig, SweepConfig, _beta_pairs, fmt_float, main, serialize_config
 from adamlab.core import InitMode, beta_grid
 from adamlab.optim import (
     EpsilonPlacement,
@@ -96,7 +96,6 @@ def assert_batch_equals_reference(problem, runs, steps, batch_size) -> list[RunR
 @given(
     kind=st.sampled_from(OptimizerKind),
     placement=st.sampled_from(EpsilonPlacement),
-    bias_correction=st.booleans(),
     init_mode=st.sampled_from(InitMode),
     epsilon=st.sampled_from((0.0, 1e-8, 1e-3)),
     betas=st.tuples(st.sampled_from((0.0, 0.5, 0.9, 0.95)), st.sampled_from((0.0, 0.9, 0.999))),
@@ -105,9 +104,7 @@ def assert_batch_equals_reference(problem, runs, steps, batch_size) -> list[RunR
     n_seeds=st.integers(1, 3),
     layout=st.sampled_from(Layout),
 )
-def test_batch_equals_reference_stepper(
-    kind, placement, bias_correction, init_mode, epsilon, betas, batch_size, rates, n_seeds, layout
-):
+def test_batch_equals_reference_stepper(kind, placement, init_mode, epsilon, betas, batch_size, rates, n_seeds, layout):
     beta1, beta2 = betas
     if kind is OptimizerKind.ADAM_EQUAL_BETA:
         beta2 = beta1
@@ -117,7 +114,6 @@ def test_batch_equals_reference_stepper(
         beta2=beta2,
         epsilon=epsilon,
         epsilon_placement=placement,
-        bias_correction=bias_correction,
         init_mode=init_mode,
     )
     problem = build_problem(BlockSpec.for_layout(layout), seed=len(rates))
@@ -296,16 +292,13 @@ def garbage(rng, shape, dtype=float):
     kind=st.sampled_from(OptimizerKind),
     placement=st.sampled_from(EpsilonPlacement),
     epsilon=st.sampled_from((0.0, 1e-8, 1e-3)),
-    bias_correction=st.booleans(),
     init_mode=st.sampled_from(InitMode),
     n_runs=st.integers(1, 5),
     batch_size=st.integers(1, 9),
     steps=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_out_forms_equal_allocating_forms(
-    kind, placement, epsilon, bias_correction, init_mode, n_runs, batch_size, steps, seed
-):
+def test_out_forms_equal_allocating_forms(kind, placement, epsilon, init_mode, n_runs, batch_size, steps, seed):
     """Each step function writes into the engine's buffers exactly what its allocating form returns.
 
     The buffers start as garbage (nan, infinities, -0.0) and the state comes
@@ -327,15 +320,14 @@ def test_out_forms_equal_allocating_forms(
     beta2 = beta1 if kind is OptimizerKind.ADAM_EQUAL_BETA else rng.choice(MIXED_BETAS, size=n_runs).tolist()
     if kind is OptimizerKind.RMSPROP:
         beta1 = [0.0] * n_runs
-    config = OptimizerConfig(
-        kind, epsilon=epsilon, epsilon_placement=placement, bias_correction=bias_correction, init_mode=init_mode
-    )
+    config = OptimizerConfig(kind, epsilon=epsilon, epsilon_placement=placement, init_mode=init_mode)
     state = init_state(config, shape, np.array(beta1)[:, None], np.array(beta2)[:, None])
     silent = rng.random(problem.dim) < 0.3  # coordinates whose gradient is always 0
     for _ in range(steps):
         advance(config, state, np.where(silent, 0.0, rng.standard_normal(shape)))
     p1 = np.array([[b**steps] for b in beta1])
-    corrections = (p1, 1.0 - p1, 1.0 - np.array([[b**steps] for b in beta2]))
+    second = p1 if kind is OptimizerKind.ADAM_EQUAL_BETA else 1.0 - np.array([[b**steps] for b in beta2])
+    corrections = (1.0 - p1, second)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         fresh = corrected_moments(config, state, corrections)
         hat = corrected_moments(config, state, corrections, out=tuple(garbage(rng, shape) for _ in range(3)))
@@ -486,7 +478,6 @@ def test_end_test_follows_the_per_run_rule(columns):
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(OptimizerKind),
-    bias_correction=st.booleans(),
     init_mode=st.sampled_from(InitMode),
     epsilon=st.sampled_from((0.0, 1e-8)),
     pairs=st.lists(st.tuples(st.sampled_from(MIXED_BETAS), st.sampled_from(MIXED_BETAS)), min_size=2, max_size=4),
@@ -495,12 +486,12 @@ def test_end_test_follows_the_per_run_rule(columns):
     layout=st.sampled_from(Layout),
 )
 def test_mixed_momentum_batch_equals_batch_per_pair_and_reference(
-    kind, bias_correction, init_mode, epsilon, pairs, rates, n_seeds, layout
+    kind, init_mode, epsilon, pairs, rates, n_seeds, layout
 ):
     """Runs that differ in momentum step together, beside ended runs that keep their beta rows."""
     problem = build_problem(BlockSpec.for_layout(layout), seed=len(pairs))
     steps = 24
-    settings = dict(epsilon=epsilon, bias_correction=bias_correction, init_mode=init_mode)
+    settings = dict(epsilon=epsilon, init_mode=init_mode)
     # the drop-out rates come first, so every later run steps on beside ended ones
     runs = mixed_runs(kind, pairs, [*DROP_OUT_RATES, *rates], n_seeds, steps, **settings)
     mixed = assert_batch_equals_reference(problem, runs, steps, 3)
@@ -527,7 +518,11 @@ def test_batch_in_which_every_run_ends_early_equals_reference(kind):
 
 
 def test_bias_correction_powers_are_python_powers(monkeypatch):
-    """Pinned: numpy's power of 0.9 at step 12 is one ulp off Python's, and the engine must not use it."""
+    """Pinned: numpy's power of 0.9 at step 12 is one ulp off Python's, and the engine must not use it.
+
+    Only equal-beta Adam reads ``beta**k`` itself: ``1 - beta**k`` rounds
+    the two powers of 0.9 at step 12 alike.
+    """
     assert (np.array([[0.9]]) ** 12)[0, 0] != 0.9**12  # numpy 2.4.6; without it this case pins nothing
     import adamlab.quadbench as quadbench
 
@@ -539,12 +534,16 @@ def test_bias_correction_powers_are_python_powers(monkeypatch):
 
     monkeypatch.setattr(quadbench, "corrected_moments", recording_moments)
     problem = build_problem(BlockSpec.heterogeneous(), seed=3)
-    runs = mixed_runs(OptimizerKind.ADAM, [(0.9, 0.9), (0.95, 0.9)], [2.0**-7], 2, 16)
-    assert_batch_equals_reference(problem, runs, 16, 3)
-    p1, c1, c2 = seen[11]  # after step 12
-    assert p1[:, 0].tolist() == [0.9**12] * 2 + [0.95**12] * 2
-    assert c1[:, 0].tolist() == [1.0 - 0.9**12] * 2 + [1.0 - 0.95**12] * 2
-    assert c2[:, 0].tolist() == [1.0 - 0.9**12] * 4
+    for kind, second in (
+        (OptimizerKind.ADAM_EQUAL_BETA, [0.9**12] * 2 + [0.95**12] * 2),
+        (OptimizerKind.ADAM, [1.0 - 0.9**12] * 4),
+    ):
+        seen.clear()
+        runs = mixed_runs(kind, [(0.9, 0.9), (0.95, 0.9)], [2.0**-7], 2, 16)
+        assert_batch_equals_reference(problem, runs, 16, 3)
+        c1, c2 = seen[11]  # after step 12
+        assert c1[:, 0].tolist() == [1.0 - 0.9**12] * 2 + [1.0 - 0.95**12] * 2
+        assert c2[:, 0].tolist() == second
 
 
 @pytest.mark.parametrize("kind", [OptimizerKind.ADAM_EQUAL_BETA, OptimizerKind.ADAM])
@@ -573,7 +572,7 @@ def test_batch_rejects_configs_that_differ_beyond_betas():
     problem = build_problem(BlockSpec.heterogeneous(), seed=0)
     for other in (
         OptimizerConfig(OptimizerKind.ADAM, beta1=0.9, epsilon=0.0),
-        OptimizerConfig(OptimizerKind.ADAM, beta1=0.9, bias_correction=False),
+        OptimizerConfig(OptimizerKind.ADAM, beta1=0.9, epsilon_placement=EpsilonPlacement.INSIDE_SQRT),
         OptimizerConfig(OptimizerKind.RMSPROP, beta2=0.9),
     ):
         runs = [
@@ -628,10 +627,68 @@ def test_sweep_csv_equals_batch_per_pair(tmp_path, capsys):
                     records = [reference.run(problem, run, steps, cfg.batch_size) for run in runs]
                 n_diverged = sum(record.diverged for record in records)
                 status = "all_diverged" if n_diverged == n_seeds else "partial" if n_diverged else "ok"
-                stats = loss_quantiles([record.final_loss() for record in records])
+                stats = loss_quantiles(np.array([[record.final_loss() for record in records]]))[0]
                 rows.append(["het", name, *map(fmt_float, (lr, beta1, beta2)), str(n_seeds), *map(fmt_float, stats), str(n_diverged), status])
     assert {row[10] for row in rows} == {"ok", "partial", "all_diverged"}
     header = ["layout", "optimizer", "lr", "beta1", "beta2", "n_seeds", "median_final", "q25", "q75", "n_diverged", "status"]
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
     assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_quad_csvs_equal_best_cells_on_reference(tmp_path, capsys):
+    """``summary.csv`` and ``runs.csv`` of ``quad`` are each optimizer's best cell on the reference stepper.
+
+    The best cell is the first minimum of the median final loss; its status
+    is ``all_diverged`` (with an empty ``best_lr``) only when every seed
+    diverged, and its runs are the ones ``runs.csv`` lists. The first grid
+    holds rates that end no seed, some seeds and every seed; ``--lr 1e300``
+    ends every run; in the last grid, heterogeneous ``sgd`` ends two of
+    three seeds at 0.003, so both of its medians are inf and the tie goes to
+    the partly diverged cell.
+    """
+    names, n_seeds, steps = ("sgd", "signum", "adameq", "adam"), 3, 60
+    grid = (2.0**-9, 0.003, 3000.0, 10000.0, 30000.0)
+    commands = ((grid, [], grid), (grid, ["--lr", "1e300"], (1e300,)), ((0.003, 1e300), [], (0.003, 1e300)))
+    ended, tied_partial = set(), False
+    for i, (config_grid, flags, rates) in enumerate(commands):
+        path, out = tmp_path / f"quad{i}.json", tmp_path / f"quad{i}"
+        cfg = QuadConfig(optimizers=names, lr_grid=config_grid, seeds=tuple(range(n_seeds)), steps=steps)
+        path.write_text(serialize_config(cfg))
+        assert main(["quad", "--config", str(path), *flags, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        summary = [["optimizer", "layout", "best_lr", "median_final", "q25", "q75", "status"]]
+        runs_rows = [["config_id", "seed", "step", "loss", "delta_b1", "delta_b2", "delta_b3"]]
+        for layout in ("het", "hom"):
+            problem = build_problem(BlockSpec.for_layout(Layout(layout)), derive_seed(0, "problem", layout))
+            starts = [initial_point(problem.dim, seed) for seed in range(n_seeds)]
+            for name in sorted(names):
+                kind = OptimizerKind(name)
+                config = OptimizerConfig(kind, 0.95, epsilon=0.0 if kind is OptimizerKind.SIGNUM else 1e-8)
+                cells = []
+                for lr in rates:
+                    label = make_config_id(layout, name, lr)
+                    runs = [RunSpec(config, lr, w0, seed, label) for seed, w0 in enumerate(starts)]
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        cells.append([reference.run(problem, run, steps, 3) for run in runs])
+                    ended.add(sum(record.diverged for record in cells[-1]))
+                stats = loss_quantiles(np.array([[record.final_loss() for record in own] for own in cells]))
+                medians = stats[:, 0].tolist()
+                best = medians.index(min(medians))
+                n_diverged = sum(record.diverged for record in cells[best])
+                tied_partial |= medians.count(medians[best]) > 1 and 0 < n_diverged < n_seeds
+                all_diverged = n_diverged == n_seeds
+                best_lr = "" if all_diverged else fmt_float(rates[best])
+                status = "all_diverged" if all_diverged else "ok"
+                summary.append([name, layout, best_lr, *map(fmt_float, stats[best]), status])
+                for record in cells[best]:
+                    for step, loss in enumerate(record.losses.tolist()):
+                        means = record.delta_block_means
+                        blocks = [""] * 3 if means is None else map(fmt_float, means[step])
+                        runs_rows.append([record.config_id, str(record.seed), str(step), fmt_float(loss), *blocks])
+        for name, rows in (("summary.csv", summary), ("runs.csv", runs_rows)):
+            with open(tmp_path / name, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), (i, name)
+    assert 0 in ended and n_seeds in ended and ended - {0, n_seeds}
+    assert tied_partial

@@ -146,6 +146,8 @@ class TestColumnEngine:
         filt = FilterSpec(kind, beta=beta, init_mode=init_mode)
         out = filter_response(filt, signal)
         assert out.shape == signal.shape
+        # the raw moments bound every filter's response by 1 from either init mode
+        assert np.max(np.abs(out)) <= 1.0 + 1e-12
         for c in range(signal.shape[1]):
             assert np.array_equal(out[:, c], reference.directions(filt.optimizer_config(), signal[:, c]))
 

@@ -152,14 +152,8 @@ def directions(config, grads) -> np.ndarray:
 
 
 def test_constant_gradient_gives_unit_direction():
-    config = OptimizerConfig(
-        OptimizerKind.ADAM,
-        beta1=0.95,
-        beta2=0.95,
-        epsilon=0.0,
-        bias_correction=False,
-        init_mode=InitMode.FIRST_SAMPLE,
-    )
+    # from zero moments, bias correction alone restores the gradient's scale
+    config = OptimizerConfig(OptimizerKind.ADAM, beta1=0.95, beta2=0.95, epsilon=0.0)
     grads = [np.full(3, 2.7)] * 50
     dirs = directions(config, grads)
     np.testing.assert_allclose(dirs, 1.0, rtol=1e-15)
@@ -176,7 +170,7 @@ def test_delta_recursion_matches_direct_summation():
     rng = np.random.default_rng(9)
     beta = 0.9
     grads = rng.standard_normal(500)
-    config = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, beta1=beta, epsilon=0.0, bias_correction=False)
+    config = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, beta1=beta, epsilon=0.0)
     state = init_state(config, ())
 
     m_prev = 0.0
@@ -202,17 +196,13 @@ def test_sign_family_directions_bounded_by_one(kind):
     assert np.max(np.abs(dirs)) <= 1.0
 
 
-@pytest.mark.parametrize("init_mode", list(InitMode))
+# zero init only: the bias-corrected direction from a first-sample seed is not bounded by 1;
+# the filters, which map raw moments, are checked from both init modes
+@pytest.mark.parametrize("init_mode", [InitMode.ZERO])
 @pytest.mark.parametrize("epsilon", [0.0, 1e-8])
 def test_equal_beta_direction_bounded_by_one(init_mode, epsilon):
     rng = np.random.default_rng(11)
-    config = OptimizerConfig(
-        OptimizerKind.ADAM_EQUAL_BETA,
-        beta1=0.95,
-        epsilon=epsilon,
-        bias_correction=False,
-        init_mode=init_mode,
-    )
+    config = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, beta1=0.95, epsilon=epsilon, init_mode=init_mode)
     dirs = directions(config, [rng.standard_normal(4) * 5.0 for _ in range(300)])
     assert np.max(np.abs(dirs)) <= 1.0 + 1e-12
 
@@ -225,7 +215,7 @@ def test_positive_scale_invariance_exact_for_power_of_two(kind):
     rng = np.random.default_rng(12)
     grads = [rng.standard_normal(5) for _ in range(100)]
     beta2 = 0.9 if kind in (OptimizerKind.ADAM, OptimizerKind.ADAM_EQUAL_BETA) else None
-    config = OptimizerConfig(kind, beta1=0.9, beta2=beta2, epsilon=0.0, bias_correction=False)
+    config = OptimizerConfig(kind, beta1=0.9, beta2=beta2, epsilon=0.0)
     base = directions(config, grads)
     scaled = directions(config, [2.0 * g for g in grads])
     np.testing.assert_array_equal(base, scaled)
@@ -241,7 +231,7 @@ def test_odd_symmetry_is_exact(kind):
     rng = np.random.default_rng(13)
     grads = [rng.standard_normal(5) for _ in range(100)]
     beta2 = 0.95 if kind in (OptimizerKind.ADAM, OptimizerKind.ADAM_EQUAL_BETA) else None
-    config = OptimizerConfig(kind, beta1=0.95, beta2=beta2, epsilon=0.0, bias_correction=False)
+    config = OptimizerConfig(kind, beta1=0.95, beta2=beta2, epsilon=0.0)
     pos = directions(config, grads)
     neg = directions(config, [-g for g in grads])
     np.testing.assert_array_equal(pos, -neg)
@@ -291,14 +281,14 @@ class TestConfigValidation:
 
 def test_rmsprop_direction_formula():
     rng = np.random.default_rng(14)
-    config = OptimizerConfig(OptimizerKind.RMSPROP, beta2=0.9, epsilon=1e-8, bias_correction=False)
+    config = OptimizerConfig(OptimizerKind.RMSPROP, beta2=0.9, epsilon=1e-8)
     state = init_state(config, (4,))
     v = np.zeros(4)
-    for _ in range(20):
+    for k in range(1, 21):
         g = rng.standard_normal(4)
         d, _ = step(config, state, g)
         v = 0.9 * v + 0.1 * g * g
-        np.testing.assert_allclose(d, g / (np.sqrt(v) + 1e-8), rtol=1e-14)
+        np.testing.assert_allclose(d, g / (np.sqrt(v / (1 - 0.9**k)) + 1e-8), rtol=1e-14)
 
 
 def test_signum_epsilon_zero_recovers_exact_sign():
@@ -337,16 +327,13 @@ def test_state_advances_exactly_once_per_call():
 
 @given(
     beta=st.floats(0.0, 0.999, exclude_max=True),
-    bias_correction=st.booleans(),
     placement=st.sampled_from(EpsilonPlacement),
     init_mode=st.sampled_from(InitMode),
     epsilon=st.sampled_from([0.0, 1e-8]),
     seed=st.integers(0, 2**32 - 1),
     log2_scale=st.integers(-30, 30),
 )
-def test_equal_beta_adam_matches_variance_form(
-    beta, bias_correction, placement, init_mode, epsilon, seed, log2_scale
-):
+def test_equal_beta_adam_matches_variance_form(beta, placement, init_mode, epsilon, seed, log2_scale):
     """Adam(b, b) and adameq agree on the direction and on ``delta_estimate``.
 
     The power-of-two scale keeps the stream clear of underflow and overflow,
@@ -363,7 +350,6 @@ def test_equal_beta_adam_matches_variance_form(
         beta2=beta,
         epsilon=epsilon,
         epsilon_placement=placement,
-        bias_correction=bias_correction,
         init_mode=init_mode,
     )
     adam = OptimizerConfig(OptimizerKind.ADAM, **kwargs)
@@ -374,7 +360,7 @@ def test_equal_beta_adam_matches_variance_form(
     for k, g in enumerate(grads, start=1):
         d_ad, moments_ad = step(adam, s_ad, g)
         d_eq, moments_eq = step(eq, s_eq, g)
-        correction = 1.0 - beta**k if bias_correction else 1.0
+        correction = 1.0 - beta**k
         m_hat, v_hat = s_ad.m / correction, s_ad.v / correction
         d_scale = max(d_scale, float(np.max(np.abs(d_ad))))
         var_scale = max(var_scale, float(np.max(np.maximum(m_hat * m_hat, v_hat))))
@@ -382,4 +368,3 @@ def test_equal_beta_adam_matches_variance_form(
         var_ad, var_eq = delta_estimate(adam, moments_ad), delta_estimate(eq, moments_eq)
         assert np.all(var_ad >= 0) and np.all(var_eq >= 0)
         assert np.max(np.abs(var_ad - var_eq)) <= 1e-12 * var_scale, k
-    assert delta_estimate(OptimizerConfig(OptimizerKind.SGD), {}) is None

@@ -269,7 +269,6 @@ class TestConsistencyWithOptimizer:
             OptimizerKind.ADAM_EQUAL_BETA,
             beta1=beta,
             epsilon=0.0,
-            bias_correction=False,
             init_mode=init_mode,
         )
         state = init_state(config, ())
