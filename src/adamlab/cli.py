@@ -489,13 +489,10 @@ def cmd_quad(args) -> int:
             BlockSpec.for_layout(layout), derive_seed(cfg.base_seed, "problem", layout.value)
         )
         results = tune_and_compare(problem, optimizers, cfg.lr_grid, cfg.seeds, cfg.steps, cfg.batch_size)
-        for label, result in results.items():
-            status = "all_diverged" if result.all_diverged else "ok"
-            best_lr = fmt_float(result.best_lr)
-            summary_lines.append(
-                _SUMMARY_LINE % (label, layout.value, best_lr, result.median_final, result.q25, result.q75, status)
-            )
-            for record in result.records:
+        for label, (best_lr, cell) in results.items():
+            status = "ok" if best_lr is not None else "all_diverged"
+            summary_lines.append(_SUMMARY_LINE % (label, layout.value, fmt_float(best_lr), *cell.quantiles, status))
+            for record in cell.records:
                 run_lines += _run_lines(record)
     out_dir = _ensure_out(args.out)
     runs_header = ["config_id", "seed", "step", "loss", "delta_b1", "delta_b2", "delta_b3"]

@@ -5,11 +5,10 @@ builds on the normalized exponential moving average
 
     ema_k = beta * ema_{k-1} + (1 - beta) * sample_k
 
-with either zero initialization or seeding from the first sample.
+started from zero.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,21 +16,12 @@ from typing import Sequence
 import numpy as np
 
 
-class InitMode(enum.Enum):
-    """How a moving-average buffer treats its first sample."""
-
-    ZERO = "zero"
-    FIRST_SAMPLE = "first_sample"
-
-
 @dataclass
 class EmaBuffer:
     """One normalized exponential-moving-average accumulator (kept for ``perfbench/tracer.py``, which wraps ``update``).
 
-    The buffer tracks a signal of fixed shape. With ``InitMode.ZERO`` the
-    recursion starts from zeros (so the weights on the samples seen so far
-    sum to ``1 - beta**step``); with ``InitMode.FIRST_SAMPLE`` the first
-    update copies the sample and the recursion takes over afterwards.
+    The buffer tracks a signal of fixed shape. The recursion starts from
+    zeros, so the weights on the samples seen so far sum to ``1 - beta**step``.
 
     ``value=None`` means the shape is adopted from the first sample.
     ``beta`` is a float, or an ``(R, 1)`` column that gives each row of an
@@ -39,7 +29,6 @@ class EmaBuffer:
     """
 
     beta: float | np.ndarray
-    init_mode: InitMode = InitMode.ZERO
     value: np.ndarray | None = None
     step: int = 0
 
@@ -54,8 +43,8 @@ class EmaBuffer:
             self.value = np.asarray(self.value, dtype=float)
 
     @classmethod
-    def zeros(cls, shape, beta: float | np.ndarray, init_mode: InitMode = InitMode.ZERO) -> "EmaBuffer":
-        return cls(beta=beta, init_mode=init_mode, value=np.zeros(shape))
+    def zeros(cls, shape, beta: float | np.ndarray) -> "EmaBuffer":
+        return cls(beta=beta, value=np.zeros(shape))
 
     def update(self, sample) -> np.ndarray:
         """Advance the recursion by one sample and return the new value."""
@@ -66,10 +55,7 @@ class EmaBuffer:
             raise ValueError(
                 f"sample shape {sample.shape} does not match buffer shape {self.value.shape}"
             )
-        if self.step == 0 and self.init_mode is InitMode.FIRST_SAMPLE:
-            self.value = sample.copy()
-        else:
-            self.value = self.beta * self.value + (1.0 - self.beta) * sample
+        self.value = self.beta * self.value + (1.0 - self.beta) * sample
         self.step += 1
         return self.value
 

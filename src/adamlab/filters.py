@@ -1,7 +1,7 @@
 """Optimizer direction maps viewed as causal operators on gradient signals.
 
 There is no loss or training here: a fixed scalar signal is streamed through
-a direction map (epsilon 0, zero init by default) and the output sequence is
+a direction map (epsilon 0, from a zero state) and the output sequence is
 studied. The map reads the raw moments: the filters apply no bias correction.
 Several signals of one length can be streamed together as the columns of a
 ``(T, C)`` array. The whole signal goes through one ``scan`` of the
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InitMode, as_signal, max_or_nan
+from .core import as_signal, max_or_nan
 from .optim import (
     OptimizerConfig,
     OptimizerKind,
@@ -88,16 +88,9 @@ class FilterSpec:
 
     kind: FilterKind
     beta: float = 0.95
-    init_mode: InitMode = InitMode.ZERO
 
     def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            kind=_OPTIM_KIND[self.kind],
-            beta1=self.beta,
-            beta2=self.beta,
-            epsilon=0.0,
-            init_mode=self.init_mode,
-        )
+        return OptimizerConfig(kind=_OPTIM_KIND[self.kind], beta1=self.beta, beta2=self.beta, epsilon=0.0)
 
 
 #: the largest magnitude of a nonzero adameq signal lies here, so its squares neither overflow nor underflow
@@ -273,25 +266,29 @@ def density_witness(target: float, k: int, beta: float) -> DensityWitness:
     """Search for a signal whose step-k response is within :data:`WITNESS_TOL` of ``target``.
 
     Uses a two-phase family: a constant prefix of k steps followed by one
-    free sample, under first-sample seeding. Along that family the response
-    at step k is monotone in the final sample, so bisection applies; by
-    oddness, negative targets mirror positive ones. A miss is reported, not
-    raised.
+    free sample, streamed through the equal-beta map from the first sample
+    on (``m`` starts at the first sample and ``delta`` at 0), so the response
+    is read at step k of a ``k + 1``-sample signal. The prefix is scanned
+    once, and each candidate steps only the final sample from its moments.
+    Along that family the response is monotone in the final sample, so
+    bisection applies; by oddness, negative targets mirror positive ones. A
+    miss is reported, not raised.
     """
     if not -1.0 <= target <= 1.0:
         raise ValueError(f"target must be in [-1, 1], got {target}")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=beta, init_mode=InitMode.FIRST_SAMPLE)
+    config = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=beta).optimizer_config()
 
     sign = -1.0 if target < 0 else 1.0
     goal = abs(target)
-
-    def make_signal(t: float) -> np.ndarray:
-        return sign * np.concatenate([np.ones(k), [t]])
+    prefix = init_state(config, ())
+    prefix.m = sign
+    scan(config, prefix, [sign] * (k - 1))
 
     def response_at_k(t: float) -> float:
-        return sign * float(filter_response(filt, make_signal(t))[k])
+        ms, deltas = scan(config, replace(prefix), [sign * t])
+        return sign * float(direction_map(config, m=ms, delta=deltas)[0])
 
     # response is nondecreasing on t <= 1: t=1 gives exactly 1, and the
     # momentum zero-crossing t0 gives exactly 0
@@ -313,7 +310,7 @@ def density_witness(target: float, k: int, beta: float) -> DensityWitness:
             hi = mid
     return DensityWitness(
         found=abs(best_val - goal) <= WITNESS_TOL,
-        signal=make_signal(best_t),
+        signal=sign * np.concatenate([np.ones(k), [best_t]]),
         achieved=sign * best_val,
         target=target,
         tolerance=WITNESS_TOL,

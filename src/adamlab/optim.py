@@ -39,8 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InitMode
-
 
 class OptimizerKind(enum.Enum):
     SGD = "sgd"
@@ -80,7 +78,6 @@ class OptimizerConfig:
     beta2: float | None = None
     epsilon: float = 1e-8
     epsilon_placement: EpsilonPlacement = EpsilonPlacement.OUTSIDE_SQRT
-    init_mode: InitMode = InitMode.ZERO
 
     def __post_init__(self) -> None:
         if self.beta2 is None:
@@ -196,7 +193,7 @@ def recursion_coefficients(state: OptimizerState) -> tuple:
     return tuple(np.broadcast_to(x, shape).copy() for x in coefficients) if shape else coefficients
 
 
-def step_moments(kind: OptimizerKind, coefficients, g, m, v, delta, *, out, scratch, seed=False) -> None:
+def step_moments(kind: OptimizerKind, coefficients, g, m, v, delta, *, out, scratch) -> None:
     """One step of the moment recursions on arrays, written in place: the array form of :func:`scan`'s step.
 
     Reads the moments ``m``, ``v`` and ``delta`` before the (checked, finite)
@@ -204,25 +201,14 @@ def step_moments(kind: OptimizerKind, coefficients, g, m, v, delta, *, out, scra
     ``out = (m_out, delta_out)``, which may be ``m`` and ``delta``
     themselves; ``v`` is advanced in place. ``coefficients`` come from
     :func:`recursion_coefficients` and ``scratch`` is two arrays of the
-    moments' shape. ``seed`` takes the first-sample step: ``m_out`` gets a
-    copy of the sample (its sign for EMA_SIGN), ``v`` its square, and
-    ``delta_out`` the unchanged ``delta``. SIGN_SGD keeps no moments. Each
-    element takes the float step's operations on the same operands, so it
-    rounds as it would there.
+    moments' shape. SIGN_SGD keeps no moments. Each element takes the float
+    step's operations on the same operands, so it rounds as it would there.
     """
     if kind is _SIGN_SGD:
         return
     m_out, delta_out = out
     diff, term = scratch
     x = np.sign(g, out=term) if kind is _EMA_SIGN else g
-    two_moments = kind in (_RMSPROP, _ADAM)
-    if seed:
-        np.copyto(m_out, x)
-        if two_moments:
-            np.multiply(g, g, out=v)
-        if kind is _ADAM_EQUAL_BETA:
-            np.copyto(delta_out, delta)
-        return
     b, c, bc, b2, c2 = coefficients
     if kind is _ADAM_EQUAL_BETA:
         np.subtract(m, g, out=diff)
@@ -230,7 +216,7 @@ def step_moments(kind: OptimizerKind, coefficients, g, m, v, delta, *, out, scra
         term *= diff
         np.multiply(b, delta, out=delta_out)
         delta_out += term
-    elif two_moments:
+    elif kind in (_RMSPROP, _ADAM):
         np.multiply(g, g, out=diff)
         np.multiply(c2, diff, out=diff)
         v *= b2
@@ -248,10 +234,9 @@ def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[np.nda
     tuple of :func:`advance`. The recursions are the EMA of ``m`` (of
     ``sign(g)`` for EMA_SIGN, a signed zero keeping its sign), the EMA of ``v``
     for Adam/RMSprop and, for equal-beta Adam, the variance recursion
-    ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``, skipped on the step that
-    seeds ``m`` from the first sample. SIGN_SGD keeps no moments. The
-    coefficients ``1 - b`` and ``b*(1-b)``, the kind and the seeding are
-    settled once per call; every step rounds as it would alone, since
+    ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``. SIGN_SGD keeps no moments.
+    The coefficients ``1 - b`` and ``b*(1-b)`` and the kind are settled once
+    per call; every step rounds as it would alone, since
     ``b*(1-b)*diff*diff`` is ``((b*(1-b))*diff)*diff`` either way. A scalar
     state steps as Python floats, several times faster than 0-d arrays; an
     array state takes one :func:`step_moments` per gradient, which writes
@@ -267,7 +252,6 @@ def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[np.nda
     if kind is _SIGN_SGD:
         state.step += steps
         return np.empty((0, *shape)), None
-    seed = state.step == 0 and config.init_mode is InitMode.FIRST_SAMPLE
     equal_beta = kind is _ADAM_EQUAL_BETA
     if shape:
         ms = np.empty((steps, *shape))
@@ -277,7 +261,7 @@ def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[np.nda
         m, delta = state.m, state.delta
         for k, g in enumerate(signal):
             out = (ms[k], deltas[k] if equal_beta else delta)
-            step_moments(kind, coefficients, g, m, state.v, delta, out=out, scratch=scratch, seed=seed and not k)
+            step_moments(kind, coefficients, g, m, state.v, delta, out=out, scratch=scratch)
             m, delta = out
         np.copyto(state.m, m)
         np.copyto(state.delta, delta)
@@ -290,29 +274,20 @@ def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[np.nda
         xs = np.sign(signal).tolist()  # the signs step as Python floats
     b, c, bc, b2, c2 = recursion_coefficients(state)
     m, v, delta = state.m, state.v, state.delta
-    first = 0
-    if seed and steps:
-        first = 1
-        m = xs[0]
-        if kind in (_RMSPROP, _ADAM):
-            v = signal[0] * signal[0]
-        ms.append(m)
-        if equal_beta:
-            deltas.append(delta)
     if equal_beta:
-        for g in signal[first:]:
+        for g in signal:
             diff = m - g
             delta = b * delta + bc * diff * diff
             m = b * m + c * g
             ms.append(m)
             deltas.append(delta)
     elif kind in (_RMSPROP, _ADAM):
-        for g in signal[first:]:
+        for g in signal:
             m = b * m + c * g
             v = b2 * v + c2 * (g * g)
             ms.append(m)
     else:
-        for x in xs[first:]:
+        for x in xs:
             m = b * m + c * x
             ms.append(m)
     state.m, state.v, state.delta = m, v, delta

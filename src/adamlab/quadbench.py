@@ -71,7 +71,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import InitMode, lr_at
+from .core import lr_at
 from .optim import (
     _SECOND_MOMENT_KINDS,
     EpsilonPlacement,
@@ -407,7 +407,6 @@ def run_batch(
     second_moment = config.kind in _SECOND_MOMENT_KINDS
     corrections = _correction_table(config.kind, beta1, beta2, steps) if second_moment else [None] * steps
     track_delta = track_delta and second_moment
-    first_sample = config.init_mode is InitMode.FIRST_SAMPLE
 
     points = np.empty((steps, *shape))
     snapshots = np.empty_like(points) if track_delta else None
@@ -425,9 +424,7 @@ def run_batch(
             g = subset_gradient(problem, w, rows[k], out=gather)
             if k == 0 and not np.isfinite(g).all():
                 raise ValueError("gradient contains non-finite entries")
-            step_moments(
-                config.kind, coefficients, g, *moments, out=in_place, scratch=scratch, seed=first_sample and not k
-            )
+            step_moments(config.kind, coefficients, g, *moments, out=in_place, scratch=scratch)
             hat = corrected_moments(config, state, corrections[k], out=corrected)
             w = apply_step(w, direction_map(config, g=g, **hat, out=direction_out), lrs[k], out=points[k])
             if track_delta:
@@ -510,16 +507,11 @@ class Cell(NamedTuple):
     n_diverged: int
 
 
-@dataclass(frozen=True)
-class OptimizerResult:
+class OptimizerResult(NamedTuple):
     """Tuning outcome for one optimizer on one problem: its best cell, whose rate is ``None`` if every run diverged."""
 
     best_lr: float | None
-    median_final: float
-    q25: float
-    q75: float
-    all_diverged: bool
-    records: list[RunRecord]
+    cell: Cell
 
 
 def make_config_id(layout: str, label: str, lr: float) -> str:
@@ -578,10 +570,7 @@ def tune_and_compare(
         medians = [cell.quantiles[0] for cell in cells]
         best = medians.index(min(medians))  # the first minimum: ties break toward the smaller rate
         cell = cells[best]
-        all_diverged = cell.n_diverged == len(starts)
-        results[label] = OptimizerResult(
-            None if all_diverged else lr_grid[best], *cell.quantiles, all_diverged, cell.records
-        )
+        results[label] = OptimizerResult(None if cell.n_diverged == len(starts) else lr_grid[best], cell)
     return results
 
 

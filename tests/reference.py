@@ -7,8 +7,8 @@ the package's step functions:
 
 * the EMA of ``m`` (of ``sign(g)`` for EMA_SIGN) and of ``v`` (of ``g*g``),
   and the equal-beta variance recursion
-  ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``; first-sample seeding copies
-  the first sample into ``m`` (its square into ``v``) and leaves ``delta``;
+  ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``, from the stepper's state
+  (zero unless a caller sets it);
 * bias correction by ``1 - beta**k`` with Python's ``**``, for the kinds
   with a second moment, as every optimizer step applies it (the filters map
   the raw moments);
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from adamlab.core import InitMode, lr_at
+from adamlab.core import lr_at
 from adamlab.optim import EpsilonPlacement, OptimizerKind
 from adamlab.quadbench import DIVERGENCE_THRESHOLD, RunRecord, derive_seed, subset_gradient
 
@@ -50,21 +50,15 @@ class Stepper:
 
     def update(self, g) -> None:
         kind, b1, b2 = self.config.kind, self.beta1, self.beta2
-        x = np.sign(g) if kind is OptimizerKind.EMA_SIGN else g
-        if kind is OptimizerKind.SIGN_SGD:
-            pass
-        elif self.step == 0 and self.config.init_mode is InitMode.FIRST_SAMPLE:
-            self.m = x
-            if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
-                self.v = g * g
-        else:
-            if kind is OptimizerKind.ADAM_EQUAL_BETA:
-                diff = self.m - g
-                self.delta = b1 * self.delta + b1 * (1.0 - b1) * diff * diff
-            self.m = b1 * self.m + (1.0 - b1) * x
-            if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
-                self.v = b2 * self.v + (1.0 - b2) * (g * g)
         self.step += 1
+        if kind is OptimizerKind.SIGN_SGD:
+            return
+        if kind is OptimizerKind.ADAM_EQUAL_BETA:
+            diff = self.m - g
+            self.delta = b1 * self.delta + b1 * (1.0 - b1) * diff * diff
+        self.m = b1 * self.m + (1.0 - b1) * (np.sign(g) if kind is OptimizerKind.EMA_SIGN else g)
+        if kind in (OptimizerKind.RMSPROP, OptimizerKind.ADAM):
+            self.v = b2 * self.v + (1.0 - b2) * (g * g)
 
     def moments(self):
         """``m`` and the second moment (``delta`` for equal-beta Adam, else ``v``), bias-corrected unless raw."""

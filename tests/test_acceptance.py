@@ -160,13 +160,13 @@ def test_criterion_3_equal_betas_characterization():
 def test_criterion_4_heterogeneous_ordering(het_summary, hom_summary):
     """Tuned medians order adaptive < sign momentum < plain momentum on the
     heterogeneous landscape; the plain/adaptive gap shrinks on the homogeneous one."""
-    het_adam = het_summary["adameq"].median_final
-    het_signum = het_summary["signum"].median_final
-    het_sgd = het_summary["sgd"].median_final
+    het_adam = het_summary["adameq"].cell.quantiles[0]
+    het_signum = het_summary["signum"].cell.quantiles[0]
+    het_sgd = het_summary["sgd"].cell.quantiles[0]
     ordering = het_adam < het_signum < het_sgd
 
-    hom_adam = hom_summary["adameq"].median_final
-    hom_sgd = hom_summary["sgd"].median_final
+    hom_adam = hom_summary["adameq"].cell.quantiles[0]
+    hom_sgd = hom_summary["sgd"].cell.quantiles[0]
     het_ratio = het_sgd / het_adam
     hom_ratio = hom_sgd / hom_adam
     shrinks = hom_ratio < het_ratio
@@ -183,7 +183,7 @@ def test_criterion_5_variance_term_separates_blocks(het_summary):
     """Per-block variance terms differ by >= 2x on the heterogeneous landscape."""
     result = het_summary["adameq"]
     worst_ratio = math.inf
-    for record in result.records:
+    for record in result.cell.records:
         means = record.delta_block_means.mean(axis=0)
         ratios = [
             max(a, b) / min(a, b)
@@ -210,8 +210,8 @@ def test_criterion_6_fixed_mollifier_no_gain(het_summary):
         batch_size=BATCH_SIZE,
         beta=BETA,
     )
-    adaptive = ablation["adameq"].median_final
-    fixed = {label: r.median_final for label, r in ablation.items() if label != "adameq"}
+    adaptive = ablation["adameq"].cell.quantiles[0]
+    fixed = {label: r.cell.quantiles[0] for label, r in ablation.items() if label != "adameq"}
     best_label, best_fixed = min(fixed.items(), key=lambda kv: kv[1])
     report(
         6,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference
 from adamlab.cli import EXIT_OK, EXIT_USAGE, QuadConfig, SweepConfig, _beta_pairs, fmt_float, main, serialize_config
-from adamlab.core import InitMode, beta_grid
+from adamlab.core import beta_grid
 from adamlab.optim import (
     EpsilonPlacement,
     OptimizerConfig,
@@ -50,7 +50,6 @@ RATES = (0.0, 2.0**-12, 2.0**-7, 2.0**-3, 1.0, 8.0, 1e150, 1e300)
 REFERENCE_IMPORTS = {
     "math",
     "numpy",
-    "adamlab.core.InitMode",
     "adamlab.core.lr_at",
     "adamlab.optim.EpsilonPlacement",
     "adamlab.optim.OptimizerKind",
@@ -96,7 +95,6 @@ def assert_batch_equals_reference(problem, runs, steps, batch_size) -> list[RunR
 @given(
     kind=st.sampled_from(OptimizerKind),
     placement=st.sampled_from(EpsilonPlacement),
-    init_mode=st.sampled_from(InitMode),
     epsilon=st.sampled_from((0.0, 1e-8, 1e-3)),
     betas=st.tuples(st.sampled_from((0.0, 0.5, 0.9, 0.95)), st.sampled_from((0.0, 0.9, 0.999))),
     batch_size=st.integers(1, 9),
@@ -104,18 +102,11 @@ def assert_batch_equals_reference(problem, runs, steps, batch_size) -> list[RunR
     n_seeds=st.integers(1, 3),
     layout=st.sampled_from(Layout),
 )
-def test_batch_equals_reference_stepper(kind, placement, init_mode, epsilon, betas, batch_size, rates, n_seeds, layout):
+def test_batch_equals_reference_stepper(kind, placement, epsilon, betas, batch_size, rates, n_seeds, layout):
     beta1, beta2 = betas
     if kind is OptimizerKind.ADAM_EQUAL_BETA:
         beta2 = beta1
-    config = OptimizerConfig(
-        kind,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-        epsilon_placement=placement,
-        init_mode=init_mode,
-    )
+    config = OptimizerConfig(kind, beta1=beta1, beta2=beta2, epsilon=epsilon, epsilon_placement=placement)
     problem = build_problem(BlockSpec.for_layout(layout), seed=len(rates))
     steps = 40
     runs = [
@@ -292,13 +283,12 @@ def garbage(rng, shape, dtype=float):
     kind=st.sampled_from(OptimizerKind),
     placement=st.sampled_from(EpsilonPlacement),
     epsilon=st.sampled_from((0.0, 1e-8, 1e-3)),
-    init_mode=st.sampled_from(InitMode),
     n_runs=st.integers(1, 5),
     batch_size=st.integers(1, 9),
     steps=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_out_forms_equal_allocating_forms(kind, placement, epsilon, init_mode, n_runs, batch_size, steps, seed):
+def test_out_forms_equal_allocating_forms(kind, placement, epsilon, n_runs, batch_size, steps, seed):
     """Each step function writes into the engine's buffers exactly what its allocating form returns.
 
     The buffers start as garbage (nan, infinities, -0.0) and the state comes
@@ -320,7 +310,7 @@ def test_out_forms_equal_allocating_forms(kind, placement, epsilon, init_mode, n
     beta2 = beta1 if kind is OptimizerKind.ADAM_EQUAL_BETA else rng.choice(MIXED_BETAS, size=n_runs).tolist()
     if kind is OptimizerKind.RMSPROP:
         beta1 = [0.0] * n_runs
-    config = OptimizerConfig(kind, epsilon=epsilon, epsilon_placement=placement, init_mode=init_mode)
+    config = OptimizerConfig(kind, epsilon=epsilon, epsilon_placement=placement)
     state = init_state(config, shape, np.array(beta1)[:, None], np.array(beta2)[:, None])
     silent = rng.random(problem.dim) < 0.3  # coordinates whose gradient is always 0
     for _ in range(steps):
@@ -367,7 +357,6 @@ def mixed_runs(kind, pairs, rates, n_seeds, steps, **settings):
     return runs
 
 
-@pytest.mark.parametrize("init_mode", InitMode)
 @pytest.mark.parametrize("kind", OptimizerKind)
 @settings(max_examples=8, deadline=None)
 @given(
@@ -379,14 +368,14 @@ def mixed_runs(kind, pairs, rates, n_seeds, steps, **settings):
     ),
     layout=st.sampled_from(Layout),
 )
-def test_record_does_not_depend_on_its_neighbours(kind, init_mode, mix, layout):
+def test_record_does_not_depend_on_its_neighbours(kind, mix, layout):
     """A run's record in a mixed batch is its record alone, bit for bit, however its neighbours end."""
     problem = build_problem(BlockSpec.for_layout(layout), seed=len(mix))
     steps = 30
     runs = []
     for i, (lr, beta1, beta2) in enumerate(mix):
         beta2 = beta1 if kind is OptimizerKind.ADAM_EQUAL_BETA else beta2
-        config = OptimizerConfig(kind, beta1=beta1, beta2=beta2, init_mode=init_mode)
+        config = OptimizerConfig(kind, beta1=beta1, beta2=beta2)
         runs.append(RunSpec(config, lr, initial_point(problem.dim, i % 2), i % 2, f"run{i}:lr={lr!r}"))
     with np.errstate(over="ignore", invalid="ignore"):
         mixed = run_batch(problem, runs, steps, 3)
@@ -478,22 +467,18 @@ def test_end_test_follows_the_per_run_rule(columns):
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(OptimizerKind),
-    init_mode=st.sampled_from(InitMode),
     epsilon=st.sampled_from((0.0, 1e-8)),
     pairs=st.lists(st.tuples(st.sampled_from(MIXED_BETAS), st.sampled_from(MIXED_BETAS)), min_size=2, max_size=4),
     rates=st.lists(st.sampled_from(RATES[:5]), min_size=1, max_size=2, unique=True),
     n_seeds=st.integers(1, 2),
     layout=st.sampled_from(Layout),
 )
-def test_mixed_momentum_batch_equals_batch_per_pair_and_reference(
-    kind, init_mode, epsilon, pairs, rates, n_seeds, layout
-):
+def test_mixed_momentum_batch_equals_batch_per_pair_and_reference(kind, epsilon, pairs, rates, n_seeds, layout):
     """Runs that differ in momentum step together, beside ended runs that keep their beta rows."""
     problem = build_problem(BlockSpec.for_layout(layout), seed=len(pairs))
     steps = 24
-    settings = dict(epsilon=epsilon, init_mode=init_mode)
     # the drop-out rates come first, so every later run steps on beside ended ones
-    runs = mixed_runs(kind, pairs, [*DROP_OUT_RATES, *rates], n_seeds, steps, **settings)
+    runs = mixed_runs(kind, pairs, [*DROP_OUT_RATES, *rates], n_seeds, steps, epsilon=epsilon)
     mixed = assert_batch_equals_reference(problem, runs, steps, 3)
     per_pair: dict[tuple[float, float], list[int]] = {}
     for i, run in enumerate(runs):

@@ -3,12 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference
-from adamlab.core import InitMode
 from adamlab.filters import (
     ADAMEQ_PEAK_RANGE,
     SCALING_FACTORS,
@@ -28,6 +27,7 @@ from adamlab.filters import (
     run_property_checks,
 )
 from adamlab.identities import scalar_adam_trace
+from adamlab.vi import GaussianBelief, vi_update
 
 REFERENCE_SIGNAL = SignalSpec(amplitude=1.8, frequency=0.03, decay=0.0025, length=2000)
 
@@ -98,13 +98,6 @@ class TestFilterResponse:
         expected = np.sqrt(1.0 - beta ** np.arange(1, 51))
         np.testing.assert_allclose(response, expected, rtol=1e-12)
 
-    def test_constant_signal_first_sample_is_one(self):
-        response = filter_response(
-            FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.9, init_mode=InitMode.FIRST_SAMPLE),
-            np.full(30, -2.0),
-        )
-        np.testing.assert_allclose(response, -1.0, rtol=1e-15)
-
     def test_matches_scalar_identity_trace(self):
         # dual route: the streamed optimizer equals the standalone scalar recursion
         rng = np.random.default_rng(52)
@@ -133,27 +126,25 @@ class TestColumnEngine:
 
     @given(
         kind=st.sampled_from(list(FilterKind)),
-        init_mode=st.sampled_from(list(InitMode)),
         beta=st.floats(0.0, 0.999, exclude_max=True),
         length=st.integers(1, 64),
         exponents=st.lists(st.none() | st.integers(-30, 30), min_size=1, max_size=6),
         seed=st.integers(0, 2**16),
     )
-    def test_columns_match_scalar_reference_bitwise(self, kind, init_mode, beta, length, exponents, seed):
+    def test_columns_match_scalar_reference_bitwise(self, kind, beta, length, exponents, seed):
         # a None exponent is an all-zero column, which hits the 0/0 -> 0 convention
         scales = np.array([0.0 if e is None else 2.0**e for e in exponents])
         signal = np.random.default_rng(seed).standard_normal((length, len(scales))) * scales
-        filt = FilterSpec(kind, beta=beta, init_mode=init_mode)
+        filt = FilterSpec(kind, beta=beta)
         out = filter_response(filt, signal)
         assert out.shape == signal.shape
-        # the raw moments bound every filter's response by 1 from either init mode
+        # the raw moments bound every filter's response by 1
         assert np.max(np.abs(out)) <= 1.0 + 1e-12
         for c in range(signal.shape[1]):
             assert np.array_equal(out[:, c], reference.directions(filt.optimizer_config(), signal[:, c]))
 
     @given(
         kind=st.sampled_from(list(FilterKind)),
-        init_mode=st.sampled_from(list(InitMode)),
         beta=st.sampled_from([0.0, 0.5, 0.9, 0.95, 0.999]),
         # nonzero entries lie in [2**-10, 2**10], so 2**k with |k| <= 490 spans every peak
         # ADAMEQ_PEAK_RANGE accepts; a run of zeros decays the moments geometrically, which
@@ -161,17 +152,16 @@ class TestColumnEngine:
         signal_and_k=st.tuples(_scale_test_signals(zeros=True), st.integers(-8, 8))
         | st.tuples(_scale_test_signals(zeros=False), st.integers(-490, 490)),
     )
-    def test_exactly_odd_and_power_of_two_scale_invariant(self, kind, init_mode, beta, signal_and_k):
+    def test_exactly_odd_and_power_of_two_scale_invariant(self, kind, beta, signal_and_k):
         # negation and power-of-two scaling are exact in every step of every map
         signal, k = signal_and_k
-        filt = FilterSpec(kind, beta=beta, init_mode=init_mode)
+        filt = FilterSpec(kind, beta=beta)
         base = filter_response(filt, signal)
         assert np.array_equal(filter_response(filt, -signal), -base)
         assert np.array_equal(filter_response(filt, 2.0**k * signal), base)
 
     @given(
         kind=st.sampled_from(list(FilterKind)),
-        init_mode=st.sampled_from(list(InitMode)),
         beta=st.floats(0.0, 1.0, exclude_max=True),
         # signed zeros, subnormals and the ends of ADAMEQ_PEAK_RANGE next to ordinary values
         entries=st.lists(
@@ -181,10 +171,10 @@ class TestColumnEngine:
         ),
         leading_negative_zero=st.booleans(),
     )
-    def test_one_dim_matches_scalar_reference_bitwise(self, kind, init_mode, beta, entries, leading_negative_zero):
+    def test_one_dim_matches_scalar_reference_bitwise(self, kind, beta, entries, leading_negative_zero):
         # the Python-float scan of a (T,) signal, against the reference stepped on one sample at a time
         signal = np.array(([-0.0] if leading_negative_zero else []) + entries)[:64]
-        filt = FilterSpec(kind, beta=beta, init_mode=init_mode)
+        filt = FilterSpec(kind, beta=beta)
         peak = np.max(np.abs(signal))
         if kind is FilterKind.ADAM_EQUAL_BETA and peak and not ADAMEQ_PEAK_RANGE[0] <= peak <= ADAMEQ_PEAK_RANGE[1]:
             with pytest.raises(ValueError, match="outside"):
@@ -200,16 +190,6 @@ class TestColumnEngine:
         assert filter_response(filt, g).shape == (40,)
         assert filter_response(filt, 2.5).shape == (1,)
         assert filter_response(filt, g[:, None]).shape == (40, 1)
-
-    @pytest.mark.parametrize("kind", [FilterKind.ADAM_EQUAL_BETA, FilterKind.SIGNUM, FilterKind.EMA_SIGN])
-    def test_first_sample_response_leaves_signal_unmutated(self, kind):
-        # first-sample seeding makes the moment the caller's first row itself
-        filt = FilterSpec(kind, beta=0.9, init_mode=InitMode.FIRST_SAMPLE)
-        rng = np.random.default_rng(57)
-        for signal in (rng.standard_normal(30), rng.standard_normal((30, 3))):
-            before = signal.copy()
-            filter_response(filt, signal)
-            assert np.array_equal(signal, before)
 
     @pytest.mark.parametrize("shape", [(4, 2, 2), (1, 1, 1, 1)])
     def test_more_than_two_dims_rejected(self, shape):
@@ -390,12 +370,33 @@ class TestDensityWitness:
         witness = density_witness(target, k=10, beta=0.9)
         assert witness.found
         assert witness.achieved == pytest.approx(target, abs=1e-6)
-        # the witness signal really produces the claimed response
-        filt = FilterSpec(
-            FilterKind.ADAM_EQUAL_BETA, beta=0.9, init_mode=InitMode.FIRST_SAMPLE
-        )
-        response = filter_response(filt, witness.signal)
-        assert response[10] == pytest.approx(witness.achieved, abs=1e-12)
+
+    @settings(deadline=None)
+    @given(
+        target=st.floats(-1.0, 1.0),
+        k=st.integers(1, 30),
+        beta=st.floats(0.0, 0.999, exclude_max=True),
+    )
+    def test_signal_gives_achieved_from_its_first_sample(self, target, k, beta):
+        """The witness signal, streamed on from its first sample, responds ``achieved`` at step ``k``.
+
+        Two independent steppers start from the first sample: the reference
+        stepper with ``m`` set to it (raw moments, bit for bit), and
+        ``vi_update`` from the belief ``(first, 0)`` (to 1e-12).
+        """
+        witness = density_witness(target, k, beta)
+        first, *rest = witness.signal.tolist()
+        assert len(rest) == k
+        config = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=beta).optimizer_config()
+        stepper = reference.Stepper(config, corrected=False)
+        stepper.m = first
+        belief = GaussianBelief(first, 0.0)
+        for g in rest:
+            stepper.update(g)
+            belief = vi_update(belief, g, beta / (1.0 - beta))
+        assert float(stepper.direction(g)).hex() == witness.achieved.hex()
+        root = math.sqrt(belief.mean * belief.mean + belief.variance)
+        assert abs((belief.mean / root if root else 0.0) - witness.achieved) <= 1e-12
 
     def test_reports_the_tolerance_it_decided_with(self):
         witness = density_witness(0.37, k=10, beta=0.9)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference
-from adamlab.core import InitMode
 from adamlab.optim import (
     EpsilonPlacement,
     OptimizerConfig,
@@ -38,11 +37,10 @@ BETAS = st.floats(0.0, 1.0, exclude_max=True)
 
 @given(
     kind=st.sampled_from(OptimizerKind),
-    init_mode=st.sampled_from(InitMode),
     layout=st.sampled_from(["python-float", "0-d", "vector", "batch"]),
     data=st.data(),
 )
-def test_scan_matches_reference_stepper_bitwise(kind, init_mode, layout, data):
+def test_scan_matches_reference_stepper_bitwise(kind, layout, data):
     """``scan`` over a whole sequence, and ``advance`` step by step, equal the reference stepper bit for bit.
 
     A scalar state takes a list of Python floats or of 0-d arrays; a vector
@@ -55,7 +53,7 @@ def test_scan_matches_reference_stepper_bitwise(kind, init_mode, layout, data):
     beta1, beta2 = data.draw(BETAS), data.draw(BETAS)
     if kind is OptimizerKind.ADAM_EQUAL_BETA:
         beta2 = beta1
-    config = OptimizerConfig(kind, beta1=beta1, beta2=beta2, init_mode=init_mode)
+    config = OptimizerConfig(kind, beta1=beta1, beta2=beta2)
     columns = ()
     shape = ()
     if layout == "vector":
@@ -100,15 +98,14 @@ def test_scan_matches_reference_stepper_bitwise(kind, init_mode, layout, data):
 
 @given(
     kind=st.sampled_from(OptimizerKind),
-    init_mode=st.sampled_from(InitMode),
     shape=st.sampled_from([(3,), (2, 4)]),
     length=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_scan_and_advance_leave_the_signal_unchanged(kind, init_mode, shape, length, seed):
-    """An array state is stepped in place, and a seeded ``m`` is a copy of the first gradient, not that row."""
+def test_scan_and_advance_leave_the_signal_unchanged(kind, shape, length, seed):
+    """An array state is stepped in place, and no state array is a row of the signal."""
     beta2 = 0.9 if kind is OptimizerKind.ADAM_EQUAL_BETA else 0.99
-    config = OptimizerConfig(kind, beta1=0.9, beta2=beta2, init_mode=init_mode)
+    config = OptimizerConfig(kind, beta1=0.9, beta2=beta2)
     rng = np.random.default_rng(seed)
     signal = rng.standard_normal((length, *shape))
     before = signal.copy()
@@ -124,10 +121,9 @@ def test_scan_and_advance_leave_the_signal_unchanged(kind, init_mode, shape, len
     assert signal.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("init_mode", list(InitMode))
 @pytest.mark.parametrize("kind", [OptimizerKind.SGD, OptimizerKind.SIGNUM, OptimizerKind.ADAM_EQUAL_BETA])
-def test_python_float_gradients_keep_python_float_state(kind, init_mode):
-    config = OptimizerConfig(kind, beta1=0.9, init_mode=init_mode)
+def test_python_float_gradients_keep_python_float_state(kind):
+    config = OptimizerConfig(kind, beta1=0.9)
     state = init_state(config, ())
     for g in (0.5, -1.25, 3.0, 0.0):
         advance(config, state, g)
@@ -196,13 +192,10 @@ def test_sign_family_directions_bounded_by_one(kind):
     assert np.max(np.abs(dirs)) <= 1.0
 
 
-# zero init only: the bias-corrected direction from a first-sample seed is not bounded by 1;
-# the filters, which map raw moments, are checked from both init modes
-@pytest.mark.parametrize("init_mode", [InitMode.ZERO])
 @pytest.mark.parametrize("epsilon", [0.0, 1e-8])
-def test_equal_beta_direction_bounded_by_one(init_mode, epsilon):
+def test_equal_beta_direction_bounded_by_one(epsilon):
     rng = np.random.default_rng(11)
-    config = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, beta1=0.95, epsilon=epsilon, init_mode=init_mode)
+    config = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, beta1=0.95, epsilon=epsilon)
     dirs = directions(config, [rng.standard_normal(4) * 5.0 for _ in range(300)])
     assert np.max(np.abs(dirs)) <= 1.0 + 1e-12
 
@@ -328,30 +321,20 @@ def test_state_advances_exactly_once_per_call():
 @given(
     beta=st.floats(0.0, 0.999, exclude_max=True),
     placement=st.sampled_from(EpsilonPlacement),
-    init_mode=st.sampled_from(InitMode),
     epsilon=st.sampled_from([0.0, 1e-8]),
     seed=st.integers(0, 2**32 - 1),
     log2_scale=st.integers(-30, 30),
 )
-def test_equal_beta_adam_matches_variance_form(beta, placement, init_mode, epsilon, seed, log2_scale):
+def test_equal_beta_adam_matches_variance_form(beta, placement, epsilon, seed, log2_scale):
     """Adam(b, b) and adameq agree on the direction and on ``delta_estimate``.
 
     The power-of-two scale keeps the stream clear of underflow and overflow,
     so residuals measure the identity. Rounding in ``v_hat - m_hat**2`` is
     of the order of the larger term, so the variance residual is judged
     against the running maximum of ``max(m_hat**2, v_hat)``; the directions
-    against the running maximum of ``|d|`` (at least 1). First-sample seeding
-    with bias correction inflates ``m_hat**2`` over ``v_hat`` by up to
-    ``1 / (1 - beta)``, which costs the direction about three digits at
-    beta near 0.999.
+    against the running maximum of ``|d|`` (at least 1).
     """
-    kwargs = dict(
-        beta1=beta,
-        beta2=beta,
-        epsilon=epsilon,
-        epsilon_placement=placement,
-        init_mode=init_mode,
-    )
+    kwargs = dict(beta1=beta, beta2=beta, epsilon=epsilon, epsilon_placement=placement)
     adam = OptimizerConfig(OptimizerKind.ADAM, **kwargs)
     eq = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, **kwargs)
     grads = np.random.default_rng(seed).standard_normal((100, 4)) * 2.0**log2_scale

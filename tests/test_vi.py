@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adamlab import vi
-from adamlab.core import InitMode
 from adamlab.optim import OptimizerConfig, OptimizerKind, advance, init_state
 from adamlab.vi import (
     MAX_EVALUATIONS,
@@ -258,30 +257,14 @@ class TestBoundedBrentMatchesScipy:
 
 
 class TestConsistencyWithOptimizer:
-    @pytest.mark.parametrize("init_mode", list(InitMode))
-    def test_reproduces_equal_beta_buffers_exactly(self, init_mode):
+    def test_reproduces_equal_beta_buffers_exactly(self):
         beta = 0.95
         lam = beta / (1.0 - beta)
-        rng = np.random.default_rng(34)
-        grads = rng.standard_normal(200)
-
-        config = OptimizerConfig(
-            OptimizerKind.ADAM_EQUAL_BETA,
-            beta1=beta,
-            epsilon=0.0,
-            init_mode=init_mode,
-        )
+        grads = np.random.default_rng(34).standard_normal(200)
+        config = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, beta1=beta, epsilon=0.0)
         state = init_state(config, ())
-
-        if init_mode is InitMode.FIRST_SAMPLE:
-            advance(config, state, grads[0])
-            belief = GaussianBelief(float(grads[0]), 0.0)
-            stream = grads[1:]
-        else:
-            belief = GaussianBelief(0.0, 0.0)
-            stream = grads
-
-        for g in stream:
+        belief = GaussianBelief(0.0, 0.0)
+        for g in grads:
             belief = vi_update(belief, float(g), lam)
             advance(config, state, g)
             assert belief.mean == float(state.m)
