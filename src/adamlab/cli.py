@@ -328,9 +328,8 @@ def _suite_prop1(seed: int) -> list[dict]:
     rng = np.random.default_rng(derive_seed(seed, "verify", "prop1"))
     per_beta = 10
     signals = rng.standard_normal((len(BETA_GRID_PRIMARY) * per_beta, 1000))
-    report = check_prop1(signals.T, np.repeat(BETA_GRID_PRIMARY, per_beta), tol=1e-9)
-    direction = np.reshape(report.direction.max_abs_residual, (-1, per_beta))
-    variance = np.reshape(report.variance.max_abs_residual, (-1, per_beta))
+    residuals = check_prop1(signals.T, np.repeat(BETA_GRID_PRIMARY, per_beta))
+    direction, variance = (np.reshape(worst, (-1, per_beta)) for worst in residuals)
     checks = []
     for beta, dir_row, var_row in zip(BETA_GRID_PRIMARY, direction, variance):
         checks.append(_residual_check(f"direction_forms_beta={beta:g}", max_or_nan(0.0, *dir_row.tolist()), 1e-9))
@@ -489,8 +488,9 @@ def cmd_quad(args) -> int:
             BlockSpec.for_layout(layout), derive_seed(cfg.base_seed, "problem", layout.value)
         )
         results = tune_and_compare(problem, optimizers, cfg.lr_grid, cfg.seeds, cfg.steps, cfg.batch_size)
-        for label, (best_lr, cell) in results.items():
-            status = "ok" if best_lr is not None else "all_diverged"
+        for label, cell in results.items():
+            status = cell.status
+            best_lr = None if status == "all_diverged" else cell.lr
             summary_lines.append(_SUMMARY_LINE % (label, layout.value, fmt_float(best_lr), *cell.quantiles, status))
             for record in cell.records:
                 run_lines += _run_lines(record)
@@ -583,16 +583,10 @@ def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[st
         cfg.batch_size,
         track_delta=False,
     )
-    lines = []
-    for (beta1, beta2, lr), (records, quantiles, n_diverged) in zip(cells, results):
-        if n_diverged == len(records):
-            status = "all_diverged"
-        elif n_diverged:
-            status = "partial"
-        else:
-            status = "ok"
-        lines.append(_SWEEP_LINE % (layout, name, lr, beta1, beta2, len(records), *quantiles, n_diverged, status))
-    return lines
+    return [
+        _SWEEP_LINE % (layout, name, lr, beta1, beta2, len(cell.records), *cell.quantiles, cell.n_diverged, cell.status)
+        for (beta1, beta2, lr), cell in zip(cells, results)
+    ]
 
 
 def _beta_pairs(kind: OptimizerKind, betas, equal_betas: bool):

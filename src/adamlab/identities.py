@@ -12,8 +12,8 @@ Three families of claims are made checkable here:
   ``sign(m) / sqrt(1 + variance/m^2)`` and its reading as a steepest-descent
   step inside a signal-to-noise trust region.
 
-All checks are numeric on supplied inputs; reports carry residuals and the
-tolerance they were judged against.
+All checks are numeric on supplied inputs and return residuals; the callers
+judge them against their own tolerances.
 """
 from __future__ import annotations
 
@@ -23,43 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_signal
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Outcome of one max-|residual| comparison along axis 0.
-
-    Residuals of shape ``(T,)`` give a float and a bool; ``(T, C)``
-    residuals give one value per column in ``(C,)`` arrays.
-    """
-
-    name: str
-    max_abs_residual: float | np.ndarray
-    tolerance: float
-    passed: bool | np.ndarray
-
-    @classmethod
-    def from_residuals(cls, name: str, residuals, tolerance: float) -> "ResidualReport":
-        residuals = np.asarray(residuals, dtype=float)
-        if residuals.size == 0:
-            return cls(name, 0.0, tolerance, True)
-        worst = np.max(residuals, axis=0)  # NaN if there is one
-        if residuals.ndim == 1:
-            return cls(name, float(worst), tolerance, bool(worst <= tolerance))
-        return cls(name, worst, tolerance, worst <= tolerance)
-
-
-@dataclass(frozen=True)
-class Prop1Report:
-    """Paired residuals for the direction identity and the variance identity."""
-
-    direction: ResidualReport
-    variance: ResidualReport
-
-    @property
-    def passed(self) -> bool:
-        """Whether every column passes both comparisons."""
-        return bool(np.all(self.direction.passed) and np.all(self.variance.passed))
 
 
 def scalar_adam_trace(signal, beta: float | np.ndarray) -> dict[str, np.ndarray]:
@@ -105,15 +68,15 @@ def scalar_adam_trace(signal, beta: float | np.ndarray) -> dict[str, np.ndarray]
     return {"m": m_arr, "v": v_arr, "delta": delta_arr, "d_standard": d_std, "d_variance": d_var}
 
 
-def check_prop1(signal, beta: float | np.ndarray, tol: float = 1e-9) -> Prop1Report:
-    """Compare the two direction forms and the two variance computations.
+def check_prop1(signal, beta: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """The maximum residuals ``(direction, variance)`` of the two direction forms and the two variance computations.
 
-    Takes the shapes :func:`scalar_adam_trace` takes; a ``(T, C)`` signal
-    gives per-column reports. The direction residual
-    ``|d_standard - d_variance|`` is absolute (both streams are bounded by
-    1); the variance residual ``|(v - m^2) - delta|`` is reported relative to
-    the running scale of its column's variance term, and passes within
-    ``tol / 10``.
+    Takes the shapes :func:`scalar_adam_trace` takes: a ``(T,)`` signal gives
+    two floats, a ``(T, C)`` signal two ``(C,)`` arrays, one value per column.
+    The direction residual ``|d_standard - d_variance|`` is absolute (both
+    streams are bounded by 1); the variance residual ``|(v - m^2) - delta|``
+    is relative to the running scale of its column's variance term. A NaN
+    residual gives a NaN maximum.
     """
     # no caller sees the trace, so the residuals overwrite its arrays: the working set stays at its size
     trace = scalar_adam_trace(signal, beta)
@@ -125,11 +88,7 @@ def check_prop1(signal, beta: float | np.ndarray, tol: float = 1e-9) -> Prop1Rep
     variance_res = np.subtract(subtractive, trace["delta"], out=trace["d_variance"])
     np.abs(variance_res, out=variance_res)
     variance_res /= scale
-
-    return Prop1Report(
-        direction=ResidualReport.from_residuals("direction_forms", direction_res, tol),
-        variance=ResidualReport.from_residuals("variance_forms", variance_res, tol / 10.0),
-    )
+    return np.max(direction_res, axis=0), np.max(variance_res, axis=0)
 
 
 def prop2_condition(beta1: float, beta2: float) -> float:
@@ -177,13 +136,11 @@ def square_completion_margin(beta1: float, beta2: float) -> CompletionReport:
 def mollified_direction(m: float, variance: float) -> float:
     """``sign(m) / sqrt(1 + variance / m^2)``, i.e. ``m / sqrt(m^2 + variance)``.
 
-    Written in the ratio form so it stays stable for large ``|m|``.
+    The :func:`trust_radius` with the sign of ``m``, in the ratio form, which
+    stays stable for large ``|m|``.
     """
-    if variance < 0:
-        raise ValueError(f"variance must be nonnegative, got {variance}")
-    if m == 0:
-        return 0.0
-    return math.copysign(1.0 / math.sqrt(1.0 + variance / (m * m)), m)
+    radius = trust_radius(m, variance)  # raises for a negative variance
+    return math.copysign(radius, m) if m else 0.0  # -0.0 maps to 0.0
 
 
 def trust_radius(m: float, variance: float) -> float:

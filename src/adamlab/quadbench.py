@@ -56,9 +56,11 @@ record of stepping that run alone:
 
 :func:`run_experiment` is the one-run call of the engine.
 :func:`run_cell` batches cells of one optimizer kind (rates, and momentum
-pairs) over all seeds and returns each cell's runs with their final-loss
-quantiles and divergence count, the statistics that both ``quad``
-(through :func:`tune_and_compare`) and ``sweep`` report.
+pairs) over all seeds and returns each cell as a :class:`Cell`: its rate, its
+runs, their final-loss quantiles and divergence count, and the ``status``
+(``ok``, ``partial`` or ``all_diverged``) derived from them, the statistics
+that both ``quad`` (through :func:`tune_and_compare`, which keeps each
+optimizer's best cell) and ``sweep`` report.
 """
 from __future__ import annotations
 
@@ -500,18 +502,23 @@ def loss_quantiles(finals: np.ndarray) -> np.ndarray:
 
 
 class Cell(NamedTuple):
-    """The runs of one cell, one per seed, with their final-loss ``(median, q25, q75)`` and divergence count."""
+    """The runs of one cell at peak rate ``lr``, one per seed, with their final-loss quantiles and divergence count.
 
+    ``quantiles`` is ``(median, q25, q75)``; :attr:`status` is the one rule
+    that reads ``n_diverged`` as a verdict.
+    """
+
+    lr: float
     records: list[RunRecord]
     quantiles: tuple[float, float, float]
     n_diverged: int
 
-
-class OptimizerResult(NamedTuple):
-    """Tuning outcome for one optimizer on one problem: its best cell, whose rate is ``None`` if every run diverged."""
-
-    best_lr: float | None
-    cell: Cell
+    @property
+    def status(self) -> str:
+        """``all_diverged`` if every run diverged, ``partial`` if some did, else ``ok``."""
+        if self.n_diverged == len(self.records):
+            return "all_diverged"
+        return "partial" if self.n_diverged else "ok"
 
 
 def make_config_id(layout: str, label: str, lr: float) -> str:
@@ -542,20 +549,22 @@ def run_cell(
     records = run_batch(problem, runs, steps, batch_size, track_delta=track_delta)
     per_cell = [records[i : i + len(starts)] for i in range(0, len(records), len(starts))]
     stats = loss_quantiles(np.array([[record.final_loss() for record in own] for own in per_cell])).tolist()
-    return [Cell(own, tuple(row), sum(record.diverged for record in own)) for own, row in zip(per_cell, stats)]
+    return [
+        Cell(lr, own, tuple(row), sum(record.diverged for record in own))
+        for (_, lr, _), own, row in zip(cells, per_cell, stats)
+    ]
 
 
 def tune_and_compare(
     problem: QuadraticProblem, optimizers: dict[str, OptimizerConfig], lr_grid, seeds, steps: int, batch_size: int
-) -> dict[str, OptimizerResult]:
-    """Tune each optimizer over the learning-rate grid; the result of each label, in sorted label order.
+) -> dict[str, Cell]:
+    """Tune each optimizer over the learning-rate grid; the best :class:`Cell` of each label, in sorted label order.
 
     For every grid point all seeds are run (all rates and seeds of one
-    optimizer as one :func:`run_cell` batch); the selected rate minimizes the
-    median final loss (ties break toward the smaller rate). A cell in which
-    every run diverged has no rate to report. Per-seed starting points are
-    shared across optimizers; the subsampling stream is derived from
-    ``(seed, config_id)`` so each cell replays identically in isolation.
+    optimizer as one :func:`run_cell` batch); the best cell minimizes the
+    median final loss (ties break toward the smaller rate). Per-seed starting
+    points are shared across optimizers; the subsampling stream is derived
+    from ``(seed, config_id)`` so each cell replays identically in isolation.
     """
     lr_grid = tuple(sorted(float(lr) for lr in lr_grid))
     if not lr_grid or not optimizers:
@@ -568,9 +577,7 @@ def tune_and_compare(
         grid = [(optimizers[label], lr, make_config_id(layout, label, lr)) for lr in lr_grid]
         cells = run_cell(problem, grid, starts, steps, batch_size)
         medians = [cell.quantiles[0] for cell in cells]
-        best = medians.index(min(medians))  # the first minimum: ties break toward the smaller rate
-        cell = cells[best]
-        results[label] = OptimizerResult(None if cell.n_diverged == len(starts) else lr_grid[best], cell)
+        results[label] = cells[medians.index(min(medians))]  # the first minimum: ties break toward the smaller rate
     return results
 
 
@@ -589,7 +596,7 @@ def default_quad_config(
 
 def signum_epsilon_ablation(
     problem: QuadraticProblem, eps_values, lr_grid, seeds, steps: int, batch_size: int, beta: float
-) -> dict[str, OptimizerResult]:
+) -> dict[str, Cell]:
     """Fixed-epsilon mollified sign momentum (both placements) vs the adaptive form.
 
     Labels are ``signum-eps{value}-{placement}`` plus the ``adameq`` baseline.

@@ -625,12 +625,13 @@ def test_quad_csvs_equal_best_cells_on_reference(tmp_path, capsys):
     """``summary.csv`` and ``runs.csv`` of ``quad`` are each optimizer's best cell on the reference stepper.
 
     The best cell is the first minimum of the median final loss; its status
-    is ``all_diverged`` (with an empty ``best_lr``) only when every seed
-    diverged, and its runs are the ones ``runs.csv`` lists. The first grid
-    holds rates that end no seed, some seeds and every seed; ``--lr 1e300``
-    ends every run; in the last grid, heterogeneous ``sgd`` ends two of
-    three seeds at 0.003, so both of its medians are inf and the tie goes to
-    the partly diverged cell.
+    is ``all_diverged`` (with an empty ``best_lr``) when every seed diverged,
+    ``partial`` when some did, else ``ok``, and its runs are the ones
+    ``runs.csv`` lists. The first grid holds rates that end no seed, some
+    seeds and every seed; ``--lr 1e300`` ends every run; in the last grid,
+    heterogeneous ``sgd`` ends two of three seeds at 0.003, so both of its
+    medians are inf and the tie goes to the partly diverged (``partial``)
+    cell.
     """
     names, n_seeds, steps = ("sgd", "signum", "adameq", "adam"), 3, 60
     grid = (2.0**-9, 0.003, 3000.0, 10000.0, 30000.0)
@@ -664,7 +665,7 @@ def test_quad_csvs_equal_best_cells_on_reference(tmp_path, capsys):
                 tied_partial |= medians.count(medians[best]) > 1 and 0 < n_diverged < n_seeds
                 all_diverged = n_diverged == n_seeds
                 best_lr = "" if all_diverged else fmt_float(rates[best])
-                status = "all_diverged" if all_diverged else "ok"
+                status = "all_diverged" if all_diverged else "partial" if n_diverged else "ok"
                 summary.append([name, layout, best_lr, *map(fmt_float, stats[best]), status])
                 for record in cells[best]:
                     for step, loss in enumerate(record.losses.tolist()):
