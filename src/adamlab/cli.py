@@ -32,6 +32,9 @@ import numpy as np
 
 from .core import beta_grid, max_or_nan
 from .filters import (
+    BLINDNESS_TOL,
+    PROPERTY_TOL,
+    WITNESS_TOL,
     FilterKind,
     FilterSpec,
     SignalSpec,
@@ -113,10 +116,10 @@ class SignalConfig:
     command: str = "signal"
     filters: tuple[str, ...] = ("sign", "adameq", "signum", "emasign")
     beta: float = 0.95
-    amplitude: float = 1.8
-    frequency: float = 0.03
-    decay: float = 0.0025
-    length: int = 2000
+    amplitude: float = SignalSpec.amplitude
+    frequency: float = SignalSpec.frequency
+    decay: float = SignalSpec.decay
+    length: int = SignalSpec.length
     property_trials: int = 25
     base_seed: int = 0
 
@@ -353,13 +356,13 @@ def _suite_equalbeta(seed: int) -> list[dict]:
         for b2 in BETA_GRID_FULL:
             if b1 == b2:
                 continue
-            report = square_completion_margin(b1, b2)
+            margin, sqrt_defined = square_completion_margin(b1, b2)
             checks.append(
                 {
                     "name": f"completion_margin_b1={b1:g}_b2={b2:g}",
-                    "margin": _jsonable(report.margin),
-                    "sqrt_defined": report.sqrt_defined,
-                    "passed": report.margin > 1e-12,
+                    "margin": _jsonable(margin),
+                    "sqrt_defined": sqrt_defined,
+                    "passed": margin > 1e-12,
                 }
             )
     return checks
@@ -412,21 +415,18 @@ def _suite_signal(seed: int) -> list[dict]:
     rng = np.random.default_rng(derive_seed(seed, "verify", "signal"))
     checks = []
     for kind in FilterKind:
-        report = check_properties(FilterSpec(kind, beta=0.95), trials=25, tol=1e-12, rng=rng)
-        checks += [
-            _residual_check(f"{kind.value}_{check.name}", check.max_violation, check.tolerance)
-            for check in report.checks
-        ]
-    blind = decay_blindness(0.95, SignalSpec())
-    checks.append(_residual_check("decay_blindness_damped_sine", blind.max_gap, blind.tolerance))
+        violations = check_properties(FilterSpec(kind, beta=0.95), trials=25, rng=rng)
+        checks += [_residual_check(f"{kind.value}_{name}", value, PROPERTY_TOL) for name, value in violations.items()]
+    gap, _ = decay_blindness(0.95, SignalSpec())
+    checks.append(_residual_check("decay_blindness_damped_sine", gap, BLINDNESS_TOL))
     for target in (1.0, 0.37, -0.8, 0.0):
-        witness = density_witness(target, k=10, beta=0.9)
+        _, achieved = density_witness(target, k=10, beta=0.9)
         checks.append(
             {
                 "name": f"density_witness_target={target:g}",
-                "achieved": witness.achieved,
-                "tolerance": witness.tolerance,
-                "passed": witness.found,
+                "achieved": achieved,
+                "tolerance": WITNESS_TOL,
+                "passed": abs(achieved - target) <= WITNESS_TOL,
             }
         )
     return checks
@@ -545,14 +545,24 @@ def cmd_signal(args) -> int:
         response = filter_response(filt, signal)
         lines += [_RESPONSES_LINE % (name, beta_text, prefix, r) for prefix, r in zip(shared, response.tolist())]
         try:
-            report = check_properties(filt, trials=cfg.property_trials, rng=rng)
+            violations = check_properties(filt, trials=cfg.property_trials, rng=rng)
         except (MemoryError, ValueError) as exc:  # numpy's refusal to make the checks' column matrix
             raise ConfigError(f"field 'property_trials' is too large, got {cfg.property_trials}: {exc}") from None
-        reports[name] = report.to_dict()
+        checks = [
+            {"name": check, "max_violation": value, "tolerance": PROPERTY_TOL, "passed": value <= PROPERTY_TOL}
+            for check, value in violations.items()
+        ]
+        reports[name] = {
+            "label": name,
+            "trials": cfg.property_trials,
+            "checks": checks,
+            "passed": all(check["passed"] for check in checks),
+        }
+    gap, burn_in = decay_blindness(cfg.beta, spec)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "properties": reports,
-        "decay_blindness": dataclasses.asdict(decay_blindness(cfg.beta, spec)),
+        "decay_blindness": {"max_gap": gap, "tolerance": BLINDNESS_TOL, "burn_in": burn_in, "passed": gap <= BLINDNESS_TOL},
     }
     out_dir = _ensure_out(args.out)
     _write_csv(out_dir / "responses.csv", ["filter", "beta", "k", "input", "response"], lines)

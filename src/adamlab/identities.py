@@ -12,13 +12,12 @@ Three families of claims are made checkable here:
   ``sign(m) / sqrt(1 + variance/m^2)`` and its reading as a steepest-descent
   step inside a signal-to-noise trust region.
 
-All checks are numeric on supplied inputs and return residuals; the callers
-judge them against their own tolerances.
+All checks are numeric on supplied inputs and return residuals or margins;
+the callers judge them against their own tolerances.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,38 +98,23 @@ def prop2_condition(beta1: float, beta2: float) -> float:
     return (beta1 - beta2) ** 2
 
 
-@dataclass(frozen=True)
-class CompletionReport:
-    """Completing-the-square diagnosis for one momentum pair.
+def square_completion_margin(beta1: float, beta2: float) -> tuple[float, bool]:
+    """``(margin, sqrt_defined)``: how far the two-parameter update is from admitting a variance form.
 
-    ``leftover_coefficient`` is the factor multiplying ``m**2`` after the
-    cross term is absorbed into a perfect square; a valid single-EMA variance
-    form needs it to equal ``beta2``, and ``margin`` is their distance.
-    ``sqrt_defined`` records whether the absorbed square has a real root,
-    i.e. ``(1 - beta2) > (1 - beta1)**2``.
-    """
-
-    beta1: float
-    beta2: float
-    sqrt_defined: bool
-    leftover_coefficient: float | None
-    margin: float
-
-
-def square_completion_margin(beta1: float, beta2: float) -> CompletionReport:
-    """How far the two-parameter update is from admitting a variance form.
-
-    The margin is ``|leftover - beta2|``; it vanishes (up to rounding) only
-    for equal momentum parameters. When the coefficient formula is singular
-    the margin is reported as infinity.
+    Completing the square absorbs the cross term and leaves a coefficient
+    ``leftover`` on ``m**2``; a valid single-EMA variance form needs it to
+    equal ``beta2``, and the margin is ``|leftover - beta2|``. It vanishes
+    (up to rounding) only for equal momentum parameters, and is infinite
+    where the coefficient formula is singular. ``sqrt_defined`` records
+    whether the absorbed square has a real root, i.e.
+    ``(1 - beta2) > (1 - beta1)**2``.
     """
     prop2_condition(beta1, beta2)  # validates the domain
     denom = (1.0 - beta2) - (1.0 - beta1) ** 2
-    sqrt_defined = denom > 0
     if denom == 0:
-        return CompletionReport(beta1, beta2, False, None, math.inf)
+        return math.inf, False
     leftover = beta1 * beta1 * (1.0 - beta2) / denom
-    return CompletionReport(beta1, beta2, sqrt_defined, leftover, abs(leftover - beta2))
+    return abs(leftover - beta2), denom > 0
 
 
 def mollified_direction(m: float, variance: float) -> float:

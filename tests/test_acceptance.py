@@ -145,7 +145,7 @@ def test_criterion_3_equal_betas_characterization():
     for b1, b2 in itertools.product(BETA1_GRID, BETA2_GRID):
         if b1 == b2:
             continue
-        margins[(b1, b2)] = square_completion_margin(b1, b2).margin
+        margins[(b1, b2)], _ = square_completion_margin(b1, b2)
     min_margin = min(margins.values())
     for (b1, b2), margin in sorted(margins.items()):
         print(f"    pair (b1={b1:g}, b2={b2:g}): leftover margin {margin:.6g}")
@@ -227,19 +227,18 @@ def test_criterion_7_filter_properties():
     rng = np.random.default_rng(derive_seed(BASE_SEED, "acceptance", "filters"))
     failures = []
     for kind in FilterKind:
-        rep = check_properties(FilterSpec(kind, beta=BETA), trials=100, tol=1e-12, rng=rng)
-        for check in rep.checks:
-            if not check.passed:
-                failures.append(f"{kind.value}/{check.name}={check.max_violation:.2e}")
-    blind = decay_blindness(BETA, SignalSpec(amplitude=1.8, frequency=0.03, decay=0.0025, length=2000))
-    passed = not failures and blind.passed
+        worst = check_properties(FilterSpec(kind, beta=BETA), trials=100, rng=rng)
+        for name, value in worst.items():
+            if not value <= 1e-12:
+                failures.append(f"{kind.value}/{name}={value:.2e}")
+    gap, burn_in = decay_blindness(BETA, SignalSpec(amplitude=1.8, frequency=0.03, decay=0.0025, length=2000))
+    passed = not failures and gap <= 0.05
     report(
         7,
         "filter operator properties",
         passed,
         f"property violations: {failures or 'none'} (tol 1e-12); "
-        f"decay-blindness gap {blind.max_gap:.4f} (tol {blind.tolerance}) "
-        f"after {blind.burn_in}-step burn-in",
+        f"decay-blindness gap {gap:.4f} (tol 0.05) after {burn_in}-step burn-in",
     )
 
 

@@ -574,8 +574,15 @@ class TestVerifyCommand:
                 lambda prior, g, lam: types.SimpleNamespace(mean=math.nan, variance=math.nan),
                 {"closed_form_vs_oracle_parameters", "closed_form_objective_gap"},
             ),
+            (
+                "signal",
+                "check_properties",
+                lambda filt, trials, *, rng: {"causal": math.nan, "scaling": 0.0, "odd": 0.0, "bounded": 0.0},
+                {f"{kind.value}_causal" for kind in FilterKind},
+            ),
+            ("signal", "decay_blindness", lambda beta, spec: (math.nan, 0), {"decay_blindness_damped_sine"}),
         ],
-        ids=["prop1", "trust", "vi-objective", "vi-candidates", "vi-oracle"],
+        ids=["prop1", "trust", "vi-objective", "vi-candidates", "vi-oracle", "signal-properties", "signal-blindness"],
     )
     def test_nan_residual_fails_its_check(self, monkeypatch, capsys, suite, name, fake, failing):
         # negative control: a running max(worst, nan) kept the old value, so NaN passed
@@ -587,6 +594,15 @@ class TestVerifyCommand:
         failed = {c["name"].split("_beta=")[0] for c in checks if not c["passed"]}
         assert failed == failing
         assert all(math.isnan(c["max_abs_residual"]) for c in checks if not c["passed"])
+
+    def test_nan_density_witness_fails_its_checks(self, monkeypatch, capsys):
+        # negative control: a NaN response is no witness for any target
+        monkeypatch.setattr(cli, "density_witness", lambda target, k, beta: (np.zeros(k + 1), math.nan))
+        assert main(["verify", "--suite", "signal"]) == EXIT_CHECK_FAILURE
+        checks = json.loads(capsys.readouterr().out)["suites"]["signal"]["checks"]
+        failed = {c["name"]: c["achieved"] for c in checks if not c["passed"]}
+        assert failed.keys() == {f"density_witness_target={t:g}" for t in (1.0, 0.37, -0.8, 0.0)}
+        assert all(math.isnan(value) for value in failed.values())
 
     def test_oracle_error_fails_its_checks(self, monkeypatch, capsys):
         # negative control: an oracle that cannot bracket its optimum is a failed check, not a traceback
@@ -811,6 +827,25 @@ class TestSignalCommand:
         resp = np.array([float(r.split(",")[4]) for r in rows])
         # after the zero-init transient the output repeats with the input period
         assert np.max(np.abs(resp[250:300] - resp[300:350])) <= 1e-3
+
+    def test_properties_file_shape(self, tmp_path, capsys):
+        # a fast-decaying envelope that equal-beta Adam does not ignore: decay blindness fails
+        rc = main(["signal", "--decay", "0.5", "--length", "400", "--beta", "0.3", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        payload = json.loads((tmp_path / "signal_properties.json").read_text())
+        assert set(payload) == {"schema_version", "properties", "decay_blindness"}
+        assert list(payload["properties"]) == ["adameq", "emasign", "sign", "signum"]
+        for name, report in payload["properties"].items():
+            assert set(report) == {"label", "trials", "checks", "passed"}
+            assert report["label"] == name and report["trials"] == 25
+            assert [check["name"] for check in report["checks"]] == ["causal", "scaling", "odd", "bounded"]
+            for check in report["checks"]:
+                assert set(check) == {"name", "max_violation", "tolerance", "passed"}
+                assert check["tolerance"] == 1e-12
+        blind = payload["decay_blindness"]
+        assert blind["max_gap"] > 0.05
+        assert blind == {"max_gap": blind["max_gap"], "burn_in": 210, "passed": False, "tolerance": 0.05}
 
 
 class TestSweepCommand:

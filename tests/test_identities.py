@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from adamlab.identities import (
-    CompletionReport,
     check_prop1,
     mollified_direction,
     prop2_condition,
@@ -163,29 +162,29 @@ class TestEqualBetaNecessity:
 
     def test_completion_margin_vanishes_for_equal_betas(self):
         for beta in BETA_GRID_COLS:
-            report = square_completion_margin(beta, beta)
-            assert report.sqrt_defined
-            assert report.margin <= 1e-12
+            margin, sqrt_defined = square_completion_margin(beta, beta)
+            assert sqrt_defined
+            assert margin <= 1e-12
 
     def test_completion_margin_example_pair(self):
-        report = square_completion_margin(0.9, 0.95)
-        # leftover = 0.81 * 0.05 / (0.05 - 0.01) = 1.0125
-        assert report.leftover_coefficient == pytest.approx(1.0125, rel=1e-12)
-        assert report.margin == pytest.approx(0.0625, rel=1e-10)
+        margin, sqrt_defined = square_completion_margin(0.9, 0.95)
+        # leftover = 0.81 * 0.05 / (0.05 - 0.01) = 1.0125, and |1.0125 - 0.95| = 0.0625
+        assert sqrt_defined
+        assert margin == pytest.approx(0.0625, rel=1e-10)
 
     def test_undefined_root_still_witnesses_mismatch(self):
-        report = square_completion_margin(0.9, 0.999)
-        assert not report.sqrt_defined
-        assert report.leftover_coefficient == pytest.approx(-0.09, rel=1e-10)
-        assert report.margin > 0.1
+        margin, sqrt_defined = square_completion_margin(0.9, 0.999)
+        assert not sqrt_defined
+        # leftover = 0.81 * 0.001 / (0.001 - 0.01) = -0.09, and |-0.09 - 0.999| = 1.089
+        assert margin == pytest.approx(1.089, rel=1e-10)
 
     def test_grid_margins_nonzero_off_diagonal(self):
         for b1 in BETA_GRID_ROWS:
             for b2 in BETA_GRID_COLS:
                 if b1 == b2:
                     continue
-                report = square_completion_margin(b1, b2)
-                assert report.margin > 1e-6, (b1, b2)
+                margin, _ = square_completion_margin(b1, b2)
+                assert margin > 1e-6, (b1, b2)
 
 
 class TestMollifierGeometry:
