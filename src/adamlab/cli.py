@@ -55,7 +55,6 @@ from .identities import (
 from .optim import OptimizerKind
 from .quadbench import (
     DEFAULT_LR_GRID,
-    BlockSpec,
     Layout,
     build_problem,
     check_seed,
@@ -190,7 +189,7 @@ def _field_types(cls) -> dict:
 
 
 def _build_config(cls, data: dict):
-    """Build ``cls`` from field values, rejecting unknown fields, wrong types, empty lists and unknown names."""
+    """Build ``cls`` from field values, rejecting unknown fields, wrong types, empty or repeating lists and unknown names."""
     hints = _field_types(cls)
     unknown = sorted(set(data) - set(hints))
     if unknown:
@@ -199,6 +198,8 @@ def _build_config(cls, data: dict):
     for name, value in values.items():
         if value == ():
             raise ConfigError(f"field {name!r} must not be empty")
+        if isinstance(value, tuple) and len(set(value)) < len(value):
+            raise ConfigError(f"field {name!r} must not repeat a value")
         if name in _NAMED_FIELDS:
             what, kinds = _NAMED_FIELDS[name]
             choices = sorted(kind.value for kind in kinds)
@@ -484,9 +485,7 @@ def cmd_quad(args) -> int:
     optimizers = {name: default_quad_config(OptimizerKind(name), cfg.beta) for name in cfg.optimizers}
     for layout_name in cfg.layouts:
         layout = Layout(layout_name)
-        problem = build_problem(
-            BlockSpec.for_layout(layout), derive_seed(cfg.base_seed, "problem", layout.value)
-        )
+        problem = build_problem(layout, cfg.base_seed)
         results = tune_and_compare(problem, optimizers, cfg.lr_grid, cfg.seeds, cfg.steps, cfg.batch_size)
         for label, cell in results.items():
             status = cell.status
@@ -577,7 +576,7 @@ def cmd_signal(args) -> int:
 
 def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[str]:
     """Run every (betas, rate, seed) of one optimizer as one batch; one CSV line per (betas, rate)."""
-    layout = problem.spec.layout.value
+    layout = problem.layout.value
     kind = OptimizerKind(name)
     pairs = _beta_pairs(kind, betas, cfg.equal_betas)
     cells = [(beta1, beta2, lr) for beta1, beta2 in pairs for lr in cfg.lr_grid]
@@ -623,9 +622,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--jobs must be 1 (sweep runs in one process), got {args.jobs}")
     cfg = _load_config(args.config, "sweep", overrides)
     layout = Layout(cfg.layout)
-    problem = build_problem(
-        BlockSpec.for_layout(layout), derive_seed(cfg.base_seed, "problem", layout.value)
-    )
+    problem = build_problem(layout, cfg.base_seed)
     betas = beta_grid(cfg.beta_base, cfg.kappas)
     starts = [(seed, initial_point(problem.dim, seed)) for seed in cfg.seeds]
     lines = [line for name in cfg.optimizers for line in _sweep_batch(problem, cfg, name, betas, starts)]

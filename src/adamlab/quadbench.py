@@ -89,9 +89,6 @@ from .optim import (
     step_moments,
 )
 
-HETEROGENEOUS_BLOCKS = ((1.0, 2.0, 3.0), (99.0, 100.0, 101.0), (4998.0, 4999.0, 5000.0))
-HOMOGENEOUS_BLOCKS = ((1.0, 99.0, 4998.0), (2.0, 100.0, 4999.0), (3.0, 101.0, 5000.0))
-
 DIVERGENCE_THRESHOLD = 1e12
 
 #: powers-of-two learning-rate grid used for tuning, 2^-16 .. 2^2
@@ -123,37 +120,13 @@ class Layout(enum.Enum):
     HOMOGENEOUS = "hom"
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """Eigenvalue triples per block plus the layout label."""
-
-    blocks: tuple[tuple[float, ...], ...]
-    layout: Layout
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("at least one block required")
-        for block in self.blocks:
-            if not block or any(ev <= 0 for ev in block):
-                raise ValueError("all eigenvalues must be positive")
-
-    @classmethod
-    def heterogeneous(cls) -> "BlockSpec":
-        return cls(HETEROGENEOUS_BLOCKS, Layout.HETEROGENEOUS)
-
-    @classmethod
-    def homogeneous(cls) -> "BlockSpec":
-        return cls(HOMOGENEOUS_BLOCKS, Layout.HOMOGENEOUS)
-
-    @classmethod
-    def for_layout(cls, layout: Layout) -> "BlockSpec":
-        if layout is Layout.HETEROGENEOUS:
-            return cls.heterogeneous()
-        return cls.homogeneous()
-
-    @property
-    def dim(self) -> int:
-        return sum(len(block) for block in self.blocks)
+#: the eigenvalues of each 3x3 block, per layout: one spectrum, kept per scale or mixed across blocks
+BLOCKS = {
+    Layout.HETEROGENEOUS: ((1.0, 2.0, 3.0), (99.0, 100.0, 101.0), (4998.0, 4999.0, 5000.0)),
+    Layout.HOMOGENEOUS: ((1.0, 99.0, 4998.0), (2.0, 100.0, 4999.0), (3.0, 101.0, 5000.0)),
+}
+#: the rows and columns of the three blocks
+BLOCK_SLICES = (slice(0, 3), slice(3, 6), slice(6, 9))
 
 
 def rotation_from_factor(a: np.ndarray) -> np.ndarray:
@@ -173,8 +146,8 @@ def rotation_from_factor(a: np.ndarray) -> np.ndarray:
     return evecs
 
 
-def haar_rotation(rng: np.random.Generator, dim: int = 3) -> np.ndarray:
-    """Random rotation from the eigenvectors of a Wishart sample.
+def haar_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Random 3x3 rotation from the eigenvectors of a Wishart sample.
 
     Resamples (advancing the generator) in the measure-zero event that the
     eigenvalues of ``A A^T`` coincide to machine precision, since the
@@ -182,10 +155,10 @@ def haar_rotation(rng: np.random.Generator, dim: int = 3) -> np.ndarray:
     row are degenerate.
     """
     for _ in range(100):
-        a = rng.standard_normal((dim, dim))
+        a = rng.standard_normal((3, 3))
         evals = np.linalg.eigvalsh(a @ a.T)
         gaps = np.diff(evals)
-        if gaps.size and np.min(gaps) <= 1e-12 * max(evals[-1], 1e-300):
+        if np.min(gaps) <= 1e-12 * max(evals[-1], 1e-300):
             continue
         return rotation_from_factor(a)
     raise ValueError("could not sample a non-degenerate rotation in 100 draws")
@@ -193,55 +166,41 @@ def haar_rotation(rng: np.random.Generator, dim: int = 3) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticProblem:
-    """Assembled quadratic: Hessian, its square-root design matrix, metadata."""
+    """Assembled quadratic: Hessian, its square-root design matrix, and the layout it was built from."""
 
     hessian: np.ndarray
     design: np.ndarray
-    spec: BlockSpec
+    layout: Layout
 
     @property
     def dim(self) -> int:
         return self.hessian.shape[0]
-
-    @property
-    def block_slices(self) -> tuple[slice, ...]:
-        out, start = [], 0
-        for block in self.spec.blocks:
-            out.append(slice(start, start + len(block)))
-            start += len(block)
-        return tuple(out)
 
     def loss(self, w: np.ndarray):
         """``0.5 * w^T H w`` over the last axis: a ``(steps, R, dim)`` history gives ``(steps, R)`` losses."""
         w = np.asarray(w, dtype=float)
         return 0.5 * (w[..., None, :] @ (self.hessian @ w[..., :, None]))[..., 0, 0]
 
-    def full_gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.hessian @ w
 
+def build_problem(layout: Layout, base_seed: int) -> QuadraticProblem:
+    """Rotate each diagonal block of ``layout`` by an independent Haar rotation.
 
-def build_problem(spec: BlockSpec, seed: int) -> QuadraticProblem:
-    """Rotate each diagonal block by an independent Haar rotation.
-
-    The block square roots come straight from the known eigendecomposition
-    (``Q diag(sqrt(eig)) Q^T``), so no general matrix square root is needed.
+    The rotations are drawn from ``derive_seed(base_seed, "problem",
+    layout.value)``. The block square roots come straight from the known
+    eigendecomposition (``Q diag(sqrt(eig)) Q^T``), so no general matrix
+    square root is needed.
     """
-    rng = np.random.default_rng(seed)
-    dim = spec.dim
-    hessian = np.zeros((dim, dim))
-    design = np.zeros((dim, dim))
-    start = 0
-    for block in spec.blocks:
-        size = len(block)
-        q = haar_rotation(rng, size)
+    rng = np.random.default_rng(derive_seed(base_seed, "problem", layout.value))
+    hessian = np.zeros((9, 9))
+    design = np.zeros((9, 9))
+    for sl, block in zip(BLOCK_SLICES, BLOCKS[layout]):
+        q = haar_rotation(rng)
         lam = np.asarray(block, dtype=float)
         h_b = q @ np.diag(lam) @ q.T
         x_b = q @ np.diag(np.sqrt(lam)) @ q.T
-        sl = slice(start, start + size)
         hessian[sl, sl] = (h_b + h_b.T) / 2.0
         design[sl, sl] = (x_b + x_b.T) / 2.0
-        start += size
-    return QuadraticProblem(hessian=hessian, design=design, spec=spec)
+    return QuadraticProblem(hessian=hessian, design=design, layout=layout)
 
 
 def subset_gradient(problem: QuadraticProblem, w: np.ndarray, rows, out=(None, None, None)) -> np.ndarray:
@@ -432,7 +391,7 @@ def run_batch(
             if track_delta:
                 delta_estimate(config, hat, out=snapshots[k])
         if track_delta:
-            block_sums = np.stack([np.add.reduce(snapshots[..., sl], axis=-1) for sl in problem.block_slices], -1)
+            block_sums = np.stack([np.add.reduce(snapshots[..., sl], axis=-1) for sl in BLOCK_SLICES], -1)
             del snapshots
         losses = problem.loss(points)
         # not ``abs(loss) <= threshold``: a finite loss below -threshold does not end a run
@@ -440,7 +399,6 @@ def run_batch(
     ended = beyond.any(axis=0).tolist()
     ends = beyond.argmax(axis=0).tolist()
 
-    sizes = np.array([sl.stop - sl.start for sl in problem.block_slices], dtype=float)
     records = []
     for i, run in enumerate(runs):
         at = ends[i] if ended[i] else None
@@ -451,7 +409,7 @@ def run_batch(
                 config_id=run.config_id,
                 seed=run.seed,
                 losses=losses[:recorded, i].copy(),
-                delta_block_means=block_sums[:recorded, i] / sizes if track_delta else None,
+                delta_block_means=block_sums[:recorded, i] / 3.0 if track_delta else None,
                 diverged_at=at,
                 reason=reason,
             )
@@ -569,7 +527,7 @@ def tune_and_compare(
     lr_grid = tuple(sorted(float(lr) for lr in lr_grid))
     if not lr_grid or not optimizers:
         raise ValueError("lr_grid and optimizers must be nonempty")
-    layout = problem.spec.layout.value
+    layout = problem.layout.value
     starts = [(seed, initial_point(problem.dim, seed)) for seed in map(int, seeds)]
 
     results = {}

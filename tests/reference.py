@@ -26,7 +26,7 @@ import numpy as np
 
 from adamlab.core import lr_at
 from adamlab.optim import EpsilonPlacement, OptimizerKind
-from adamlab.quadbench import DIVERGENCE_THRESHOLD, RunRecord, derive_seed, subset_gradient
+from adamlab.quadbench import BLOCK_SLICES, DIVERGENCE_THRESHOLD, RunRecord, derive_seed, subset_gradient
 
 #: the kinds with a second moment, whose moments are bias-corrected and give a variance term
 SECOND_MOMENT = (OptimizerKind.RMSPROP, OptimizerKind.ADAM, OptimizerKind.ADAM_EQUAL_BETA)
@@ -132,9 +132,9 @@ def run(problem, spec, steps, batch_size) -> RunRecord:
         losses.append(loss)
         if track:
             variance = stepper.variance()
-            block_means.append([np.mean(variance[sl]) for sl in problem.block_slices])
+            block_means.append([np.mean(variance[sl]) for sl in BLOCK_SLICES])
         if loss > DIVERGENCE_THRESHOLD:
             end, reason = k, "threshold"
             break
-    means = np.reshape(block_means, (-1, len(problem.block_slices))) if track else None
+    means = np.reshape(block_means, (-1, len(BLOCK_SLICES))) if track else None
     return RunRecord(config_id, seed, np.array(losses, dtype=float), means, end, reason)

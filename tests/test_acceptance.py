@@ -18,7 +18,6 @@ from adamlab.identities import check_prop1, prop2_condition, square_completion_m
 from adamlab.optim import OptimizerKind
 from adamlab.quadbench import (
     DEFAULT_LR_GRID,
-    BlockSpec,
     Layout,
     build_problem,
     default_quad_config,
@@ -46,9 +45,7 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> None:
 
 
 def _problem(layout: Layout):
-    return build_problem(
-        BlockSpec.for_layout(layout), derive_seed(BASE_SEED, "problem", layout.value)
-    )
+    return build_problem(layout, BASE_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -251,7 +248,7 @@ def test_criterion_8_gradient_unbiasedness():
     for _ in range(20):
         w = rng.standard_normal(9)
         avg = sum(subset_gradient(problem, w, rows) for rows in subsets) / len(subsets)
-        exact = problem.full_gradient(w)
+        exact = problem.hessian @ w
         scale = max(1.0, float(np.max(np.abs(exact))))
         worst = max_or_nan(worst, float(np.max(np.abs(avg - exact))) / scale)
     report(

@@ -1,4 +1,5 @@
 """CLI harness: config round-trips, artifact formats, determinism, exit codes."""
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -6,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -94,9 +96,9 @@ NAME_FIELDS = {"layouts": Layout, "layout": Layout, "optimizers": OptimizerKind,
 
 
 def _values(hint, kinds=None):
-    """Well-typed values for a config field; lists are nonempty, and names are values of ``kinds``."""
+    """Well-typed values for a config field; lists are nonempty without repeats, and names are values of ``kinds``."""
     if typing.get_origin(hint) is tuple:
-        return st.lists(_values(typing.get_args(hint)[0], kinds), min_size=1, max_size=4).map(tuple)
+        return st.lists(_values(typing.get_args(hint)[0], kinds), min_size=1, max_size=4, unique=True).map(tuple)
     if kinds is not None:
         return st.sampled_from([kind.value for kind in kinds])
     return {
@@ -225,6 +227,10 @@ class TestRejectedInputs:
             # more seeds than range() can count: rejected before anything is allocated
             ["quad", "--seeds", "100000000000000000000", "--steps", "5"],
             ["sweep", "--seeds", "100000000000000000000", "--steps", "5"],
+            # a repeated value, which would run or write one thing twice
+            ["quad", "--optim", "sgd", "--optim", "sgd", "--steps", "5", "--seeds", "1"],
+            ["signal", "--filter", "sign", "--filter", "sign", "--length", "50"],
+            ["sweep", "--kappas", "1", "1", "--steps", "5", "--seeds", "1"],
         ],
     )
     def test_flag_values_exit_2(self, tmp_path, argv):
@@ -258,6 +264,10 @@ class TestRejectedInputs:
             pytest.param("signal", "property_trials", 10**9, id="signal-property_trials-10**9"),
             pytest.param("signal", "property_trials", 10**15, id="signal-property_trials-10**15"),
             pytest.param("signal", "property_trials", 10**29, id="signal-property_trials-10**29"),
+            # repeated values
+            ("quad", "layouts", ["het", "het"]),
+            ("quad", "seeds", [0, 0]),
+            ("quad", "lr_grid", [0.01, 0.01]),
         ],
     )
     def test_config_values_exit_2(self, tmp_path, command, name, value):
@@ -265,6 +275,7 @@ class TestRejectedInputs:
         _assert_usage_error(rc, err)
         if name == "property_trials":
             assert err.startswith("config error: field 'property_trials' "), err
+        assert not (tmp_path / "out").exists()
 
     def test_deeply_nested_config_exits_2(self, tmp_path):
         # json.loads raises RecursionError long before it reads all 200,000 brackets
@@ -1114,3 +1125,21 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     rc = main(["verify", "--suite", "prop1"])
     capsys.readouterr()
     assert rc == EXIT_CHECK_FAILURE
+
+
+def test_readme_synopsis_lists_every_flag():
+    """Each subcommand's ``--flags`` in README's CLI block are exactly its parser's options, less ``-h/--help``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+    listed, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("adamlab "):
+            command = line.split()[1]
+        listed.setdefault(command, []).extend(re.findall(r"--[a-z][a-z-]*", line))
+    parser = cli.build_parser()
+    (subparsers,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    accepted = {
+        name: sorted(option for action in sub._actions for option in action.option_strings if option not in ("-h", "--help"))
+        for name, sub in subparsers.choices.items()
+    }
+    assert {name: sorted(flags) for name, flags in listed.items()} == accepted

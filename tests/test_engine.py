@@ -25,16 +25,14 @@ from adamlab.optim import (
     init_state,
 )
 from adamlab.quadbench import (
+    BLOCK_SLICES,
     DIVERGENCE_THRESHOLD,
-    HOMOGENEOUS_BLOCKS,
-    BlockSpec,
     Layout,
     QuadraticProblem,
     RunRecord,
     RunSpec,
     build_problem,
     default_quad_config,
-    derive_seed,
     draw_rows,
     initial_point,
     loss_quantiles,
@@ -53,6 +51,7 @@ REFERENCE_IMPORTS = {
     "adamlab.core.lr_at",
     "adamlab.optim.EpsilonPlacement",
     "adamlab.optim.OptimizerKind",
+    "adamlab.quadbench.BLOCK_SLICES",
     "adamlab.quadbench.DIVERGENCE_THRESHOLD",
     "adamlab.quadbench.RunRecord",
     "adamlab.quadbench.derive_seed",
@@ -107,7 +106,7 @@ def test_batch_equals_reference_stepper(kind, placement, epsilon, betas, batch_s
     if kind is OptimizerKind.ADAM_EQUAL_BETA:
         beta2 = beta1
     config = OptimizerConfig(kind, beta1=beta1, beta2=beta2, epsilon=epsilon, epsilon_placement=placement)
-    problem = build_problem(BlockSpec.for_layout(layout), seed=len(rates))
+    problem = build_problem(layout, len(rates))
     steps = 40
     runs = [
         RunSpec(config, lr, initial_point(problem.dim, seed), seed, f"cell:{lr!r}")
@@ -119,7 +118,7 @@ def test_batch_equals_reference_stepper(kind, placement, epsilon, betas, batch_s
 
 def test_rates_cover_both_divergence_reasons():
     """The example rates above reach both ways of diverging."""
-    problem = build_problem(BlockSpec.heterogeneous(), seed=1)
+    problem = build_problem(Layout.HETEROGENEOUS, 1)
     config = OptimizerConfig(OptimizerKind.SGD, beta1=0.0)
     runs = [RunSpec(config, lr, initial_point(9, 0), 0) for lr in RATES]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -131,7 +130,7 @@ class TestDivergenceReasons:
     """Full-batch SGD without momentum over 5 steps, too few for a warmup: every step is ``w - lr*H w``."""
 
     def setup_method(self):
-        self.problem = build_problem(BlockSpec.heterogeneous(), seed=2)
+        self.problem = build_problem(Layout.HETEROGENEOUS, 2)
         self.config = OptimizerConfig(OptimizerKind.SGD, beta1=0.0)
         self.w0 = initial_point(9, 0)
 
@@ -189,7 +188,7 @@ def test_pre_drawn_rows_validate_batch_size(monkeypatch, tmp_path, capsys):
         raise AssertionError("rows drawn for an invalid batch size")
 
     rng = np.random.default_rng(0)
-    problem = build_problem(BlockSpec.heterogeneous(), seed=0)
+    problem = build_problem(Layout.HETEROGENEOUS, 0)
     run = RunSpec(OptimizerConfig(OptimizerKind.SIGNUM), 0.01, initial_point(9, 0), 0)
     for batch_size in (0, -1, 10):
         message = re.escape(f"batch_size must be in [1, 9], got {batch_size}")
@@ -222,14 +221,10 @@ def test_batch_checks_rates_and_steps_before_drawing(monkeypatch, rates, steps, 
         raise AssertionError("rows drawn for an invalid schedule")
 
     monkeypatch.setattr(quadbench, "draw_rows", no_draw)
-    problem = build_problem(BlockSpec.heterogeneous(), seed=0)
+    problem = build_problem(Layout.HETEROGENEOUS, 0)
     runs = [RunSpec(OptimizerConfig(OptimizerKind.SIGNUM), lr, initial_point(9, 0), 0) for lr in rates]
     with pytest.raises(ValueError, match=re.escape(message)):
         run_batch(problem, runs, steps, 3)
-
-
-#: the blocks of unequal sizes that the block means are also pinned on
-UNEQUAL_BLOCKS = ((1.0, 2.0, 3.0, 4.0), (5.0,), (6.0, 7.0))
 
 
 @settings(max_examples=50)
@@ -238,22 +233,22 @@ UNEQUAL_BLOCKS = ((1.0, 2.0, 3.0, 4.0), (5.0,), (6.0, 7.0))
     batch_size=st.integers(1, 9),
     n_runs=st.integers(1, 5),
     steps=st.integers(1, 6),
-    blocks=st.sampled_from((HOMOGENEOUS_BLOCKS, UNEQUAL_BLOCKS)),
+    layout=st.sampled_from(Layout),
+    base_seed=st.integers(0, 6),
 )
-def test_stacked_gradient_and_loss_match_one_run_forms(seed, batch_size, n_runs, steps, blocks):
+def test_stacked_gradient_and_loss_match_one_run_forms(seed, batch_size, n_runs, steps, layout, base_seed):
     """Row r of the stacked forms, at step k of a history, equals the one-run vector expressions bitwise."""
     rng = np.random.default_rng(seed)
-    problem = build_problem(BlockSpec(blocks, Layout.HOMOGENEOUS), seed=seed % 7)
+    problem = build_problem(layout, base_seed)
     dim = problem.dim
-    batch_size = min(batch_size, dim)
     history = rng.standard_normal((steps, n_runs, dim)) * 10.0 ** rng.integers(-6, 6, size=(steps, n_runs, 1))
     rows = draw_rows(rng, dim, steps * n_runs, batch_size).reshape(steps, n_runs, batch_size)
     losses = problem.loss(history)
-    block_sums = [np.add.reduce(history[..., sl], axis=-1) for sl in problem.block_slices]
+    block_sums = [np.add.reduce(history[..., sl], axis=-1) for sl in BLOCK_SLICES]
     for k, w in enumerate(history):
         g = subset_gradient(problem, w, rows[k])
         assert np.array_equal(losses[k], problem.loss(w))
-        for sl, sums in zip(problem.block_slices, block_sums):
+        for sl, sums in zip(BLOCK_SLICES, block_sums):
             assert np.array_equal(sums[k], np.add.reduce(w[:, sl], axis=-1))
         for r in range(n_runs):
             xb = problem.design[rows[k, r]]
@@ -262,8 +257,8 @@ def test_stacked_gradient_and_loss_match_one_run_forms(seed, batch_size, n_runs,
             assert np.array_equal(g[r], g_r)
             assert np.array_equal(subset_gradient(problem, w[r], rows[k, r]), g_r)
             assert losses[k, r] == loss_r == problem.loss(w[r])
-            for sl, sums in zip(problem.block_slices, block_sums):
-                assert sums[k, r] / (sl.stop - sl.start) == np.mean(w[r, sl])
+            for sl, sums in zip(BLOCK_SLICES, block_sums):
+                assert sums[k, r] / 3.0 == np.mean(w[r, sl])
 
 
 def assert_bitwise(got, expected):
@@ -296,7 +291,7 @@ def test_out_forms_equal_allocating_forms(kind, placement, epsilon, n_runs, batc
     their guards are met; ``apply_step`` also writes over its own ``d``.
     """
     rng = np.random.default_rng(seed)
-    problem = build_problem(BlockSpec.heterogeneous(), seed=seed % 3)
+    problem = build_problem(Layout.HETEROGENEOUS, seed % 3)
     shape = (n_runs, problem.dim)
     w = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=(n_runs, 1))
     rows = draw_rows(rng, problem.dim, n_runs, batch_size)
@@ -370,7 +365,7 @@ def mixed_runs(kind, pairs, rates, n_seeds, steps, **settings):
 )
 def test_record_does_not_depend_on_its_neighbours(kind, mix, layout):
     """A run's record in a mixed batch is its record alone, bit for bit, however its neighbours end."""
-    problem = build_problem(BlockSpec.for_layout(layout), seed=len(mix))
+    problem = build_problem(layout, len(mix))
     steps = 30
     runs = []
     for i, (lr, beta1, beta2) in enumerate(mix):
@@ -393,7 +388,7 @@ def test_minus_infinite_loss_ends_the_run_unrecorded(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(QuadraticProblem, "loss", recording_loss)
-    problem = build_problem(BlockSpec.homogeneous(), derive_seed(0, "problem", "hom"))
+    problem = build_problem(Layout.HOMOGENEOUS, 0)
     config = default_quad_config(OptimizerKind.ADAM_EQUAL_BETA)
     runs = [RunSpec(config, 1e300, initial_point(9, seed), seed, make_config_id("hom", "adameq", 1e300)) for seed in (0, 1)]
     # a slow neighbour steps on beside both overflowing runs
@@ -442,7 +437,7 @@ def test_end_test_follows_the_per_run_rule(columns):
         assert w.shape == (steps, n_runs, 9)
         return np.array(columns)
 
-    problem = build_problem(BlockSpec.heterogeneous(), 0)
+    problem = build_problem(Layout.HETEROGENEOUS, 0)
     config = default_quad_config(OptimizerKind.SGD)
     runs = [RunSpec(config, 2.0**-7, initial_point(9, seed), seed) for seed in range(n_runs)]
     with pytest.MonkeyPatch.context() as mp:
@@ -475,7 +470,7 @@ def test_end_test_follows_the_per_run_rule(columns):
 )
 def test_mixed_momentum_batch_equals_batch_per_pair_and_reference(kind, epsilon, pairs, rates, n_seeds, layout):
     """Runs that differ in momentum step together, beside ended runs that keep their beta rows."""
-    problem = build_problem(BlockSpec.for_layout(layout), seed=len(pairs))
+    problem = build_problem(layout, len(pairs))
     steps = 24
     # the drop-out rates come first, so every later run steps on beside ended ones
     runs = mixed_runs(kind, pairs, [*DROP_OUT_RATES, *rates], n_seeds, steps, epsilon=epsilon)
@@ -494,7 +489,7 @@ def test_mixed_momentum_batch_equals_batch_per_pair_and_reference(kind, epsilon,
 @pytest.mark.parametrize("kind", OptimizerKind)
 def test_batch_in_which_every_run_ends_early_equals_reference(kind):
     """No run is left after the first few steps, and the batch steps on to the end all the same."""
-    problem = build_problem(BlockSpec.homogeneous(), seed=6)
+    problem = build_problem(Layout.HOMOGENEOUS, 6)
     steps = 30
     runs = mixed_runs(kind, [(0.9, 0.999), (0.5, 0.9)], DROP_OUT_RATES, 2, steps)
     batch = assert_batch_equals_reference(problem, runs, steps, 3)
@@ -518,7 +513,7 @@ def test_bias_correction_powers_are_python_powers(monkeypatch):
         return corrected_moments(config, state, corrections, out)
 
     monkeypatch.setattr(quadbench, "corrected_moments", recording_moments)
-    problem = build_problem(BlockSpec.heterogeneous(), seed=3)
+    problem = build_problem(Layout.HETEROGENEOUS, 3)
     for kind, second in (
         (OptimizerKind.ADAM_EQUAL_BETA, [0.9**12] * 2 + [0.95**12] * 2),
         (OptimizerKind.ADAM, [1.0 - 0.9**12] * 4),
@@ -531,22 +526,10 @@ def test_bias_correction_powers_are_python_powers(monkeypatch):
         assert c2[:, 0].tolist() == second
 
 
-@pytest.mark.parametrize("kind", [OptimizerKind.ADAM_EQUAL_BETA, OptimizerKind.ADAM])
-def test_block_means_match_reference_for_unequal_blocks(kind):
-    problem = build_problem(BlockSpec(UNEQUAL_BLOCKS, Layout.HETEROGENEOUS), seed=5)
-    config = OptimizerConfig(kind, beta1=0.9, beta2=0.9)
-    runs = [
-        RunSpec(config, lr, initial_point(problem.dim, seed), seed, f"lr={lr!r}")
-        for lr in (2.0**-9, 2.0**-4)
-        for seed in range(2)
-    ]
-    assert_batch_equals_reference(problem, runs, 30, 2)
-
-
 @pytest.mark.parametrize("start", [np.nan, 1e307])
 def test_batch_rejects_a_non_finite_gradient(start):
     # a finite start point can still overflow the first gradient
-    problem = build_problem(BlockSpec.heterogeneous(), seed=0)
+    problem = build_problem(Layout.HETEROGENEOUS, 0)
     w0 = np.full(9, start)
     run = RunSpec(OptimizerConfig(OptimizerKind.SIGNUM), 0.01, w0, 0)
     with pytest.raises(ValueError, match="non-finite"):
@@ -554,7 +537,7 @@ def test_batch_rejects_a_non_finite_gradient(start):
 
 
 def test_batch_rejects_configs_that_differ_beyond_betas():
-    problem = build_problem(BlockSpec.heterogeneous(), seed=0)
+    problem = build_problem(Layout.HETEROGENEOUS, 0)
     for other in (
         OptimizerConfig(OptimizerKind.ADAM, beta1=0.9, epsilon=0.0),
         OptimizerConfig(OptimizerKind.ADAM, beta1=0.9, epsilon_placement=EpsilonPlacement.INSIDE_SQRT),
@@ -569,7 +552,7 @@ def test_batch_rejects_configs_that_differ_beyond_betas():
 
 
 def test_skipping_variance_snapshots_changes_nothing_else():
-    problem = build_problem(BlockSpec.homogeneous(), seed=4)
+    problem = build_problem(Layout.HOMOGENEOUS, 4)
     runs = mixed_runs(OptimizerKind.ADAM, [(0.9, 0.95), (0.5, 0.999)], [2.0**-5, 1e300], 2, 20)
     with np.errstate(over="ignore", invalid="ignore"):
         tracked = run_batch(problem, runs, 20, 3)
@@ -598,7 +581,7 @@ def test_sweep_csv_equals_batch_per_pair(tmp_path, capsys):
     capsys.readouterr()
 
     cfg = SweepConfig()
-    problem = build_problem(BlockSpec.heterogeneous(), derive_seed(0, "problem", "het"))
+    problem = build_problem(Layout.HETEROGENEOUS, 0)
     starts = [initial_point(problem.dim, seed) for seed in range(n_seeds)]
     rows = []
     for name in names:
@@ -646,7 +629,7 @@ def test_quad_csvs_equal_best_cells_on_reference(tmp_path, capsys):
         summary = [["optimizer", "layout", "best_lr", "median_final", "q25", "q75", "status"]]
         runs_rows = [["config_id", "seed", "step", "loss", "delta_b1", "delta_b2", "delta_b3"]]
         for layout in ("het", "hom"):
-            problem = build_problem(BlockSpec.for_layout(Layout(layout)), derive_seed(0, "problem", layout))
+            problem = build_problem(Layout(layout), 0)
             starts = [initial_point(problem.dim, seed) for seed in range(n_seeds)]
             for name in sorted(names):
                 kind = OptimizerKind(name)

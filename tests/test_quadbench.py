@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from adamlab.core import WARMUP_FRACTION
 from adamlab.optim import OptimizerConfig, OptimizerKind
 from adamlab.quadbench import (
-    BlockSpec,
+    BLOCK_SLICES,
+    BLOCKS,
     Layout,
     RunSpec,
     build_problem,
@@ -65,36 +66,37 @@ class TestRotations:
 
 class TestProblemConstruction:
     @pytest.mark.parametrize(
-        "spec,traces",
+        "layout,traces",
         [
-            (BlockSpec.heterogeneous(), [6.0, 300.0, 14997.0]),
-            (BlockSpec.homogeneous(), [5098.0, 5101.0, 5104.0]),
+            (Layout.HETEROGENEOUS, [6.0, 300.0, 14997.0]),
+            (Layout.HOMOGENEOUS, [5098.0, 5101.0, 5104.0]),
         ],
+        ids=["het", "hom"],
     )
-    def test_block_traces_are_rotation_invariant(self, spec, traces):
-        problem = build_problem(spec, seed=0)
-        for sl, expected in zip(problem.block_slices, traces):
+    def test_block_traces_are_rotation_invariant(self, layout, traces):
+        problem = build_problem(layout, 0)
+        for sl, expected in zip(BLOCK_SLICES, traces):
             assert np.trace(problem.hessian[sl, sl]) == pytest.approx(expected, rel=1e-12)
 
     def test_design_squares_to_hessian(self):
-        problem = build_problem(BlockSpec.heterogeneous(), seed=1)
+        problem = build_problem(Layout.HETEROGENEOUS, 1)
         err = np.max(np.abs(problem.design.T @ problem.design - problem.hessian))
         assert err <= 1e-9
 
     def test_block_diagonal_structure(self):
-        problem = build_problem(BlockSpec.homogeneous(), seed=2)
+        problem = build_problem(Layout.HOMOGENEOUS, 2)
         mask = np.ones((9, 9), dtype=bool)
-        for sl in problem.block_slices:
+        for sl in BLOCK_SLICES:
             mask[sl, sl] = False
         assert np.all(problem.hessian[mask] == 0.0)
         assert np.all(problem.design[mask] == 0.0)
 
-    @pytest.mark.parametrize("spec", [BlockSpec.heterogeneous(), BlockSpec.homogeneous()])
-    def test_spectrum_preserved_across_100_seeds(self, spec):
+    @pytest.mark.parametrize("layout", Layout, ids=["het", "hom"])
+    def test_spectrum_preserved_across_100_seeds(self, layout):
         # rotation invariants per block: trace, determinant, trace of the square
         for seed in range(100):
-            problem = build_problem(spec, seed=seed)
-            for sl, block in zip(problem.block_slices, spec.blocks):
+            problem = build_problem(layout, seed)
+            for sl, block in zip(BLOCK_SLICES, BLOCKS[layout]):
                 h = problem.hessian[sl, sl]
                 lam = np.asarray(block)
                 assert np.trace(h) == pytest.approx(lam.sum(), rel=1e-9)
@@ -102,12 +104,12 @@ class TestProblemConstruction:
                 assert np.trace(h @ h) == pytest.approx((lam**2).sum(), rel=1e-9)
 
     def test_same_eigenvalue_multiset_across_layouts(self):
-        het = [ev for block in BlockSpec.heterogeneous().blocks for ev in block]
-        hom = [ev for block in BlockSpec.homogeneous().blocks for ev in block]
+        het = [ev for block in BLOCKS[Layout.HETEROGENEOUS] for ev in block]
+        hom = [ev for block in BLOCKS[Layout.HOMOGENEOUS] for ev in block]
         assert sorted(het) == sorted(hom) == EIGENVALUES
 
     def test_loss_identity_half_norm_squared(self):
-        problem = build_problem(BlockSpec.heterogeneous(), seed=3)
+        problem = build_problem(Layout.HETEROGENEOUS, 3)
         rng = np.random.default_rng(43)
         for _ in range(50):
             w = rng.standard_normal(9)
@@ -115,20 +117,16 @@ class TestProblemConstruction:
             via_design = 0.5 * float(np.linalg.norm(problem.design @ w) ** 2)
             assert via_design == pytest.approx(direct, rel=1e-10)
 
-    def test_positive_eigenvalues_required(self):
-        with pytest.raises(ValueError):
-            BlockSpec(((1.0, -2.0, 3.0),), Layout.HETEROGENEOUS)
-
 
 class TestStochasticGradient:
     def setup_method(self):
-        self.problem = build_problem(BlockSpec.heterogeneous(), seed=4)
+        self.problem = build_problem(Layout.HETEROGENEOUS, 4)
         self.rng = np.random.default_rng(44)
 
     def test_full_batch_recovers_exact_gradient(self):
         w = self.rng.standard_normal(9)
         g = subset_gradient(self.problem, w, self.rng.permutation(9))
-        expected = self.problem.full_gradient(w)
+        expected = self.problem.hessian @ w
         np.testing.assert_allclose(g, expected, rtol=1e-12)
 
     def test_zero_point_gives_zero(self):
@@ -144,7 +142,7 @@ class TestStochasticGradient:
         for rows in subsets:
             total += subset_gradient(self.problem, w, rows)
         avg = total / len(subsets)
-        expected = self.problem.full_gradient(w)
+        expected = self.problem.hessian @ w
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(avg - expected)) / scale <= 1e-12
 
@@ -158,7 +156,7 @@ class TestStochasticGradient:
 
 class TestRunExperiment:
     def setup_method(self):
-        self.problem = build_problem(BlockSpec.heterogeneous(), seed=5)
+        self.problem = build_problem(Layout.HETEROGENEOUS, 5)
         self.w0 = initial_point(9, seed=0)
 
     def run(self, config, lr, steps, batch_size, seed=0, config_id=""):
@@ -212,7 +210,7 @@ class TestRunExperiment:
 
 class TestTuning:
     def test_small_grid_runs_and_orders_results(self):
-        problem = build_problem(BlockSpec.heterogeneous(), seed=6)
+        problem = build_problem(Layout.HETEROGENEOUS, 6)
         optimizers = {
             "adameq": default_quad_config(OptimizerKind.ADAM_EQUAL_BETA),
             "sgd": default_quad_config(OptimizerKind.SGD),
@@ -228,7 +226,7 @@ class TestTuning:
             assert q25 <= median <= q75
 
     def test_summary_is_deterministic(self):
-        problem = build_problem(BlockSpec.homogeneous(), seed=6)
+        problem = build_problem(Layout.HOMOGENEOUS, 6)
         optimizers = {"signum": default_quad_config(OptimizerKind.SIGNUM)}
         kwargs = dict(lr_grid=(2.0**-8, 2.0**-5), seeds=(0, 1), steps=100, batch_size=3)
         a = tune_and_compare(problem, optimizers, **kwargs)
@@ -239,7 +237,7 @@ class TestTuning:
             np.testing.assert_array_equal(ra.losses, rb.losses)
 
     def test_empty_grid_rejected(self):
-        problem = build_problem(BlockSpec.heterogeneous(), seed=6)
+        problem = build_problem(Layout.HETEROGENEOUS, 6)
         with pytest.raises(ValueError):
             tune_and_compare(problem, {"sgd": default_quad_config(OptimizerKind.SGD)}, (), (0,), 10, 3)
 
