@@ -121,7 +121,8 @@ def beta_grid(beta_base: float, kappas: Sequence[float]) -> list[float]:
     """Momentum grid ``beta = 1 - kappa * (1 - beta_base)``, order preserved.
 
     Each kappa rescales the accumulation factor ``1 / (1 - beta)``; the
-    resulting betas must land in ``[0, 1)``.
+    resulting betas must land in ``[0, 1)``, and be distinct, since distinct
+    kappas can round to one beta.
     """
     if not 0.0 <= beta_base < 1.0:
         raise ValueError(f"beta_base must be in [0, 1), got {beta_base}")
@@ -134,5 +135,7 @@ def beta_grid(beta_base: float, kappas: Sequence[float]) -> list[float]:
             raise ValueError(
                 f"kappa={kappa} with beta_base={beta_base} gives beta={beta} outside [0, 1)"
             )
+        if beta in out:
+            raise ValueError(f"kappa={kappa} with beta_base={beta_base} repeats beta={beta!r}")
         out.append(beta)
     return out

@@ -35,14 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .core import as_signal, max_or_nan
-from .optim import (
-    OptimizerConfig,
-    OptimizerKind,
-    direction,  # unused here; perfbench/tracer.py still wraps adamlab.filters.direction
-    direction_map,
-    init_state,
-    scan,
-)
+from .optim import OptimizerConfig, OptimizerKind, direction_map, init_state, scan
+from .optim import direction  # unused here; perfbench/tracer.py still wraps adamlab.filters.direction
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ def filter_response(filt: FilterSpec, signal) -> np.ndarray:
     state = init_state(config, signal.shape[1:])
     # a (T,) signal steps as Python floats, several times cheaper than 0-d arrays
     ms, deltas = scan(config, state, signal.tolist() if signal.ndim == 1 else signal)
-    return direction_map(config, m=ms, delta=deltas)
+    return direction_map(config, m=ms, second=deltas)
 
 
 #: the gates the callers judge these measurements against: the four operator properties are
@@ -237,7 +231,7 @@ def density_witness(target: float, k: int, beta: float) -> tuple[np.ndarray, flo
 
     def response_at_k(t: float) -> float:
         ms, deltas = scan(config, replace(prefix), [sign * t])
-        return sign * float(direction_map(config, m=ms, delta=deltas)[0])
+        return sign * float(direction_map(config, m=ms, second=deltas)[0])
 
     # response is nondecreasing on t <= 1: t=1 gives exactly 1, and the
     # momentum zero-crossing t0 gives exactly 0

@@ -17,20 +17,19 @@ Supported directions:
   recursion ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``, which reproduces
   ADAM exactly when both moments share one momentum parameter.
 
-A step has three parts. :func:`scan` runs the moment recursions (an online
-estimate of the gradient's mean and variance) along a whole gradient
-sequence; :func:`advance` is its one-step call. The recursions have one
-implementation per number type: Python floats step in :func:`scan`'s own
-loop, and arrays through :func:`step_moments`, which writes in place.
-:func:`corrected_moments` applies bias correction, always, to the kinds with a
-second moment (RMSprop, Adam and equal-beta Adam), and :func:`direction_map`
-turns the corrected moments into ``d`` elementwise. :func:`direction` checks
-the gradient and does all three. ``filters`` scans a whole signal and maps its
-raw moment history in one call. The ``quadbench`` engine steps a batch of runs
-with :func:`step_moments` and shares one corrected view between the map and
-:func:`delta_estimate`; it makes every array a step writes once per batch and
-hands it to each step function as ``out``, while callers that map whole
-histories leave ``out`` unset and get fresh arrays.
+A step has three parts: the moment recursions (an online estimate of the
+gradient's mean and variance), bias correction, which the kinds with a
+second moment (RMSprop, Adam and equal-beta Adam) always apply, and the
+direction map. The recursions have one implementation per number type:
+Python floats step in :func:`scan`'s own loop, and arrays in the in-place
+step that :func:`_recursion` settles once for a kind and its betas. An array
+state's moments are the rows of one stacked array (``m``, then ``v`` or
+``delta``), so one decay multiply, one add and one bias-correction divide
+cover both. :func:`array_step` settles a batch's whole step, and every array
+it writes, from these pieces for the ``quadbench`` engine, so a step makes
+only its ufunc calls; :func:`scan` runs the same recursion along a signal,
+and :func:`direction_map` the same map over a whole moment history, as the
+filters do.
 """
 from __future__ import annotations
 
@@ -55,10 +54,7 @@ class EpsilonPlacement(enum.Enum):
     INSIDE_SQRT = "inside"
 
 
-# the members as module globals: the step functions test the kind on every engine step, and a global
-# is read several times faster than an enum attribute
 _SGD, _SIGN_SGD, _SIGNUM, _EMA_SIGN, _RMSPROP, _ADAM, _ADAM_EQUAL_BETA = OptimizerKind
-_INSIDE_SQRT = EpsilonPlacement.INSIDE_SQRT
 
 #: the methods that carry a gradient-variance term
 _SECOND_MOMENT_KINDS = (_RMSPROP, _ADAM, _ADAM_EQUAL_BETA)
@@ -120,71 +116,25 @@ def init_state(config: OptimizerConfig, shape, beta1=None, beta2=None) -> Optimi
     return OptimizerState(m, v, delta, beta1, config.beta2 if beta2 is None else beta2)
 
 
-def _safe_div(num: np.ndarray, denom: np.ndarray, out: np.ndarray, positive=None) -> np.ndarray:
-    """Elementwise num/denom into ``out`` with the 0/0 -> 0 convention (a NaN ``denom`` also gives 0).
+def stacked_moments(kind: OptimizerKind, state: OptimizerState) -> np.ndarray:
+    """A copy of an array state's moments as the rows of one array: ``m``, then ``v`` or ``delta``, if kept."""
+    n = 2 if kind in _SECOND_MOMENT_KINDS else int(kind is not _SIGN_SGD)
+    return np.stack([state.m, state.delta if kind is _ADAM_EQUAL_BETA else state.v])[:n]
 
-    ``out`` may be ``denom``; ``positive`` is a bool scratch array of its shape (``None`` allocates one).
-    """
+
+def _safe_div(num: np.ndarray, denom: np.ndarray, out: np.ndarray, positive=None) -> np.ndarray:
+    """num/denom into ``out`` (which may be ``denom``), 0/0 and a NaN ``denom`` giving 0; ``positive`` is scratch."""
     positive = np.greater(denom, 0.0, out=positive)
     np.divide(num, denom, out=out, where=positive)
     np.copyto(out, 0.0, where=np.logical_not(positive, out=positive))
     return out
 
 
-def _denominator(second: np.ndarray, config: OptimizerConfig, out=None) -> np.ndarray:
-    """``sqrt(second)`` floored by epsilon at the configured placement; ``out`` may be ``second``."""
-    if config.epsilon_placement is _INSIDE_SQRT:
-        return np.sqrt(np.add(second, config.epsilon, out=out), out=out)
-    return np.add(np.sqrt(second, out=out), config.epsilon, out=out)
-
-
-def corrected_moments(config: OptimizerConfig, state: OptimizerState, corrections=None, out=None) -> dict:
-    """The moments that :func:`direction_map` reads from ``state``, bias-corrected for the kinds with a second moment.
-
-    ``m`` for every kind but SIGN_SGD, with ``v`` (Adam/RMSprop) or ``delta``
-    (equal-beta Adam), as :func:`direction_map`'s keyword arguments; SGD,
-    SIGNUM and EMA_SIGN read the state's own ``m``. Bias correction divides by
-    ``1 - beta**k`` after ``k`` steps. ``corrections`` are the two factors
-    the kind reads: ``(1 - beta1**k, beta1**k)`` for equal-beta Adam and
-    ``(1 - beta1**k, 1 - beta2**k)`` otherwise. Float betas may leave them
-    ``None``, to be computed with Python's ``**``; a state with ``(R, 1)``
-    beta columns needs them as columns built the same way (numpy's power does
-    not always round like Python's). The corrected equal-beta variance term is
-    ``v_hat - m_hat**2``, which the recursion gives as
-    ``delta / (1 - beta**k) - beta**k * m_hat**2``. It can dip below zero in
-    floating point; callers clamp. ``out = (m_hat, second, scratch)``
-    receives the corrected moments, in arrays of the state's shape that are
-    none of its own.
-    """
-    kind = config.kind
-    if kind is _SIGN_SGD:
-        return {}
-    if kind not in _SECOND_MOMENT_KINDS:
-        return {"m": state.m}
-    equal_beta = kind is _ADAM_EQUAL_BETA
-    if corrections is None:
-        p1 = state.beta1**state.step
-        corrections = (1.0 - p1, p1 if equal_beta else 1.0 - state.beta2**state.step)
-    c1, c2 = corrections
-    m_out, second_out, scratch = (None, None, None) if out is None else out
-    m = np.divide(state.m, c1, out=m_out)
-    if equal_beta:
-        second = np.divide(state.delta, c1, out=second_out)
-        shrink = np.multiply(c2, m, out=scratch)
-        shrink *= m
-        second -= shrink
-    else:
-        second = np.divide(state.v, c2, out=second_out)
-    return {"m": m, "delta" if equal_beta else "v": second}
-
-
 def recursion_coefficients(state: OptimizerState) -> tuple:
-    """``(b1, 1 - b1, b1*(1 - b1), b2, 1 - b2)`` of the state's betas.
+    """``(b1, 1 - b1, b1*(1 - b1), b2, 1 - b2)`` of the state's betas (floats or ``(R, 1)`` columns).
 
-    Python floats for a scalar state; for an array state, each is computed
-    from the betas as they are (floats or ``(R, 1)`` columns) and then spread
-    over an array of the state's shape, since a product of two whole arrays
-    is several times faster than one that broadcasts a column or a scalar.
+    For an array state each is spread over the state's shape: a product of two
+    whole arrays is several times faster than one that broadcasts a column.
     """
     b, b2 = state.beta1, state.beta2
     c = 1.0 - b
@@ -193,37 +143,43 @@ def recursion_coefficients(state: OptimizerState) -> tuple:
     return tuple(np.broadcast_to(x, shape).copy() for x in coefficients) if shape else coefficients
 
 
-def step_moments(kind: OptimizerKind, coefficients, g, m, v, delta, *, out, scratch) -> None:
-    """One step of the moment recursions on arrays, written in place: the array form of :func:`scan`'s step.
+def _recursion(kind: OptimizerKind, state: OptimizerState):
+    """One in-place array step of ``kind``'s moment recursions, for ``state``'s betas: ``recur(g, moments, out)``.
 
-    Reads the moments ``m``, ``v`` and ``delta`` before the (checked, finite)
-    gradient ``g`` and writes ``m`` and ``delta`` after it into
-    ``out = (m_out, delta_out)``, which may be ``m`` and ``delta``
-    themselves; ``v`` is advanced in place. ``coefficients`` come from
-    :func:`recursion_coefficients` and ``scratch`` is two arrays of the
-    moments' shape. SIGN_SGD keeps no moments. Each element takes the float
-    step's operations on the same operands, so it rounds as it would there.
+    Reads the :func:`stacked_moments` ``moments`` before the (checked,
+    finite) gradient ``g`` and writes them after it into ``out`` (which may be
+    ``moments``), each element by :func:`scan`'s float operations. The new
+    terms are stacked like the moments, so one multiply and one add decay them.
     """
     if kind is _SIGN_SGD:
-        return
-    m_out, delta_out = out
-    diff, term = scratch
-    x = np.sign(g, out=term) if kind is _EMA_SIGN else g
-    b, c, bc, b2, c2 = coefficients
+        return lambda g, moments, out: None
+    b, c, bc, b2, c2 = recursion_coefficients(state)
+    decay = np.stack([b, b2])[: 2 if kind in _SECOND_MOMENT_KINDS else 1]
+    term = np.empty_like(decay)
+    first, second = term[0], term[-1]
     if kind is _ADAM_EQUAL_BETA:
-        np.subtract(m, g, out=diff)
-        np.multiply(bc, diff, out=term)
-        term *= diff
-        np.multiply(b, delta, out=delta_out)
-        delta_out += term
-    elif kind in (_RMSPROP, _ADAM):
-        np.multiply(g, g, out=diff)
-        np.multiply(c2, diff, out=diff)
-        v *= b2
-        v += diff
-    np.multiply(c, x, out=term)
-    np.multiply(b, m, out=m_out)
-    m_out += term
+        diff = np.empty_like(first)
+        def terms(g, moments):
+            np.multiply(bc, np.subtract(moments[0], g, out=diff), out=second)
+            np.multiply(second, diff, out=second)
+            np.multiply(c, g, out=first)
+    elif kind in _SECOND_MOMENT_KINDS:
+        def terms(g, moments):
+            np.multiply(c2, np.multiply(g, g, out=second), out=second)
+            np.multiply(c, g, out=first)
+    elif kind is _EMA_SIGN:
+        def terms(g, moments):
+            np.multiply(c, np.sign(g, out=first), out=first)
+    else:
+        def terms(g, moments):
+            np.multiply(c, g, out=first)
+
+    def recur(g, moments, out):
+        terms(g, moments)
+        np.multiply(decay, moments, out=out)
+        out += term
+
+    return recur
 
 
 def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[np.ndarray, np.ndarray | None]:
@@ -235,13 +191,11 @@ def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[np.nda
     ``sign(g)`` for EMA_SIGN, a signed zero keeping its sign), the EMA of ``v``
     for Adam/RMSprop and, for equal-beta Adam, the variance recursion
     ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``. SIGN_SGD keeps no moments.
-    The coefficients ``1 - b`` and ``b*(1-b)`` and the kind are settled once
-    per call; every step rounds as it would alone, since
-    ``b*(1-b)*diff*diff`` is ``((b*(1-b))*diff)*diff`` either way. A scalar
-    state steps as Python floats, several times faster than 0-d arrays; an
-    array state takes one :func:`step_moments` per gradient, which writes
-    each step's moments straight into the history rows. The state's arrays
-    are then updated in place, and the caller's gradients never are.
+    The coefficients and the kind are settled once per call; every step
+    rounds as it would alone. A scalar state steps as Python floats, several
+    times faster than 0-d arrays; an array state takes one :func:`_recursion`
+    step per gradient, straight into a history row, and its arrays are then
+    updated in place (the caller's gradients never are).
 
     Returns the ``m`` after each step, and for equal-beta Adam the ``delta``
     after each step (else ``None``), as ``(steps, *shape)`` arrays.
@@ -254,19 +208,16 @@ def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[np.nda
         return np.empty((0, *shape)), None
     equal_beta = kind is _ADAM_EQUAL_BETA
     if shape:
-        ms = np.empty((steps, *shape))
-        deltas = np.empty_like(ms) if equal_beta else None
-        coefficients = recursion_coefficients(state)
-        scratch = (np.empty(shape), np.empty(shape))
-        m, delta = state.m, state.delta
+        moments = stacked_moments(kind, state)
+        history = np.empty((steps, *moments.shape))
+        recur = _recursion(kind, state)
         for k, g in enumerate(signal):
-            out = (ms[k], deltas[k] if equal_beta else delta)
-            step_moments(kind, coefficients, g, m, state.v, delta, out=out, scratch=scratch)
-            m, delta = out
-        np.copyto(state.m, m)
-        np.copyto(state.delta, delta)
+            recur(g, moments, history[k])
+            moments = history[k]
+        for own, row in zip((state.m, state.delta if equal_beta else state.v), moments):
+            np.copyto(own, row)
         state.step += steps
-        return ms, deltas
+        return history[:, 0], history[:, 1] if equal_beta else None
     ms: list = []
     deltas = [] if equal_beta else None
     xs = signal
@@ -301,65 +252,156 @@ def advance(config: OptimizerConfig, state: OptimizerState, g) -> OptimizerState
     return state
 
 
-def direction_map(config: OptimizerConfig, *, g=None, m=None, v=None, delta=None, out=None) -> np.ndarray:
-    """The direction ``d`` that the moments give, elementwise.
+def _correction(kind: OptimizerKind, hat: np.ndarray):
+    """Bias correction of stacked moments into ``hat``, for ``kind``: ``correct(moments, factors)``.
 
-    Reads ``g`` (SIGN_SGD), ``m`` (every other kind), ``v`` (Adam/RMSprop)
-    or ``delta`` (equal-beta Adam): bias-corrected as :func:`corrected_moments`
-    gives them, or raw, as the filters map them. Any shape works, so a
-    leading time axis maps a whole history at once. ``out = (d, positive)``
-    receives the direction in ``d``, a float array that is none of the
-    inputs, using ``positive``, a bool array of its shape, as scratch.
+    ``factors`` are an entry of :func:`_correction_table`. Adam and RMSprop
+    divide ``m`` and ``v`` by theirs in one divide. Equal-beta Adam divides
+    both rows by ``1 - beta**k`` and takes ``beta**k * m_hat**2`` off the
+    second: its corrected variance term ``v_hat - m_hat**2``, which can dip
+    below zero in floating point (its readers clamp it).
+    """
+    if kind not in _SECOND_MOMENT_KINDS:
+        return lambda moments, factors: None
+    if kind is not _ADAM_EQUAL_BETA:
+        return lambda moments, factors: np.divide(moments, factors, out=hat)
+    m_hat, second = hat
+    shrink = np.empty_like(m_hat)
+
+    def correct(moments, factors):
+        np.divide(moments, factors[0], out=hat)
+        np.multiply(factors[1], m_hat, out=shrink)
+        np.multiply(shrink, m_hat, out=shrink)
+        np.subtract(second, shrink, out=second)
+
+    return correct
+
+
+def _direction(config: OptimizerConfig):
+    """The direction map of ``config``'s kind, its epsilon and placement settled: ``direct(g, m, second, d, positive)``.
+
+    Reads ``g`` (SIGN_SGD), ``m`` and ``second`` (``v``, or equal-beta Adam's
+    ``delta``), corrected or raw, and returns the direction in ``d``, a float
+    array that is none of them (SGD and EMA_SIGN: ``m`` itself). A 0/0
+    direction reads as 0, with the bool array ``positive`` (or ``None``) as
+    scratch; with ``epsilon > 0`` the divide skips that guard, since the
+    denominator is then at least epsilon unless a moment has overflowed.
+    """
+    kind, eps, zero = config.kind, np.array(config.epsilon), np.array(0.0)  # 0-d: numpy's fastest scalar operands
+    if kind in (_SGD, _EMA_SIGN):
+        return lambda g, m, second, d, positive: m
+    if kind is _SIGN_SGD:
+        return lambda g, m, second, d, positive: np.sign(g, out=d)
+    if kind is _SIGNUM and config.epsilon == 0.0:
+        return lambda g, m, second, d, positive: np.sign(m, out=d)
+    if config.epsilon_placement is EpsilonPlacement.INSIDE_SQRT:
+        floor = lambda root, d: np.sqrt(np.add(root, eps, out=d), out=d)
+    else:
+        floor = lambda root, d: np.add(np.sqrt(root, out=d), eps, out=d)
+    if kind is _SIGNUM:
+        return lambda g, m, second, d, positive: np.divide(m, floor(np.multiply(m, m, out=d), d), out=d)
+    divide = _safe_div if config.epsilon == 0.0 else lambda m, denom, d, positive: np.divide(m, denom, out=d)
+    if kind is not _ADAM_EQUAL_BETA:
+        return lambda g, m, second, d, positive: divide(m, floor(second, d), d, positive)
+
+    def direct(g, m, second, d, positive):
+        # d holds the clamped root and then the direction: a (T, C) history needs no other float array
+        root = np.multiply(m, m, out=d)
+        root += second
+        return divide(m, floor(np.maximum(root, zero, out=root), d), d, positive)
+
+    return direct
+
+
+def direction_map(config: OptimizerConfig, *, g=None, m=None, second=None) -> np.ndarray:
+    """:func:`_direction`'s map into a new array (SGD, EMA_SIGN: ``m`` itself); a time axis maps a history."""
+    d = np.empty(np.shape(g if config.kind is _SIGN_SGD else m))
+    return _direction(config)(g, m, second, d, None)
+
+
+def _correction_table(kind: OptimizerKind, beta1: list[float], beta2: list[float], ks) -> list:
+    """The two factors of ``kind``'s bias correction for each run after each number of steps in ``ks``.
+
+    One ``(2, R, 1)`` entry per ``k``: ``(1 - beta1**k, beta1**k)`` for
+    equal-beta Adam, else ``(1 - beta1**k, 1 - beta2**k)``, by Python's ``**``
+    (numpy's does not always round like it). Runs that share their betas share
+    one ``(2, 1, 1)`` entry, which equal-beta Adam takes as two 0-d arrays,
+    numpy's fastest operands. Kinds without a second moment get ``None``.
+    """
+    if kind not in _SECOND_MOMENT_KINDS:
+        return [None] * len(ks)
+    if len(set(beta1)) == len(set(beta2)) == 1:
+        beta1, beta2 = beta1[:1], beta2[:1]
+    powers = {beta: [beta**k for k in ks] for beta in dict.fromkeys(beta1 + beta2)}
+    p1, p2 = (np.array([powers[beta] for beta in betas]).T for betas in (beta1, beta2))
+    table = np.stack([1.0 - p1, p1 if kind is _ADAM_EQUAL_BETA else 1.0 - p2], axis=1)[..., None]
+    if kind is _ADAM_EQUAL_BETA and len(beta1) == 1:
+        return [(np.array(c1), np.array(p)) for c1, p in table[:, :, 0, 0].tolist()]
+    return list(table)
+
+
+def array_step(config: OptimizerConfig, beta1: list[float], beta2: list[float], dim: int, steps: int) -> tuple:
+    """A batch's own optimizer step over ``R = len(beta1)`` runs, the rows of ``(R, dim)`` arrays: ``(step, variance)``.
+
+    Run ``i`` has momentum ``beta1[i]`` and ``beta2[i]``, and all else from
+    ``config``. The kind, the epsilon placement, the bias corrections and
+    every array a step writes are settled here, so ``step(g, k)`` makes only
+    its ufunc calls: it takes the gradient of step ``k`` through
+    :func:`_recursion`, :func:`_correction` and :func:`_direction`, from zero
+    moments, and returns the direction. ``variance`` is :func:`delta_estimate`'s
+    ``(second, m)`` after each step, or ``None`` for a kind without a second
+    moment.
     """
     kind = config.kind
-    d, positive = (np.empty(np.shape(g if kind is _SIGN_SGD else m)), None) if out is None else out
-    if kind in (_SGD, _EMA_SIGN):
-        np.copyto(d, m)
-        return d
-    if kind is _SIGN_SGD:
-        return np.sign(g, out=d)
-    if kind is _SIGNUM:
-        if config.epsilon == 0.0:
-            return np.sign(m, out=d)
-        return np.divide(m, _denominator(np.multiply(m, m, out=d), config, out=d), out=d)
-    if kind in (_RMSPROP, _ADAM):
-        return _safe_div(m, _denominator(v, config, out=d), d, positive)
-    # d holds the clamped root and then the direction: a (T, C) history needs no other float array
-    root = np.multiply(m, m, out=d)
-    root += delta
-    np.maximum(root, 0.0, out=root)
-    return _safe_div(m, _denominator(root, config, out=root), root, positive)
+    shape = (len(beta1), dim)
+    state = init_state(config, shape, np.array(beta1, dtype=float)[:, None], np.array(beta2, dtype=float)[:, None])
+    moments = stacked_moments(kind, state)
+    hat = np.empty_like(moments) if kind in _SECOND_MOMENT_KINDS else moments
+    recur, correct, direct = _recursion(kind, state), _correction(kind, hat), _direction(config)
+    factors = _correction_table(kind, beta1, beta2, range(1, steps + 1))
+    d, positive = np.empty(shape), np.empty(shape, dtype=bool)
+    m, second = (*hat, None, None)[:2]
+
+    def step(g, k):
+        recur(g, moments, moments)
+        correct(moments, factors[k])
+        return direct(g, m, second, d, positive)
+
+    if kind not in _SECOND_MOMENT_KINDS:
+        return step, None
+    return step, (second, None if kind is _ADAM_EQUAL_BETA else m)
 
 
 def direction(config: OptimizerConfig, state: OptimizerState, g) -> tuple[np.ndarray, OptimizerState]:
-    """One optimizer step with float betas: :func:`advance` ``state`` once, then :func:`direction_map` it."""
+    """One optimizer step with float betas: :func:`advance` ``state`` once, then map its corrected moments."""
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
     advance(config, state, g)
-    return direction_map(config, g=g, **corrected_moments(config, state)), state
+    kind = config.kind
+    moments = stacked_moments(kind, state)
+    if kind in _SECOND_MOMENT_KINDS:
+        factors = _correction_table(kind, [state.beta1], [state.beta2], [state.step])[0]
+        _correction(kind, moments)(moments, np.reshape(factors, (2, *(1,) * g.ndim)))
+    m, second = (*moments, None, None)[:2]
+    return direction_map(config, g=g, m=m, second=second), state
 
 
 def apply_step(w: np.ndarray, d: np.ndarray, lr, out=None) -> np.ndarray:
-    """The update ``w - lr*d`` of float arrays (``lr`` a float or a column that broadcasts).
-
-    ``out`` receives it; it may be ``d``, but not ``w``.
-    """
+    """The update ``w - lr*d`` of float arrays (``lr`` may broadcast) into ``out``, which may be ``d`` but not ``w``."""
     step = np.multiply(lr, d, out=out)
     return np.subtract(w, step, out=step)
 
 
-def delta_estimate(config: OptimizerConfig, moments: dict, out=None) -> np.ndarray:
-    """Per-coordinate gradient-variance estimate of a kind with a second moment, from :func:`corrected_moments`.
+def delta_estimate(second: np.ndarray, m: np.ndarray | None = None, out=None) -> np.ndarray:
+    """Per-coordinate gradient-variance estimate from bias-corrected moments, floored at 0.
 
-    Equal-beta Adam exposes its recursion directly; plain Adam/RMSprop report
-    ``max(v_hat - m_hat**2, 0)``. ``moments`` must come from a state that has
-    taken at least one step. ``out`` receives the estimate; it is none of the
-    moments.
+    Equal-beta Adam's corrected ``delta`` is the estimate itself (``m`` left
+    ``None``); Adam and RMSprop report ``v_hat - m_hat**2``. ``out``, if given,
+    is none of the moments.
     """
-    if config.kind is _ADAM_EQUAL_BETA:
-        return np.maximum(moments["delta"], 0.0, out=out)
-    m = moments["m"]
+    if m is None:
+        return np.maximum(second, 0.0, out=out)
     out = np.multiply(m, m, out=out)
-    np.subtract(moments["v"], out, out=out)
+    np.subtract(second, out, out=out)
     return np.maximum(out, 0.0, out=out)

@@ -15,16 +15,14 @@ Stochasticity comes from subsampling rows of the symmetric square root
 ``(n/|B|) * sum_{i in B} x_i (x_i . w)``.
 
 Runs are stepped by one engine, :func:`run_batch`, which advances R runs as the
-rows of ``(R, dim)`` arrays, one in-place ``step_moments`` of the optimizer's
-recursions per step. Each step computes the bias-corrected moments once and
-hands them to both ``direction_map`` and ``delta_estimate``, then
-``apply_step``. A step writes only into buffers made once per batch (the
-moments, the gathered design rows and the gradient, the corrected moments, the
-direction and their scratch), which it passes as ``out``; the new point goes
-straight into its row of the point history. Each run brings
-its own ``OptimizerConfig``; the configs of a batch may differ only in
-``beta1`` and ``beta2``. Every record it returns equals, bit for bit, the
-record of stepping that run alone:
+rows of ``(R, dim)`` arrays. Each run brings its own ``OptimizerConfig``; the
+configs of a batch may differ only in ``beta1`` and ``beta2``. The optimizer's
+kind, epsilon placement and bias corrections are settled once per batch by
+``optim.array_step``, so a step is the gradient, that batch's own optimizer
+step, ``apply_step`` straight into the point history and, for the kinds with
+a second moment, ``delta_estimate`` into the variance-term history, each
+writing only into arrays made once per batch. Every record it returns equals,
+bit for bit, the record of stepping that run alone:
 
 * each run's row subsets are drawn before the loop from its own
   ``derive_seed(seed, "batches", config_id)`` generator, into a fresh
@@ -37,13 +35,8 @@ record of stepping that run alone:
   the same way);
 * each run scales the one schedule of :func:`lr_at` by its own peak rate,
   tabulated before the loop by one ``lr_at`` call over all steps and peaks;
-  the rate and the momentum differ per run, as ``(R, 1)`` columns, and the
-  recursions' coefficients ``1 - b``, ``b*(1 - b)`` and ``1 - b2`` are worked
-  out from them once per batch; the kinds with a second moment are always
-  bias-corrected, by the two factors each reads (``1 - beta1**step`` with
-  ``beta1**step`` for equal-beta Adam, else with ``1 - beta2**step``),
-  tabulated before the loop from Python's ``**``, once per distinct beta and
-  step, because numpy's power does not always round the same way;
+  the rate and the momentum differ per run, and every optimizer operation is
+  elementwise, so each run's row takes its own operations on its own operands;
 * the design rows are gathered step by step, not for the whole batch, whose
   gather would hold ``steps x R x batch_size x dim`` floats;
 * the loop keeps only what feeds the next point, and writes each step's
@@ -74,20 +67,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import lr_at
-from .optim import (
-    _SECOND_MOMENT_KINDS,
-    EpsilonPlacement,
-    OptimizerConfig,
-    OptimizerKind,
-    apply_step,
-    corrected_moments,
-    delta_estimate,
-    direction,  # unused here; perfbench/tracer.py still wraps adamlab.quadbench.direction
-    direction_map,
-    init_state,
-    recursion_coefficients,
-    step_moments,
-)
+from .optim import EpsilonPlacement, OptimizerConfig, OptimizerKind, apply_step, array_step, delta_estimate
+from .optim import direction  # unused here; perfbench/tracer.py still wraps adamlab.quadbench.direction
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -309,18 +290,6 @@ def _shared_config(runs: Sequence[RunSpec]) -> OptimizerConfig:
     return config
 
 
-def _correction_table(kind: OptimizerKind, beta1: list[float], beta2: list[float], steps: int) -> np.ndarray:
-    """The two factors ``kind``'s :func:`corrected_moments` reads for ``k = 1..steps``, shape ``(steps, 2, R, 1)``.
-
-    ``(1 - beta1**k, beta1**k)`` for equal-beta Adam, ``(1 - beta1**k,
-    1 - beta2**k)`` otherwise; ``beta**k`` is Python's ``**``, once per
-    distinct beta and step.
-    """
-    rows = {beta: [beta**k for k in range(1, steps + 1)] for beta in dict.fromkeys(beta1 + beta2)}
-    p1, p2 = (np.array([rows[beta] for beta in betas]).T for betas in (beta1, beta2))
-    return np.stack([1.0 - p1, p1 if kind is OptimizerKind.ADAM_EQUAL_BETA else 1.0 - p2], axis=1)[..., None]
-
-
 def run_batch(
     problem: QuadraticProblem,
     runs: Sequence[RunSpec],
@@ -338,7 +307,9 @@ def run_batch(
     (recorded); it keeps stepping in its own row, which touches no other row,
     and its record stops where it ended. Each run's rate is :func:`lr_at` of
     its peak ``lr``, and its row-subsampling stream is derived from
-    ``(seed, config_id)``, so records are reproducible run by run.
+    ``(seed, config_id)``, so records are reproducible run by run. A start
+    point of norm about 1e152, whose first moments overflow, ends at step 0
+    as ``non_finite`` (with epsilon > 0 a step divides without a 0/0 mask).
     ``track_delta=False`` skips the variance-term snapshots
     (``delta_block_means`` is then ``None``). Raises ``ValueError`` if a peak
     is not finite and nonnegative, ``steps < 1``, ``batch_size`` is not in
@@ -363,21 +334,13 @@ def run_batch(
     shape = w.shape
     beta1 = [run.config.beta1 for run in runs]
     beta2 = [run.config.beta2 for run in runs]
-    state = init_state(config, shape, np.array(beta1, dtype=float)[:, None], np.array(beta2, dtype=float)[:, None])
-    coefficients = recursion_coefficients(state)
-    second_moment = config.kind in _SECOND_MOMENT_KINDS
-    corrections = _correction_table(config.kind, beta1, beta2, steps) if second_moment else [None] * steps
-    track_delta = track_delta and second_moment
+    step, variance = array_step(config, beta1, beta2, problem.dim, steps)
+    track_delta = track_delta and variance is not None
+    second_hat, m_hat = variance if track_delta else (None, None)
 
     points = np.empty((steps, *shape))
     snapshots = np.empty_like(points) if track_delta else None
-    # every array a step writes, made once: the gather, the recursion scratch, the corrected moments, the direction
     gather = (np.empty((n_runs, batch_size, problem.dim)), np.empty((n_runs, batch_size, 1)), np.empty((*shape, 1)))
-    scratch = (np.empty(shape), np.empty(shape))
-    corrected = (np.empty(shape), np.empty(shape), scratch[0])
-    direction_out = (np.empty(shape), np.empty(shape, dtype=bool))
-    moments = (state.m, state.v, state.delta)
-    in_place = (state.m, state.delta)
     # a huge peak may overflow its rates, and a run that has ended overflows its point, moments and loss
     with np.errstate(over="ignore", invalid="ignore"):
         lrs = lr_at(range(steps), steps, np.array([run.lr for run in runs]))[:, :, None]
@@ -385,11 +348,9 @@ def run_batch(
             g = subset_gradient(problem, w, rows[k], out=gather)
             if k == 0 and not np.isfinite(g).all():
                 raise ValueError("gradient contains non-finite entries")
-            step_moments(config.kind, coefficients, g, *moments, out=in_place, scratch=scratch)
-            hat = corrected_moments(config, state, corrections[k], out=corrected)
-            w = apply_step(w, direction_map(config, g=g, **hat, out=direction_out), lrs[k], out=points[k])
+            w = apply_step(w, step(g, k), lrs[k], out=points[k])
             if track_delta:
-                delta_estimate(config, hat, out=snapshots[k])
+                delta_estimate(second_hat, m_hat, snapshots[k])
         if track_delta:
             block_sums = np.stack([np.add.reduce(snapshots[..., sl], axis=-1) for sl in BLOCK_SLICES], -1)
             del snapshots

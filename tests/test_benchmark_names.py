@@ -72,6 +72,37 @@ def test_traced_commands_keep_the_tracer_contract(tmp_path, capsys):
     assert [span["name"] for span in tracer.kept].count("quadbench.tune_and_compare") == 1  # quad's one layout
 
 
+def test_traced_engine_calls_are_counted_exactly(tmp_path, capsys):
+    """A small traced ``quad`` counts each engine layer's calls: one per batch step, or one per batch.
+
+    Two 5-step batches (one per optimizer, all rates and seeds together): a
+    gradient and an update per step, a variance-term estimate per ``adameq``
+    step, and one rate table and one loss call per batch. Were the engine to
+    stop calling a traced name that still resolves, the benchmark would read
+    that layer as 0 without an error; here its count fails.
+    """
+    tracer_module = _load("tracer")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        quad = ["quad", "--layout", "het", "--optim", "adameq", "--optim", "sgd", "--seeds", "2", "--steps", "5"]
+        assert cli.main([*quad, "--out", str(tmp_path / "quad")]) == cli.EXIT_OK
+    finally:
+        assert tracer.uninstall()
+    capsys.readouterr()
+    calls = {}
+    for name, _parent, n, _total, _self in tracer.to_dict()["aggregate"]:
+        calls[name] = calls.get(name, 0) + n
+    expected = {
+        "quadbench.subset_gradient": 10,
+        "optim.apply_step": 10,
+        "optim.delta_estimate": 5,
+        "core.lr_at": 2,
+        "quadbench.loss": 2,
+    }
+    assert {name: calls.get(name, 0) for name in expected} == expected
+
+
 def test_one_pass_of_each_workload_passes_the_benchmarks_checks(tmp_path, capsys):
     """At the reference seed, every check passes and the summary matches ``reference.json``.
 

@@ -231,6 +231,8 @@ class TestRejectedInputs:
             ["quad", "--optim", "sgd", "--optim", "sgd", "--steps", "5", "--seeds", "1"],
             ["signal", "--filter", "sign", "--filter", "sign", "--length", "50"],
             ["sweep", "--kappas", "1", "1", "--steps", "5", "--seeds", "1"],
+            # distinct kappas that give one beta
+            ["sweep", "--kappas", "1", "1.0000000000000002", "--optim", "signum", "--steps", "5", "--seeds", "1"],
         ],
     )
     def test_flag_values_exit_2(self, tmp_path, argv):

@@ -13,17 +13,8 @@ from hypothesis import strategies as st
 import reference
 from adamlab.cli import EXIT_OK, EXIT_USAGE, QuadConfig, SweepConfig, _beta_pairs, fmt_float, main, serialize_config
 from adamlab.core import beta_grid
-from adamlab.optim import (
-    EpsilonPlacement,
-    OptimizerConfig,
-    OptimizerKind,
-    advance,
-    apply_step,
-    corrected_moments,
-    delta_estimate,
-    direction_map,
-    init_state,
-)
+from adamlab import optim, quadbench
+from adamlab.optim import EpsilonPlacement, OptimizerConfig, OptimizerKind
 from adamlab.quadbench import (
     BLOCK_SLICES,
     DIVERGENCE_THRESHOLD,
@@ -182,8 +173,6 @@ def test_pre_drawn_rows_replay_successive_permutations(seed, n, data):
 
 
 def test_pre_drawn_rows_validate_batch_size(monkeypatch, tmp_path, capsys):
-    import adamlab.quadbench as quadbench
-
     def no_draw(*args, **kwargs):
         raise AssertionError("rows drawn for an invalid batch size")
 
@@ -215,8 +204,6 @@ def test_pre_drawn_rows_validate_batch_size(monkeypatch, tmp_path, capsys):
     ],
 )
 def test_batch_checks_rates_and_steps_before_drawing(monkeypatch, rates, steps, message):
-    import adamlab.quadbench as quadbench
-
     def no_draw(*args, **kwargs):
         raise AssertionError("rows drawn for an invalid schedule")
 
@@ -268,9 +255,28 @@ def assert_bitwise(got, expected):
 
 def garbage(rng, shape, dtype=float):
     """A buffer filled with what a previous step could have left: a written ``out`` must not read it."""
-    if dtype is bool:
+    dtype = np.dtype(dtype)
+    if dtype == bool:
         return rng.random(shape) < 0.5
-    return rng.choice([np.nan, -np.inf, -0.0, 1e300, 3.0], size=shape)
+    if dtype.kind == "i":
+        return rng.integers(-(2**40), 2**40, size=shape, dtype=dtype)
+    return rng.choice([np.nan, -np.inf, -0.0, 1e300, 3.0], size=shape).astype(dtype)
+
+
+class GarbageNumpy:
+    """numpy, as a module that uses it sees it, but with every ``empty`` and ``empty_like`` buffer made of garbage."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        return garbage(self.rng, shape, dtype)
+
+    def empty_like(self, a, dtype=None):
+        return garbage(self.rng, np.shape(a), dtype or a.dtype)
 
 
 @settings(max_examples=150, deadline=None)
@@ -284,11 +290,16 @@ def garbage(rng, shape, dtype=float):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_out_forms_equal_allocating_forms(kind, placement, epsilon, n_runs, batch_size, steps, seed):
-    """Each step function writes into the engine's buffers exactly what its allocating form returns.
+    """Every array the engine makes starts as garbage, and its records still equal the reference stepper's.
 
-    The buffers start as garbage (nan, infinities, -0.0) and the state comes
-    from gradients that are zero in some coordinates, so 0/0 directions and
-    their guards are met; ``apply_step`` also writes over its own ``d``.
+    In ``optim`` and ``quadbench``, ``np.empty`` and ``np.empty_like`` hand
+    out buffers of nan, infinities, -0.0, huge integers and random bools, so
+    a step that reads what it has not written fails. Each run starts with
+    one block at zero, whose gradient, moments and root then stay 0, so the
+    0/0 guards fire at epsilon 0. The runs' momenta differ (a batch of one,
+    or of equal momenta, shares its bias corrections), and so do their
+    rates, some of which end them. ``subset_gradient`` writes into garbage
+    exactly what its allocating form returns.
     """
     rng = np.random.default_rng(seed)
     problem = build_problem(Layout.HETEROGENEOUS, seed % 3)
@@ -301,33 +312,21 @@ def test_out_forms_equal_allocating_forms(kind, placement, epsilon, n_runs, batc
     assert_bitwise(g, subset_gradient(problem, w, rows))
     assert g.base is gather[2]
 
-    beta1 = rng.choice(MIXED_BETAS, size=n_runs).tolist()
-    beta2 = beta1 if kind is OptimizerKind.ADAM_EQUAL_BETA else rng.choice(MIXED_BETAS, size=n_runs).tolist()
-    if kind is OptimizerKind.RMSPROP:
-        beta1 = [0.0] * n_runs
-    config = OptimizerConfig(kind, epsilon=epsilon, epsilon_placement=placement)
-    state = init_state(config, shape, np.array(beta1)[:, None], np.array(beta2)[:, None])
-    silent = rng.random(problem.dim) < 0.3  # coordinates whose gradient is always 0
-    for _ in range(steps):
-        advance(config, state, np.where(silent, 0.0, rng.standard_normal(shape)))
-    p1 = np.array([[b**steps] for b in beta1])
-    second = p1 if kind is OptimizerKind.ADAM_EQUAL_BETA else 1.0 - np.array([[b**steps] for b in beta2])
-    corrections = (1.0 - p1, second)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fresh = corrected_moments(config, state, corrections)
-        hat = corrected_moments(config, state, corrections, out=tuple(garbage(rng, shape) for _ in range(3)))
-        assert fresh.keys() == hat.keys()
-        for name in fresh:
-            assert_bitwise(hat[name], fresh[name])
-        d = direction_map(config, g=g, **fresh)
-        d_out = direction_map(config, g=g, **hat, out=(garbage(rng, shape), garbage(rng, shape, bool)))
-        assert_bitwise(d_out, d)
-        if kind in reference.SECOND_MOMENT:
-            assert_bitwise(delta_estimate(config, hat, out=garbage(rng, shape)), delta_estimate(config, fresh))
-        lr = 10.0 ** rng.integers(-8, 2, size=(n_runs, 1))
-        stepped = apply_step(w, d, lr)
-        assert_bitwise(apply_step(w, d, lr, out=garbage(rng, shape)), stepped)
-        assert_bitwise(apply_step(w, d_out, lr, out=d_out), stepped)
+    runs = []
+    for i in range(n_runs):
+        beta1, beta2 = rng.choice(MIXED_BETAS, size=2).tolist()
+        beta2 = beta1 if kind is OptimizerKind.ADAM_EQUAL_BETA else beta2
+        config = OptimizerConfig(kind, beta1, beta2, epsilon=epsilon, epsilon_placement=placement)
+        w0 = initial_point(problem.dim, i)
+        w0[BLOCK_SLICES[i % 3]] = 0.0
+        runs.append(RunSpec(config, float(rng.choice(RATES)), w0, i, f"run{i}"))
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+        for module in (optim, quadbench):
+            patch.setattr(module, "np", GarbageNumpy(rng))
+        batch = run_batch(problem, runs, steps, batch_size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run, got in zip(runs, batch):
+            assert_same_record(reference.run(problem, run, steps, batch_size), got)
 
 
 #: momentum values for mixed batches; 0.9 and 0.95 are the benchmark's, 0.0 turns momentum off
@@ -501,29 +500,30 @@ def test_bias_correction_powers_are_python_powers(monkeypatch):
     """Pinned: numpy's power of 0.9 at step 12 is one ulp off Python's, and the engine must not use it.
 
     Only equal-beta Adam reads ``beta**k`` itself: ``1 - beta**k`` rounds
-    the two powers of 0.9 at step 12 alike.
+    the two powers of 0.9 at step 12 alike. Runs that share their betas
+    share one factor.
     """
     assert (np.array([[0.9]]) ** 12)[0, 0] != 0.9**12  # numpy 2.4.6; without it this case pins nothing
-    import adamlab.quadbench as quadbench
+    tables = []
+    correction_table = optim._correction_table
 
-    seen = []
+    def recording_table(*args):
+        tables.append(correction_table(*args))
+        return tables[-1]
 
-    def recording_moments(config, state, corrections=None, out=None):
-        seen.append(corrections)
-        return corrected_moments(config, state, corrections, out)
-
-    monkeypatch.setattr(quadbench, "corrected_moments", recording_moments)
+    monkeypatch.setattr(optim, "_correction_table", recording_table)
     problem = build_problem(Layout.HETEROGENEOUS, 3)
-    for kind, second in (
-        (OptimizerKind.ADAM_EQUAL_BETA, [0.9**12] * 2 + [0.95**12] * 2),
-        (OptimizerKind.ADAM, [1.0 - 0.9**12] * 4),
+    c1_mixed = [1.0 - 0.9**12] * 2 + [1.0 - 0.95**12] * 2
+    for kind, pairs, c1, second in (
+        (OptimizerKind.ADAM_EQUAL_BETA, [(0.9, 0.9), (0.95, 0.9)], c1_mixed, [0.9**12] * 2 + [0.95**12] * 2),
+        (OptimizerKind.ADAM, [(0.9, 0.9), (0.95, 0.9)], c1_mixed, [1.0 - 0.9**12] * 4),
+        (OptimizerKind.ADAM_EQUAL_BETA, [(0.9, 0.9)], [1.0 - 0.9**12], [0.9**12]),
+        (OptimizerKind.ADAM, [(0.9, 0.9)], [1.0 - 0.9**12], [1.0 - 0.9**12]),
     ):
-        seen.clear()
-        runs = mixed_runs(kind, [(0.9, 0.9), (0.95, 0.9)], [2.0**-7], 2, 16)
+        runs = mixed_runs(kind, pairs, [2.0**-7], 2, 16)
         assert_batch_equals_reference(problem, runs, 16, 3)
-        c1, c2 = seen[11]  # after step 12
-        assert c1[:, 0].tolist() == [1.0 - 0.9**12] * 2 + [1.0 - 0.95**12] * 2
-        assert c2[:, 0].tolist() == second
+        factors = tables[-1][11]  # after step 12
+        assert [np.ravel(factor).tolist() for factor in factors] == [c1, second]
 
 
 @pytest.mark.parametrize("start", [np.nan, 1e307])

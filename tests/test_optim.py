@@ -14,10 +14,9 @@ from adamlab.optim import (
     OptimizerKind,
     advance,
     apply_step,
-    corrected_moments,
+    array_step,
     delta_estimate,
     direction,
-    direction_map,
     init_state,
     scan,
 )
@@ -131,20 +130,20 @@ def test_python_float_gradients_keep_python_float_state(kind):
         assert type(state.delta) is float
 
 
-def step(config, state, g):
-    """One step of the engine's chain: ``advance``, then ``corrected_moments`` into ``direction_map``.
+def steps(config, grads):
+    """The engine's step as one run: the direction and variance-term estimate after each vector of ``grads``.
 
-    Returns the direction and the corrected moments.
+    The estimate is ``None`` for a kind without a second moment.
     """
-    advance(config, state, g)
-    moments = corrected_moments(config, state)
-    return direction_map(config, g=g, **moments), moments
+    step, variance = array_step(config, [config.beta1], [config.beta2], len(grads[0]), len(grads))
+    for k, g in enumerate(grads):
+        d = step(np.reshape(g, (1, -1)), k)[0].copy()
+        yield d, None if variance is None else delta_estimate(*variance)[0]
 
 
 def directions(config, grads) -> np.ndarray:
     """The direction after each gradient of ``grads``, from a zero state."""
-    state = init_state(config, np.shape(grads[0]))
-    return np.array([step(config, state, g)[0] for g in grads])
+    return np.array([d for d, _ in steps(config, grads)])
 
 
 def test_constant_gradient_gives_unit_direction():
@@ -157,7 +156,7 @@ def test_constant_gradient_gives_unit_direction():
 
 def test_signsgd_is_elementwise_sign():
     config = OptimizerConfig(OptimizerKind.SIGN_SGD)
-    d, _ = step(config, init_state(config, (3,)), np.array([3.0, -2.0, 0.0]))
+    d = directions(config, [np.array([3.0, -2.0, 0.0])])[0]
     np.testing.assert_array_equal(d, [1.0, -1.0, 0.0])
 
 
@@ -275,11 +274,9 @@ class TestConfigValidation:
 def test_rmsprop_direction_formula():
     rng = np.random.default_rng(14)
     config = OptimizerConfig(OptimizerKind.RMSPROP, beta2=0.9, epsilon=1e-8)
-    state = init_state(config, (4,))
+    grads = [rng.standard_normal(4) for _ in range(20)]
     v = np.zeros(4)
-    for k in range(1, 21):
-        g = rng.standard_normal(4)
-        d, _ = step(config, state, g)
+    for k, (g, d) in enumerate(zip(grads, directions(config, grads)), start=1):
         v = 0.9 * v + 0.1 * g * g
         np.testing.assert_allclose(d, g / (np.sqrt(v / (1 - 0.9**k)) + 1e-8), rtol=1e-14)
 
@@ -303,11 +300,9 @@ def test_signum_large_epsilon_approaches_rescaled_momentum():
     eps = 1e8
     config = OptimizerConfig(OptimizerKind.SIGNUM, beta1=0.9, epsilon=eps,
                              epsilon_placement=EpsilonPlacement.INSIDE_SQRT)
-    state = init_state(config, (3,))
-    for _ in range(30):
-        g = rng.standard_normal(3)
-        d, _ = step(config, state, g)
-        np.testing.assert_allclose(d, state.m / math.sqrt(eps), rtol=1e-6)
+    grads = np.array([rng.standard_normal(3) for _ in range(30)])
+    ms, _ = scan(config, init_state(config, (3,)), grads)
+    np.testing.assert_allclose(directions(config, grads), ms / math.sqrt(eps), rtol=1e-6)
 
 
 def test_state_advances_exactly_once_per_call():
@@ -338,16 +333,14 @@ def test_equal_beta_adam_matches_variance_form(beta, placement, epsilon, seed, l
     adam = OptimizerConfig(OptimizerKind.ADAM, **kwargs)
     eq = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, **kwargs)
     grads = np.random.default_rng(seed).standard_normal((100, 4)) * 2.0**log2_scale
-    s_ad, s_eq = init_state(adam, (4,)), init_state(eq, (4,))
+    s_ad = init_state(adam, (4,))
     d_scale, var_scale = 1.0, 0.0
-    for k, g in enumerate(grads, start=1):
-        d_ad, moments_ad = step(adam, s_ad, g)
-        d_eq, moments_eq = step(eq, s_eq, g)
+    for k, (g, (d_ad, var_ad), (d_eq, var_eq)) in enumerate(zip(grads, steps(adam, grads), steps(eq, grads)), start=1):
+        advance(adam, s_ad, g)
         correction = 1.0 - beta**k
         m_hat, v_hat = s_ad.m / correction, s_ad.v / correction
         d_scale = max(d_scale, float(np.max(np.abs(d_ad))))
         var_scale = max(var_scale, float(np.max(np.maximum(m_hat * m_hat, v_hat))))
         assert np.max(np.abs(d_ad - d_eq)) <= 1e-11 * d_scale, k
-        var_ad, var_eq = delta_estimate(adam, moments_ad), delta_estimate(eq, moments_eq)
         assert np.all(var_ad >= 0) and np.all(var_eq >= 0)
         assert np.max(np.abs(var_ad - var_eq)) <= 1e-12 * var_scale, k
