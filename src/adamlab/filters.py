@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .core import as_signal, max_or_nan
-from .optim import OptimizerConfig, OptimizerKind, direction_map, init_state, scan
+from .optim import OptimizerConfig, OptimizerKind, direction_map, scan
 from .optim import direction  # unused here; perfbench/tracer.py still wraps adamlab.filters.direction
 
 
@@ -100,8 +100,8 @@ def filter_response(filt: FilterSpec, signal) -> np.ndarray:
 
     A scalar or 1-D signal is flattened and gives a ``(T,)`` response; a
     ``(T, C)`` signal is C independent columns streamed together and gives a
-    ``(T, C)`` response. The sign filter keeps no moments; the others hand
-    the whole signal to one ``scan`` of the recursions, and its ``m`` (and
+    ``(T, C)`` response. The whole signal goes to one ``scan`` of the
+    recursions (the sign filter keeps no moments), and its ``m`` (and
     equal-beta Adam's ``delta``) history to one ``direction_map`` call.
     Equal-beta Adam raises ``ValueError`` for a nonzero signal whose largest
     magnitude is outside :data:`ADAMEQ_PEAK_RANGE`, where its squares would
@@ -113,18 +113,13 @@ def filter_response(filt: FilterSpec, signal) -> np.ndarray:
     """
     signal = as_signal(signal)
     config = filt.optimizer_config()
-    if filt.kind is FilterKind.SIGN:
-        return direction_map(config, g=signal)
     if filt.kind is FilterKind.ADAM_EQUAL_BETA:
         peak = float(np.max(np.abs(signal), initial=0.0))
         if peak and not ADAMEQ_PEAK_RANGE[0] <= peak <= ADAMEQ_PEAK_RANGE[1]:
             raise ValueError(
                 f"adameq signal peak {peak:g} is outside [2**-500, 2**500], where m*m + delta would overflow or underflow"
             )
-    state = init_state(config, signal.shape[1:])
-    # a (T,) signal steps as Python floats, several times cheaper than 0-d arrays
-    ms, deltas = scan(config, state, signal.tolist() if signal.ndim == 1 else signal)
-    return direction_map(config, m=ms, second=deltas)
+    return direction_map(config, *scan(config, signal), g=signal)
 
 
 #: the gates the callers judge these measurements against: the four operator properties are
@@ -212,7 +207,7 @@ def density_witness(target: float, k: int, beta: float) -> tuple[np.ndarray, flo
     free sample, streamed through the equal-beta map from the first sample
     on (``m`` starts at the first sample and ``delta`` at 0), so the response
     is read at step k of a ``k + 1``-sample signal. The prefix is scanned
-    once, and each candidate steps only the final sample from its moments.
+    once, and each candidate scans only the final sample from its last rows.
     Along that family the response is monotone in the final sample, so
     bisection applies, and stops within :data:`WITNESS_TOL`; by oddness,
     negative targets mirror positive ones. A miss is returned, not raised.
@@ -225,13 +220,12 @@ def density_witness(target: float, k: int, beta: float) -> tuple[np.ndarray, flo
 
     sign = -1.0 if target < 0 else 1.0
     goal = abs(target)
-    prefix = init_state(config, ())
-    prefix.m = sign
-    scan(config, prefix, [sign] * (k - 1))
+    start = (sign, 0.0)
+    if k > 1:
+        start = [history[-1] for history in scan(config, [sign] * (k - 1), start)]
 
     def response_at_k(t: float) -> float:
-        ms, deltas = scan(config, replace(prefix), [sign * t])
-        return sign * float(direction_map(config, m=ms, second=deltas)[0])
+        return sign * float(direction_map(config, *scan(config, [sign * t], start))[0])
 
     # response is nondecreasing on t <= 1: t=1 gives exactly 1, and the
     # momentum zero-crossing t0 gives exactly 0

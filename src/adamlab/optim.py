@@ -1,4 +1,4 @@
-"""Optimizer family as pure step functions over explicit state.
+"""Optimizer family as step functions over the moments they keep.
 
 Each method reduces to picking a direction ``d`` from the gradient stream;
 the parameter update is always
@@ -20,16 +20,17 @@ Supported directions:
 A step has three parts: the moment recursions (an online estimate of the
 gradient's mean and variance), bias correction, which the kinds with a
 second moment (RMSprop, Adam and equal-beta Adam) always apply, and the
-direction map. The recursions have one implementation per number type:
-Python floats step in :func:`scan`'s own loop, and arrays in the in-place
-step that :func:`_recursion` settles once for a kind and its betas. An array
-state's moments are the rows of one stacked array (``m``, then ``v`` or
-``delta``), so one decay multiply, one add and one bias-correction divide
-cover both. :func:`array_step` settles a batch's whole step, and every array
-it writes, from these pieces for the ``quadbench`` engine, so a step makes
-only its ufunc calls; :func:`scan` runs the same recursion along a signal,
-and :func:`direction_map` the same map over a whole moment history, as the
-filters do.
+direction map. The moments are the whole state: ``m``, then ``v`` or
+``delta``, as far as a kind keeps them, stacked as the rows of one array, so
+one decay multiply, one add and one bias-correction divide cover both. The
+recursions have one implementation per number type: Python floats step in
+:func:`scan`'s own loop, and arrays in the in-place step that
+:func:`_recursion` settles once for a kind, its betas and a shape.
+:func:`array_step` settles a batch's whole step, and every array it writes,
+from these pieces for the ``quadbench`` engine, so a step makes only its
+ufunc calls; :func:`scan` runs the same recursion along a signal from given
+or zero moments and returns their histories, and :func:`direction_map` the
+same map over a whole moment history, as the filters do.
 """
 from __future__ import annotations
 
@@ -91,70 +92,44 @@ class OptimizerConfig:
             raise ValueError("epsilon must be nonnegative")
 
 
-@dataclass
-class OptimizerState:
-    """One run's moments, variance term, momentum and step count: Python floats for a scalar state, else arrays.
-
-    ``delta`` is advanced by its own nonnegative recursion rather than being
-    recovered as ``v - m**2``, so it stays sign-safe in floating point. The
-    betas are the config's floats, or ``(R, 1)`` columns when the rows of an
-    ``(R, dim)`` state are runs with their own momentum.
-    """
-
-    m: float | np.ndarray
-    v: float | np.ndarray
-    delta: float | np.ndarray
-    beta1: float | np.ndarray
-    beta2: float | np.ndarray
-    step: int = 0
+def _moment_count(kind: OptimizerKind) -> int:
+    """How many moments ``kind`` keeps: ``m``, then ``v`` or ``delta`` for the kinds with a second moment."""
+    return 2 if kind in _SECOND_MOMENT_KINDS else int(kind is not _SIGN_SGD)
 
 
-def init_state(config: OptimizerConfig, shape, beta1=None, beta2=None) -> OptimizerState:
-    """Zero moments of ``shape`` (``0.0`` for ``()``); the config's betas unless ``(R, 1)`` columns are given."""
-    m, v, delta = (0.0, 0.0, 0.0) if shape == () else (np.zeros(shape) for _ in range(3))
-    beta1 = config.beta1 if beta1 is None else beta1
-    return OptimizerState(m, v, delta, beta1, config.beta2 if beta2 is None else beta2)
-
-
-def stacked_moments(kind: OptimizerKind, state: OptimizerState) -> np.ndarray:
-    """A copy of an array state's moments as the rows of one array: ``m``, then ``v`` or ``delta``, if kept."""
-    n = 2 if kind in _SECOND_MOMENT_KINDS else int(kind is not _SIGN_SGD)
-    return np.stack([state.m, state.delta if kind is _ADAM_EQUAL_BETA else state.v])[:n]
-
-
-def _safe_div(num: np.ndarray, denom: np.ndarray, out: np.ndarray, positive=None) -> np.ndarray:
-    """num/denom into ``out`` (which may be ``denom``), 0/0 and a NaN ``denom`` giving 0; ``positive`` is scratch."""
-    positive = np.greater(denom, 0.0, out=positive)
+def _safe_div(num: np.ndarray, denom: np.ndarray, out: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """num/denom into ``out`` (which may be ``denom``), 0/0 and a NaN ``denom`` giving 0; ``positive`` is bool scratch."""
+    np.greater(denom, 0.0, out=positive)
     np.divide(num, denom, out=out, where=positive)
     np.copyto(out, 0.0, where=np.logical_not(positive, out=positive))
     return out
 
 
-def recursion_coefficients(state: OptimizerState) -> tuple:
-    """``(b1, 1 - b1, b1*(1 - b1), b2, 1 - b2)`` of the state's betas (floats or ``(R, 1)`` columns).
+def recursion_coefficients(beta1, beta2, shape) -> tuple:
+    """``(b1, 1 - b1, b1*(1 - b1), b2, 1 - b2)`` of the betas (floats or ``(R, 1)`` columns).
 
-    For an array state each is spread over the state's shape: a product of two
-    whole arrays is several times faster than one that broadcasts a column.
+    For a nonempty ``shape`` each is spread over it: a product of two whole
+    arrays is several times faster than one that broadcasts a column.
     """
-    b, b2 = state.beta1, state.beta2
-    c = 1.0 - b
-    coefficients = (b, c, b * c, b2, 1.0 - b2)
-    shape = np.shape(state.m)
+    c = 1.0 - beta1
+    coefficients = (beta1, c, beta1 * c, beta2, 1.0 - beta2)
     return tuple(np.broadcast_to(x, shape).copy() for x in coefficients) if shape else coefficients
 
 
-def _recursion(kind: OptimizerKind, state: OptimizerState):
-    """One in-place array step of ``kind``'s moment recursions, for ``state``'s betas: ``recur(g, moments, out)``.
+def _recursion(kind: OptimizerKind, beta1, beta2, shape):
+    """One in-place array step of ``kind``'s moment recursions over gradients of ``shape``: ``recur(g, moments, out)``.
 
-    Reads the :func:`stacked_moments` ``moments`` before the (checked,
-    finite) gradient ``g`` and writes them after it into ``out`` (which may be
-    ``moments``), each element by :func:`scan`'s float operations. The new
-    terms are stacked like the moments, so one multiply and one add decay them.
+    ``moments`` are ``(n, *shape)``, ``m`` then ``v`` or ``delta``, as far as
+    the kind keeps them. ``recur`` reads them before the (checked, finite)
+    gradient ``g`` and writes them after it into ``out`` (which may be
+    ``moments``), each element by :func:`scan`'s float operations, with the
+    betas as floats or ``(R, 1)`` columns. The new terms are stacked like the
+    moments, so one multiply and one add decay them.
     """
     if kind is _SIGN_SGD:
         return lambda g, moments, out: None
-    b, c, bc, b2, c2 = recursion_coefficients(state)
-    decay = np.stack([b, b2])[: 2 if kind in _SECOND_MOMENT_KINDS else 1]
+    b, c, bc, b2, c2 = recursion_coefficients(beta1, beta2, shape)
+    decay = np.stack([b, b2])[: _moment_count(kind)]
     term = np.empty_like(decay)
     first, second = term[0], term[-1]
     if kind is _ADAM_EQUAL_BETA:
@@ -182,74 +157,64 @@ def _recursion(kind: OptimizerKind, state: OptimizerState):
     return recur
 
 
-def scan(config: OptimizerConfig, state: OptimizerState, signal) -> tuple[np.ndarray, np.ndarray | None]:
-    """Advance ``state`` by each (checked, finite) gradient of ``signal`` in turn, along axis 0.
+def scan(config: OptimizerConfig, signal, start=None) -> tuple[np.ndarray, ...]:
+    """The moments after each (checked, finite) gradient of ``signal`` in turn, along axis 0.
 
-    ``signal`` is a sequence of gradients of the state's shape: a list of
-    Python floats for a scalar state, the rows of an array, or the one-gradient
-    tuple of :func:`advance`. The recursions are the EMA of ``m`` (of
-    ``sign(g)`` for EMA_SIGN, a signed zero keeping its sign), the EMA of ``v``
-    for Adam/RMSprop and, for equal-beta Adam, the variance recursion
-    ``delta' = b*delta + b*(1-b)*(m_prev - g)^2``. SIGN_SGD keeps no moments.
-    The coefficients and the kind are settled once per call; every step
-    rounds as it would alone. A scalar state steps as Python floats, several
-    times faster than 0-d arrays; an array state takes one :func:`_recursion`
-    step per gradient, straight into a history row, and its arrays are then
-    updated in place (the caller's gradients never are).
+    ``signal`` is a sequence of scalar gradients (Python floats, 0-d arrays,
+    or a 1-D array), or a ``(T, *shape)`` array whose rows are the gradients.
+    The recursions are the EMA of ``m`` (of ``sign(g)`` for EMA_SIGN, a
+    signed zero keeping its sign), the EMA of ``v`` for Adam/RMSprop and, for
+    equal-beta Adam, the variance recursion
+    ``delta' = b*delta + b*(1-b)*(m_prev - g)^2`` (its own nonnegative
+    recursion, not ``v - m**2``, so it stays sign-safe in floating point).
+    They start from ``start``, one value per moment (such as the last rows
+    of an earlier scan's histories), or else from zero; neither ``start`` nor
+    ``signal`` is written. The coefficients and the kind are settled once per
+    call; every step rounds as it would alone. A scalar signal steps as
+    Python floats (a 1-D array is converted), several times faster than
+    numpy scalars; an array signal takes one :func:`_recursion` step per
+    row, straight into a history row.
 
-    Returns the ``m`` after each step, and for equal-beta Adam the ``delta``
-    after each step (else ``None``), as ``(steps, *shape)`` arrays.
+    Returns one ``(T, *shape)`` history per moment: ``m``, then ``v`` or
+    ``delta`` for the kinds with a second moment (SIGN_SGD keeps none).
     """
     kind = config.kind
-    steps = len(signal)
-    shape = np.shape(state.m)
     if kind is _SIGN_SGD:
-        state.step += steps
-        return np.empty((0, *shape)), None
-    equal_beta = kind is _ADAM_EQUAL_BETA
+        return ()
+    n = _moment_count(kind)
+    shape = signal.shape[1:] if isinstance(signal, np.ndarray) else ()
     if shape:
-        moments = stacked_moments(kind, state)
-        history = np.empty((steps, *moments.shape))
-        recur = _recursion(kind, state)
+        moments = np.zeros((n, *shape)) if start is None else np.array(start, dtype=float)
+        history = np.empty((len(signal), *moments.shape))
+        recur = _recursion(kind, config.beta1, config.beta2, shape)
         for k, g in enumerate(signal):
             recur(g, moments, history[k])
             moments = history[k]
-        for own, row in zip((state.m, state.delta if equal_beta else state.v), moments):
-            np.copyto(own, row)
-        state.step += steps
-        return history[:, 0], history[:, 1] if equal_beta else None
-    ms: list = []
-    deltas = [] if equal_beta else None
-    xs = signal
-    if kind is _EMA_SIGN:
-        xs = np.sign(signal).tolist()  # the signs step as Python floats
-    b, c, bc, b2, c2 = recursion_coefficients(state)
-    m, v, delta = state.m, state.v, state.delta
-    if equal_beta:
+        return tuple(history[:, i] for i in range(n))
+    if isinstance(signal, np.ndarray):
+        signal = signal.tolist()
+    b, c, bc, b2, c2 = recursion_coefficients(config.beta1, config.beta2, ())
+    m, second = (0.0, 0.0) if start is None else (*start, 0.0)[:2]
+    ms, seconds = [], []
+    if kind is _ADAM_EQUAL_BETA:
         for g in signal:
             diff = m - g
-            delta = b * delta + bc * diff * diff
+            second = b * second + bc * diff * diff
             m = b * m + c * g
             ms.append(m)
-            deltas.append(delta)
-    elif kind in (_RMSPROP, _ADAM):
+            seconds.append(second)
+    elif kind in _SECOND_MOMENT_KINDS:
         for g in signal:
             m = b * m + c * g
-            v = b2 * v + c2 * (g * g)
+            second = b2 * second + c2 * (g * g)
             ms.append(m)
+            seconds.append(second)
     else:
-        for x in xs:
+        # EMA_SIGN's signs step as Python floats
+        for x in np.sign(signal).tolist() if kind is _EMA_SIGN else signal:
             m = b * m + c * x
             ms.append(m)
-    state.m, state.v, state.delta = m, v, delta
-    state.step += steps
-    return np.array(ms, dtype=float), None if deltas is None else np.array(deltas, dtype=float)
-
-
-def advance(config: OptimizerConfig, state: OptimizerState, g) -> OptimizerState:
-    """Advance ``state`` by the one (checked, finite) gradient ``g``: the one-step :func:`scan`."""
-    scan(config, state, (g,))
-    return state
+    return tuple(np.array(h, dtype=float) for h in (ms, seconds)[:n])
 
 
 def _correction(kind: OptimizerKind, hat: np.ndarray):
@@ -265,7 +230,7 @@ def _correction(kind: OptimizerKind, hat: np.ndarray):
         return lambda moments, factors: None
     if kind is not _ADAM_EQUAL_BETA:
         return lambda moments, factors: np.divide(moments, factors, out=hat)
-    m_hat, second = hat
+    m_hat, second = hat[0, ...], hat[1, ...]  # views, 0-d ones too
     shrink = np.empty_like(m_hat)
 
     def correct(moments, factors):
@@ -283,7 +248,7 @@ def _direction(config: OptimizerConfig):
     Reads ``g`` (SIGN_SGD), ``m`` and ``second`` (``v``, or equal-beta Adam's
     ``delta``), corrected or raw, and returns the direction in ``d``, a float
     array that is none of them (SGD and EMA_SIGN: ``m`` itself). A 0/0
-    direction reads as 0, with the bool array ``positive`` (or ``None``) as
+    direction reads as 0, with the bool array ``positive`` of ``d``'s shape as
     scratch; with ``epsilon > 0`` the divide skips that guard, since the
     denominator is then at least epsilon unless a moment has overflowed.
     """
@@ -313,10 +278,14 @@ def _direction(config: OptimizerConfig):
     return direct
 
 
-def direction_map(config: OptimizerConfig, *, g=None, m=None, second=None) -> np.ndarray:
-    """:func:`_direction`'s map into a new array (SGD, EMA_SIGN: ``m`` itself); a time axis maps a history."""
-    d = np.empty(np.shape(g if config.kind is _SIGN_SGD else m))
-    return _direction(config)(g, m, second, d, None)
+def direction_map(config: OptimizerConfig, m=None, second=None, *, g=None) -> np.ndarray:
+    """:func:`_direction`'s map into a new array (SGD, EMA_SIGN: ``m`` itself); a time axis maps a history.
+
+    ``m`` and ``second`` are the moments in :func:`scan`'s order, so
+    ``direction_map(config, *scan(config, signal), g=signal)`` maps a scan.
+    """
+    shape = np.shape(g if config.kind is _SIGN_SGD else m)
+    return _direction(config)(g, m, second, np.empty(shape), np.empty(shape, dtype=bool))
 
 
 def _correction_table(kind: OptimizerKind, beta1: list[float], beta2: list[float], ks) -> list:
@@ -354,10 +323,10 @@ def array_step(config: OptimizerConfig, beta1: list[float], beta2: list[float], 
     """
     kind = config.kind
     shape = (len(beta1), dim)
-    state = init_state(config, shape, np.array(beta1, dtype=float)[:, None], np.array(beta2, dtype=float)[:, None])
-    moments = stacked_moments(kind, state)
+    moments = np.zeros((_moment_count(kind), *shape))
     hat = np.empty_like(moments) if kind in _SECOND_MOMENT_KINDS else moments
-    recur, correct, direct = _recursion(kind, state), _correction(kind, hat), _direction(config)
+    columns = (np.array(betas, dtype=float)[:, None] for betas in (beta1, beta2))
+    recur, correct, direct = _recursion(kind, *columns, shape), _correction(kind, hat), _direction(config)
     factors = _correction_table(kind, beta1, beta2, range(1, steps + 1))
     d, positive = np.empty(shape), np.empty(shape, dtype=bool)
     m, second = (*hat, None, None)[:2]
@@ -372,19 +341,24 @@ def array_step(config: OptimizerConfig, beta1: list[float], beta2: list[float], 
     return step, (second, None if kind is _ADAM_EQUAL_BETA else m)
 
 
-def direction(config: OptimizerConfig, state: OptimizerState, g) -> tuple[np.ndarray, OptimizerState]:
-    """One optimizer step with float betas: :func:`advance` ``state`` once, then map its corrected moments."""
+def direction(config: OptimizerConfig, g, start=None, step: int = 0) -> tuple[np.ndarray, tuple]:
+    """One optimizer step with the config's betas: ``(d, moments)``.
+
+    The (checked) gradient ``g`` is scanned from ``start`` (zero moments by
+    default), the moments' ``step + 1``-th update; the new moments are
+    bias-corrected and mapped to the direction ``d``. ``moments`` are the raw
+    new moments, the ``start`` of the next step.
+    """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient contains non-finite entries")
-    advance(config, state, g)
     kind = config.kind
-    moments = stacked_moments(kind, state)
+    moments = tuple(history[0] for history in scan(config, g[None], start))
+    hat = np.array(moments)
     if kind in _SECOND_MOMENT_KINDS:
-        factors = _correction_table(kind, [state.beta1], [state.beta2], [state.step])[0]
-        _correction(kind, moments)(moments, np.reshape(factors, (2, *(1,) * g.ndim)))
-    m, second = (*moments, None, None)[:2]
-    return direction_map(config, g=g, m=m, second=second), state
+        factors = _correction_table(kind, [config.beta1], [config.beta2], [step + 1])[0]
+        _correction(kind, hat)(hat, np.reshape(factors, (2, *(1,) * g.ndim)))
+    return direction_map(config, *hat, g=g), moments
 
 
 def apply_step(w: np.ndarray, d: np.ndarray, lr, out=None) -> np.ndarray:

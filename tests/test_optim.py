@@ -12,12 +12,12 @@ from adamlab.optim import (
     EpsilonPlacement,
     OptimizerConfig,
     OptimizerKind,
-    advance,
+    _recursion,
     apply_step,
     array_step,
     delta_estimate,
     direction,
-    init_state,
+    direction_map,
     scan,
 )
 
@@ -34,24 +34,42 @@ GRADIENT_ENTRIES = st.floats(-1e6, 1e6)  # signed zeros and subnormals included
 BETAS = st.floats(0.0, 1.0, exclude_max=True)
 
 
+def reference_moments(kind, ref):
+    """The reference stepper's moments in ``scan``'s order: ``m``, then ``v`` or ``delta``, as far as ``kind`` keeps them."""
+    if kind is OptimizerKind.SIGN_SGD:
+        return ()
+    if kind not in reference.SECOND_MOMENT:
+        return (ref.m,)
+    return ref.m, ref.delta if kind is OptimizerKind.ADAM_EQUAL_BETA else ref.v
+
+
+def drawn_signal(data, length, shape):
+    """Gaussian noise, where rounding differs between parenthesizations, with drawn entries mixed in."""
+    noise = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((length, *shape))
+    drawn = data.draw(arrays(np.float64, noise.shape, elements=GRADIENT_ENTRIES))
+    return np.where(data.draw(arrays(np.bool_, noise.shape)), drawn, noise)
+
+
+def drawn_betas(kind, data):
+    beta1, beta2 = data.draw(BETAS), data.draw(BETAS)
+    return beta1, beta1 if kind is OptimizerKind.ADAM_EQUAL_BETA else beta2
+
+
 @given(
     kind=st.sampled_from(OptimizerKind),
     layout=st.sampled_from(["python-float", "0-d", "vector", "batch"]),
     data=st.data(),
 )
 def test_scan_matches_reference_stepper_bitwise(kind, layout, data):
-    """``scan`` over a whole sequence, and ``advance`` step by step, equal the reference stepper bit for bit.
+    """``scan``'s histories, and the array step with per-row momentum, equal the reference stepper bit for bit.
 
-    A scalar state takes a list of Python floats or of 0-d arrays; a vector
-    or ``(R, dim)`` state takes the rows of a ``(T, ...)`` array, with
-    ``(R, 1)`` momentum columns for a batch, shared by both moments for
-    equal-beta Adam. Every step of the ``m`` (and equal-beta ``delta``)
-    history that ``scan`` returns is compared, and every state ``advance``
-    leaves, then the final states.
+    A scalar signal is a list of Python floats or of 0-d arrays, and a vector
+    one the rows of a ``(T, dim)`` array. A batch is ``(R, dim)`` gradients
+    stepped in place by ``_recursion`` (as ``array_step`` does), with
+    ``(R, 1)`` momentum columns, shared by both moments for equal-beta Adam.
+    Every moment after every step is compared.
     """
-    beta1, beta2 = data.draw(BETAS), data.draw(BETAS)
-    if kind is OptimizerKind.ADAM_EQUAL_BETA:
-        beta2 = beta1
+    beta1, beta2 = drawn_betas(kind, data)
     config = OptimizerConfig(kind, beta1=beta1, beta2=beta2)
     columns = ()
     shape = ()
@@ -64,70 +82,87 @@ def test_scan_matches_reference_stepper_bitwise(kind, layout, data):
         col1 = np.zeros((n_runs, 1)) if kind is OptimizerKind.RMSPROP else data.draw(column)
         columns = (col1, col1 if kind is OptimizerKind.ADAM_EQUAL_BETA else data.draw(column))
     length = data.draw(st.integers(1, 24))
-    # Gaussian noise, where rounding differs between parenthesizations, with drawn entries mixed in
-    noise = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((length, *shape))
-    drawn = data.draw(arrays(np.float64, noise.shape, elements=GRADIENT_ENTRIES))
-    signal = np.where(data.draw(arrays(np.bool_, noise.shape)), drawn, noise)
+    signal = drawn_signal(data, length, shape)
     if layout == "python-float":
         signal = signal.tolist()
     elif layout == "0-d":
         signal = [np.asarray(g) for g in signal]
 
-    state, stepped = init_state(config, shape, *columns), init_state(config, shape, *columns)
     ref = reference.Stepper(config, shape, *columns)
-    ms, deltas = scan(config, state, signal)
-    assert (deltas is None) == (kind is not OptimizerKind.ADAM_EQUAL_BETA)
-    assert len(ms) == (0 if kind is OptimizerKind.SIGN_SGD else length)
+    if layout == "batch":
+        moments = np.zeros((len(reference_moments(kind, ref)), *shape))
+        recur = _recursion(kind, *columns, shape)
+        history = np.empty((length, *moments.shape))
+        for k, g in enumerate(signal):
+            recur(g, moments, moments)
+            history[k] = moments
+        histories = tuple(np.moveaxis(history, 1, 0))
+    else:
+        histories = scan(config, signal)
+    assert len(histories) == len(reference_moments(kind, ref))
     for k, g in enumerate(signal):
-        advance(config, stepped, g)
         ref.update(g)
-        if len(ms):
-            assert_bitwise(ms[k], ref.m)
-        if deltas is not None:
-            assert_bitwise(deltas[k], ref.delta)
-        assert stepped.step == ref.step
-        assert_bitwise(stepped.m, ref.m)
-        assert_bitwise(stepped.v, ref.v)
-        assert_bitwise(stepped.delta, ref.delta)
-    assert state.step == length
-    assert_bitwise(state.m, ref.m)
-    assert_bitwise(state.v, ref.v)
-    assert_bitwise(state.delta, ref.delta)
+        for history, expected in zip(histories, reference_moments(kind, ref)):
+            assert_bitwise(history[k], expected)
 
 
 @given(
     kind=st.sampled_from(OptimizerKind),
-    shape=st.sampled_from([(3,), (2, 4)]),
-    length=st.integers(1, 6),
-    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["python-float", "vector", "columns"]),
+    data=st.data(),
 )
-def test_scan_and_advance_leave_the_signal_unchanged(kind, shape, length, seed):
-    """An array state is stepped in place, and no state array is a row of the signal."""
-    beta2 = 0.9 if kind is OptimizerKind.ADAM_EQUAL_BETA else 0.99
-    config = OptimizerConfig(kind, beta1=0.9, beta2=beta2)
-    rng = np.random.default_rng(seed)
-    signal = rng.standard_normal((length, *shape))
+def test_scan_in_two_pieces_equals_one_scan(kind, layout, data):
+    """A scan started from the last rows of an earlier scan continues it bit for bit, and writes neither input.
+
+    The second piece starts from the first piece's last history rows (views
+    into its histories for an array signal), and every later step would
+    write through a ``start`` or signal row that it aliased.
+    """
+    config = OptimizerConfig(kind, *drawn_betas(kind, data))
+    shape = {"python-float": (), "vector": (data.draw(st.integers(1, 4)),), "columns": (2, 3)}[layout]
+    length = data.draw(st.integers(2, 24))
+    cut = data.draw(st.integers(1, length - 1))
+    signal = drawn_signal(data, length, shape)
     before = signal.copy()
-    scanned, stepped = init_state(config, shape), init_state(config, shape)
-    scan(config, scanned, signal)
-    for g in signal:
-        advance(config, stepped, g)
-    # steps after the signal would write through any state array that is one of its rows
-    for _ in range(2):
-        g = rng.standard_normal(shape)
-        scan(config, scanned, g[None])
-        advance(config, stepped, g)
-    assert signal.tobytes() == before.tobytes()
+    if layout == "python-float":
+        signal = signal.tolist()
+    whole = scan(config, signal)
+    head = scan(config, signal[:cut])
+    start = tuple(history[-1] for history in head)
+    start_before = np.array(start).tobytes()
+    tail = scan(config, signal[cut:], start)
+    assert len(whole) == len(head) == len(tail)
+    for w, h, t in zip(whole, head, tail):
+        assert_bitwise(w, np.concatenate([h, t]))
+    assert np.array(start).tobytes() == start_before
+    assert np.array(signal).tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("kind", [OptimizerKind.SGD, OptimizerKind.SIGNUM, OptimizerKind.ADAM_EQUAL_BETA])
 def test_python_float_gradients_keep_python_float_state(kind):
+    """Python-float moments, such as a scan's last rows as Python floats, continue a Python-float scan exactly."""
     config = OptimizerConfig(kind, beta1=0.9)
-    state = init_state(config, ())
-    for g in (0.5, -1.25, 3.0, 0.0):
-        advance(config, state, g)
-        assert type(state.m) is float
-        assert type(state.delta) is float
+    signal = [0.5, -1.25, 3.0, 0.0]
+    start = [history[-1].item() for history in scan(config, signal[:2])]
+    assert all(type(x) is float for x in start)
+    for whole, tail in zip(scan(config, signal), scan(config, signal[2:], start), strict=True):
+        assert whole.dtype == np.float64 and whole.shape == (4,)
+        assert_bitwise(whole[2:], tail)
+
+
+@pytest.mark.parametrize("kind", OptimizerKind)
+@pytest.mark.parametrize("epsilon", [0.0, 1e-8])
+def test_direction_map_takes_0d_moments(kind, epsilon):
+    """0-d moments map to the reference stepper's direction, the 0/0 guard's kinds too."""
+    config = OptimizerConfig(kind, beta1=0.9, epsilon=epsilon)
+    ref = reference.Stepper(config, corrected=False)
+    ref.m, ref.v, ref.delta = 0.5, 0.25, 0.25
+    g = np.array(-2.0)
+    got = direction_map(config, m=np.array(0.5), second=np.array(0.25), g=g)
+    assert_bitwise(got, ref.direction(g))
+    # a zero root divides 0/0, which reads as 0
+    ref.m = ref.v = ref.delta = 0.0
+    assert_bitwise(direction_map(config, m=np.array(0.0), second=np.array(0.0), g=g), ref.direction(g))
 
 
 def steps(config, grads):
@@ -166,20 +201,16 @@ def test_delta_recursion_matches_direct_summation():
     beta = 0.9
     grads = rng.standard_normal(500)
     config = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, beta1=beta, epsilon=0.0)
-    state = init_state(config, ())
+    ms, deltas = scan(config, grads)
 
-    m_prev = 0.0
     squared_devs = []
     worst = 0.0
-    for g in grads:
+    for k, (g, m_prev) in enumerate(zip(grads, [0.0, *ms[:-1]]), start=1):
         squared_devs.append((m_prev - g) ** 2)
-        advance(config, state, g)
-        m_prev = float(state.m)
-        k = len(squared_devs)
         direct = beta * (1.0 - beta) * math.fsum(
             beta ** (k - 1 - j) * s for j, s in enumerate(squared_devs)
         )
-        worst = max(worst, abs(float(state.delta) - direct))
+        worst = max(worst, abs(float(deltas[k - 1]) - direct))
     assert worst <= 1e-12
 
 
@@ -268,7 +299,7 @@ class TestConfigValidation:
         # the one direct test of direction, which only perfbench/tracer.py still wraps
         config = OptimizerConfig(OptimizerKind.SGD, beta1=0.9)
         with pytest.raises(ValueError, match="finite"):
-            direction(config, init_state(config, (2,)), np.array([1.0, np.nan]))
+            direction(config, np.array([1.0, np.nan]))
 
 
 def test_rmsprop_direction_formula():
@@ -301,16 +332,8 @@ def test_signum_large_epsilon_approaches_rescaled_momentum():
     config = OptimizerConfig(OptimizerKind.SIGNUM, beta1=0.9, epsilon=eps,
                              epsilon_placement=EpsilonPlacement.INSIDE_SQRT)
     grads = np.array([rng.standard_normal(3) for _ in range(30)])
-    ms, _ = scan(config, init_state(config, (3,)), grads)
+    (ms,) = scan(config, grads)
     np.testing.assert_allclose(directions(config, grads), ms / math.sqrt(eps), rtol=1e-6)
-
-
-def test_state_advances_exactly_once_per_call():
-    config = OptimizerConfig(OptimizerKind.ADAM, beta1=0.9, beta2=0.95)
-    state = init_state(config, (2,))
-    for expected in range(1, 5):
-        advance(config, state, np.ones(2))
-        assert state.step == expected
 
 
 @given(
@@ -333,12 +356,11 @@ def test_equal_beta_adam_matches_variance_form(beta, placement, epsilon, seed, l
     adam = OptimizerConfig(OptimizerKind.ADAM, **kwargs)
     eq = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, **kwargs)
     grads = np.random.default_rng(seed).standard_normal((100, 4)) * 2.0**log2_scale
-    s_ad = init_state(adam, (4,))
+    moments = zip(*scan(adam, grads))
     d_scale, var_scale = 1.0, 0.0
-    for k, (g, (d_ad, var_ad), (d_eq, var_eq)) in enumerate(zip(grads, steps(adam, grads), steps(eq, grads)), start=1):
-        advance(adam, s_ad, g)
+    for k, ((m, v), (d_ad, var_ad), (d_eq, var_eq)) in enumerate(zip(moments, steps(adam, grads), steps(eq, grads)), start=1):
         correction = 1.0 - beta**k
-        m_hat, v_hat = s_ad.m / correction, s_ad.v / correction
+        m_hat, v_hat = m / correction, v / correction
         d_scale = max(d_scale, float(np.max(np.abs(d_ad))))
         var_scale = max(var_scale, float(np.max(np.maximum(m_hat * m_hat, v_hat))))
         assert np.max(np.abs(d_ad - d_eq)) <= 1e-11 * d_scale, k

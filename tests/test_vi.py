@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adamlab import vi
-from adamlab.optim import OptimizerConfig, OptimizerKind, advance, init_state
+from adamlab.optim import OptimizerConfig, OptimizerKind, scan
 from adamlab.vi import (
     MAX_EVALUATIONS,
     GaussianBelief,
@@ -262,10 +262,8 @@ class TestConsistencyWithOptimizer:
         lam = beta / (1.0 - beta)
         grads = np.random.default_rng(34).standard_normal(200)
         config = OptimizerConfig(OptimizerKind.ADAM_EQUAL_BETA, beta1=beta, epsilon=0.0)
-        state = init_state(config, ())
         belief = GaussianBelief(0.0, 0.0)
-        for g in grads:
+        for g, m, delta in zip(grads, *scan(config, grads)):
             belief = vi_update(belief, float(g), lam)
-            advance(config, state, g)
-            assert belief.mean == float(state.m)
-            assert belief.variance == float(state.delta)
+            assert belief.mean == float(m)
+            assert belief.variance == float(delta)
