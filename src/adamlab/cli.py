@@ -188,8 +188,11 @@ def _field_types(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def _build_config(cls, data: dict):
-    """Build ``cls`` from field values, rejecting unknown fields, wrong types, empty or repeating lists and unknown names."""
+def _checked_fields(cls, data: dict) -> dict:
+    """``data`` as typed field values of ``cls``.
+
+    Rejects unknown fields, wrong types, empty or repeating lists and unknown names.
+    """
     hints = _field_types(cls)
     unknown = sorted(set(data) - set(hints))
     if unknown:
@@ -206,7 +209,7 @@ def _build_config(cls, data: dict):
             for item in value if isinstance(value, tuple) else (value,):
                 if item not in choices:
                     raise ConfigError(f"unknown {what} {item!r}; choose from {choices}")
-    return cls(**values)
+    return values
 
 
 def parse_config(text: str, command: str):
@@ -222,7 +225,8 @@ def parse_config(text: str, command: str):
     declared = data.get("command", command)
     if declared != command:
         raise ConfigError(f"config file is for command {declared!r}, not {command!r}")
-    return _build_config(_CONFIG_TYPES[command], data)
+    cls = _CONFIG_TYPES[command]
+    return cls(**_checked_fields(cls, data))
 
 
 def _load_config(path: str | None, command: str, overrides: dict):
@@ -235,9 +239,9 @@ def _load_config(path: str | None, command: str, overrides: dict):
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         config = parse_config(text, command)
-    data = dataclasses.asdict(config)
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    return _build_config(cls, data)
+    # the default and a parsed file are checked already; the overrides are checked in field order
+    changed = {name: overrides[name] for name in _field_types(cls) if overrides.get(name) is not None}
+    return dataclasses.replace(config, **_checked_fields(cls, changed))
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +271,10 @@ def _atomic_open(path: Path):
             yield fh
         path.unlink(missing_ok=True)
         os.replace(tmp, path)
-        _remove_stale_temporaries(path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # only a failed write leaves it: a completed one has renamed it
+        raise
+    _remove_stale_temporaries(path)
 
 
 def _remove_stale_temporaries(path: Path) -> None:

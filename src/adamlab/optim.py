@@ -242,15 +242,16 @@ def _correction(kind: OptimizerKind, hat: np.ndarray):
     return correct
 
 
-def _direction(config: OptimizerConfig):
+def _direction(config: OptimizerConfig, guarded: bool = False):
     """The direction map of ``config``'s kind, its epsilon and placement settled: ``direct(g, m, second, d, positive)``.
 
     Reads ``g`` (SIGN_SGD), ``m`` and ``second`` (``v``, or equal-beta Adam's
     ``delta``), corrected or raw, and returns the direction in ``d``, a float
     array that is none of them (SGD and EMA_SIGN: ``m`` itself). A 0/0
-    direction reads as 0, with the bool array ``positive`` of ``d``'s shape as
-    scratch; with ``epsilon > 0`` the divide skips that guard, since the
-    denominator is then at least epsilon unless a moment has overflowed.
+    direction, or one over a NaN denominator, reads as 0, with the bool array
+    ``positive`` of ``d``'s shape as scratch. With ``epsilon > 0`` the divide
+    skips that guard unless ``guarded``: the denominator is then at least
+    epsilon unless a moment has overflowed.
     """
     kind, eps, zero = config.kind, np.array(config.epsilon), np.array(0.0)  # 0-d: numpy's fastest scalar operands
     if kind in (_SGD, _EMA_SIGN):
@@ -265,7 +266,7 @@ def _direction(config: OptimizerConfig):
         floor = lambda root, d: np.add(np.sqrt(root, out=d), eps, out=d)
     if kind is _SIGNUM:
         return lambda g, m, second, d, positive: np.divide(m, floor(np.multiply(m, m, out=d), d), out=d)
-    divide = _safe_div if config.epsilon == 0.0 else lambda m, denom, d, positive: np.divide(m, denom, out=d)
+    divide = _safe_div if guarded or config.epsilon == 0.0 else lambda m, denom, d, positive: np.divide(m, denom, out=d)
     if kind is not _ADAM_EQUAL_BETA:
         return lambda g, m, second, d, positive: divide(m, floor(second, d), d, positive)
 
@@ -317,9 +318,11 @@ def array_step(config: OptimizerConfig, beta1: list[float], beta2: list[float], 
     every array a step writes are settled here, so ``step(g, k)`` makes only
     its ufunc calls: it takes the gradient of step ``k`` through
     :func:`_recursion`, :func:`_correction` and :func:`_direction`, from zero
-    moments, and returns the direction. ``variance`` is :func:`delta_estimate`'s
-    ``(second, m)`` after each step, or ``None`` for a kind without a second
-    moment.
+    moments, and returns the direction. The first step's divide is guarded,
+    since only a start point's gradient can overflow the moments of a run that
+    has not ended (a point whose loss is within the engine's threshold has a
+    small gradient). ``variance`` is :func:`delta_estimate`'s ``(second, m)``
+    after each step, or ``None`` for a kind without a second moment.
     """
     kind = config.kind
     shape = (len(beta1), dim)
@@ -327,6 +330,7 @@ def array_step(config: OptimizerConfig, beta1: list[float], beta2: list[float], 
     hat = np.empty_like(moments) if kind in _SECOND_MOMENT_KINDS else moments
     columns = (np.array(betas, dtype=float)[:, None] for betas in (beta1, beta2))
     recur, correct, direct = _recursion(kind, *columns, shape), _correction(kind, hat), _direction(config)
+    first = _direction(config, guarded=True)
     factors = _correction_table(kind, beta1, beta2, range(1, steps + 1))
     d, positive = np.empty(shape), np.empty(shape, dtype=bool)
     m, second = (*hat, None, None)[:2]
@@ -334,7 +338,7 @@ def array_step(config: OptimizerConfig, beta1: list[float], beta2: list[float], 
     def step(g, k):
         recur(g, moments, moments)
         correct(moments, factors[k])
-        return direct(g, m, second, d, positive)
+        return (first if k == 0 else direct)(g, m, second, d, positive)
 
     if kind not in _SECOND_MOMENT_KINDS:
         return step, None

@@ -18,15 +18,16 @@ Runs are stepped by one engine, :func:`run_batch`, which advances R runs as the
 rows of ``(R, dim)`` arrays. Each run brings its own ``OptimizerConfig``; the
 configs of a batch may differ only in ``beta1`` and ``beta2``. The optimizer's
 kind, epsilon placement and bias corrections are settled once per batch by
-``optim.array_step``, so a step is the gradient, that batch's own optimizer
+``optim.array_step``, and the gradient's arrays and views by :func:`gather`,
+so a step is the gradient, that batch's own optimizer
 step, ``apply_step`` straight into the point history and, for the kinds with
 a second moment, ``delta_estimate`` into the variance-term history, each
 writing only into arrays made once per batch. Every record it returns equals,
 bit for bit, the record of stepping that run alone:
 
 * each run's row subsets are drawn before the loop from its own
-  ``derive_seed(seed, "batches", config_id)`` generator, into a fresh
-  ``(steps, n)`` block; shuffling its rows in place with
+  ``derive_seed(seed, "batches", config_id)`` generator, into the one
+  ``(steps, n)`` block of the batch; shuffling its rows in place with
   ``rng.permuted(..., axis=1)`` consumes the generator exactly like ``steps``
   successive ``rng.permutation(n)`` calls;
 * the gradient ``xb^T @ (xb @ w)`` and the loss ``w^T @ (H @ w)`` are written
@@ -37,8 +38,9 @@ bit for bit, the record of stepping that run alone:
   tabulated before the loop by one ``lr_at`` call over all steps and peaks;
   the rate and the momentum differ per run, and every optimizer operation is
   elementwise, so each run's row takes its own operations on its own operands;
-* the design rows are gathered step by step, not for the whole batch, whose
-  gather would hold ``steps x R x batch_size x dim`` floats;
+* the design rows are gathered step by step into the batch's one
+  :func:`gather`, not for the whole batch, whose gather would hold
+  ``steps x R x batch_size x dim`` floats;
 * the loop keeps only what feeds the next point, and writes each step's
   points (and variance-term snapshots) into ``(steps, R, dim)`` histories; the
   losses are one ``loss`` call over the point history, and a block mean of the
@@ -110,38 +112,25 @@ BLOCKS = {
 BLOCK_SLICES = (slice(0, 3), slice(3, 6), slice(6, 9))
 
 
-def rotation_from_factor(a: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvector matrix of ``a @ a.T`` in canonical form.
-
-    Columns are ordered by descending eigenvalue and each column's
-    largest-magnitude entry is made positive, so the output is a
-    deterministic function of ``a``.
-    """
-    a = np.asarray(a, dtype=float)
-    evals, evecs = np.linalg.eigh(a @ a.T)
-    evecs = evecs[:, ::-1].copy()
-    for j in range(evecs.shape[1]):
-        col = evecs[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            evecs[:, j] = -col
-    return evecs
-
-
 def haar_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Random 3x3 rotation from the eigenvectors of a Wishart sample.
+    """Random 3x3 rotation from the eigenvectors of a Wishart sample, in canonical form.
 
-    Resamples (advancing the generator) in the measure-zero event that the
-    eigenvalues of ``A A^T`` coincide to machine precision, since the
-    eigenbasis is then not unique; raises ``ValueError`` if 100 samples in a
-    row are degenerate.
+    One ``eigh`` of ``A A^T`` gives both the eigenvalues and the basis. Its
+    columns are ordered by descending eigenvalue and each column's
+    largest-magnitude entry is made positive, so the output is a deterministic
+    function of the draw. Resamples (advancing the generator) in the
+    measure-zero event that the eigenvalues coincide to machine precision,
+    since the eigenbasis is then not unique; raises ``ValueError`` if 100
+    samples in a row are degenerate.
     """
     for _ in range(100):
         a = rng.standard_normal((3, 3))
-        evals = np.linalg.eigvalsh(a @ a.T)
-        gaps = np.diff(evals)
-        if np.min(gaps) <= 1e-12 * max(evals[-1], 1e-300):
+        evals, evecs = np.linalg.eigh(a @ a.T)
+        if np.min(np.diff(evals)) <= 1e-12 * max(evals[-1], 1e-300):
             continue
-        return rotation_from_factor(a)
+        evecs = evecs[:, ::-1]
+        pivots = evecs[np.argmax(np.abs(evecs), axis=0), range(3)]
+        return evecs * np.where(pivots < 0, -1.0, 1.0)  # a sign flip is exact, as a negation
     raise ValueError("could not sample a non-degenerate rotation in 100 draws")
 
 
@@ -184,23 +173,40 @@ def build_problem(layout: Layout, base_seed: int) -> QuadraticProblem:
     return QuadraticProblem(hessian=hessian, design=design, layout=layout)
 
 
-def subset_gradient(problem: QuadraticProblem, w: np.ndarray, rows, out=(None, None, None)) -> np.ndarray:
+def gather(shape: tuple, batch_size: int) -> tuple:
+    """The arrays and views of a :func:`subset_gradient` of points of ``shape`` and ``batch_size`` rows each.
+
+    ``shape`` is ``(dim,)`` or ``(R, dim)``. They are
+    ``(xb, xb_t, xw, column, g, scale)``: the gathered design rows
+    ``(..., b, dim)`` and their transposed view, their products with the
+    points ``(..., b, 1)``, the gradient column ``(..., dim, 1)`` and its
+    ``[..., 0]`` view, and ``dim / b`` as a 0-d array, numpy's fastest scalar
+    operand. Each array is C-contiguous, as an allocating product's would be,
+    so the products make the same BLAS calls.
+    """
+    *runs, dim = shape
+    xb, column = np.empty((*runs, batch_size, dim)), np.empty((*shape, 1))
+    return xb, xb.swapaxes(-1, -2), np.empty((*runs, batch_size, 1)), column, column[..., 0], np.array(dim / batch_size)
+
+
+def subset_gradient(problem: QuadraticProblem, w: np.ndarray, rows, out: tuple | None = None) -> np.ndarray:
     """Gradient estimate from the given design-matrix rows.
 
     ``w`` may be a ``(R, dim)`` stack of points with ``rows`` a ``(R, b)``
     stack of row subsets, giving one gradient per run. Every row index must
-    be in ``[0, dim)``. ``out = (xb, xw, g)`` are the arrays it writes: the
-    gathered rows ``(..., b, dim)``, their products with ``w`` ``(..., b, 1)``
-    and the gradient column ``(..., dim, 1)``, whose ``[..., 0]`` view it
-    returns. Each is C-contiguous, as the allocating form's would be, so the
-    products make the same BLAS calls.
+    be in ``[0, dim)``. ``out`` is the :func:`gather` of these shapes, made
+    once for every step of a batch; then ``w`` must be a float array and
+    ``rows`` an integer one, and the gradient is written into its ``g`` and
+    returned. Without ``out`` the gradient goes into a new gather of its own.
     """
-    xb, xw, g = out
-    rows = np.asarray(rows, dtype=int)
-    xb = problem.design.take(rows, axis=0, out=xb, mode="clip")  # "raise" would copy through a buffer
-    xw = np.matmul(xb, np.asarray(w, dtype=float)[..., None], out=xw)
-    g = np.matmul(xb.swapaxes(-1, -2), xw, out=g)[..., 0]
-    return np.multiply(problem.dim / rows.shape[-1], g, out=g)
+    if out is None:
+        w, rows = np.asarray(w, dtype=float), np.asarray(rows, dtype=np.intp)
+        out = gather(w.shape, rows.shape[-1])
+    xb, xb_t, xw, column, g, scale = out
+    problem.design.take(rows, axis=0, out=xb, mode="clip")  # "raise" would copy through a buffer
+    np.matmul(xb, w[..., None], out=xw)
+    np.matmul(xb_t, xw, out=column)
+    return np.multiply(scale, g, out=g)
 
 
 def stochastic_grad(
@@ -219,15 +225,16 @@ def _check_batch_size(n: int, batch_size: int) -> None:
         raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
 
 
-def draw_rows(rng: np.random.Generator, n: int, steps: int, batch_size: int) -> np.ndarray:
+def draw_rows(rng: np.random.Generator, n: int, steps: int, batch_size: int, out=None) -> np.ndarray:
     """The row subsets of ``steps`` successive :func:`stochastic_grad` calls, shape ``(steps, batch_size)``.
 
-    The rows of a fresh ``(steps, n)`` block are filled with ``arange(n)`` and
-    shuffled in place: ``rng.permuted`` over them consumes ``rng`` exactly like
-    ``steps`` calls of ``rng.permutation(n)``.
+    The rows of a ``(steps, n)`` integer block (``out``, or a new one) are
+    filled with ``arange(n)`` and shuffled in place: ``rng.permuted`` over
+    them consumes ``rng`` exactly like ``steps`` calls of
+    ``rng.permutation(n)``. The result is a view of the block.
     """
     _check_batch_size(n, batch_size)
-    block = np.empty((steps, n), dtype=np.intp)
+    block = np.empty((steps, n), dtype=np.intp) if out is None else out
     block[...] = np.arange(n)
     return rng.permuted(block, axis=1, out=block)[:, :batch_size]
 
@@ -307,9 +314,7 @@ def run_batch(
     (recorded); it keeps stepping in its own row, which touches no other row,
     and its record stops where it ended. Each run's rate is :func:`lr_at` of
     its peak ``lr``, and its row-subsampling stream is derived from
-    ``(seed, config_id)``, so records are reproducible run by run. A start
-    point of norm about 1e152, whose first moments overflow, ends at step 0
-    as ``non_finite`` (with epsilon > 0 a step divides without a 0/0 mask).
+    ``(seed, config_id)``, so records are reproducible run by run.
     ``track_delta=False`` skips the variance-term snapshots
     (``delta_block_means`` is then ``None``). Raises ``ValueError`` if a peak
     is not finite and nonnegative, ``steps < 1``, ``batch_size`` is not in
@@ -327,9 +332,10 @@ def run_batch(
     n_runs = len(runs)
     _check_batch_size(problem.dim, batch_size)
     rows = np.empty((steps, n_runs, batch_size), dtype=np.intp)
+    block = np.empty((steps, problem.dim), dtype=np.intp)  # each run's draw reuses one block
     for i, run in enumerate(runs):
         rng = np.random.default_rng(derive_seed(run.seed, "batches", run.config_id))
-        rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size)
+        rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size, out=block)
     w = np.array([run.w0 for run in runs], dtype=float)
     shape = w.shape
     beta1 = [run.config.beta1 for run in runs]
@@ -340,12 +346,12 @@ def run_batch(
 
     points = np.empty((steps, *shape))
     snapshots = np.empty_like(points) if track_delta else None
-    gather = (np.empty((n_runs, batch_size, problem.dim)), np.empty((n_runs, batch_size, 1)), np.empty((*shape, 1)))
+    buffers = gather(shape, batch_size)
     # a huge peak may overflow its rates, and a run that has ended overflows its point, moments and loss
     with np.errstate(over="ignore", invalid="ignore"):
         lrs = lr_at(range(steps), steps, np.array([run.lr for run in runs]))[:, :, None]
         for k in range(steps):
-            g = subset_gradient(problem, w, rows[k], out=gather)
+            g = subset_gradient(problem, w, rows[k], out=buffers)
             if k == 0 and not np.isfinite(g).all():
                 raise ValueError("gradient contains non-finite entries")
             w = apply_step(w, step(g, k), lrs[k], out=points[k])

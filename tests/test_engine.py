@@ -1,13 +1,14 @@
 """The batched run engine, pinned bit for bit to the one-run reference stepper of ``reference.py``."""
 import ast
 import csv
+import itertools
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -61,15 +62,15 @@ def test_reference_imports_no_step_function_it_pins():
     assert imported <= REFERENCE_IMPORTS
 
 
-def assert_same_record(expected: RunRecord, got: RunRecord) -> None:
+def assert_same_record(expected: RunRecord, got: RunRecord, equal_nan: bool = False) -> None:
     assert (got.config_id, got.seed) == (expected.config_id, expected.seed)
-    assert np.array_equal(got.losses, expected.losses)
+    assert np.array_equal(got.losses, expected.losses, equal_nan=equal_nan)
     assert (got.diverged_at, got.reason) == (expected.diverged_at, expected.reason)
     if expected.delta_block_means is None:
         assert got.delta_block_means is None
     else:
         assert got.delta_block_means.shape == expected.delta_block_means.shape
-        assert np.array_equal(got.delta_block_means, expected.delta_block_means)
+        assert np.array_equal(got.delta_block_means, expected.delta_block_means, equal_nan=equal_nan)
 
 
 def assert_batch_equals_reference(problem, runs, steps, batch_size) -> list[RunRecord]:
@@ -105,6 +106,60 @@ def test_batch_equals_reference_stepper(kind, placement, epsilon, betas, batch_s
         for seed in range(n_seeds)
     ]
     assert_batch_equals_reference(problem, runs, steps, batch_size)
+
+
+#: start scales from vanishing to 1e200, whose first loss overflows; at 1e152 the first moments' squares overflow
+START_SCALES = tuple(10.0**e for e in (*range(-300, 201, 50), 152))
+#: rates from none to overflowing
+EDGE_RATES = (0.0, 0.01, 1.0, 1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(OptimizerKind),
+    placement=st.sampled_from(EpsilonPlacement),
+    epsilon=st.sampled_from((1e-8, 0.0)),
+    layout=st.sampled_from(Layout),
+    starts=st.lists(
+        st.tuples(
+            st.sampled_from(START_SCALES) | st.lists(st.sampled_from(START_SCALES), min_size=9, max_size=9),
+            st.sampled_from(EDGE_RATES),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    batch_size=st.integers(1, 9),
+)
+@example(
+    kind=OptimizerKind.ADAM_EQUAL_BETA,
+    placement=EpsilonPlacement.OUTSIDE_SQRT,
+    epsilon=1e-8,
+    layout=Layout.HETEROGENEOUS,
+    starts=[(1e152, 0.01)],
+    batch_size=3,
+)
+def test_batch_equals_reference_stepper_at_the_edges_of_the_float_range(
+    kind, placement, epsilon, layout, starts, batch_size
+):
+    """Starts from 1e-300 to 1e200, alone or mixed per coordinate, and rates up to 1e300 give the reference's records.
+
+    A start near 1e152 overflows the first moments' squares at the first
+    step, and equal-beta Adam's corrected variance term is then nan; the
+    reference reads the nan denominator's direction as 0, and so must the
+    engine. Both sides write nan block means there, so they compare with
+    ``equal_nan``.
+    """
+    config = OptimizerConfig(kind, beta1=0.95, beta2=0.95, epsilon=epsilon, epsilon_placement=placement)
+    problem = build_problem(layout, 0)
+    steps = 4
+    runs = [
+        RunSpec(config, lr, np.broadcast_to(scale, problem.dim).astype(float), i, f"run{i}")
+        for i, (scale, lr) in enumerate(starts)
+    ]
+    with np.errstate(all="ignore"):
+        batch = run_batch(problem, runs, steps, batch_size)
+        for run, got in zip(runs, batch):
+            assert_same_record(reference.run(problem, run, steps, batch_size), got, equal_nan=True)
 
 
 def test_rates_cover_both_divergence_reasons():
@@ -298,19 +353,23 @@ def test_out_forms_equal_allocating_forms(kind, placement, epsilon, n_runs, batc
     one block at zero, whose gradient, moments and root then stay 0, so the
     0/0 guards fire at epsilon 0. The runs' momenta differ (a batch of one,
     or of equal momenta, shares its bias corrections), and so do their
-    rates, some of which end them. ``subset_gradient`` writes into garbage
-    exactly what its allocating form returns.
+    rates, some of which end them. A gradient written into a garbage
+    :func:`quadbench.gather` (at a quad-tuned batch of 19 runs, a default
+    quad batch of 190 and a lone run, for every batch size, at points whose
+    coordinates span seven orders of magnitude) is exactly what the
+    allocating form returns, and a view of the gather's own buffer.
     """
     rng = np.random.default_rng(seed)
     problem = build_problem(Layout.HETEROGENEOUS, seed % 3)
-    shape = (n_runs, problem.dim)
-    w = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=(n_runs, 1))
-    rows = draw_rows(rng, problem.dim, n_runs, batch_size)
-    sizes = ((n_runs, batch_size, problem.dim), (n_runs, batch_size, 1), (*shape, 1))
-    gather = tuple(garbage(rng, size) for size in sizes)
-    g = subset_gradient(problem, w, rows, out=gather)
-    assert_bitwise(g, subset_gradient(problem, w, rows))
-    assert g.base is gather[2]
+    for n_points, size in itertools.product((1, 19, 190), range(1, problem.dim + 1)):
+        w = rng.standard_normal((n_points, problem.dim)) * 10.0 ** rng.integers(-3, 4, size=(n_points, problem.dim))
+        rows = draw_rows(rng, problem.dim, n_points, size)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadbench, "np", GarbageNumpy(rng))
+            buffers = quadbench.gather(w.shape, size)
+        g = subset_gradient(problem, w, rows, out=buffers)
+        assert_bitwise(g, subset_gradient(problem, w, rows))
+        assert g is buffers[4] and g.base is buffers[3]  # the gradient column's view
 
     runs = []
     for i in range(n_runs):

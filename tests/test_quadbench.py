@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adamlab import quadbench
 from adamlab.core import WARMUP_FRACTION
 from adamlab.optim import OptimizerConfig, OptimizerKind
 from adamlab.quadbench import (
@@ -21,7 +22,6 @@ from adamlab.quadbench import (
     haar_rotation,
     initial_point,
     loss_quantiles,
-    rotation_from_factor,
     run_batch,
     run_experiment,
     stochastic_grad,
@@ -32,7 +32,38 @@ from adamlab.quadbench import (
 EIGENVALUES = sorted([1, 2, 3, 99, 100, 101, 4998, 4999, 5000])
 
 
+def two_decomposition_rotation(rng: np.random.Generator) -> np.ndarray:
+    """The Haar draw written out the long way: ``eigvalsh`` for the gap test, then ``eigh``, then a sign per column."""
+    for _ in range(100):
+        a = rng.standard_normal((3, 3))
+        evals = np.linalg.eigvalsh(a @ a.T)
+        if np.min(np.diff(evals)) <= 1e-12 * max(evals[-1], 1e-300):
+            continue
+        _, evecs = np.linalg.eigh(a @ a.T)
+        evecs = evecs[:, ::-1].copy()
+        for j in range(3):
+            col = evecs[:, j]
+            if col[np.argmax(np.abs(col))] < 0:
+                evecs[:, j] = -col
+        return evecs
+    raise ValueError("could not sample a non-degenerate rotation in 100 draws")
+
+
 class TestRotations:
+    @pytest.mark.parametrize("layout", Layout, ids=lambda layout: layout.value)
+    def test_one_decomposition_equals_two(self, layout, monkeypatch):
+        """One ``eigh`` per draw gives the rotations, and so the problems, of the two-decomposition form bit for bit."""
+        for base_seed in range(500):
+            ours, theirs = (np.random.default_rng(derive_seed(base_seed, "problem", layout.value)) for _ in range(2))
+            for _ in BLOCK_SLICES:
+                assert haar_rotation(ours).tobytes() == two_decomposition_rotation(theirs).tobytes()
+            problem = build_problem(layout, base_seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(quadbench, "haar_rotation", two_decomposition_rotation)
+                expected = build_problem(layout, base_seed)
+            assert problem.hessian.tobytes() == expected.hessian.tobytes()
+            assert problem.design.tobytes() == expected.design.tobytes()
+
     def test_orthogonality(self):
         rng = np.random.default_rng(40)
         for _ in range(50):
@@ -48,13 +79,6 @@ class TestRotations:
         # a rank-one factor: the eigenbasis of A A^T is never unique
         with pytest.raises(ValueError, match="non-degenerate rotation"):
             haar_rotation(types.SimpleNamespace(standard_normal=np.ones))
-
-    def test_identity_factor_decomposes_to_identity(self):
-        # identity up to column order (the eigenvalues are all equal) and sign
-        q = rotation_from_factor(np.eye(3))
-        assert np.all((q == 0.0) | (q == 1.0))
-        np.testing.assert_array_equal(q.sum(axis=0), np.ones(3))
-        np.testing.assert_array_equal(q.sum(axis=1), np.ones(3))
 
     def test_sign_convention_makes_columns_canonical(self):
         rng = np.random.default_rng(41)
