@@ -70,26 +70,33 @@ def lr_at(step, steps: int, peak):
     ``0 <= step <= steps``; an array ``peak`` gives one rate per peak. A
     sequence of steps gives a table with one row per step, of shape
     ``(len(step), *np.shape(peak))``, equal bit for bit to the rows of one
-    call per step. The warmup takes ``round(WARMUP_FRACTION * steps)`` steps,
+    call per step: its angles are the same float operations in numpy, and
+    its cosines ``math.cos``'s, since numpy's own ``cos`` need not round like
+    libm. The warmup takes ``round(WARMUP_FRACTION * steps)`` steps,
     fewer than ``steps`` for every ``steps >= 1``; a run of at most 5 steps
     has none.
     """
     warmup = round(WARMUP_FRACTION * steps)
-
-    def fraction(k: int) -> tuple[float, float]:
-        """``(num, den)`` with rate ``peak * num / den`` at step ``k``."""
-        if not 0 <= k <= steps:
-            raise ValueError(f"step {k} outside schedule range [0, {steps}]")
-        if k < warmup:
-            return k, warmup
-        return 1.0 + math.cos(math.pi * (k - warmup) / (steps - warmup)), 2.0
-
     if np.ndim(step) == 0:
-        num, den = fraction(step)
-    else:
-        terms = np.array([fraction(k) for k in step], dtype=float).reshape(-1, 2, *(1,) * np.ndim(peak))
-        num, den = terms[:, 0], terms[:, 1]
-    return peak * num / den
+        if not 0 <= step <= steps:
+            raise ValueError(f"step {step} outside schedule range [0, {steps}]")
+        if step < warmup:
+            num, den = step, warmup
+        else:
+            num, den = 1.0 + math.cos(math.pi * (step - warmup) / (steps - warmup)), 2.0
+        return peak * num / den
+    k = np.asarray(step, dtype=float)
+    outside = (k < 0) | (k > steps)
+    if outside.any():
+        raise ValueError(f"step {np.asarray(step)[outside.argmax()]} outside schedule range [0, {steps}]")
+    decay = k >= warmup
+    num = k.copy()  # a warmup step's rate is peak * k / warmup
+    angles = math.pi * (k[decay] - warmup) / (steps - warmup)
+    num[decay] = [1.0 + math.cos(angle) for angle in angles.tolist()]
+    column = (-1, *(1,) * np.ndim(peak))
+    rates = peak * num.reshape(column)
+    rates /= np.where(decay, 2.0, warmup).reshape(column)  # in place: a second table-sized temporary costs more
+    return rates
 
 
 def as_signal(signal) -> np.ndarray:

@@ -294,7 +294,8 @@ def _correction_table(kind: OptimizerKind, beta1: list[float], beta2: list[float
 
     One ``(2, R, 1)`` entry per ``k``: ``(1 - beta1**k, beta1**k)`` for
     equal-beta Adam, else ``(1 - beta1**k, 1 - beta2**k)``, by Python's ``**``
-    (numpy's does not always round like it). Runs that share their betas share
+    (numpy's does not always round like it), once per distinct beta and then
+    gathered per run. Runs that share their betas share
     one ``(2, 1, 1)`` entry, which equal-beta Adam takes as two 0-d arrays,
     numpy's fastest operands. Kinds without a second moment get ``None``.
     """
@@ -302,8 +303,9 @@ def _correction_table(kind: OptimizerKind, beta1: list[float], beta2: list[float
         return [None] * len(ks)
     if len(set(beta1)) == len(set(beta2)) == 1:
         beta1, beta2 = beta1[:1], beta2[:1]
-    powers = {beta: [beta**k for k in ks] for beta in dict.fromkeys(beta1 + beta2)}
-    p1, p2 = (np.array([powers[beta] for beta in betas]).T for betas in (beta1, beta2))
+    index = {beta: i for i, beta in enumerate(dict.fromkeys(beta1 + beta2))}
+    powers = np.array([[beta**k for k in ks] for beta in index]).T
+    p1, p2 = (powers.take([index[beta] for beta in betas], axis=1) for betas in (beta1, beta2))
     table = np.stack([1.0 - p1, p1 if kind is _ADAM_EQUAL_BETA else 1.0 - p2], axis=1)[..., None]
     if kind is _ADAM_EQUAL_BETA and len(beta1) == 1:
         return [(np.array(c1), np.array(p)) for c1, p in table[:, :, 0, 0].tolist()]

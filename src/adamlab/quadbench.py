@@ -26,10 +26,12 @@ writing only into arrays made once per batch. Every record it returns equals,
 bit for bit, the record of stepping that run alone:
 
 * each run's row subsets are drawn before the loop from its own
-  ``derive_seed(seed, "batches", config_id)`` generator, into the one
-  ``(steps, n)`` block of the batch; shuffling its rows in place with
-  ``rng.permuted(..., axis=1)`` consumes the generator exactly like ``steps``
-  successive ``rng.permutation(n)`` calls;
+  ``derive_seed(seed, "batches", config_id)`` stream, into the one
+  ``(steps, n)`` block of the batch. The batch has one generator, set run by
+  run to the state ``np.random.default_rng`` starts that stream from
+  (:func:`_pcg64_states` computes every run's in one pass); shuffling the
+  block's rows in place with ``rng.permuted(..., axis=1)`` consumes the
+  stream exactly like ``steps`` successive ``rng.permutation(n)`` calls;
 * the gradient ``xb^T @ (xb @ w)`` and the loss ``w^T @ (H @ w)`` are written
   as stacked matrix products, which make the same BLAS calls per run as the
   one-run vector forms (``einsum`` and row-wise dot products do not round
@@ -239,6 +241,74 @@ def draw_rows(rng: np.random.Generator, n: int, steps: int, batch_size: int, out
     return rng.permuted(block, axis=1, out=block)[:, :batch_size]
 
 
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """``init`` and its ``count`` successive products with ``mult``, mod 2**32."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return constants
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) makes 16 hash calls on
+# its pool with the A sequence of constants and 8 on its output with the B
+# sequence; call j takes the pair (c[j], c[j + 1]), so none depends on the data
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _column(constants: list[int]) -> np.ndarray:
+    return np.array(constants, dtype=np.uint32)[:, None]
+
+
+#: the pool's first hash (its 4 words), then one round per source word, which
+#: hashes it once for each of the other 3 words (in order) and mixes each in
+_ENTROPY_HASH = (_column(_HASH_A[:4]), _column(_HASH_A[1:5]))
+_ROUNDS = [
+    ([dst for dst in range(4) if dst != src], _column(_HASH_A[j : j + 3]), _column(_HASH_A[j + 1 : j + 4]))
+    for src, j in enumerate(range(4, 16, 3))
+]
+_OUTPUT_HASH = (_column(_HASH_B[:8]), _column(_HASH_B[1:9]))
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult  # uint32 arrays wrap mod 2**32, as the C code does
+    return value ^ (value >> 16)
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
+    """``np.random.default_rng(seed).bit_generator.state`` for each seed in ``[0, 2**64)``, all at once.
+
+    ``SeedSequence(seed).generate_state(4, np.uint64)`` is computed over
+    ``(4, R)`` and ``(8, R)`` ``uint32`` arrays, one row per pool or output
+    word: the entropy is each seed's two 32-bit words (a seed below 2**32 has
+    one, but hashing the missing word is hashing 0). Each run's four output
+    ``uint64`` words then seed PCG64 in Python ints, as ``pcg64_set_seed``
+    does: ``state = (inc + initstate) * MULT + inc`` with
+    ``inc = 2 * initseq + 1``, mod 2**128. No word is left buffered.
+    """
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = [seed & _MASK32 for seed in seeds]
+    pool[1] = [seed >> 32 for seed in seeds]
+    pool = _hashmix(pool, *_ENTROPY_HASH)
+    for src, (others, xor, mult) in enumerate(_ROUNDS):
+        mixed = pool[others] * _MIX_L - _hashmix(pool[src], xor, mult) * _MIX_R
+        pool[others] = mixed ^ (mixed >> 16)
+    words = _hashmix(np.concatenate([pool, pool]), *_OUTPUT_HASH).tolist()
+    states = []
+    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*words):
+        # output uint64 k is w[2k] | w[2k + 1] << 32; initstate is u0 << 64 | u1, and initseq u2 << 64 | u3
+        initstate = w1 << 96 | w0 << 64 | w3 << 32 | w2
+        inc = (w5 << 97 | w4 << 65 | w7 << 33 | w6 << 1 | 1) & _MASK128
+        state = {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+        states.append({"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 @dataclass
 class RunRecord:
     """Per-step loss trace plus per-block variance-term traces for one run.
@@ -333,8 +403,10 @@ def run_batch(
     _check_batch_size(problem.dim, batch_size)
     rows = np.empty((steps, n_runs, batch_size), dtype=np.intp)
     block = np.empty((steps, problem.dim), dtype=np.intp)  # each run's draw reuses one block
-    for i, run in enumerate(runs):
-        rng = np.random.default_rng(derive_seed(run.seed, "batches", run.config_id))
+    rng = np.random.Generator(np.random.PCG64(0))  # each run's draw reuses one generator, from its own state
+    seeds = [derive_seed(run.seed, "batches", run.config_id) for run in runs]
+    for i, state in enumerate(_pcg64_states(seeds)):
+        rng.bit_generator.state = state
         rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size, out=block)
     w = np.array([run.w0 for run in runs], dtype=float)
     shape = w.shape
@@ -349,7 +421,7 @@ def run_batch(
     buffers = gather(shape, batch_size)
     # a huge peak may overflow its rates, and a run that has ended overflows its point, moments and loss
     with np.errstate(over="ignore", invalid="ignore"):
-        lrs = lr_at(range(steps), steps, np.array([run.lr for run in runs]))[:, :, None]
+        lrs = lr_at(np.arange(steps, dtype=float), steps, np.array([run.lr for run in runs]))[:, :, None]
         for k in range(steps):
             g = subset_gradient(problem, w, rows[k], out=buffers)
             if k == 0 and not np.isfinite(g).all():

@@ -25,6 +25,7 @@ from adamlab.quadbench import (
     RunSpec,
     build_problem,
     default_quad_config,
+    derive_seed,
     draw_rows,
     initial_point,
     loss_quantiles,
@@ -225,6 +226,44 @@ def test_pre_drawn_rows_replay_successive_permutations(seed, n, data):
     assert rows.shape == (steps, batch_size)
     assert np.array_equal(rows, np.reshape(expected, (steps, batch_size)))
     assert lazy.integers(2**63) == eager.integers(2**63)
+
+
+@settings(max_examples=60)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60))
+@example(seeds=[0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_row_streams_start_where_default_rng_starts(seeds):
+    """Fails loudly if numpy changes how ``SeedSequence`` or ``PCG64`` seed a stream."""
+    expected = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+    assert quadbench._pcg64_states(seeds) == expected
+
+
+def test_batch_draws_each_run_from_its_own_stream(monkeypatch):
+    """The batch's one generator leaves half a word buffered after its first run, and the next run ignores it."""
+    problem = build_problem(Layout.HETEROGENEOUS, 0)
+    steps, batch_size = 7, 3
+    config = OptimizerConfig(OptimizerKind.SIGNUM)
+    runs = [RunSpec(config, 0.01, initial_point(9, seed), seed, "buffered") for seed in range(4)]
+    expected, buffered = [], []
+    for run in runs:
+        rng = np.random.default_rng(derive_seed(run.seed, "batches", run.config_id))
+        expected.append(draw_rows(rng, 9, steps, batch_size).copy())
+        buffered.append(rng.bit_generator.state["has_uint32"])
+    assert buffered[:2] == [1, 0]  # so a leaked half word would change the second run's rows
+    drawn = []
+
+    def recording_draw(*args, **kwargs):
+        drawn.append(draw_rows(*args, **kwargs).copy())
+        return drawn[-1]
+
+    def no_generator_per_run(*args, **kwargs):
+        raise AssertionError("the batch built a generator per run")
+
+    monkeypatch.setattr(quadbench, "draw_rows", recording_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_generator_per_run)
+    run_batch(problem, runs, steps, batch_size)
+    assert len(drawn) == len(runs)
+    for rows, own in zip(drawn, expected):
+        assert np.array_equal(rows, own)
 
 
 def test_pre_drawn_rows_validate_batch_size(monkeypatch, tmp_path, capsys):
