@@ -1,8 +1,9 @@
 """Optimizer direction maps viewed as causal operators on gradient signals.
 
 There is no loss or training here: a fixed scalar signal is streamed through
-a direction map (epsilon 0, from a zero state) and the output sequence is
-studied. The map reads the raw moments: the filters apply no bias correction.
+an optimizer's direction map from a zero state and the output sequence is
+studied; a named filter of :data:`FILTERS` is such a map with equal betas and
+epsilon 0. The map reads the raw moments: the filters apply no bias correction.
 Several signals of one length can be streamed together as the columns of a
 ``(T, C)`` array. The whole signal goes through one ``scan`` of the
 optimizer's moment recursions (a scalar signal as Python floats, a ``(T, C)``
@@ -27,7 +28,6 @@ direction math.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -65,38 +65,26 @@ def gen_signal(spec: SignalSpec) -> np.ndarray:
         return spec.amplitude * np.sin(spec.frequency * k) * np.exp(-spec.decay * k)
 
 
-class FilterKind(enum.Enum):
-    SIGN = "sign"
-    ADAM_EQUAL_BETA = "adameq"
-    SIGNUM = "signum"
-    EMA_SIGN = "emasign"
-
-
-_OPTIM_KIND = {
-    FilterKind.SIGN: OptimizerKind.SIGN_SGD,
-    FilterKind.ADAM_EQUAL_BETA: OptimizerKind.ADAM_EQUAL_BETA,
-    FilterKind.SIGNUM: OptimizerKind.SIGNUM,
-    FilterKind.EMA_SIGN: OptimizerKind.EMA_SIGN,
+#: the named filters, in check order: each streams its optimizer's direction map
+FILTERS = {
+    "sign": OptimizerKind.SIGN_SGD,
+    "adameq": OptimizerKind.ADAM_EQUAL_BETA,
+    "signum": OptimizerKind.SIGNUM,
+    "emasign": OptimizerKind.EMA_SIGN,
 }
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Which direction map to stream through, and with what momentum."""
-
-    kind: FilterKind
-    beta: float = 0.95
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(kind=_OPTIM_KIND[self.kind], beta1=self.beta, beta2=self.beta, epsilon=0.0)
+def filter_config(name: str, beta: float = 0.95) -> OptimizerConfig:
+    """The config the filter ``name`` streams: its optimizer with ``beta1 == beta2 == beta`` and epsilon 0."""
+    return OptimizerConfig(kind=FILTERS[name], beta1=beta, beta2=beta, epsilon=0.0)
 
 
 #: the largest magnitude of a nonzero adameq signal lies here, so its squares neither overflow nor underflow
 ADAMEQ_PEAK_RANGE = (2.0**-500, 2.0**500)
 
 
-def filter_response(filt: FilterSpec, signal) -> np.ndarray:
-    """Stream ``signal`` through the direction map along axis 0.
+def filter_response(config: OptimizerConfig, signal) -> np.ndarray:
+    """Stream ``signal`` through ``config``'s direction map along axis 0.
 
     A scalar or 1-D signal is flattened and gives a ``(T,)`` response; a
     ``(T, C)`` signal is C independent columns streamed together and gives a
@@ -112,8 +100,7 @@ def filter_response(filt: FilterSpec, signal) -> np.ndarray:
     22 zeros responds differently at scale 2**-490 than at scale 1).
     """
     signal = as_signal(signal)
-    config = filt.optimizer_config()
-    if filt.kind is FilterKind.ADAM_EQUAL_BETA:
+    if config.kind is OptimizerKind.ADAM_EQUAL_BETA:
         peak = float(np.max(np.abs(signal), initial=0.0))
         if peak and not ADAMEQ_PEAK_RANGE[0] <= peak <= ADAMEQ_PEAK_RANGE[1]:
             raise ValueError(
@@ -180,17 +167,17 @@ def run_property_checks(
     return {name: max_or_nan(0.0, value) for name, value in worst.items()}
 
 
-def check_properties(filt: FilterSpec, trials: int, *, rng: np.random.Generator) -> dict[str, float]:
-    """:func:`run_property_checks` applied to a named filter."""
-    return run_property_checks(lambda s: filter_response(filt, s), trials=trials, rng=rng)
+def check_properties(config: OptimizerConfig, trials: int, *, rng: np.random.Generator) -> dict[str, float]:
+    """:func:`run_property_checks` applied to ``config``'s filter."""
+    return run_property_checks(lambda s: filter_response(config, s), trials=trials, rng=rng)
 
 
 def decay_blindness(beta: float, spec: SignalSpec) -> tuple[float, int]:
     """``(gap, burn_in)``: the largest gap between responses to the damped and undamped signal after burn-in."""
-    filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=beta)
+    config = filter_config("adameq", beta)
     # two 1-D calls: their Python-float state steps faster than one (T, 2) stack
-    damped = filter_response(filt, gen_signal(spec))
-    undamped = filter_response(filt, gen_signal(replace(spec, decay=0.0)))
+    damped = filter_response(config, gen_signal(spec))
+    undamped = filter_response(config, gen_signal(replace(spec, decay=0.0)))
     # capped before rounding up: 2*pi/frequency overflows to inf below about 3.5e-308
     burn_in = math.ceil(min(2.0 * math.pi / spec.frequency, spec.length - 1))
     return float(np.max(np.abs(damped[burn_in:] - undamped[burn_in:]))), burn_in
@@ -216,7 +203,7 @@ def density_witness(target: float, k: int, beta: float) -> tuple[np.ndarray, flo
         raise ValueError(f"target must be in [-1, 1], got {target}")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    config = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=beta).optimizer_config()
+    config = filter_config("adameq", beta)
 
     sign = -1.0 if target < 0 else 1.0
     goal = abs(target)

@@ -207,11 +207,11 @@ def vi_update(prior: GaussianBelief, g: float, lam: float) -> GaussianBelief:
 def vi_numeric_oracle(prior: GaussianBelief, g: float, lam: float) -> GaussianBelief:
     """Minimize the objective by nested bracketed 1-D searches.
 
-    Outer bounded search over ``log(variance)`` (widened by 20 on a bracket
-    hit, at most :data:`ORACLE_WIDENINGS` times), inner bounded search over
-    the mean to :data:`ORACLE_TOL` relative to the bracket's magnitude. No
-    closed-form shortcuts; raises :class:`OracleError` if a finite bracket
-    cannot be found.
+    Outer bounded search over ``log(variance)`` (widened by 20 on a bracket hit,
+    at most :data:`ORACLE_WIDENINGS` times), inner bounded search over the mean
+    to :data:`ORACLE_TOL` relative to the bracket's magnitude, both evaluating
+    :func:`vi_objective`'s operations on plain floats. No closed-form
+    shortcuts; raises :class:`OracleError` if no finite bracket is found.
     """
     if prior.variance <= 0:
         raise ValueError("oracle needs a strictly positive prior variance")
@@ -224,14 +224,15 @@ def vi_numeric_oracle(prior: GaussianBelief, g: float, lam: float) -> GaussianBe
     m_hi = max(prior.mean, g) + 0.5 * spread + 1.0
     m_atol = ORACLE_TOL * max(1.0, abs(m_lo), abs(m_hi)) * 1e-2
 
+    def objective(mean: float, variance: float) -> float:
+        return float(_nll(g, mean, variance) + lam * _kl(prior, mean, variance))
+
     def best_mean(variance: float) -> float:
-        return minimize_scalar(
-            lambda m: vi_objective(prior, GaussianBelief(m, variance), g, lam), m_lo, m_hi, m_atol
-        )
+        return minimize_scalar(lambda m: objective(m, variance), m_lo, m_hi, m_atol)
 
     def profile(log_var: float) -> float:
         variance = math.exp(log_var)
-        return vi_objective(prior, GaussianBelief(best_mean(variance), variance), g, lam)
+        return objective(best_mean(variance), variance)
 
     scale = prior.variance + spread * spread + 1e-30
     lo = math.log(scale) - 30.0

@@ -13,7 +13,7 @@ import pytest
 
 from adamlab.cli import main as cli_main
 from adamlab.core import max_or_nan
-from adamlab.filters import FilterKind, FilterSpec, SignalSpec, check_properties, decay_blindness
+from adamlab.filters import FILTERS, SignalSpec, check_properties, decay_blindness, filter_config
 from adamlab.identities import check_prop1, prop2_condition, square_completion_margin
 from adamlab.optim import OptimizerKind
 from adamlab.quadbench import (
@@ -223,11 +223,11 @@ def test_criterion_7_filter_properties():
     """Causality, scale invariance, oddness, boundedness; decay blindness."""
     rng = np.random.default_rng(derive_seed(BASE_SEED, "acceptance", "filters"))
     failures = []
-    for kind in FilterKind:
-        worst = check_properties(FilterSpec(kind, beta=BETA), trials=100, rng=rng)
+    for filter_name in FILTERS:
+        worst = check_properties(filter_config(filter_name, BETA), trials=100, rng=rng)
         for name, value in worst.items():
             if not value <= 1e-12:
-                failures.append(f"{kind.value}/{name}={value:.2e}")
+                failures.append(f"{filter_name}/{name}={value:.2e}")
     gap, burn_in = decay_blindness(BETA, SignalSpec(amplitude=1.8, frequency=0.03, decay=0.0025, length=2000))
     passed = not failures and gap <= 0.05
     report(

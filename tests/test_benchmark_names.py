@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from adamlab import cli
+from adamlab.filters import SIGNAL_LENGTH
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,16 +51,19 @@ def test_traced_commands_keep_the_tracer_contract(tmp_path, capsys):
     """Under :class:`Tracer`, a small ``quad`` and ``signal`` find every name, and each CSV span counts its artifact.
 
     ``quad`` opens one kept ``quadbench.tune_and_compare`` span per layout, so
-    the benchmark's ``quadbench.tune_and_compare.s`` times the tuning.
+    the benchmark's ``quadbench.tune_and_compare.s`` times the tuning, and
+    ``signal``'s ``filter_response`` work, which the tracer takes as the length
+    of the second argument, is the number of steps it streams.
     """
     tracer_module = _load("tracer")
     before = [(owner, attr, vars(tracer_module._resolve(owner))[attr]) for owner, attr, *_ in tracer_module.PATCHES]
+    length = 50
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
         quad = ["quad", "--layout", "het", "--optim", "adameq", "--optim", "sgd", "--seeds", "2", "--steps", "5"]
         assert cli.main([*quad, "--out", str(tmp_path / "quad")]) == cli.EXIT_OK
-        assert cli.main(["signal", "--length", "50", "--out", str(tmp_path / "signal")]) == cli.EXIT_OK
+        assert cli.main(["signal", "--length", str(length), "--out", str(tmp_path / "signal")]) == cli.EXIT_OK
     finally:
         restored = tracer.uninstall()
     capsys.readouterr()
@@ -70,6 +74,10 @@ def test_traced_commands_keep_the_tracer_contract(tmp_path, capsys):
     artifacts = [tmp_path / "quad" / "runs.csv", tmp_path / "quad" / "summary.csv", tmp_path / "signal" / "responses.csv"]
     assert written == [(len(path.read_text().splitlines()) - 1, path.stat().st_size) for path in artifacts]
     assert [span["name"] for span in tracer.kept].count("quadbench.tune_and_compare") == 1  # quad's one layout
+    # filter_response work is the steps streamed (a (T, C) signal counts T): per filter its response and the
+    # property checks' one column matrix, then decay blindness's damped and undamped signals
+    streamed = len(cli.SignalConfig().filters) * (length + SIGNAL_LENGTH) + 2 * length
+    assert tracer.work["filters.filter_response"] == streamed
 
 
 def test_traced_engine_calls_are_counted_exactly(tmp_path, capsys):

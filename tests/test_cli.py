@@ -33,7 +33,7 @@ from adamlab.cli import (
     parse_config,
     serialize_config,
 )
-from adamlab.filters import FilterKind
+from adamlab.filters import FILTERS
 from adamlab.optim import OptimizerKind
 from adamlab.quadbench import Layout, RunRecord, derive_seed, make_config_id
 
@@ -91,16 +91,22 @@ FAST_CONFIGS = {
 NON_NUMBER = st.one_of(st.booleans(), st.text(max_size=5), st.lists(st.integers(), max_size=2))
 
 
-#: the config fields that hold names, and the enum whose values they take
-NAME_FIELDS = {"layouts": Layout, "layout": Layout, "optimizers": OptimizerKind, "filters": FilterKind}
+LAYOUTS = [kind.value for kind in Layout]
+#: the config fields that hold names, and the names they take
+NAME_FIELDS = {
+    "layouts": LAYOUTS,
+    "layout": LAYOUTS,
+    "optimizers": [kind.value for kind in OptimizerKind],
+    "filters": list(FILTERS),
+}
 
 
-def _values(hint, kinds=None):
-    """Well-typed values for a config field; lists are nonempty without repeats, and names are values of ``kinds``."""
+def _values(hint, names=None):
+    """Well-typed values for a config field; lists are nonempty without repeats, and names are among ``names``."""
     if typing.get_origin(hint) is tuple:
-        return st.lists(_values(typing.get_args(hint)[0], kinds), min_size=1, max_size=4, unique=True).map(tuple)
-    if kinds is not None:
-        return st.sampled_from([kind.value for kind in kinds])
+        return st.lists(_values(typing.get_args(hint)[0], names), min_size=1, max_size=4, unique=True).map(tuple)
+    if names is not None:
+        return st.sampled_from(names)
     return {
         int: st.integers(),
         float: st.floats(allow_nan=False),
@@ -399,7 +405,7 @@ CLI_ARGV = st.one_of(
         _flag("amplitude", EDGE_FLOATS),
         _flag("frequency", EDGE_FLOATS),
         _flag("decay", EDGE_FLOATS),
-        _flag("filter", [kind.value for kind in FilterKind]),
+        _flag("filter", list(FILTERS)),
         SEED_FLAG,
     ),
     st.tuples(
@@ -515,7 +521,7 @@ class TestCsvLines:
 
     @settings(max_examples=60)
     @given(
-        name=st.sampled_from([kind.value for kind in FilterKind]),
+        name=st.sampled_from(list(FILTERS)),
         beta=FIELD_FLOATS,
         k=COUNTS,
         x=FIELD_FLOATS,
@@ -590,8 +596,8 @@ class TestVerifyCommand:
             (
                 "signal",
                 "check_properties",
-                lambda filt, trials, *, rng: {"causal": math.nan, "scaling": 0.0, "odd": 0.0, "bounded": 0.0},
-                {f"{kind.value}_causal" for kind in FilterKind},
+                lambda config, trials, *, rng: {"causal": math.nan, "scaling": 0.0, "odd": 0.0, "bounded": 0.0},
+                {f"{name}_causal" for name in FILTERS},
             ),
             ("signal", "decay_blindness", lambda beta, spec: (math.nan, 0), {"decay_blindness_damped_sine"}),
         ],

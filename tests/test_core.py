@@ -1,4 +1,6 @@
 """Moving averages, bias correction, schedules, momentum grids."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,16 @@ class TestSchedule:
         assert _bits(table) == _bits(rows)
         # a Python float peak: Python's float arithmetic, which overflows to inf without a warning
         assert _bits(scalar) == _bits([lr_at(k, steps, peaks[0]) for k in range(steps + 1)])
+
+    def test_table_takes_its_cosines_from_math_cos(self, monkeypatch):
+        # numpy's cos rounds like math.cos on most inputs, so the table above can pass with either;
+        # with a math.cos off by 2**-20 a table of numpy cosines differs from every decay row
+        cos = math.cos
+        monkeypatch.setattr(math, "cos", lambda angle: cos(angle) + 2.0**-20)
+        steps, peaks = 1000, np.array([0.008, 1.0])
+        table = lr_at(range(steps + 1), steps, peaks)
+        assert _bits(table) == _bits([lr_at(k, steps, peaks) for k in range(steps + 1)])
+        assert lr_at(steps, steps, 1.0) == 2.0**-21
 
 
 class TestBetaGrid:

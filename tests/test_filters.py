@@ -1,5 +1,6 @@
 """Filter lab: signal generation, response identities, operator properties."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,21 +11,22 @@ from hypothesis.extra.numpy import arrays
 import reference
 from adamlab.filters import (
     ADAMEQ_PEAK_RANGE,
+    FILTERS,
     SCALING_FACTORS,
     SIGNAL_LENGTH,
     TRUNCATIONS_PER_TRIAL,
     WITNESS_TOL,
-    FilterKind,
-    FilterSpec,
     SignalSpec,
     check_properties,
     decay_blindness,
     density_witness,
+    filter_config,
     filter_response,
     gen_signal,
     run_property_checks,
 )
 from adamlab.identities import scalar_adam_trace
+from adamlab.optim import EpsilonPlacement
 from adamlab.vi import GaussianBelief, vi_update
 
 REFERENCE_SIGNAL = SignalSpec(amplitude=1.8, frequency=0.03, decay=0.0025, length=2000)
@@ -76,20 +78,18 @@ class TestFilterResponse:
     def test_sign_filter_is_elementwise_sign(self):
         rng = np.random.default_rng(50)
         g = rng.standard_normal(100)
-        response = filter_response(FilterSpec(FilterKind.SIGN), g)
+        response = filter_response(filter_config("sign"), g)
         np.testing.assert_array_equal(response, np.sign(g))
 
     def test_beta_zero_adaptive_filter_is_sign(self):
         rng = np.random.default_rng(51)
         g = rng.standard_normal(100)
-        response = filter_response(FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.0), g)
+        response = filter_response(filter_config("adameq", 0.0), g)
         np.testing.assert_array_equal(response, np.sign(g))
 
     def test_constant_signal_zero_init_transient(self):
         beta = 0.95
-        response = filter_response(
-            FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=beta), np.full(50, 3.0)
-        )
+        response = filter_response(filter_config("adameq", beta), np.full(50, 3.0))
         expected = np.sqrt(1.0 - beta ** np.arange(1, 51))
         np.testing.assert_allclose(response, expected, rtol=1e-12)
 
@@ -97,14 +97,26 @@ class TestFilterResponse:
         # dual route: the streamed optimizer equals the standalone scalar recursion
         rng = np.random.default_rng(52)
         g = rng.standard_normal(128)
-        response = filter_response(FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.9), g)
+        response = filter_response(filter_config("adameq", 0.9), g)
         trace = scalar_adam_trace(g, 0.9)
         np.testing.assert_allclose(response, trace["d_variance"], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(response, trace["d_standard"], atol=1e-12)
 
     def test_non_finite_signal_rejected(self):
         with pytest.raises(ValueError):
-            filter_response(FilterSpec(FilterKind.SIGN), [1.0, np.nan])
+            filter_response(filter_config("sign"), [1.0, np.nan])
+
+
+def _column_signals():
+    """``(T, C)`` Gaussian signals, each column scaled by its own power of two or zeroed."""
+    # a zeroed column hits the 0/0 -> 0 convention
+    scales = st.lists(st.just(0.0) | st.integers(-30, 30).map(lambda e: 2.0**e), min_size=1, max_size=6)
+    return st.builds(
+        lambda length, scales, seed: np.random.default_rng(seed).standard_normal((length, len(scales))) * scales,
+        st.integers(1, 64),
+        scales,
+        st.integers(0, 2**16),
+    )
 
 
 def _scale_test_signals(zeros: bool):
@@ -120,26 +132,37 @@ class TestColumnEngine:
     """``filter_response`` on ``(T, C)`` is the reference stepper run on each column."""
 
     @given(
-        kind=st.sampled_from(list(FilterKind)),
+        name=st.sampled_from(list(FILTERS)),
         beta=st.floats(0.0, 0.999, exclude_max=True),
-        length=st.integers(1, 64),
-        exponents=st.lists(st.none() | st.integers(-30, 30), min_size=1, max_size=6),
-        seed=st.integers(0, 2**16),
+        signal=_column_signals(),
     )
-    def test_columns_match_scalar_reference_bitwise(self, kind, beta, length, exponents, seed):
-        # a None exponent is an all-zero column, which hits the 0/0 -> 0 convention
-        scales = np.array([0.0 if e is None else 2.0**e for e in exponents])
-        signal = np.random.default_rng(seed).standard_normal((length, len(scales))) * scales
-        filt = FilterSpec(kind, beta=beta)
-        out = filter_response(filt, signal)
+    def test_columns_match_scalar_reference_bitwise(self, name, beta, signal):
+        config = filter_config(name, beta)
+        out = filter_response(config, signal)
         assert out.shape == signal.shape
         # the raw moments bound every filter's response by 1
         assert np.max(np.abs(out)) <= 1.0 + 1e-12
         for c in range(signal.shape[1]):
-            assert np.array_equal(out[:, c], reference.directions(filt.optimizer_config(), signal[:, c]))
+            assert np.array_equal(out[:, c], reference.directions(config, signal[:, c]))
 
     @given(
-        kind=st.sampled_from(list(FilterKind)),
+        name=st.sampled_from(["signum", "adameq"]),
+        beta=st.floats(0.0, 0.999, exclude_max=True),
+        epsilon=st.sampled_from([1e-8, 1.0]) | st.floats(1e-12, 1.0),
+        placement=st.sampled_from(list(EpsilonPlacement)),
+        signal=_column_signals(),
+    )
+    def test_any_epsilon_matches_scalar_reference_bitwise(self, name, beta, epsilon, placement, signal):
+        # a config beyond the named filters: epsilon > 0, inside or outside the square root
+        config = replace(filter_config(name, beta), epsilon=epsilon, epsilon_placement=placement)
+        out = filter_response(config, signal)
+        for c in range(signal.shape[1]):
+            expected = reference.directions(config, signal[:, c]).tobytes()
+            assert out[:, c].tobytes() == expected
+            assert filter_response(config, signal[:, c]).tobytes() == expected
+
+    @given(
+        name=st.sampled_from(list(FILTERS)),
         beta=st.sampled_from([0.0, 0.5, 0.9, 0.95, 0.999]),
         # nonzero entries lie in [2**-10, 2**10], so 2**k with |k| <= 490 spans every peak
         # ADAMEQ_PEAK_RANGE accepts; a run of zeros decays the moments geometrically, which
@@ -147,16 +170,16 @@ class TestColumnEngine:
         signal_and_k=st.tuples(_scale_test_signals(zeros=True), st.integers(-8, 8))
         | st.tuples(_scale_test_signals(zeros=False), st.integers(-490, 490)),
     )
-    def test_exactly_odd_and_power_of_two_scale_invariant(self, kind, beta, signal_and_k):
+    def test_exactly_odd_and_power_of_two_scale_invariant(self, name, beta, signal_and_k):
         # negation and power-of-two scaling are exact in every step of every map
         signal, k = signal_and_k
-        filt = FilterSpec(kind, beta=beta)
-        base = filter_response(filt, signal)
-        assert np.array_equal(filter_response(filt, -signal), -base)
-        assert np.array_equal(filter_response(filt, 2.0**k * signal), base)
+        config = filter_config(name, beta)
+        base = filter_response(config, signal)
+        assert np.array_equal(filter_response(config, -signal), -base)
+        assert np.array_equal(filter_response(config, 2.0**k * signal), base)
 
     @given(
-        kind=st.sampled_from(list(FilterKind)),
+        name=st.sampled_from(list(FILTERS)),
         beta=st.floats(0.0, 1.0, exclude_max=True),
         # signed zeros, subnormals and the ends of ADAMEQ_PEAK_RANGE next to ordinary values
         entries=st.lists(
@@ -166,72 +189,72 @@ class TestColumnEngine:
         ),
         leading_negative_zero=st.booleans(),
     )
-    def test_one_dim_matches_scalar_reference_bitwise(self, kind, beta, entries, leading_negative_zero):
+    def test_one_dim_matches_scalar_reference_bitwise(self, name, beta, entries, leading_negative_zero):
         # the Python-float scan of a (T,) signal, against the reference stepped on one sample at a time
         signal = np.array(([-0.0] if leading_negative_zero else []) + entries)[:64]
-        filt = FilterSpec(kind, beta=beta)
+        config = filter_config(name, beta)
         peak = np.max(np.abs(signal))
-        if kind is FilterKind.ADAM_EQUAL_BETA and peak and not ADAMEQ_PEAK_RANGE[0] <= peak <= ADAMEQ_PEAK_RANGE[1]:
+        if name == "adameq" and peak and not ADAMEQ_PEAK_RANGE[0] <= peak <= ADAMEQ_PEAK_RANGE[1]:
             with pytest.raises(ValueError, match="outside"):
-                filter_response(filt, signal)
+                filter_response(config, signal)
             return
-        out = filter_response(filt, signal)
+        out = filter_response(config, signal)
         assert out.shape == signal.shape
-        assert out.tobytes() == reference.directions(filt.optimizer_config(), signal).tobytes()
+        assert out.tobytes() == reference.directions(config, signal).tobytes()
 
     def test_one_dim_and_scalar_inputs_are_flattened(self):
-        filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.9)
+        config = filter_config("adameq", 0.9)
         g = np.random.default_rng(56).standard_normal(40)
-        assert filter_response(filt, g).shape == (40,)
-        assert filter_response(filt, 2.5).shape == (1,)
-        assert filter_response(filt, g[:, None]).shape == (40, 1)
+        assert filter_response(config, g).shape == (40,)
+        assert filter_response(config, 2.5).shape == (1,)
+        assert filter_response(config, g[:, None]).shape == (40, 1)
 
     @pytest.mark.parametrize("shape", [(4, 2, 2), (1, 1, 1, 1)])
     def test_more_than_two_dims_rejected(self, shape):
         with pytest.raises(ValueError, match="2-D"):
-            filter_response(FilterSpec(FilterKind.SIGN), np.ones(shape))
+            filter_response(filter_config("sign"), np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_column_rejected(self, bad):
         signal = np.ones((5, 3))
         signal[3, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            filter_response(FilterSpec(FilterKind.ADAM_EQUAL_BETA), signal)
+            filter_response(filter_config("adameq"), signal)
 
     @pytest.mark.parametrize("scale", [2.0**-500, 2.0**500])
     def test_adameq_accepts_peaks_at_the_range_ends(self, scale):
-        filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA)
+        config = filter_config("adameq")
         signal = np.array([0.5, -1.0, 0.25])
-        assert np.array_equal(filter_response(filt, scale * signal), filter_response(filt, signal))
-        assert not filter_response(filt, 0.0 * signal).any()
+        assert np.array_equal(filter_response(config, scale * signal), filter_response(config, signal))
+        assert not filter_response(config, 0.0 * signal).any()
 
     @pytest.mark.parametrize("peak", [np.nextafter(2.0**-500, 0.0), np.nextafter(2.0**500, np.inf), 1e-200, 1e200])
     def test_adameq_rejects_peaks_out_of_range(self, peak):
         signal = np.array([[0.5, 0.0], [-1.0, 0.25]]) * peak
         with pytest.raises(ValueError, match="outside"):
-            filter_response(FilterSpec(FilterKind.ADAM_EQUAL_BETA), signal)
-        for kind in (FilterKind.SIGN, FilterKind.SIGNUM, FilterKind.EMA_SIGN):
-            assert np.all(np.isfinite(filter_response(FilterSpec(kind), signal)))
+            filter_response(filter_config("adameq"), signal)
+        for name in ("sign", "signum", "emasign"):
+            assert np.all(np.isfinite(filter_response(filter_config(name), signal)))
 
 
 class TestProperties:
-    @pytest.mark.parametrize("kind", list(FilterKind))
-    def test_all_four_properties_pass(self, kind):
+    @pytest.mark.parametrize("name", list(FILTERS))
+    def test_all_four_properties_pass(self, name):
         rng = np.random.default_rng(53)
-        worst = check_properties(FilterSpec(kind, beta=0.95), trials=25, rng=rng)
+        worst = check_properties(filter_config(name, 0.95), trials=25, rng=rng)
         assert all(value <= 1e-12 for value in worst.values()), worst
 
     def test_broken_filter_fails_odd_check(self):
         # negative control: a constant offset destroys odd symmetry
         rng = np.random.default_rng(54)
-        base = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.9)
+        base = filter_config("adameq", 0.9)
         worst = run_property_checks(lambda g: filter_response(base, g) + 0.1, trials=5, rng=rng)
         assert not worst["odd"] <= 1e-12
 
     def test_future_reading_response_fails_causal_check(self):
         # negative control: run the filter backwards in time
         rng = np.random.default_rng(57)
-        base = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.9)
+        base = filter_config("adameq", 0.9)
         worst = run_property_checks(lambda s: filter_response(base, s[::-1])[::-1], trials=5, rng=rng)
         assert not worst["causal"] <= 1e-12
         assert worst["scaling"] <= 1e-12 and worst["odd"] <= 1e-12
@@ -264,10 +287,10 @@ class TestProperties:
     def test_report_and_stream_match_per_trial_reference(self, seed):
         # one generator shared across filters, as the verify suite and `signal` share it
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for kind in FilterKind:
-            filt = FilterSpec(kind, beta=0.95)
-            worst = check_properties(filt, trials=4, rng=rng)
-            expected = reference_property_checks(lambda s: reference.directions(filt.optimizer_config(), s), 4, ref_rng)
+        for name in FILTERS:
+            config = filter_config(name, 0.95)
+            worst = check_properties(config, trials=4, rng=rng)
+            expected = reference_property_checks(lambda s: reference.directions(config, s), 4, ref_rng)
             assert list(worst.items()) == list(expected.items())
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -308,10 +331,10 @@ class TestDecayBlindness:
             decay_blindness(0.95, SignalSpec(amplitude=amplitude, length=200))
 
     def test_global_rescale_makes_no_difference(self):
-        filt = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=0.95)
+        config = filter_config("adameq", 0.95)
         damped = gen_signal(REFERENCE_SIGNAL)
-        base = filter_response(filt, damped)
-        rescaled = filter_response(filt, 7.0 * damped)
+        base = filter_response(config, damped)
+        rescaled = filter_response(config, 7.0 * damped)
         np.testing.assert_allclose(rescaled, base, atol=1e-12)
 
 
@@ -345,7 +368,7 @@ class TestDensityWitness:
         signal, achieved = density_witness(target, k, beta)
         first, *rest = signal.tolist()
         assert len(rest) == k
-        config = FilterSpec(FilterKind.ADAM_EQUAL_BETA, beta=beta).optimizer_config()
+        config = filter_config("adameq", beta)
         stepper = reference.Stepper(config, corrected=False)
         stepper.m = first
         belief = GaussianBelief(first, 0.0)
