@@ -2,12 +2,13 @@
 
 All artifacts are deterministic functions of the configuration (seeds
 included): CSV files use ``.`` decimals, ``\\n`` line endings, a header row
-and 17-significant-digit floats, so reruns are byte-identical. Each CSV line
-is rendered by one ``%`` format string per artifact, and no field is ever
-quoted: every field is a fixed name, a config id (layout, optimizer and
-``%.17g`` rates joined by ``:``), an integer or a ``%.17g`` float, and none
-of these can hold a comma, a quote or a line break. Config files are flat
-JSON with a ``schema_version`` field and round-trip exactly.
+and 17-significant-digit floats, so reruns are byte-identical. A block of
+an artifact's rows (a run's steps, a batch's cells, a filter's responses) is
+rendered from whole columns by one call of its ``%`` line format, and no
+field is ever quoted: every field is a fixed name, a config id (layout,
+optimizer and ``%.17g`` rates joined by ``:``), an integer or a ``%.17g``
+float, none of which can hold a comma, a quote or a line break. Config files
+are flat JSON with a ``schema_version`` field and round-trip exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error
 (sizes too large for memory included), 3 I/O error.
@@ -289,23 +290,32 @@ def _remove_stale_temporaries(path: Path) -> None:
             pass  # running, or not ours to signal
 
 
-#: line formats of ``summary.csv``, ``sweep.csv`` and ``responses.csv`` (whose ``k,input,`` prefix is shared)
+#: line formats of ``runs.csv`` (with and without variance terms), ``summary.csv``, ``sweep.csv`` and ``responses.csv``
+_RUNS_LINE = "%s,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
+_RUNS_LINE_NO_DELTAS = "%s,%d,%d,%.17g,,,\n"
 _SUMMARY_LINE = "%s,%s,%s,%.17g,%.17g,%.17g,%s\n"
 _SWEEP_LINE = "%s,%s,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%d,%s\n"
-_RESPONSES_PREFIX = "%d,%.17g,"
-_RESPONSES_LINE = "%s,%s,%s%.17g\n"
+_RESPONSES_LINE = "%s,%s,%d,%.17g,%.17g\n"
+#: the JSON of ``verify``'s report and of the artifacts: ``json.dumps(..., indent=2, sort_keys=True)``
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _csv_lines(line: str, *columns) -> list[str]:
+    """``line % row`` for each row of the equally long ``columns``, by one format call; a ``%`` in a field is text."""
+    cells = [None] * (len(columns[0]) * len(columns))
+    for i, column in enumerate(columns):
+        cells[i :: len(columns)] = column
+    return (line * len(columns[0]) % tuple(cells)).splitlines(keepends=True)
 
 
 def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
     """Write the comma-joined ``header``, then ``lines``: a list, since ``perfbench/tracer.py`` takes its ``len``."""
-    with _atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
+    _write_text(path, "".join([",".join(header) + "\n", *lines]))
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_text(path: Path, text: str) -> None:
     with _atomic_open(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 def _jsonable(value):
@@ -451,11 +461,10 @@ def cmd_verify(args) -> int:
         for check in checks:
             status = "ok" if check["passed"] else "FAIL"
             print(f"[{name}] {check['name']}: {status}", file=sys.stderr)
-    report = {"schema_version": SCHEMA_VERSION, "passed": all_passed, "suites": suites}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    text = _JSON.encode({"schema_version": SCHEMA_VERSION, "passed": all_passed, "suites": suites}) + "\n"
+    sys.stdout.write(text)
     if args.out is not None:
-        out_dir = _ensure_out(args.out)
-        _write_json(out_dir / "verify.json", report)
+        _write_text(_ensure_out(args.out) / "verify.json", text)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILURE
 
 
@@ -483,12 +492,11 @@ def cmd_quad(args) -> int:
         layout = Layout(layout_name)
         problem = build_problem(layout, cfg.base_seed)
         results = tune_and_compare(problem, optimizers, cfg.lr_grid, cfg.seeds, cfg.steps, cfg.batch_size)
-        for label, cell in results.items():
-            status = cell.status
-            best_lr = None if status == "all_diverged" else cell.lr
-            summary_lines.append(_SUMMARY_LINE % (label, layout.value, fmt_float(best_lr), *cell.quantiles, status))
-            for record in cell.records:
-                run_lines += _run_lines(record)
+        cells = list(results.values())
+        best_lrs = [fmt_float(None if cell.status == "all_diverged" else cell.lr) for cell in cells]
+        stats, statuses = zip(*(cell.quantiles for cell in cells)), [cell.status for cell in cells]
+        summary_lines += _csv_lines(_SUMMARY_LINE, list(results), [layout.value] * len(cells), best_lrs, *stats, statuses)
+        run_lines += [line for cell in cells for record in cell.records for line in _run_lines(record)]
     out_dir = _ensure_out(args.out)
     runs_header = ["config_id", "seed", "step", "loss", "delta_b1", "delta_b2", "delta_b3"]
     _write_csv(out_dir / "runs.csv", runs_header, run_lines)
@@ -500,13 +508,11 @@ def cmd_quad(args) -> int:
 
 def _run_lines(record) -> list[str]:
     """``record``'s ``runs.csv`` lines, one per recorded step; without variance terms each ends in ``,,,``."""
-    prefix = f"{record.config_id},{record.seed},"
-    losses = record.losses.tolist()
+    steps = len(record.losses)
+    columns = ([record.config_id] * steps, [record.seed] * steps, range(steps), record.losses.tolist())
     if record.delta_block_means is None:
-        return ["%s%d,%.17g,,,\n" % (prefix, step, loss) for step, loss in enumerate(losses)]
-    deltas = record.delta_block_means.tolist()
-    line = "%s%d,%.17g,%.17g,%.17g,%.17g\n"
-    return [line % (prefix, step, loss, *block) for step, (loss, block) in enumerate(zip(losses, deltas))]
+        return _csv_lines(_RUNS_LINE_NO_DELTAS, *columns)
+    return _csv_lines(_RUNS_LINE, *columns, *record.delta_block_means.T.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +535,15 @@ def cmd_signal(args) -> int:
 
     spec = SignalSpec(cfg.amplitude, cfg.frequency, cfg.decay, cfg.length)
     signal = gen_signal(spec)
-    beta_text = fmt_float(cfg.beta)
-    # the "k,input," prefix every filter shares is formatted once
-    shared = [_RESPONSES_PREFIX % (k, x) for k, x in enumerate(signal.tolist())]
+    # the "beta,k,input" columns every filter's block repeats; beta is formatted once
+    shared = ([fmt_float(cfg.beta)] * signal.size, range(signal.size), signal.tolist())
     lines = []
     reports = {}
     rng = np.random.default_rng(derive_seed(cfg.base_seed, "signal", "properties"))
     for name in cfg.filters:
         config = filter_config(name, cfg.beta)
         response = filter_response(config, signal)
-        lines += [_RESPONSES_LINE % (name, beta_text, prefix, r) for prefix, r in zip(shared, response.tolist())]
+        lines += _csv_lines(_RESPONSES_LINE, [name] * signal.size, *shared, response.tolist())
         try:
             violations = check_properties(config, trials=cfg.property_trials, rng=rng)
         except (MemoryError, ValueError) as exc:  # numpy's refusal to make the checks' column matrix
@@ -561,7 +566,7 @@ def cmd_signal(args) -> int:
     }
     out_dir = _ensure_out(args.out)
     _write_csv(out_dir / "responses.csv", ["filter", "beta", "k", "input", "response"], lines)
-    _write_json(out_dir / "signal_properties.json", payload)
+    _write_text(out_dir / "signal_properties.json", _JSON.encode(payload) + "\n")
     print(f"wrote {out_dir / 'responses.csv'} and {out_dir / 'signal_properties.json'}", file=sys.stderr)
     return EXIT_OK
 
@@ -588,10 +593,11 @@ def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[st
         cfg.batch_size,
         track_delta=False,
     )
-    return [
-        _SWEEP_LINE % (layout, name, lr, beta1, beta2, len(cell.records), *cell.quantiles, cell.n_diverged, cell.status)
-        for (beta1, beta2, lr), cell in zip(cells, results)
-    ]
+    beta1s, beta2s, rates = zip(*cells)
+    n_seeds, n_diverged, statuses = zip(*((len(cell.records), cell.n_diverged, cell.status) for cell in results))
+    stats = zip(*(cell.quantiles for cell in results))
+    layouts, names = [layout] * len(cells), [name] * len(cells)
+    return _csv_lines(_SWEEP_LINE, layouts, names, rates, beta1s, beta2s, n_seeds, *stats, n_diverged, statuses)
 
 
 def _beta_pairs(kind: OptimizerKind, betas, equal_betas: bool):

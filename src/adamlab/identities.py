@@ -24,15 +24,28 @@ import numpy as np
 from .core import as_signal
 
 
+def _accumulate(beta, terms: np.ndarray) -> None:
+    """Step each series of ``terms``, ``(T, S)`` or ``(T, S, C)``, in place to ``x_k = beta*x_{k-1} + terms_k`` from 0."""
+    if terms.ndim == 2:  # a (T,) series steps as Python floats, far cheaper than 0-d arrays
+        for series in terms.T:
+            x = 0.0
+            series[:] = [x := beta * x + term for term in series.tolist()]
+        return
+    prev, scaled = np.zeros(terms.shape[1:]), np.empty(terms.shape[1:])
+    for row in terms:
+        prev = np.add(np.multiply(beta, prev, out=scaled), row, out=row)
+
+
 def scalar_adam_trace(signal, beta: float | np.ndarray) -> dict[str, np.ndarray]:
     """Run both direction forms over ``signal`` along axis 0 (eps=0, zero init, no bias correction).
 
     ``signal`` is ``(T,)``, or ``(T, C)`` for C independent columns streamed
-    together; ``beta`` is a float or one value per column. Every operation is
-    elementwise, in the scalar recursion's order, so each column rounds
-    exactly as it would alone. Returns arrays shaped like ``signal``: the
-    moments ``m``/``v``, the recursive variance term ``delta``, and the two
-    direction streams ``d_standard = m/sqrt(v)`` and
+    together; ``beta`` is a float or one value per column. The terms that
+    read no state fill the histories first; ``m``, then ``(v, delta)``, are
+    stepped over them in place with the scalar recursion's operations in its
+    order, so each column rounds exactly as it would alone. Returns arrays
+    shaped like ``signal``: the moments ``m``/``v``, the variance term
+    ``delta``, and the direction streams ``d_standard = m/sqrt(v)`` and
     ``d_variance = m/sqrt(m^2 + delta)`` (0/0 reads as 0).
     """
     signal = as_signal(signal)
@@ -44,23 +57,20 @@ def scalar_adam_trace(signal, beta: float | np.ndarray) -> dict[str, np.ndarray]
     keep = 1.0 - beta
     spread = beta * keep
 
-    m_arr = np.empty(signal.shape)
-    v_arr = np.empty(signal.shape)
-    delta_arr = np.empty(signal.shape)
-    # a (T,) signal steps as Python floats, several times cheaper than 0-d arrays
-    rows = signal.tolist() if signal.ndim == 1 else signal
-    m = v = delta = 0.0 if signal.ndim == 1 else np.zeros(signal.shape[1])
-    for k, g in enumerate(rows):
-        diff = m - g
-        delta = beta * delta + spread * diff * diff
-        m = beta * m + keep * g
-        v = beta * v + keep * g * g
-        m_arr[k] = m
-        v_arr[k] = v
-        delta_arr[k] = delta
+    # time-major (T, 3, ...): each step's moments are one contiguous row
+    history = np.empty((len(signal), 3, *signal.shape[1:]))
+    m_arr, v_arr, delta_arr = history.swapaxes(0, 1)
+    np.multiply(keep, signal, out=m_arr)  # keep*g, then (keep*g)*g
+    np.multiply(m_arr, signal, out=v_arr)
+    _accumulate(beta, history[:, :1])
+    diff = np.subtract(0.0, signal)  # m_prev - g, with m_prev = 0 before the first sample
+    np.subtract(m_arr[:-1], signal[1:], out=diff[1:])
+    np.multiply(spread, diff, out=delta_arr)  # (spread*diff)*diff
+    delta_arr *= diff
+    _accumulate(beta, history[:, 1:])
 
     d_std = np.divide(m_arr, np.sqrt(v_arr), out=np.zeros(signal.shape), where=v_arr > 0)
-    root = m_arr * m_arr
+    root = np.multiply(m_arr, m_arr, out=diff)  # diff's buffer, free again
     root += delta_arr
     np.sqrt(root, out=root)
     d_var = np.divide(m_arr, root, out=np.zeros(signal.shape), where=root > 0)

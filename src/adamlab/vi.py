@@ -210,14 +210,15 @@ def vi_numeric_oracle(prior: GaussianBelief, g: float, lam: float) -> GaussianBe
     Outer bounded search over ``log(variance)`` (widened by 20 on a bracket hit,
     at most :data:`ORACLE_WIDENINGS` times), inner bounded search over the mean
     to :data:`ORACLE_TOL` relative to the bracket's magnitude, both evaluating
-    :func:`vi_objective`'s operations on plain floats. No closed-form
-    shortcuts; raises :class:`OracleError` if no finite bracket is found.
+    :func:`vi_objective`'s operations on Python floats, with its bits. No
+    closed-form shortcuts; raises :class:`OracleError` if no finite bracket is
+    found.
     """
     if prior.variance <= 0:
         raise ValueError("oracle needs a strictly positive prior variance")
     if lam <= 0:
         raise ValueError("oracle needs lam > 0 (the problem is degenerate at 0)")
-    g = float(g)
+    g, lam, prior_mean, prior_variance = float(g), float(lam), prior.mean, prior.variance
 
     spread = abs(prior.mean - g)
     m_lo = min(prior.mean, g) - 0.5 * spread - 1.0
@@ -225,7 +226,10 @@ def vi_numeric_oracle(prior: GaussianBelief, g: float, lam: float) -> GaussianBe
     m_atol = ORACLE_TOL * max(1.0, abs(m_lo), abs(m_hi)) * 1e-2
 
     def objective(mean: float, variance: float) -> float:
-        return float(_nll(g, mean, variance) + lam * _kl(prior, mean, variance))
+        # _nll + lam * _kl; each np.log is taken as a float (math.log differs from it in the last bit for some arguments)
+        nll = 0.5 * float(np.log(variance)) + (g - mean) ** 2 / (2.0 * variance)
+        ratio = prior_variance / variance
+        return nll + lam * (0.5 * (ratio + (prior_mean - mean) ** 2 / variance - 1.0 - float(np.log(ratio))))
 
     def best_mean(variance: float) -> float:
         return minimize_scalar(lambda m: objective(m, variance), m_lo, m_hi, m_atol)

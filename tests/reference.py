@@ -15,7 +15,9 @@ the package's step functions:
 * each kind's direction, with epsilon inside or outside the square root and
   0/0 read as 0, and the variance-term estimate;
 * on a quadratic problem, the row draw ``rng.permutation(n)[:b]``, the update
-  ``w - lr*d`` and the end rule of a diverging run.
+  ``w - lr*d`` and the end rule of a diverging run;
+* the moments and variance term of ``identities.scalar_adam_trace``, each
+  row stepped from the last (:func:`adam_trace`).
 
 It reuses ``subset_gradient``, ``QuadraticProblem.loss``, ``lr_at`` and
 ``derive_seed``, which tests pin on their own.
@@ -138,3 +140,28 @@ def run(problem, spec, steps, batch_size) -> RunRecord:
             break
     means = np.reshape(block_means, (-1, len(BLOCK_SLICES))) if track else None
     return RunRecord(config_id, seed, np.array(losses, dtype=float), means, end, reason)
+
+
+def adam_trace(signal, beta) -> dict[str, np.ndarray]:
+    """The histories ``m``, ``v`` and ``delta`` of ``scalar_adam_trace``, one row of ``signal`` at a time.
+
+    ``signal`` is ``(T,)`` (stepped as Python floats) or ``(T, C)``; ``beta``
+    a float or one value per column. Equal betas, zero start, no epsilon, no
+    bias correction.
+    """
+    signal = np.asarray(signal, dtype=float)
+    beta = float(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=float)
+    keep = 1.0 - beta
+    spread = beta * keep
+    m_arr, v_arr, delta_arr = (np.empty(signal.shape) for _ in range(3))
+    rows = signal.tolist() if signal.ndim == 1 else signal
+    m = v = delta = 0.0 if signal.ndim == 1 else np.zeros(signal.shape[1])
+    for k, g in enumerate(rows):
+        diff = m - g
+        delta = beta * delta + spread * diff * diff
+        m = beta * m + keep * g
+        v = beta * v + keep * g * g
+        m_arr[k] = m
+        v_arr[k] = v
+        delta_arr[k] = delta
+    return {"m": m_arr, "v": v_arr, "delta": delta_arr}

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from adamlab import cli
+from adamlab import cli, vi
 from adamlab.filters import SIGNAL_LENGTH
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -78,6 +78,40 @@ def test_traced_commands_keep_the_tracer_contract(tmp_path, capsys):
     # property checks' one column matrix, then decay blindness's damped and undamped signals
     streamed = len(cli.SignalConfig().filters) * (length + SIGNAL_LENGTH) + 2 * length
     assert tracer.work["filters.filter_response"] == streamed
+
+
+def test_traced_verify_suites_keep_the_tracer_contract(capsys):
+    """Under :class:`Tracer`, ``verify --suite prop1`` and ``--suite vi`` reach their traced layers.
+
+    prop1 checks its 1000-step signals in one ``identities.scalar_adam_trace``
+    call (the tracer counts the signal's length as work); vi keeps one
+    ``vi.vi_numeric_oracle`` span per oracle, and each oracle runs its searches
+    through ``vi.minimize_scalar``. A restructure that bypasses a traced name
+    would read 0 in the benchmark; here it fails.
+    """
+    tracer_module = _load("tracer")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    traced_search = vi.minimize_scalar
+    open_spans = []  # the innermost open span of each search, as it starts
+
+    def search(*args, **kwargs):
+        open_spans.append(tracer.stack[-1])
+        return traced_search(*args, **kwargs)
+
+    vi.minimize_scalar = search
+    try:
+        assert cli.main(["verify", "--suite", "prop1"]) == cli.EXIT_OK
+        assert cli.main(["verify", "--suite", "vi"]) == cli.EXIT_OK
+    finally:
+        vi.minimize_scalar = traced_search
+        assert tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.missing == []
+    assert tracer.work["identities.scalar_adam_trace"] == 1000
+    assert [span["name"] for span in tracer.kept].count("vi.vi_numeric_oracle") == 25
+    # the spans stay referenced in open_spans, so their ids are distinct
+    assert len({id(span) for span in open_spans if span[0] == "vi.vi_numeric_oracle"}) == 25
 
 
 def test_traced_engine_calls_are_counted_exactly(tmp_path, capsys):

@@ -447,13 +447,20 @@ def test_float_format_round_trips():
 
 #: values a float field of an artifact can hold, the edge cases always among them
 FIELD_FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308]),
+    st.sampled_from(
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-320, 1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+    ),
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-(10**20), 10**20),
 )
 COUNTS = st.integers(0, 2**64 - 1)
 LAYOUTS = st.sampled_from([layout.value for layout in Layout])
 OPTIMIZERS = st.sampled_from([kind.value for kind in OptimizerKind])
+STATUSES = st.sampled_from(["ok", "partial", "all_diverged"])
+#: config ids as the package makes them, and ids whose ``%`` a format string would read as a directive
+CONFIG_IDS = st.builds(make_config_id, LAYOUTS, OPTIMIZERS, FIELD_FLOATS) | st.sampled_from(
+    ["het:adameq:lr=100%", "hom:sgd:lr=%s%d%%", "het:adam:lr=%(x)s:b1=%.17g"]
+)
 
 
 def _csv_writer_line(*fields) -> str:
@@ -468,12 +475,17 @@ def _g(x) -> str:
     return format(x, ".17g")
 
 
+def _columns(rows, width: int) -> list[list]:
+    """``rows`` as ``width`` columns (each empty for no rows)."""
+    return [list(column) for column in zip(*rows)] if rows else [[] for _ in range(width)]
+
+
 class TestCsvLines:
-    """Each artifact's preformatted line is what ``csv.writer`` writes for the same fields."""
+    """Each artifact's block of lines, rendered from whole columns, is what ``csv.writer`` writes row by row."""
 
     @settings(max_examples=60)
     @given(
-        config_id=st.builds(make_config_id, LAYOUTS, OPTIMIZERS, FIELD_FLOATS),
+        config_id=CONFIG_IDS,
         seed=COUNTS,
         losses=st.lists(FIELD_FLOATS, max_size=5),
         with_deltas=st.booleans(),
@@ -494,42 +506,44 @@ class TestCsvLines:
 
     @settings(max_examples=60)
     @given(
-        label=OPTIMIZERS,
-        layout=LAYOUTS,
-        best_lr=st.one_of(st.none(), FIELD_FLOATS),
-        stats=st.tuples(*[FIELD_FLOATS] * 3),
-        status=st.sampled_from(["ok", "partial", "all_diverged"]),
+        rows=st.lists(
+            st.tuples(OPTIMIZERS, LAYOUTS, st.one_of(st.none(), FIELD_FLOATS), *[FIELD_FLOATS] * 3, STATUSES),
+            max_size=6,
+        )
     )
-    def test_summary_line(self, label, layout, best_lr, stats, status):
-        line = cli._SUMMARY_LINE % (label, layout, fmt_float(best_lr), *stats, status)
-        assert line == _csv_writer_line(label, layout, "" if best_lr is None else _g(best_lr), *map(_g, stats), status)
+    def test_summary_line(self, rows):
+        label, layout, best_lr, *stats, status = _columns(rows, 7)
+        lines = cli._csv_lines(cli._SUMMARY_LINE, label, layout, list(map(fmt_float, best_lr)), *stats, status)
+        expected = [
+            _csv_writer_line(label, layout, "" if best is None else _g(best), *map(_g, stats), status)
+            for label, layout, best, *stats, status in rows
+        ]
+        assert lines == expected
 
     @settings(max_examples=60)
     @given(
-        layout=LAYOUTS,
-        name=OPTIMIZERS,
-        rates=st.tuples(*[FIELD_FLOATS] * 3),
-        n_seeds=COUNTS,
-        stats=st.tuples(*[FIELD_FLOATS] * 3),
-        n_diverged=COUNTS,
-        status=st.sampled_from(["ok", "partial", "all_diverged"]),
+        rows=st.lists(
+            st.tuples(LAYOUTS, OPTIMIZERS, *[FIELD_FLOATS] * 3, COUNTS, *[FIELD_FLOATS] * 3, COUNTS, STATUSES),
+            max_size=6,
+        )
     )
-    def test_sweep_line(self, layout, name, rates, n_seeds, stats, n_diverged, status):
-        line = cli._SWEEP_LINE % (layout, name, *rates, n_seeds, *stats, n_diverged, status)
-        expected = _csv_writer_line(layout, name, *map(_g, rates), n_seeds, *map(_g, stats), n_diverged, status)
-        assert line == expected
+    def test_sweep_line(self, rows):
+        lines = cli._csv_lines(cli._SWEEP_LINE, *_columns(rows, 11))
+        floats = {2, 3, 4, 6, 7, 8}  # the rate, the two betas and the three loss quantiles
+        expected = [_csv_writer_line(*(_g(f) if i in floats else f for i, f in enumerate(row))) for row in rows]
+        assert lines == expected
 
     @settings(max_examples=60)
     @given(
-        name=st.sampled_from(list(FILTERS)),
-        beta=FIELD_FLOATS,
-        k=COUNTS,
-        x=FIELD_FLOATS,
-        response=FIELD_FLOATS,
+        rows=st.lists(
+            st.tuples(st.sampled_from(list(FILTERS)), FIELD_FLOATS, COUNTS, FIELD_FLOATS, FIELD_FLOATS), max_size=6
+        )
     )
-    def test_responses_line(self, name, beta, k, x, response):
-        line = cli._RESPONSES_LINE % (name, fmt_float(beta), cli._RESPONSES_PREFIX % (k, x), response)
-        assert line == _csv_writer_line(name, _g(float(beta)), k, _g(x), _g(response))
+    def test_responses_line(self, rows):
+        name, beta, k, x, response = _columns(rows, 5)
+        lines = cli._csv_lines(cli._RESPONSES_LINE, name, list(map(fmt_float, beta)), k, x, response)
+        expected = [_csv_writer_line(name, _g(beta), k, _g(x), _g(r)) for name, beta, k, x, r in rows]
+        assert lines == expected
 
     @settings(max_examples=100)
     @given(rate=st.floats(allow_nan=True, allow_infinity=True))
@@ -926,7 +940,7 @@ class TestAtomicArtifacts:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
-        from adamlab.cli import _write_csv, _write_json
+        from adamlab.cli import _JSON, _write_csv, _write_text
 
         target = tmp_path / "runs.csv"
         _write_csv(target, ["a", "b"], ["1,2\n"])
@@ -934,7 +948,7 @@ class TestAtomicArtifacts:
         with pytest.raises(RuntimeError):
             _write_csv(target, ["a", "b"], self.lines_then_failure())
         assert target.read_bytes() == before == b"a,b\n1,2\n"
-        _write_json(tmp_path / "report.json", {"b": 1, "a": [2]})
+        _write_text(tmp_path / "report.json", _JSON.encode({"b": 1, "a": [2]}) + "\n")
         assert (tmp_path / "report.json").read_text() == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "runs.csv"]
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import reference
 from adamlab.identities import (
     check_prop1,
     mollified_direction,
@@ -60,6 +61,14 @@ TRACE_SIGNALS = arrays(
     elements=st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
 )
 TRACE_BETAS = st.sampled_from([0.0, 0.5, 0.9, 0.95, 0.999]) | st.floats(0.0, 0.999)
+#: samples over the whole finite range, from 1e-300 to 1e300 in magnitude, so squares and sums overflow and underflow
+WIDE_SAMPLES = st.sampled_from([0.0, -0.0]) | st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+#: betas in [0, 1), 0 included
+UNIT_BETAS = st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+def _bits(array: np.ndarray) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
 
 
 class TestProp1:
@@ -113,6 +122,29 @@ class TestColumnTrace:
                 assert trace[key].shape == signal.shape
                 assert np.array_equal(trace[key][:, c], column), key
                 assert np.array_equal(alone[key], column), key
+
+    @given(
+        signal=arrays(float, st.tuples(st.integers(0, 40), st.integers(1, 5)), elements=WIDE_SAMPLES),
+        data=st.data(),
+    )
+    def test_columns_match_the_row_loop_bitwise(self, signal, data):
+        # the terms-first trace against the loop that steps every row from the last
+        columns = st.lists(UNIT_BETAS, min_size=signal.shape[1], max_size=signal.shape[1]).map(np.array)
+        beta = data.draw(UNIT_BETAS | columns)
+        with np.errstate(all="ignore"):
+            trace = scalar_adam_trace(signal, beta)
+            expected = reference.adam_trace(signal, beta)
+        for key, history in expected.items():
+            assert trace[key].shape == signal.shape
+            assert _bits(trace[key]) == _bits(history), key
+
+    @given(signal=arrays(float, st.integers(0, 60), elements=WIDE_SAMPLES), beta=UNIT_BETAS)
+    def test_one_signal_matches_the_row_loop_bitwise(self, signal, beta):
+        with np.errstate(all="ignore"):
+            trace = scalar_adam_trace(signal, beta)
+            expected = reference.adam_trace(signal, beta)
+        for key, history in expected.items():
+            assert _bits(trace[key]) == _bits(history), key
 
     @given(signal=TRACE_SIGNALS, beta=TRACE_BETAS)
     def test_float_beta_is_shared_by_every_column(self, signal, beta):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from adamlab import vi
@@ -144,6 +144,37 @@ class TestOracle:
         oracle = vi_numeric_oracle(GaussianBelief(0.0, 1.0), 2.0, 1.0)
         assert oracle.mean == pytest.approx(1.0, abs=1e-4)
         assert oracle.variance == pytest.approx(1.5, abs=1e-4)
+
+    @given(
+        prior_mean=st.floats(-1e3, 1e3),
+        prior_variance=st.floats(1e-6, 1e6),
+        g=st.floats(-1e3, 1e3),
+        lam=st.floats(0.0, 1e3, exclude_min=True),
+        mean=st.floats(-1e3, 1e3),
+        log_variance=st.floats(-60.0, 60.0),
+    )
+    # a variance, then a variance ratio, whose math.log differs from its np.log in the last bit
+    @example(prior_mean=0.0, prior_variance=1.0, g=0.5, lam=1.0, mean=0.25, log_variance=0.13019110286743096)
+    @example(prior_mean=0.0, prior_variance=1.139046037490692, g=0.5, lam=1.0, mean=0.25, log_variance=0.0)
+    def test_objective_is_vi_objective_bit_for_bit(self, prior_mean, prior_variance, g, lam, mean, log_variance):
+        # the searches are stubbed: each search over the mean returns ``mean``, so the search over
+        # log(variance) sees objective(mean, exp(log_variance)) as its profile at ``log_variance``
+        calls, profiles = [], []
+
+        def search(func, lo, hi, xatol):
+            calls.append(func)
+            if len(calls) > 1:
+                return mean
+            profiles.append(func(log_variance))
+            return 0.5 * (lo + hi)  # inside the bracket: no widening
+
+        prior = GaussianBelief(prior_mean, prior_variance)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vi, "minimize_scalar", search)
+            vi_numeric_oracle(prior, g, lam)
+        [value] = profiles
+        assert type(value) is float
+        assert value.hex() == vi_objective(prior, GaussianBelief(mean, math.exp(log_variance)), g, lam).hex()
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
