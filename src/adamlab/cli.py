@@ -2,13 +2,12 @@
 
 All artifacts are deterministic functions of the configuration (seeds
 included): CSV files use ``.`` decimals, ``\\n`` line endings, a header row
-and 17-significant-digit floats, so reruns are byte-identical. A block of
-an artifact's rows (a run's steps, a batch's cells, a filter's responses) is
-rendered from whole columns by one call of its ``%`` line format, and no
-field is ever quoted: every field is a fixed name, a config id (layout,
-optimizer and ``%.17g`` rates joined by ``:``), an integer or a ``%.17g``
-float, none of which can hold a comma, a quote or a line break. Config files
-are flat JSON with a ``schema_version`` field and round-trip exactly.
+and 17-significant-digit floats, so reruns are byte-identical. Each block of
+rows (a run's steps, a batch's cells, a filter's responses) is one call of its
+``%`` line format over whole columns. No field is quoted: each is a name, a
+config id (layout, optimizer and ``%.17g`` rates joined by ``:``), an integer
+or a ``%.17g`` float, and none holds a comma, a quote or a line break. Config
+files are flat JSON with a ``schema_version`` field and round-trip exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error
 (sizes too large for memory included), 3 I/O error.
@@ -296,8 +295,6 @@ _RUNS_LINE_NO_DELTAS = "%s,%d,%d,%.17g,,,\n"
 _SUMMARY_LINE = "%s,%s,%s,%.17g,%.17g,%.17g,%s\n"
 _SWEEP_LINE = "%s,%s,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%.17g,%d,%s\n"
 _RESPONSES_LINE = "%s,%s,%d,%.17g,%.17g\n"
-#: the JSON of ``verify``'s report and of the artifacts: ``json.dumps(..., indent=2, sort_keys=True)``
-_JSON = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 def _csv_lines(line: str, *columns) -> list[str]:
@@ -310,7 +307,12 @@ def _csv_lines(line: str, *columns) -> list[str]:
 
 def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
     """Write the comma-joined ``header``, then ``lines``: a list, since ``perfbench/tracer.py`` takes its ``len``."""
-    _write_text(path, "".join([",".join(header) + "\n", *lines]))
+    with _atomic_open(path) as fh:
+        fh.write("".join([",".join(header) + "\n", *lines]))
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -461,7 +463,7 @@ def cmd_verify(args) -> int:
         for check in checks:
             status = "ok" if check["passed"] else "FAIL"
             print(f"[{name}] {check['name']}: {status}", file=sys.stderr)
-    text = _JSON.encode({"schema_version": SCHEMA_VERSION, "passed": all_passed, "suites": suites}) + "\n"
+    text = _json_text({"schema_version": SCHEMA_VERSION, "passed": all_passed, "suites": suites})
     sys.stdout.write(text)
     if args.out is not None:
         _write_text(_ensure_out(args.out) / "verify.json", text)
@@ -566,7 +568,7 @@ def cmd_signal(args) -> int:
     }
     out_dir = _ensure_out(args.out)
     _write_csv(out_dir / "responses.csv", ["filter", "beta", "k", "input", "response"], lines)
-    _write_text(out_dir / "signal_properties.json", _JSON.encode(payload) + "\n")
+    _write_text(out_dir / "signal_properties.json", _json_text(payload))
     print(f"wrote {out_dir / 'responses.csv'} and {out_dir / 'signal_properties.json'}", file=sys.stderr)
     return EXIT_OK
 
@@ -594,10 +596,8 @@ def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[st
         track_delta=False,
     )
     beta1s, beta2s, rates = zip(*cells)
-    n_seeds, n_diverged, statuses = zip(*((len(cell.records), cell.n_diverged, cell.status) for cell in results))
-    stats = zip(*(cell.quantiles for cell in results))
-    layouts, names = [layout] * len(cells), [name] * len(cells)
-    return _csv_lines(_SWEEP_LINE, layouts, names, rates, beta1s, beta2s, n_seeds, *stats, n_diverged, statuses)
+    columns = zip(*((len(cell.records), *cell.quantiles, cell.n_diverged, cell.status) for cell in results))
+    return _csv_lines(_SWEEP_LINE, [layout] * len(cells), [name] * len(cells), rates, beta1s, beta2s, *columns)
 
 
 def _beta_pairs(kind: OptimizerKind, betas, equal_betas: bool):

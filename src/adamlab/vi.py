@@ -210,9 +210,8 @@ def vi_numeric_oracle(prior: GaussianBelief, g: float, lam: float) -> GaussianBe
     Outer bounded search over ``log(variance)`` (widened by 20 on a bracket hit,
     at most :data:`ORACLE_WIDENINGS` times), inner bounded search over the mean
     to :data:`ORACLE_TOL` relative to the bracket's magnitude, both evaluating
-    :func:`vi_objective`'s operations on Python floats, with its bits. No
-    closed-form shortcuts; raises :class:`OracleError` if no finite bracket is
-    found.
+    :func:`vi_objective` bit for bit on Python floats. No closed-form
+    shortcuts; raises :class:`OracleError` if no finite bracket is found.
     """
     if prior.variance <= 0:
         raise ValueError("oracle needs a strictly positive prior variance")

@@ -926,9 +926,15 @@ class TestSweepCommand:
         assert rc == EXIT_USAGE
 
 
+def _has_temporary(directory: Path) -> bool:
+    return any(name.startswith(".runs.csv.") for name in os.listdir(directory))
+
+
 class TestAtomicArtifacts:
-    def lines_then_failure(self):
+    def lines_then_failure(self, directory):
+        # the failure comes while the write's temporary file exists, so its clean-up is what is tested
         yield "1,2\n"
+        assert _has_temporary(directory)
         raise RuntimeError("interrupted")
 
     def test_failed_write_leaves_no_file(self, tmp_path):
@@ -936,19 +942,19 @@ class TestAtomicArtifacts:
 
         target = tmp_path / "runs.csv"
         with pytest.raises(RuntimeError):
-            _write_csv(target, ["a", "b"], self.lines_then_failure())
+            _write_csv(target, ["a", "b"], self.lines_then_failure(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
-        from adamlab.cli import _JSON, _write_csv, _write_text
+        from adamlab.cli import _json_text, _write_csv, _write_text
 
         target = tmp_path / "runs.csv"
         _write_csv(target, ["a", "b"], ["1,2\n"])
         before = target.read_bytes()
         with pytest.raises(RuntimeError):
-            _write_csv(target, ["a", "b"], self.lines_then_failure())
+            _write_csv(target, ["a", "b"], self.lines_then_failure(tmp_path))
         assert target.read_bytes() == before == b"a,b\n1,2\n"
-        _write_text(tmp_path / "report.json", _JSON.encode({"b": 1, "a": [2]}) + "\n")
+        _write_text(tmp_path / "report.json", _json_text({"b": 1, "a": [2]}))
         assert (tmp_path / "report.json").read_text() == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "runs.csv"]
 
@@ -1022,6 +1028,7 @@ with _atomic_open(Path(sys.argv[1])) as fh:
             for value in values:
                 yield f"{value}\n"
             if not complete:
+                assert _has_temporary(out)
                 raise RuntimeError("interrupted")
 
         expected = None
