@@ -10,7 +10,7 @@ or a ``%.17g`` float, and none holds a comma, a quote or a line break. Config
 files are flat JSON with a ``schema_version`` field and round-trip exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error
-(sizes too large for memory included), 3 I/O error.
+(sizes too large for memory included), 3 I/O error, 130 interrupted (SIGINT).
 """
 from __future__ import annotations
 
@@ -72,6 +72,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130  # the shell's code for a process ended by SIGINT
 
 SCHEMA_VERSION = 1
 
@@ -593,7 +594,7 @@ def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[st
         starts,
         cfg.steps,
         cfg.batch_size,
-        track_delta=False,
+        traces=False,
     )
     beta1s, beta2s, rates = zip(*cells)
     columns = zip(*((len(cell.records), *cell.quantiles, cell.n_diverged, cell.status) for cell in results))
@@ -749,6 +750,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:  # an artifact being written keeps its previous file: see _atomic_open
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

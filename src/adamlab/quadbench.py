@@ -49,7 +49,13 @@ bit for bit, the record of stepping that run alone:
   variance term is ``np.mean``'s own sum, one ``np.add.reduce`` per block over
   the snapshot history, divided by the block size;
 * a run that ends keeps stepping in its own row (to inf or nan), and its
-  record is cut at its first loss that is not finite or above the threshold.
+  record is cut at its first loss that is not finite or above the threshold;
+* an untraced batch (``traces=False``, for ``sweep``, which writes only final
+  losses) takes losses only where the end test needs them: a run whose points
+  stay within :attr:`QuadraticProblem.screen_bound` of the origin in every
+  coordinate cannot end, so only the runs that leave that box get one
+  ``loss`` call over their own points, and every run's final loss is one call
+  over the last points, whose rows round as they do in the whole history.
 
 :func:`run_experiment` is the one-run call of the engine.
 :func:`run_cell` batches cells of one optimizer kind (rates, and momentum
@@ -114,25 +120,28 @@ BLOCKS = {
 BLOCK_SLICES = (slice(0, 3), slice(3, 6), slice(6, 9))
 
 
-def haar_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Random 3x3 rotation from the eigenvectors of a Wishart sample, in canonical form.
+def haar_rotations(rng: np.random.Generator) -> np.ndarray:
+    """Three random 3x3 rotations, stacked ``(3, 3, 3)``: the eigenvectors of Wishart samples, in canonical form.
 
-    One ``eigh`` of ``A A^T`` gives both the eigenvalues and the basis. Its
-    columns are ordered by descending eigenvalue and each column's
+    One ``(3, 3, 3)`` normal draw gives the three samples ``A``, and one
+    stacked ``eigh`` of ``A A^T`` both the eigenvalues and the bases. Each
+    basis's columns are ordered by descending eigenvalue and each column's
     largest-magnitude entry is made positive, so the output is a deterministic
-    function of the draw. Resamples (advancing the generator) in the
-    measure-zero event that the eigenvalues coincide to machine precision,
-    since the eigenbasis is then not unique; raises ``ValueError`` if 100
-    samples in a row are degenerate.
+    function of the draw. The draw is the one that three successive ``(3, 3)``
+    draws make, and each block's operations are those of a draw alone.
+    Redraws the whole stack (advancing the generator) in the measure-zero
+    event that any block's eigenvalues coincide to machine precision, since
+    its eigenbasis is then not unique; raises ``ValueError`` if 100 stacks
+    in a row are degenerate.
     """
     for _ in range(100):
-        a = rng.standard_normal((3, 3))
-        evals, evecs = np.linalg.eigh(a @ a.T)
-        if np.min(np.diff(evals)) <= 1e-12 * max(evals[-1], 1e-300):
+        a = rng.standard_normal((3, 3, 3))
+        evals, evecs = np.linalg.eigh(a @ a.swapaxes(-1, -2))
+        if any(min(mid - low, high - mid) <= 1e-12 * max(high, 1e-300) for low, mid, high in evals.tolist()):
             continue
-        evecs = evecs[:, ::-1]
-        pivots = evecs[np.argmax(np.abs(evecs), axis=0), range(3)]
-        return evecs * np.where(pivots < 0, -1.0, 1.0)  # a sign flip is exact, as a negation
+        evecs, blocks = evecs[..., ::-1], np.arange(3)
+        pivots = evecs[blocks[:, None], np.argmax(np.abs(evecs), axis=-2), blocks]  # (block, column)
+        return evecs * np.where(pivots < 0, -1.0, 1.0)[:, None, :]  # a sign flip is exact, as a negation
     raise ValueError("could not sample a non-degenerate rotation in 100 draws")
 
 
@@ -148,6 +157,16 @@ class QuadraticProblem:
     def dim(self) -> int:
         return self.hessian.shape[0]
 
+    @property
+    def screen_bound(self) -> float:
+        """``B = sqrt(DIVERGENCE_THRESHOLD / (dim * ||H||_inf))``: a point with ``max|w| <= B`` has loss at most half the threshold.
+
+        ``|w^T H w| <= ||w||_1 ||H w||_inf <= dim * max|w|^2 * ||H||_inf``,
+        with ``||H||_inf`` the largest absolute row sum, so such a loss is at
+        most ``DIVERGENCE_THRESHOLD / 2``; the factor 2 covers its rounding.
+        """
+        return math.sqrt(DIVERGENCE_THRESHOLD / (self.dim * float(np.abs(self.hessian).sum(axis=1).max())))
+
     def loss(self, w: np.ndarray):
         """``0.5 * w^T H w`` over the last axis: a ``(steps, R, dim)`` history gives ``(steps, R)`` losses."""
         w = np.asarray(w, dtype=float)
@@ -158,20 +177,19 @@ def build_problem(layout: Layout, base_seed: int) -> QuadraticProblem:
     """Rotate each diagonal block of ``layout`` by an independent Haar rotation.
 
     The rotations are drawn from ``derive_seed(base_seed, "problem",
-    layout.value)``. The block square roots come straight from the known
-    eigendecomposition (``Q diag(sqrt(eig)) Q^T``), so no general matrix
-    square root is needed.
+    layout.value)`` by one :func:`haar_rotations` call. The block square
+    roots come straight from the known eigendecomposition
+    (``Q diag(sqrt(eig)) Q^T``), so no general matrix square root is needed;
+    all three blocks are formed as one stack of products.
     """
     rng = np.random.default_rng(derive_seed(base_seed, "problem", layout.value))
-    hessian = np.zeros((9, 9))
-    design = np.zeros((9, 9))
-    for sl, block in zip(BLOCK_SLICES, BLOCKS[layout]):
-        q = haar_rotation(rng)
-        lam = np.asarray(block, dtype=float)
-        h_b = q @ np.diag(lam) @ q.T
-        x_b = q @ np.diag(np.sqrt(lam)) @ q.T
-        hessian[sl, sl] = (h_b + h_b.T) / 2.0
-        design[sl, sl] = (x_b + x_b.T) / 2.0
+    q = haar_rotations(rng)
+    q_t, lam = q.swapaxes(-1, -2), np.asarray(BLOCKS[layout], dtype=float)
+    h_b = q @ (np.eye(3) * lam[:, None, :]) @ q_t
+    x_b = q @ (np.eye(3) * np.sqrt(lam)[:, None, :]) @ q_t
+    hessian, design = np.zeros((9, 9)), np.zeros((9, 9))
+    for sl, h, x in zip(BLOCK_SLICES, (h_b + h_b.swapaxes(-1, -2)) / 2.0, (x_b + x_b.swapaxes(-1, -2)) / 2.0):
+        hessian[sl, sl], design[sl, sl] = h, x
     return QuadraticProblem(hessian=hessian, design=design, layout=layout)
 
 
@@ -230,15 +248,24 @@ def _check_batch_size(n: int, batch_size: int) -> None:
 def draw_rows(rng: np.random.Generator, n: int, steps: int, batch_size: int, out=None) -> np.ndarray:
     """The row subsets of ``steps`` successive :func:`stochastic_grad` calls, shape ``(steps, batch_size)``.
 
-    The rows of a ``(steps, n)`` integer block (``out``, or a new one) are
-    filled with ``arange(n)`` and shuffled in place: ``rng.permuted`` over
-    them consumes ``rng`` exactly like ``steps`` calls of
-    ``rng.permutation(n)``. The result is a view of the block.
+    ``rng.permuted`` shuffles each row of a ``(steps, n)`` integer block
+    filled with ``arange(n)``, which consumes ``rng`` exactly like ``steps``
+    calls of ``rng.permutation(n)``. ``out`` is a batch's
+    :func:`row_blocks` pair, made (and ``batch_size`` checked) once for all
+    of its runs: each draw refills the block from the template as it
+    shuffles. Without ``out``, ``batch_size`` is checked and a pair is made.
+    The result is a view of the block.
     """
-    _check_batch_size(n, batch_size)
-    block = np.empty((steps, n), dtype=np.intp) if out is None else out
-    block[...] = np.arange(n)
-    return rng.permuted(block, axis=1, out=block)[:, :batch_size]
+    if out is None:
+        _check_batch_size(n, batch_size)
+        out = row_blocks(n, steps)
+    template, block = out
+    return rng.permuted(template, axis=1, out=block)[:, :batch_size]
+
+
+def row_blocks(n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(template, block)`` of :func:`draw_rows`: ``arange(n)`` in each of ``steps`` rows, and a block to shuffle."""
+    return np.tile(np.arange(n, dtype=np.intp), (steps, 1)), np.empty((steps, n), dtype=np.intp)
 
 
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
@@ -315,7 +342,9 @@ class RunRecord:
 
     A diverged run records the step it ended at and why: ``"non_finite"``
     (that step's loss is not recorded) or ``"threshold"`` (the loss above
-    ``DIVERGENCE_THRESHOLD`` is the last one recorded).
+    ``DIVERGENCE_THRESHOLD`` is the last one recorded). A record of an
+    untraced batch keeps no trace: its ``losses`` hold the final loss alone,
+    or nothing for a run that diverged, and ``delta_block_means`` is ``None``.
     """
 
     config_id: str
@@ -373,7 +402,7 @@ def run_batch(
     steps: int,
     batch_size: int,
     *,
-    track_delta: bool = True,
+    traces: bool = True,
 ) -> list[RunRecord]:
     """Iterate gradient -> direction -> update for all ``runs`` at once, one record per run.
 
@@ -385,13 +414,17 @@ def run_batch(
     and its record stops where it ended. Each run's rate is :func:`lr_at` of
     its peak ``lr``, and its row-subsampling stream is derived from
     ``(seed, config_id)``, so records are reproducible run by run.
-    ``track_delta=False`` skips the variance-term snapshots
-    (``delta_block_means`` is then ``None``). Raises ``ValueError`` if a peak
-    is not finite and nonnegative, ``steps < 1``, ``batch_size`` is not in
-    ``[1, dim]``, or the runs' configs differ in anything but ``beta1`` and
-    ``beta2`` (all before any row is drawn), or if the first step's gradient
-    is not finite (a point whose loss is within the threshold has a finite
-    gradient, so later steps are not checked).
+    ``traces=False`` computes no per-step trace: no variance-term snapshots
+    and no loss history. A run whose points all stay in the box
+    ``max|w| <= problem.screen_bound`` cannot end there, so only the runs
+    that leave it get their per-step losses, for the end test; every run's
+    final loss is one ``loss`` call over the last points. Ends and final
+    losses are those of the traced batch, bit for bit. Raises ``ValueError``
+    if a peak is not finite and nonnegative, ``steps < 1``, ``batch_size``
+    is not in ``[1, dim]``, or the runs' configs differ in anything but
+    ``beta1`` and ``beta2`` (all before any row is drawn), or if the first
+    step's gradient is not finite (a point whose loss is within the threshold
+    has a finite gradient, so later steps are not checked).
     """
     for run in runs:
         if not (math.isfinite(run.lr) and run.lr >= 0):
@@ -402,18 +435,19 @@ def run_batch(
     n_runs = len(runs)
     _check_batch_size(problem.dim, batch_size)
     rows = np.empty((steps, n_runs, batch_size), dtype=np.intp)
-    block = np.empty((steps, problem.dim), dtype=np.intp)  # each run's draw reuses one block
+    blocks = row_blocks(problem.dim, steps)  # each run's draw refills one block from one template
     rng = np.random.Generator(np.random.PCG64(0))  # each run's draw reuses one generator, from its own state
     seeds = [derive_seed(run.seed, "batches", run.config_id) for run in runs]
     for i, state in enumerate(_pcg64_states(seeds)):
         rng.bit_generator.state = state
-        rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size, out=block)
+        rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size, out=blocks)
+    del blocks  # so that the histories' peak does not hold them
     w = np.array([run.w0 for run in runs], dtype=float)
     shape = w.shape
     beta1 = [run.config.beta1 for run in runs]
     beta2 = [run.config.beta2 for run in runs]
     step, variance = array_step(config, beta1, beta2, problem.dim, steps)
-    track_delta = track_delta and variance is not None
+    track_delta = traces and variance is not None
     second_hat, m_hat = variance if track_delta else (None, None)
 
     points = np.empty((steps, *shape))
@@ -432,28 +466,56 @@ def run_batch(
         if track_delta:
             block_sums = np.stack([np.add.reduce(snapshots[..., sl], axis=-1) for sl in BLOCK_SLICES], -1)
             del snapshots
-        losses = problem.loss(points)
-        # not ``abs(loss) <= threshold``: a finite loss below -threshold does not end a run
-        beyond = ~np.isfinite(losses) | (losses > DIVERGENCE_THRESHOLD)
-    ended = beyond.any(axis=0).tolist()
-    ends = beyond.argmax(axis=0).tolist()
+        if traces:
+            losses = problem.loss(points)
+            at, recorded = _ends(losses)
+        else:
+            at, recorded = np.full(n_runs, -1), np.full(n_runs, steps)
+            bound = problem.screen_bound
+            # a nan fails both comparisons, so a run with one is screened as leaving the box
+            if not (points.max() <= bound and points.min() >= -bound):
+                inside = (points.max(axis=0).max(axis=1) <= bound) & (points.min(axis=0).min(axis=1) >= -bound)
+                left = np.flatnonzero(~inside)
+                losses = np.empty((steps, len(left)))
+                for j, i in enumerate(left.tolist()):
+                    losses[:, j] = problem.loss(points[:, i])
+                at[left], recorded[left] = _ends(losses)
+            finals = problem.loss(points[-1])
+    at, recorded = at.tolist(), recorded.tolist()
 
     records = []
     for i, run in enumerate(runs):
-        at = ends[i] if ended[i] else None
-        reason = None if at is None else "threshold" if math.isfinite(losses[at, i]) else "non_finite"
-        recorded = steps if at is None else at + (reason == "threshold")
+        end = None if at[i] < 0 else at[i]
+        if traces:
+            trace = losses[: recorded[i], i].copy()
+        else:
+            trace = finals[i : i + (end is None)].copy()
         records.append(
             RunRecord(
                 config_id=run.config_id,
                 seed=run.seed,
-                losses=losses[:recorded, i].copy(),
-                delta_block_means=block_sums[:recorded, i] / 3.0 if track_delta else None,
-                diverged_at=at,
-                reason=reason,
+                losses=trace,
+                delta_block_means=block_sums[: recorded[i], i] / 3.0 if track_delta else None,
+                diverged_at=end,
+                reason=None if end is None else "threshold" if recorded[i] > end else "non_finite",
             )
         )
     return records
+
+
+def _ends(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each column of a ``(steps, R)`` loss array ends, and how many of its losses a record keeps.
+
+    A column ends at its first loss that is not finite (not kept) or above
+    ``DIVERGENCE_THRESHOLD`` (kept); ``at`` is -1 for a column that does not
+    end, which keeps every step.
+    """
+    # not ``abs(loss) <= threshold``: a finite loss below -threshold does not end a run
+    beyond = ~np.isfinite(losses) | (losses > DIVERGENCE_THRESHOLD)
+    first, columns = beyond.argmax(axis=0), np.arange(losses.shape[1])
+    ended = beyond[first, columns]
+    recorded = np.where(ended, first + np.isfinite(losses[first, columns]), len(losses))
+    return np.where(ended, first, -1), recorded
 
 
 def run_experiment(
@@ -529,7 +591,7 @@ def run_cell(
     steps: int,
     batch_size: int,
     *,
-    track_delta: bool = True,
+    traces: bool = True,
 ) -> list[Cell]:
     """Run each ``(config, lr, config_id)`` cell once per ``(seed, w0)`` in ``starts``; one :class:`Cell` per cell.
 
@@ -538,12 +600,14 @@ def run_cell(
     in ``starts`` order, and its quantiles are its row of one
     :func:`loss_quantiles` call over all cells. Every run of a cell shares its
     ``config_id``, so each seed's subsampling stream is
-    ``derive_seed(seed, "batches", config_id)``.
+    ``derive_seed(seed, "batches", config_id)``. ``traces=False`` runs an
+    untraced batch, whose cells are the traced batch's without its per-step
+    traces.
     """
     if not starts:
         raise ValueError("at least one seed is required")
     runs = [RunSpec(config, lr, w0, seed, config_id) for config, lr, config_id in cells for seed, w0 in starts]
-    records = run_batch(problem, runs, steps, batch_size, track_delta=track_delta)
+    records = run_batch(problem, runs, steps, batch_size, traces=traces)
     per_cell = [records[i : i + len(starts)] for i in range(0, len(records), len(starts))]
     stats = loss_quantiles(np.array([[record.final_loss() for record in own] for own in per_cell])).tolist()
     return [

@@ -224,18 +224,21 @@ def vi_numeric_oracle(prior: GaussianBelief, g: float, lam: float) -> GaussianBe
     m_hi = max(prior.mean, g) + 0.5 * spread + 1.0
     m_atol = ORACLE_TOL * max(1.0, abs(m_lo), abs(m_hi)) * 1e-2
 
-    def objective(mean: float, variance: float) -> float:
+    def objective_at(variance: float):
+        """The objective as a function of the mean: its terms in ``variance`` alone are taken once per search."""
         # _nll + lam * _kl; each np.log is taken as a float (math.log differs from it in the last bit for some arguments)
-        nll = 0.5 * float(np.log(variance)) + (g - mean) ** 2 / (2.0 * variance)
-        ratio = prior_variance / variance
-        return nll + lam * (0.5 * (ratio + (prior_mean - mean) ** 2 / variance - 1.0 - float(np.log(ratio))))
+        half_log, twice, ratio = 0.5 * float(np.log(variance)), 2.0 * variance, prior_variance / variance
+        log_ratio = float(np.log(ratio))
 
-    def best_mean(variance: float) -> float:
-        return minimize_scalar(lambda m: objective(m, variance), m_lo, m_hi, m_atol)
+        def objective(mean: float) -> float:
+            nll = half_log + (g - mean) ** 2 / twice
+            return nll + lam * (0.5 * (ratio + (prior_mean - mean) ** 2 / variance - 1.0 - log_ratio))
+
+        return objective
 
     def profile(log_var: float) -> float:
-        variance = math.exp(log_var)
-        return objective(best_mean(variance), variance)
+        objective = objective_at(math.exp(log_var))
+        return objective(minimize_scalar(objective, m_lo, m_hi, m_atol))
 
     scale = prior.variance + spread * spread + 1e-30
     lo = math.log(scale) - 30.0
@@ -249,7 +252,7 @@ def vi_numeric_oracle(prior: GaussianBelief, g: float, lam: float) -> GaussianBe
             hi += 20.0
         else:
             variance = math.exp(log_var)
-            return GaussianBelief(mean=best_mean(variance), variance=variance)
+            return GaussianBelief(mean=minimize_scalar(objective_at(variance), m_lo, m_hi, m_atol), variance=variance)
     raise OracleError(
         f"bracket exhausted after {ORACLE_WIDENINGS} widenings "
         f"(prior={prior}, g={g}, lam={lam})"

@@ -8,8 +8,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import types
 import typing
 from pathlib import Path
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from adamlab import cli
 from adamlab.cli import (
     EXIT_CHECK_FAILURE,
+    EXIT_INTERRUPTED,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -653,13 +656,17 @@ class TestVerifyCommand:
         assert all(math.isnan(value) for value in failed.values())
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a fresh interpreter that imports this checkout of adamlab."""
+def _python_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout of adamlab."""
     import adamlab
 
     src = str(Path(adamlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this checkout of adamlab."""
+    return subprocess.run([sys.executable, *args], env=_python_env(), capture_output=True, text=True)
 
 
 class TestStartup:
@@ -1047,6 +1054,46 @@ with _atomic_open(Path(sys.argv[1])) as fh:
                     assert os.listdir(out) == ["runs.csv"]
                     assert target.read_bytes() == expected
         assert onto_existing == [False] * sum(complete for complete, _ in writes)
+
+
+class TestInterrupt:
+    #: announces that the imports are done, then runs the command its arguments give
+    MAIN = "import sys\nfrom adamlab.cli import main\nprint('ready', flush=True)\nsys.exit(main(sys.argv[1:]))"
+
+    def test_sigint_during_a_sweep_exits_130_with_one_line(self, tmp_path):
+        out = tmp_path / "sweep"
+        optimizers = [f"--optim={name}" for name in ("signum", "adameq", "sgd", "signsgd", "emasign", "rmsprop")]
+        argv = [sys.executable, "-c", self.MAIN, "sweep", *optimizers, "--steps", "2000", "--seeds", "5", "--out", str(out)]
+        proc = subprocess.Popen(argv, env=_python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert proc.stdout.readline() == "ready\n"
+            time.sleep(0.2)  # into the sweep, whose six batches take about 1.4 s together
+            proc.send_signal(signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, stdout, stderr) == (EXIT_INTERRUPTED, "", "interrupted\n")
+        assert not out.exists() or not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+    def test_interrupted_write_keeps_the_previous_artifact(self, tmp_path, monkeypatch, capsys):
+        argv = ["sweep", "--steps", "10", "--seeds", "1", "--kappas", "1", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        before = (tmp_path / "sweep.csv").read_bytes()
+        atomic_open = cli._atomic_open
+
+        @contextlib.contextmanager
+        def interrupted_open(path):
+            with atomic_open(path):
+                assert len(os.listdir(tmp_path)) == 2  # the artifact and the write's temporary file
+                raise KeyboardInterrupt
+            yield
+
+        monkeypatch.setattr(cli, "_atomic_open", interrupted_open)
+        capsys.readouterr()
+        assert main(argv) == EXIT_INTERRUPTED
+        assert capsys.readouterr().err == "interrupted\n"
+        assert os.listdir(tmp_path) == ["sweep.csv"]
+        assert (tmp_path / "sweep.csv").read_bytes() == before
 
 
 class TestRerunsIntoOneOut:

@@ -651,16 +651,107 @@ def test_batch_rejects_configs_that_differ_beyond_betas():
             run_batch(problem, runs, 5, 3)
 
 
-def test_skipping_variance_snapshots_changes_nothing_else():
-    problem = build_problem(Layout.HOMOGENEOUS, 4)
-    runs = mixed_runs(OptimizerKind.ADAM, [(0.9, 0.95), (0.5, 0.999)], [2.0**-5, 1e300], 2, 20)
+#: peak rates from the grid's smallest to the edge of the float range, log-uniformly
+SCREEN_RATES = st.floats(-16.0, math.log2(1e300)).map(lambda exponent: 2.0**exponent) | st.sampled_from((2.0**-16, 1e300))
+
+
+def untraced_and_traced_cells(problem, kind, epsilon, pairs, rates, n_seeds, steps, batch_size):
+    """``run_cell`` over every (pair, rate) cell and ``n_seeds`` seeds, traced and untraced."""
+    cells = []
+    for beta1, beta2 in pairs:
+        config = OptimizerConfig(kind, beta1, beta1 if kind is OptimizerKind.ADAM_EQUAL_BETA else beta2, epsilon)
+        cells += [(config, lr, f"b={beta1!r},{beta2!r}:lr={lr!r}") for lr in rates]
+    starts = [(seed, initial_point(9, seed)) for seed in range(n_seeds)]
     with np.errstate(over="ignore", invalid="ignore"):
-        tracked = run_batch(problem, runs, 20, 3)
-        skipped = run_batch(problem, runs, 20, 3, track_delta=False)
-    for full, lean in zip(tracked, skipped):
-        assert full.delta_block_means is not None and lean.delta_block_means is None
-        assert np.array_equal(full.losses, lean.losses)
-        assert (full.diverged, full.diverged_at, full.reason) == (lean.diverged, lean.diverged_at, lean.reason)
+        return (
+            quadbench.run_cell(problem, cells, starts, steps, batch_size, traces=False),
+            quadbench.run_cell(problem, cells, starts, steps, batch_size),
+        )
+
+
+def assert_untraced_cells_equal_traced(untraced, traced) -> None:
+    """Each untraced run ends where and why its traced twin does, with its final loss; each cell has the same statistics."""
+    assert len(untraced) == len(traced)
+    for lean_cell, full_cell in zip(untraced, traced):
+        assert lean_cell.lr == full_cell.lr
+        assert [x.hex() for x in lean_cell.quantiles] == [x.hex() for x in full_cell.quantiles]
+        assert (lean_cell.n_diverged, lean_cell.status) == (full_cell.n_diverged, full_cell.status)
+        for lean, full in zip(lean_cell.records, full_cell.records, strict=True):
+            assert (lean.config_id, lean.seed) == (full.config_id, full.seed)
+            assert (lean.diverged_at, lean.reason) == (full.diverged_at, full.reason)
+            assert lean.final_loss().hex() == full.final_loss().hex()
+            # an untraced record keeps the final loss of a finished run, and nothing of one that ended
+            assert np.array_equal(lean.losses, full.losses[:0] if full.diverged else full.losses[-1:])
+            assert lean.delta_block_means is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(OptimizerKind),
+    epsilon=st.sampled_from((0.0, 1e-8)),
+    pairs=st.lists(st.tuples(st.sampled_from(MIXED_BETAS), st.sampled_from(MIXED_BETAS)), min_size=1, max_size=3, unique=True),
+    rates=st.lists(SCREEN_RATES, min_size=1, max_size=6),
+    n_seeds=st.integers(1, 3),
+    steps=st.integers(1, 40),
+    batch_size=st.integers(1, 9),
+    layout=st.sampled_from(Layout),
+    base_seed=st.integers(0, 5),
+)
+# signum at 1000 leaves the screen's box in runs that never end, and at 1e4 ends them (pinned below)
+@example(OptimizerKind.SIGNUM, 0.0, [(0.9, 0.9)], [100.0, 1000.0, 1e4], 3, 30, 3, Layout.HETEROGENEOUS, 0)
+@example(OptimizerKind.SIGNUM, 0.0, [(0.9, 0.9)], [100.0, 1000.0, 1e4], 3, 30, 3, Layout.HOMOGENEOUS, 0)
+@example(OptimizerKind.ADAM, 1e-8, [(0.9, 0.95), (0.5, 0.999)], [2.0**-5, 562.0, 1e7, 1e300], 2, 20, 3, Layout.HOMOGENEOUS, 4)
+def test_untraced_batch_equals_traced_batch(kind, epsilon, pairs, rates, n_seeds, steps, batch_size, layout, base_seed):
+    problem = build_problem(layout, base_seed)
+    untraced, traced = untraced_and_traced_cells(problem, kind, epsilon, pairs, rates, n_seeds, steps, batch_size)
+    assert_untraced_cells_equal_traced(untraced, traced)
+
+
+@pytest.mark.parametrize("layout", Layout, ids=lambda layout: layout.value)
+def test_untraced_batch_screens_runs_that_cross_the_box(layout, monkeypatch):
+    """Only the runs that leave the screen's box get per-step losses; some of them never end, and still equal the traced runs."""
+    problem = build_problem(layout, 0)
+    loss, per_run = QuadraticProblem.loss, []
+
+    def spied_loss(self, w):
+        if w.ndim == 2 and not w.flags.c_contiguous:  # one run's ``points[:, i]`` view
+            per_run.append(np.abs(w).max())
+        return loss(self, w)
+
+    monkeypatch.setattr(QuadraticProblem, "loss", spied_loss)
+    untraced, traced = untraced_and_traced_cells(problem, OptimizerKind.SIGNUM, 0.0, [(0.9, 0.9)], [100.0, 1000.0, 1e4], 3, 30, 3)
+    assert_untraced_cells_equal_traced(untraced, traced)
+    n_diverged = sum(cell.n_diverged for cell in traced)
+    assert 0 < n_diverged < len(per_run) < 9
+    assert min(per_run) > problem.screen_bound
+
+
+def test_untraced_batch_with_every_run_in_the_box_takes_one_loss_call(monkeypatch):
+    calls = []
+    loss = QuadraticProblem.loss
+    monkeypatch.setattr(QuadraticProblem, "loss", lambda self, w: calls.append(w.shape) or loss(self, w))
+    problem = build_problem(Layout.HETEROGENEOUS, 0)
+    runs = mixed_runs(OptimizerKind.ADAM_EQUAL_BETA, [(0.9, 0.9)], [2.0**-7, 1.0], 3, 20)
+    records = run_batch(problem, runs, 20, 3, traces=False)
+    assert calls == [(len(runs), 9)]
+    assert not any(record.diverged for record in records)
+
+
+@pytest.mark.parametrize("layout", Layout, ids=lambda layout: layout.value)
+def test_points_on_the_screen_box_have_at_most_half_the_threshold(layout):
+    """Every corner, and random points on every face, of the box ``max|w| <= screen_bound``, over 200 problems.
+
+    A convex loss takes its largest value over a box at a corner, so the
+    corners bound the whole box.
+    """
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=9)))
+    rng = np.random.default_rng(11)
+    for base_seed in range(200):
+        problem = build_problem(layout, base_seed)
+        faces = rng.uniform(-1.0, 1.0, (200, 9))
+        faces[np.arange(200), rng.integers(0, 9, 200)] = rng.choice((-1.0, 1.0), 200)
+        points = problem.screen_bound * np.concatenate([corners, faces])
+        assert problem.loss(points).max() <= DIVERGENCE_THRESHOLD / 2
 
 
 # ---------------------------------------------------------------------------

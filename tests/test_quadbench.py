@@ -1,14 +1,12 @@
 """Problem construction invariants, gradient unbiasedness, runner determinism."""
 import itertools
 import math
-import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adamlab import quadbench
 from adamlab.core import WARMUP_FRACTION
 from adamlab.optim import OptimizerConfig, OptimizerKind
 from adamlab.quadbench import (
@@ -19,7 +17,7 @@ from adamlab.quadbench import (
     build_problem,
     default_quad_config,
     derive_seed,
-    haar_rotation,
+    haar_rotations,
     initial_point,
     loss_quantiles,
     run_batch,
@@ -49,43 +47,79 @@ def two_decomposition_rotation(rng: np.random.Generator) -> np.ndarray:
     raise ValueError("could not sample a non-degenerate rotation in 100 draws")
 
 
+def sequential_problem(layout: Layout, base_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Hessian and design of ``layout`` built block by block, one two-decomposition draw and two products each."""
+    rng = np.random.default_rng(derive_seed(base_seed, "problem", layout.value))
+    hessian, design = np.zeros((9, 9)), np.zeros((9, 9))
+    for sl, block in zip(BLOCK_SLICES, BLOCKS[layout]):
+        q = two_decomposition_rotation(rng)
+        lam = np.asarray(block, dtype=float)
+        h_b = q @ np.diag(lam) @ q.T
+        x_b = q @ np.diag(np.sqrt(lam)) @ q.T
+        hessian[sl, sl] = (h_b + h_b.T) / 2.0
+        design[sl, sl] = (x_b + x_b.T) / 2.0
+    return hessian, design
+
+
+class StackDraws:
+    """A stand-in generator whose ``standard_normal`` returns the given stacks in turn, and counts its calls."""
+
+    def __init__(self, *stacks):
+        self.stacks, self.calls = list(stacks), 0
+
+    def standard_normal(self, shape):
+        assert shape == (3, 3, 3)
+        self.calls += 1
+        return self.stacks[min(self.calls, len(self.stacks)) - 1]
+
+
 class TestRotations:
     @pytest.mark.parametrize("layout", Layout, ids=lambda layout: layout.value)
-    def test_one_decomposition_equals_two(self, layout, monkeypatch):
-        """One ``eigh`` per draw gives the rotations, and so the problems, of the two-decomposition form bit for bit."""
+    def test_one_decomposition_equals_two(self, layout):
+        """One stacked ``eigh`` gives the rotations, and so the problems, of three sequential two-decomposition draws bit for bit."""
         for base_seed in range(500):
             ours, theirs = (np.random.default_rng(derive_seed(base_seed, "problem", layout.value)) for _ in range(2))
-            for _ in BLOCK_SLICES:
-                assert haar_rotation(ours).tobytes() == two_decomposition_rotation(theirs).tobytes()
+            expected = np.stack([two_decomposition_rotation(theirs) for _ in BLOCK_SLICES])
+            assert haar_rotations(ours).tobytes() == expected.tobytes()
             problem = build_problem(layout, base_seed)
-            with monkeypatch.context() as patch:
-                patch.setattr(quadbench, "haar_rotation", two_decomposition_rotation)
-                expected = build_problem(layout, base_seed)
-            assert problem.hessian.tobytes() == expected.hessian.tobytes()
-            assert problem.design.tobytes() == expected.design.tobytes()
+            hessian, design = sequential_problem(layout, base_seed)
+            assert problem.hessian.tobytes() == hessian.tobytes()
+            assert problem.design.tobytes() == design.tobytes()
 
     def test_orthogonality(self):
         rng = np.random.default_rng(40)
         for _ in range(50):
-            q = haar_rotation(rng)
-            np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-12)
+            for q in haar_rotations(rng):
+                np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-12)
 
     def test_fixed_seed_reproduces_bitwise(self):
-        q1 = haar_rotation(np.random.default_rng(99))
-        q2 = haar_rotation(np.random.default_rng(99))
+        q1 = haar_rotations(np.random.default_rng(99))
+        q2 = haar_rotations(np.random.default_rng(99))
         np.testing.assert_array_equal(q1, q2)
 
     def test_degenerate_draws_raise_value_error(self):
         # a rank-one factor: the eigenbasis of A A^T is never unique
+        draws = StackDraws(np.ones((3, 3, 3)))
         with pytest.raises(ValueError, match="non-degenerate rotation"):
-            haar_rotation(types.SimpleNamespace(standard_normal=np.ones))
+            haar_rotations(draws)
+        assert draws.calls == 100
+
+    def test_degenerate_stack_is_redrawn_whole(self):
+        """One degenerate block discards the stack's other two blocks with it: the next stack is used whole."""
+        rng = np.random.default_rng(42)
+        first, second = rng.standard_normal((3, 3, 3)), rng.standard_normal((3, 3, 3))
+        first[1] = 1.0
+        draws = StackDraws(first, second)
+        rotations = haar_rotations(draws)
+        assert draws.calls == 2
+        assert rotations.tobytes() == haar_rotations(StackDraws(second)).tobytes()
 
     def test_sign_convention_makes_columns_canonical(self):
         rng = np.random.default_rng(41)
-        q = haar_rotation(rng)
-        for j in range(3):
-            col = q[:, j]
-            assert col[np.argmax(np.abs(col))] > 0
+        for q in haar_rotations(rng):
+            for j in range(3):
+                col = q[:, j]
+                assert col[np.argmax(np.abs(col))] > 0
 
 
 class TestProblemConstruction:
