@@ -51,11 +51,10 @@ bit for bit, the record of stepping that run alone:
 * a run that ends keeps stepping in its own row (to inf or nan), and its
   record is cut at its first loss that is not finite or above the threshold;
 * an untraced batch (``traces=False``, for ``sweep``, which writes only final
-  losses) takes losses only where the end test needs them: a run whose points
-  stay within :attr:`QuadraticProblem.screen_bound` of the origin in every
-  coordinate cannot end, so only the runs that leave that box get one
-  ``loss`` call over their own points, and every run's final loss is one call
-  over the last points, whose rows round as they do in the whole history.
+  losses) whose points all stay within :attr:`QuadraticProblem.screen_bound`
+  of the origin in every coordinate has no run that ends, so its losses are
+  one ``loss`` call over the last points, whose rows round as they do in the
+  whole history; any other batch takes the losses of its whole history.
 
 :func:`run_experiment` is the one-run call of the engine.
 :func:`run_cell` batches cells of one optimizer kind (rates, and momentum
@@ -248,24 +247,18 @@ def _check_batch_size(n: int, batch_size: int) -> None:
 def draw_rows(rng: np.random.Generator, n: int, steps: int, batch_size: int, out=None) -> np.ndarray:
     """The row subsets of ``steps`` successive :func:`stochastic_grad` calls, shape ``(steps, batch_size)``.
 
-    ``rng.permuted`` shuffles each row of a ``(steps, n)`` integer block
-    filled with ``arange(n)``, which consumes ``rng`` exactly like ``steps``
-    calls of ``rng.permutation(n)``. ``out`` is a batch's
-    :func:`row_blocks` pair, made (and ``batch_size`` checked) once for all
-    of its runs: each draw refills the block from the template as it
-    shuffles. Without ``out``, ``batch_size`` is checked and a pair is made.
-    The result is a view of the block.
+    The rows of a ``(steps, n)`` integer block (``out``, or a new one) are
+    filled with ``arange(n)`` and shuffled in place: ``rng.permuted`` over
+    them consumes ``rng`` exactly like ``steps`` calls of
+    ``rng.permutation(n)``. The result is a view of the block. A caller that
+    passes ``out`` to reuse one block over many draws checks ``batch_size``
+    once itself; otherwise it is checked here.
     """
     if out is None:
         _check_batch_size(n, batch_size)
-        out = row_blocks(n, steps)
-    template, block = out
-    return rng.permuted(template, axis=1, out=block)[:, :batch_size]
-
-
-def row_blocks(n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(template, block)`` of :func:`draw_rows`: ``arange(n)`` in each of ``steps`` rows, and a block to shuffle."""
-    return np.tile(np.arange(n, dtype=np.intp), (steps, 1)), np.empty((steps, n), dtype=np.intp)
+    block = np.empty((steps, n), dtype=np.intp) if out is None else out
+    block[...] = np.arange(n)
+    return rng.permuted(block, axis=1, out=block)[:, :batch_size]
 
 
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
@@ -414,17 +407,18 @@ def run_batch(
     and its record stops where it ended. Each run's rate is :func:`lr_at` of
     its peak ``lr``, and its row-subsampling stream is derived from
     ``(seed, config_id)``, so records are reproducible run by run.
-    ``traces=False`` computes no per-step trace: no variance-term snapshots
-    and no loss history. A run whose points all stay in the box
-    ``max|w| <= problem.screen_bound`` cannot end there, so only the runs
-    that leave it get their per-step losses, for the end test; every run's
-    final loss is one ``loss`` call over the last points. Ends and final
-    losses are those of the traced batch, bit for bit. Raises ``ValueError``
-    if a peak is not finite and nonnegative, ``steps < 1``, ``batch_size``
-    is not in ``[1, dim]``, or the runs' configs differ in anything but
-    ``beta1`` and ``beta2`` (all before any row is drawn), or if the first
-    step's gradient is not finite (a point whose loss is within the threshold
-    has a finite gradient, so later steps are not checked).
+    ``traces=False`` keeps no per-step trace: no variance-term snapshots,
+    and each record keeps only its final loss. No run ends while its points
+    stay in the box ``max|w| <= problem.screen_bound``, so a batch whose
+    points all do (one ``max`` and one ``min`` over the history) takes its
+    losses at the last points alone; a batch that leaves it takes the loss
+    history as a traced batch does. Ends and final losses are those of the
+    traced batch, bit for bit. Raises ``ValueError`` if a peak is not finite
+    and nonnegative, ``steps < 1``, ``batch_size`` is not in ``[1, dim]``, or
+    the runs' configs differ in anything but ``beta1`` and ``beta2`` (all
+    before any row is drawn), or if the first step's gradient is not finite
+    (a point whose loss is within the threshold has a finite gradient, so
+    later steps are not checked).
     """
     for run in runs:
         if not (math.isfinite(run.lr) and run.lr >= 0):
@@ -435,13 +429,12 @@ def run_batch(
     n_runs = len(runs)
     _check_batch_size(problem.dim, batch_size)
     rows = np.empty((steps, n_runs, batch_size), dtype=np.intp)
-    blocks = row_blocks(problem.dim, steps)  # each run's draw refills one block from one template
+    block = np.empty((steps, problem.dim), dtype=np.intp)  # each run's draw reuses one block
     rng = np.random.Generator(np.random.PCG64(0))  # each run's draw reuses one generator, from its own state
     seeds = [derive_seed(run.seed, "batches", run.config_id) for run in runs]
     for i, state in enumerate(_pcg64_states(seeds)):
         rng.bit_generator.state = state
-        rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size, out=blocks)
-    del blocks  # so that the histories' peak does not hold them
+        rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size, out=block)
     w = np.array([run.w0 for run in runs], dtype=float)
     shape = w.shape
     beta1 = [run.config.beta1 for run in runs]
@@ -466,56 +459,33 @@ def run_batch(
         if track_delta:
             block_sums = np.stack([np.add.reduce(snapshots[..., sl], axis=-1) for sl in BLOCK_SLICES], -1)
             del snapshots
-        if traces:
-            losses = problem.loss(points)
-            at, recorded = _ends(losses)
-        else:
-            at, recorded = np.full(n_runs, -1), np.full(n_runs, steps)
-            bound = problem.screen_bound
-            # a nan fails both comparisons, so a run with one is screened as leaving the box
-            if not (points.max() <= bound and points.min() >= -bound):
-                inside = (points.max(axis=0).max(axis=1) <= bound) & (points.min(axis=0).min(axis=1) >= -bound)
-                left = np.flatnonzero(~inside)
-                losses = np.empty((steps, len(left)))
-                for j, i in enumerate(left.tolist()):
-                    losses[:, j] = problem.loss(points[:, i])
-                at[left], recorded[left] = _ends(losses)
-            finals = problem.loss(points[-1])
-    at, recorded = at.tolist(), recorded.tolist()
+        # no run ends inside the screen's box, so an untraced batch whose points all stay in it
+        # reads only its final losses (a nan fails both comparisons)
+        bound = None if traces else problem.screen_bound
+        screened = bound is not None and points.max() <= bound and points.min() >= -bound
+        losses = problem.loss(points[-1:] if screened else points)
+        # not ``abs(loss) <= threshold``: a finite loss below -threshold does not end a run
+        beyond = ~np.isfinite(losses) | (losses > DIVERGENCE_THRESHOLD)
+    ended = beyond.any(axis=0).tolist()
+    ends = beyond.argmax(axis=0).tolist()
 
     records = []
     for i, run in enumerate(runs):
-        end = None if at[i] < 0 else at[i]
-        if traces:
-            trace = losses[: recorded[i], i].copy()
-        else:
-            trace = finals[i : i + (end is None)].copy()
+        at = ends[i] if ended[i] else None
+        reason = None if at is None else "threshold" if math.isfinite(losses[at, i]) else "non_finite"
+        recorded = steps if at is None else at + (reason == "threshold")
+        kept = losses[:recorded, i] if traces else losses[-1:, i] if at is None else losses[:0, i]
         records.append(
             RunRecord(
                 config_id=run.config_id,
                 seed=run.seed,
-                losses=trace,
-                delta_block_means=block_sums[: recorded[i], i] / 3.0 if track_delta else None,
-                diverged_at=end,
-                reason=None if end is None else "threshold" if recorded[i] > end else "non_finite",
+                losses=kept.copy(),
+                delta_block_means=block_sums[:recorded, i] / 3.0 if track_delta else None,
+                diverged_at=at,
+                reason=reason,
             )
         )
     return records
-
-
-def _ends(losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each column of a ``(steps, R)`` loss array ends, and how many of its losses a record keeps.
-
-    A column ends at its first loss that is not finite (not kept) or above
-    ``DIVERGENCE_THRESHOLD`` (kept); ``at`` is -1 for a column that does not
-    end, which keeps every step.
-    """
-    # not ``abs(loss) <= threshold``: a finite loss below -threshold does not end a run
-    beyond = ~np.isfinite(losses) | (losses > DIVERGENCE_THRESHOLD)
-    first, columns = beyond.argmax(axis=0), np.arange(losses.shape[1])
-    ended = beyond[first, columns]
-    recorded = np.where(ended, first + np.isfinite(losses[first, columns]), len(losses))
-    return np.where(ended, first, -1), recorded
 
 
 def run_experiment(

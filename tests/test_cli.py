@@ -11,7 +11,6 @@ import re
 import signal
 import subprocess
 import sys
-import time
 import types
 import typing
 from pathlib import Path
@@ -1057,8 +1056,18 @@ with _atomic_open(Path(sys.argv[1])) as fh:
 
 
 class TestInterrupt:
-    #: announces that the imports are done, then runs the command its arguments give
-    MAIN = "import sys\nfrom adamlab.cli import main\nprint('ready', flush=True)\nsys.exit(main(sys.argv[1:]))"
+    #: runs the command its arguments give, announcing each batch on stdout as it starts
+    MAIN = (
+        "import sys\n"
+        "from adamlab import quadbench\n"
+        "from adamlab.cli import main\n"
+        "run_batch = quadbench.run_batch\n"
+        "def announced(*args, **kwargs):\n"
+        "    print('batch', flush=True)\n"
+        "    return run_batch(*args, **kwargs)\n"
+        "quadbench.run_batch = announced\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
 
     def test_sigint_during_a_sweep_exits_130_with_one_line(self, tmp_path):
         out = tmp_path / "sweep"
@@ -1066,13 +1075,14 @@ class TestInterrupt:
         argv = [sys.executable, "-c", self.MAIN, "sweep", *optimizers, "--steps", "2000", "--seeds", "5", "--out", str(out)]
         proc = subprocess.Popen(argv, env=_python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         try:
-            assert proc.stdout.readline() == "ready\n"
-            time.sleep(0.2)  # into the sweep, whose six batches take about 1.4 s together
+            # the first of six batches has started; the sweep takes about 1.4 s in all
+            assert proc.stdout.readline() == "batch\n"
             proc.send_signal(signal.SIGINT)
             stdout, stderr = proc.communicate(timeout=60)
         finally:
             proc.kill()
-        assert (proc.returncode, stdout, stderr) == (EXIT_INTERRUPTED, "", "interrupted\n")
+        assert (proc.returncode, stderr) == (EXIT_INTERRUPTED, "interrupted\n")
+        assert set(stdout.splitlines()) <= {"batch"}
         assert not out.exists() or not [name for name in os.listdir(out) if name.endswith(".tmp")]
 
     def test_interrupted_write_keeps_the_previous_artifact(self, tmp_path, monkeypatch, capsys):

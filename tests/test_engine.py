@@ -708,33 +708,33 @@ def test_untraced_batch_equals_traced_batch(kind, epsilon, pairs, rates, n_seeds
 
 
 @pytest.mark.parametrize("layout", Layout, ids=lambda layout: layout.value)
-def test_untraced_batch_screens_runs_that_cross_the_box(layout, monkeypatch):
-    """Only the runs that leave the screen's box get per-step losses; some of them never end, and still equal the traced runs."""
+def test_untraced_batch_that_leaves_the_box_takes_the_loss_history(layout, monkeypatch):
+    """A batch with runs outside the screen's box takes the losses of its whole history, as a traced batch does.
+
+    Some of the runs that leave the box never end, and every run still equals
+    its traced twin.
+    """
     problem = build_problem(layout, 0)
-    loss, per_run = QuadraticProblem.loss, []
-
-    def spied_loss(self, w):
-        if w.ndim == 2 and not w.flags.c_contiguous:  # one run's ``points[:, i]`` view
-            per_run.append(np.abs(w).max())
-        return loss(self, w)
-
-    monkeypatch.setattr(QuadraticProblem, "loss", spied_loss)
+    loss, histories = QuadraticProblem.loss, []
+    monkeypatch.setattr(QuadraticProblem, "loss", lambda self, w: histories.append(w.copy()) or loss(self, w))
     untraced, traced = untraced_and_traced_cells(problem, OptimizerKind.SIGNUM, 0.0, [(0.9, 0.9)], [100.0, 1000.0, 1e4], 3, 30, 3)
     assert_untraced_cells_equal_traced(untraced, traced)
-    n_diverged = sum(cell.n_diverged for cell in traced)
-    assert 0 < n_diverged < len(per_run) < 9
-    assert min(per_run) > problem.screen_bound
+    assert [history.shape for history in histories] == [(30, 9, 9)] * 2  # the untraced batch's, then the traced batch's
+    # a run with a nan in its history counts as leaving the box
+    left = ~(np.abs(histories[0]).max(axis=(0, 2)) <= problem.screen_bound)
+    assert 0 < sum(cell.n_diverged for cell in traced) < left.sum() < 9
 
 
-def test_untraced_batch_with_every_run_in_the_box_takes_one_loss_call(monkeypatch):
+def test_untraced_batch_with_every_run_in_the_box_takes_only_final_losses(monkeypatch):
     calls = []
     loss = QuadraticProblem.loss
     monkeypatch.setattr(QuadraticProblem, "loss", lambda self, w: calls.append(w.shape) or loss(self, w))
     problem = build_problem(Layout.HETEROGENEOUS, 0)
     runs = mixed_runs(OptimizerKind.ADAM_EQUAL_BETA, [(0.9, 0.9)], [2.0**-7, 1.0], 3, 20)
     records = run_batch(problem, runs, 20, 3, traces=False)
-    assert calls == [(len(runs), 9)]
+    assert calls == [(1, len(runs), 9)]
     assert not any(record.diverged for record in records)
+    assert [len(record.losses) for record in records] == [1] * len(runs)
 
 
 @pytest.mark.parametrize("layout", Layout, ids=lambda layout: layout.value)
