@@ -39,7 +39,7 @@ COMMANDS = {
     "verify": (["verify", "--suite", "all"], ("verify.json",)),
 }
 
-#: the digests per OpenBLAS kernel: SkylakeX as an AVX-512 host picks it, Haswell as forced by ``OPENBLAS_CORETYPE``
+#: the digests per OpenBLAS kernel: SkylakeX as an AVX-512 host picks it, Haswell and Sandybridge as forced by ``OPENBLAS_CORETYPE``
 DIGESTS = {
     "Haswell": {
         "quad": {
@@ -59,6 +59,30 @@ DIGESTS = {
         },
         "sweep-mixed": {
             "sweep.csv": "d82da9ebae6185db45687b7685afee19e2af28f6af9ce71f2e47d9fdc21f425b",
+        },
+        "verify": {
+            "stdout": "632c7ac4c9dc5f062712d04a27082313f8e3dc17eedd20773938b69a67fb5f09",
+            "verify.json": "632c7ac4c9dc5f062712d04a27082313f8e3dc17eedd20773938b69a67fb5f09",
+        },
+    },
+    "Sandybridge": {
+        "quad": {
+            "runs.csv": "caf52c36e2187ba9c18c96d8a49280a66a07e9165a7f96b49295e97dcd6aa906",
+            "summary.csv": "3a3572fa8e5b835afcfefef489b278207d73df645e4076b5e559d7074bc7d2dd",
+        },
+        "quad-lr1e300": {
+            "runs.csv": "db094ac4f1fb8d63b2dd4322108210d1b37876250daaca1b227ff7edbbc6a234",
+            "summary.csv": "fc1cdbf45342746c37186b2dbe74fe1456549dd162f530753f8e4399c11a8f0b",
+        },
+        "signal": {
+            "responses.csv": "176e91bbff308a94e15658f1d0e0fd290276650640c17505df0bb2271a10b9ec",
+            "signal_properties.json": "9fd4295df856d628a0c3f6caec7843d2c2a872fefa4f3178b1ba5a827cf90df4",
+        },
+        "sweep": {
+            "sweep.csv": "bc4f304bde6e0cb00a9ad1191fda0ef19dfbc2936c6b6d36fc2bba90c69af5c6",
+        },
+        "sweep-mixed": {
+            "sweep.csv": "79a2c4312cf5967fffca70a6c7b481a27ce32ad618f8a6959d9fe30ff9bf1506",
         },
         "verify": {
             "stdout": "632c7ac4c9dc5f062712d04a27082313f8e3dc17eedd20773938b69a67fb5f09",
