@@ -584,13 +584,12 @@ def _sweep_batch(problem, cfg: SweepConfig, name: str, betas, starts) -> list[st
     kind = OptimizerKind(name)
     pairs = _beta_pairs(kind, betas, cfg.equal_betas)
     cells = [(beta1, beta2, lr) for beta1, beta2 in pairs for lr in cfg.lr_grid]
-    configs = {pair: default_quad_config(kind, *pair) for pair in pairs}
+    # each config id is its rate's ``make_config_id`` and its pair's suffix, each formatted once
+    configs = [(default_quad_config(kind, b1, b2), f":b1={b1:.17g}:b2={b2:.17g}") for b1, b2 in pairs]
+    labels = [(lr, make_config_id(layout, name, lr)) for lr in cfg.lr_grid]
     results = run_cell(
         problem,
-        [
-            (configs[beta1, beta2], lr, make_config_id(layout, name, lr) + f":b1={beta1:.17g}:b2={beta2:.17g}")
-            for beta1, beta2, lr in cells
-        ],
+        [(config, lr, label + suffix) for config, suffix in configs for lr, label in labels],
         starts,
         cfg.steps,
         cfg.batch_size,
@@ -657,7 +656,8 @@ def _layout_names(value: str) -> tuple[str, ...]:
 
 def _ensure_out(out: str) -> Path:
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    if not path.is_dir():  # a rerun's directory exists: ``mkdir`` would raise and catch FileExistsError
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 

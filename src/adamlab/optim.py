@@ -113,7 +113,7 @@ def recursion_coefficients(beta1, beta2, shape) -> tuple:
     """
     c = 1.0 - beta1
     coefficients = (beta1, c, beta1 * c, beta2, 1.0 - beta2)
-    return tuple(np.broadcast_to(x, shape).copy() for x in coefficients) if shape else coefficients
+    return tuple(np.full(shape, x) for x in coefficients) if shape else coefficients
 
 
 def _recursion(kind: OptimizerKind, beta1, beta2, shape):

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -179,16 +180,17 @@ def build_problem(layout: Layout, base_seed: int) -> QuadraticProblem:
     layout.value)`` by one :func:`haar_rotations` call. The block square
     roots come straight from the known eigendecomposition
     (``Q diag(sqrt(eig)) Q^T``), so no general matrix square root is needed;
-    all three blocks are formed as one stack of products.
+    the six blocks of both matrices are formed as one ``(2, 3, 3, 3)`` stack
+    of products and written by one indexed assignment.
     """
     rng = np.random.default_rng(derive_seed(base_seed, "problem", layout.value))
     q = haar_rotations(rng)
-    q_t, lam = q.swapaxes(-1, -2), np.asarray(BLOCKS[layout], dtype=float)
-    h_b = q @ (np.eye(3) * lam[:, None, :]) @ q_t
-    x_b = q @ (np.eye(3) * np.sqrt(lam)[:, None, :]) @ q_t
-    hessian, design = np.zeros((9, 9)), np.zeros((9, 9))
-    for sl, h, x in zip(BLOCK_SLICES, (h_b + h_b.swapaxes(-1, -2)) / 2.0, (x_b + x_b.swapaxes(-1, -2)) / 2.0):
-        hessian[sl, sl], design[sl, sl] = h, x
+    lam = np.asarray(BLOCKS[layout], dtype=float)
+    blocks = q @ (np.eye(3) * np.array([lam, np.sqrt(lam)])[..., None, :]) @ q.swapaxes(-1, -2)
+    matrices = np.zeros((2, 3, 3, 3, 3))  # (matrix, block row, row, block column, column)
+    diagonal = np.arange(3)
+    matrices[:, diagonal, :, diagonal] = ((blocks + blocks.swapaxes(-1, -2)) / 2.0).swapaxes(0, 1)
+    hessian, design = matrices.reshape(2, 9, 9)
     return QuadraticProblem(hessian=hessian, design=design, layout=layout)
 
 
@@ -257,8 +259,16 @@ def draw_rows(rng: np.random.Generator, n: int, steps: int, batch_size: int, out
     if out is None:
         _check_batch_size(n, batch_size)
     block = np.empty((steps, n), dtype=np.intp) if out is None else out
-    block[...] = np.arange(n)
+    block[...] = _identity(n)
     return rng.permuted(block, axis=1, out=block)[:, :batch_size]
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """A read-only ``arange(n)``, made once per ``n``: a batch fills its reused block with it before each draw."""
+    rows = np.arange(n)
+    rows.flags.writeable = False
+    return rows
 
 
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
@@ -306,25 +316,25 @@ def _pcg64_states(seeds: Sequence[int]) -> list[dict]:
     ``SeedSequence(seed).generate_state(4, np.uint64)`` is computed over
     ``(4, R)`` and ``(8, R)`` ``uint32`` arrays, one row per pool or output
     word: the entropy is each seed's two 32-bit words (a seed below 2**32 has
-    one, but hashing the missing word is hashing 0). Each run's four output
-    ``uint64`` words then seed PCG64 in Python ints, as ``pcg64_set_seed``
-    does: ``state = (inc + initstate) * MULT + inc`` with
-    ``inc = 2 * initseq + 1``, mod 2**128. No word is left buffered.
+    one, but hashing the missing word is hashing 0). The output words pair
+    into each run's four ``uint64`` words ``u`` in numpy, which then seed
+    PCG64 in Python ints, as ``pcg64_set_seed`` does: ``state = (inc +
+    initstate) * MULT + inc`` with ``initstate = u0 << 64 | u1`` and ``inc =
+    2 * (u2 << 64 | u3) + 1``, mod 2**128. No word is left buffered.
     """
+    entropy = np.array(seeds, dtype=np.uint64)
     pool = np.zeros((4, len(seeds)), dtype=np.uint32)
-    pool[0] = [seed & _MASK32 for seed in seeds]
-    pool[1] = [seed >> 32 for seed in seeds]
+    pool[:2] = entropy, entropy >> np.uint64(32)  # the assignment keeps each word's low 32 bits
     pool = _hashmix(pool, *_ENTROPY_HASH)
     for src, (others, xor, mult) in enumerate(_ROUNDS):
         mixed = pool[others] * _MIX_L - _hashmix(pool[src], xor, mult) * _MIX_R
         pool[others] = mixed ^ (mixed >> 16)
-    words = _hashmix(np.concatenate([pool, pool]), *_OUTPUT_HASH).tolist()
+    words = _hashmix(np.concatenate([pool, pool]), *_OUTPUT_HASH).astype(np.uint64)
     states = []
-    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*words):
-        # output uint64 k is w[2k] | w[2k + 1] << 32; initstate is u0 << 64 | u1, and initseq u2 << 64 | u3
-        initstate = w1 << 96 | w0 << 64 | w3 << 32 | w2
-        inc = (w5 << 97 | w4 << 65 | w7 << 33 | w6 << 1 | 1) & _MASK128
-        state = {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+    # output uint64 k is word 2k | word 2k + 1 << 32
+    for u0, u1, u2, u3 in zip(*(words[0::2] | words[1::2] << np.uint64(32)).tolist()):
+        inc = (u2 << 65 | u3 << 1 | 1) & _MASK128
+        state = {"state": ((inc + (u0 << 64 | u1)) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
         states.append({"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0})
     return states
 
@@ -378,12 +388,12 @@ class RunSpec(NamedTuple):
     config_id: str = ""
 
 
-def _shared_config(runs: Sequence[RunSpec]) -> OptimizerConfig:
+def _shared_config(configs: Sequence[OptimizerConfig]) -> OptimizerConfig:
     """The optimizer settings of a batch; the runs' configs may differ only in their betas."""
-    config = runs[0].config
+    config = configs[0]
     shared = [f.name for f in dataclasses.fields(config) if f.name not in ("beta1", "beta2")]
     # the runs of one cell share one config object, so each distinct object is compared once
-    for other in {id(run.config): run.config for run in runs}.values():
+    for other in {id(other): other for other in configs}.values():
         if any(getattr(other, name) != getattr(config, name) for name in shared):
             raise ValueError(f"runs of one batch may differ only in beta1 and beta2: {config} vs {other}")
     return config
@@ -396,6 +406,7 @@ def run_batch(
     batch_size: int,
     *,
     traces: bool = True,
+    finals: np.ndarray | None = None,
 ) -> list[RunRecord]:
     """Iterate gradient -> direction -> update for all ``runs`` at once, one record per run.
 
@@ -413,32 +424,35 @@ def run_batch(
     points all do (one ``max`` and one ``min`` over the history) takes its
     losses at the last points alone; a batch that leaves it takes the loss
     history as a traced batch does. Ends and final losses are those of the
-    traced batch, bit for bit. Raises ``ValueError`` if a peak is not finite
+    traced batch, bit for bit. ``finals``, an ``(R,)`` float array if given,
+    receives every run's :meth:`RunRecord.final_loss` (inf for a run that
+    ended). Raises ``ValueError`` if a peak is not finite
     and nonnegative, ``steps < 1``, ``batch_size`` is not in ``[1, dim]``, or
     the runs' configs differ in anything but ``beta1`` and ``beta2`` (all
     before any row is drawn), or if the first step's gradient is not finite
     (a point whose loss is within the threshold has a finite gradient, so
     later steps are not checked).
     """
-    for run in runs:
-        if not (math.isfinite(run.lr) and run.lr >= 0):
-            raise ValueError(f"peak_lr must be finite and nonnegative, got {run.lr}")
+    configs, peaks, starts, seeds, config_ids = zip(*runs)
+    for lr in peaks:
+        if not (math.isfinite(lr) and lr >= 0):
+            raise ValueError(f"peak_lr must be finite and nonnegative, got {lr}")
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    config = _shared_config(runs)
+    config = _shared_config(configs)
     n_runs = len(runs)
     _check_batch_size(problem.dim, batch_size)
     rows = np.empty((steps, n_runs, batch_size), dtype=np.intp)
     block = np.empty((steps, problem.dim), dtype=np.intp)  # each run's draw reuses one block
     rng = np.random.Generator(np.random.PCG64(0))  # each run's draw reuses one generator, from its own state
-    seeds = [derive_seed(run.seed, "batches", run.config_id) for run in runs]
-    for i, state in enumerate(_pcg64_states(seeds)):
+    states = _pcg64_states([derive_seed(seed, "batches", config_id) for seed, config_id in zip(seeds, config_ids)])
+    for i, state in enumerate(states):
         rng.bit_generator.state = state
         rows[:, i] = draw_rows(rng, problem.dim, steps, batch_size, out=block)
-    w = np.array([run.w0 for run in runs], dtype=float)
+    w = np.array(starts, dtype=float)
     shape = w.shape
-    beta1 = [run.config.beta1 for run in runs]
-    beta2 = [run.config.beta2 for run in runs]
+    beta1 = [config.beta1 for config in configs]
+    beta2 = [config.beta2 for config in configs]
     step, variance = array_step(config, beta1, beta2, problem.dim, steps)
     track_delta = traces and variance is not None
     second_hat, m_hat = variance if track_delta else (None, None)
@@ -448,7 +462,7 @@ def run_batch(
     buffers = gather(shape, batch_size)
     # a huge peak may overflow its rates, and a run that has ended overflows its point, moments and loss
     with np.errstate(over="ignore", invalid="ignore"):
-        lrs = lr_at(np.arange(steps, dtype=float), steps, np.array([run.lr for run in runs]))[:, :, None]
+        lrs = lr_at(np.arange(steps, dtype=float), steps, np.array(peaks))[:, :, None]
         for k in range(steps):
             g = subset_gradient(problem, w, rows[k], out=buffers)
             if k == 0 and not np.isfinite(g).all():
@@ -466,25 +480,24 @@ def run_batch(
         losses = problem.loss(points[-1:] if screened else points)
         # not ``abs(loss) <= threshold``: a finite loss below -threshold does not end a run
         beyond = ~np.isfinite(losses) | (losses > DIVERGENCE_THRESHOLD)
-    ended = beyond.any(axis=0).tolist()
-    ends = beyond.argmax(axis=0).tolist()
+    ended, ends = beyond.any(axis=0), beyond.argmax(axis=0)
+    # a run ends at a loss above the threshold (recorded) or at one that is not finite (not recorded)
+    over = ended & np.isfinite(losses[ends, np.arange(n_runs)])
+    last = np.where(ended, math.inf, losses[-1])
+    if finals is not None:
+        finals[...] = last
 
     records = []
-    for i, run in enumerate(runs):
-        at = ends[i] if ended[i] else None
-        reason = None if at is None else "threshold" if math.isfinite(losses[at, i]) else "non_finite"
-        recorded = steps if at is None else at + (reason == "threshold")
-        kept = losses[:recorded, i] if traces else losses[-1:, i] if at is None else losses[:0, i]
-        records.append(
-            RunRecord(
-                config_id=run.config_id,
-                seed=run.seed,
-                losses=kept.copy(),
-                delta_block_means=block_sums[:recorded, i] / 3.0 if track_delta else None,
-                diverged_at=at,
-                reason=reason,
-            )
-        )
+    for i, (seed, config_id, end, has_ended, threshold) in enumerate(
+        zip(seeds, config_ids, ends.tolist(), ended.tolist(), over.tolist())
+    ):
+        at = end if has_ended else None
+        recorded = steps if at is None else at + threshold
+        # an untraced record's final loss is a view of the batch's final losses, or nothing for a run that ended
+        kept = losses[:recorded, i].copy() if traces else last[i : i + (at is None)]
+        means = block_sums[:recorded, i] / 3.0 if track_delta else None
+        reason = None if at is None else "threshold" if threshold else "non_finite"
+        records.append(RunRecord(config_id, seed, kept, means, at, reason))
     return records
 
 
@@ -567,22 +580,26 @@ def run_cell(
 
     All runs of all cells go through :func:`run_batch` as one batch, so the
     cells' configs may differ only in their betas; each cell's records come
-    in ``starts`` order, and its quantiles are its row of one
-    :func:`loss_quantiles` call over all cells. Every run of a cell shares its
-    ``config_id``, so each seed's subsampling stream is
-    ``derive_seed(seed, "batches", config_id)``. ``traces=False`` runs an
+    in ``starts`` order. The batch's final losses, one ``(cells, seeds)``
+    array, give every cell's statistics at once: its quantiles are its row of
+    one :func:`loss_quantiles` call, and its divergence count the infinities
+    in that row (a run diverged exactly when its final loss is inf). Every
+    run of a cell shares its ``config_id``, so each seed's subsampling stream
+    is ``derive_seed(seed, "batches", config_id)``. ``traces=False`` runs an
     untraced batch, whose cells are the traced batch's without its per-step
     traces.
     """
     if not starts:
         raise ValueError("at least one seed is required")
     runs = [RunSpec(config, lr, w0, seed, config_id) for config, lr, config_id in cells for seed, w0 in starts]
-    records = run_batch(problem, runs, steps, batch_size, traces=traces)
-    per_cell = [records[i : i + len(starts)] for i in range(0, len(records), len(starts))]
-    stats = loss_quantiles(np.array([[record.final_loss() for record in own] for own in per_cell])).tolist()
+    finals = np.empty(len(runs))
+    records = run_batch(problem, runs, steps, batch_size, traces=traces, finals=finals)
+    n = len(starts)
+    finals = finals.reshape(-1, n)
+    stats, n_diverged = loss_quantiles(finals).tolist(), np.isinf(finals).sum(axis=1).tolist()
     return [
-        Cell(lr, own, tuple(row), sum(record.diverged for record in own))
-        for (_, lr, _), own, row in zip(cells, per_cell, stats)
+        Cell(lr, records[i * n : (i + 1) * n], tuple(row), count)
+        for i, ((_, lr, _), row, count) in enumerate(zip(cells, stats, n_diverged))
     ]
 
 

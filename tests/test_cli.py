@@ -1124,6 +1124,17 @@ class TestRerunsIntoOneOut:
             rounds.append({name: (tmp_path / name).read_bytes() for name in names})
         assert rounds[0] == rounds[1] == rounds[2]
 
+    def test_rerun_into_an_existing_out_makes_no_directory(self, tmp_path, monkeypatch):
+        """Only a missing ``--out`` is created, parents included; a rerun finds it and skips ``mkdir``."""
+        made, mkdir = [], Path.mkdir
+        monkeypatch.setattr(Path, "mkdir", lambda path, *args, **kwargs: made.append(path) or mkdir(path, *args, **kwargs))
+        out, created = tmp_path / "new" / "out", []
+        for argv, _ in self.COMMANDS.values():
+            made.clear()
+            assert _run(argv + ["--out", str(out)])[0] == EXIT_OK
+            created.append(out in made)
+        assert created == [True, False, False, False]
+
     @pytest.mark.parametrize(
         "command, name", [(command, name) for command, (_, names) in COMMANDS.items() for name in names]
     )

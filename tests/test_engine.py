@@ -737,6 +737,17 @@ def test_untraced_batch_with_every_run_in_the_box_takes_only_final_losses(monkey
     assert [len(record.losses) for record in records] == [1] * len(runs)
 
 
+@pytest.mark.parametrize("traces", (True, False), ids=("traced", "untraced"))
+def test_batch_finals_are_the_records_final_losses(traces):
+    """``finals`` receives each record's ``final_loss``, inf for both ends: a finite loss above the threshold and one that is not."""
+    problem = build_problem(Layout.HETEROGENEOUS, 0)
+    runs = mixed_runs(OptimizerKind.SIGNUM, [(0.9, 0.9)], [100.0, 1e4, 1e300], 3, 30, epsilon=0.0)
+    finals = np.full(len(runs), np.nan)
+    records = run_batch(problem, runs, 30, 3, traces=traces, finals=finals)
+    assert {record.reason for record in records} == {None, "threshold", "non_finite"}
+    assert [x.hex() for x in finals.tolist()] == [record.final_loss().hex() for record in records]
+
+
 @pytest.mark.parametrize("layout", Layout, ids=lambda layout: layout.value)
 def test_points_on_the_screen_box_have_at_most_half_the_threshold(layout):
     """Every corner, and random points on every face, of the box ``max|w| <= screen_bound``, over 200 problems.
@@ -762,19 +773,23 @@ def test_sweep_csv_equals_batch_per_pair(tmp_path, capsys):
     """Every row of ``sweep.csv`` is its cell's runs on the reference stepper.
 
     Pins the sweep's stream labels, its zero epsilon for sign methods, and
-    each cell's status and quantiles.
+    each cell's status and quantiles. The grid holds runs that finish, runs
+    that end on a finite loss above the threshold and, at the added rate
+    1e300, runs that end on a loss that is not finite, so a cell's statistics
+    count both ends as diverged.
     """
     names = ("sgd", "signum", "adameq", "adam", "rmsprop")
     kappas, n_seeds, steps = (0.5, 1.0, 2.0), 2, 60
-    argv = ["sweep", *(f"--optim={name}" for name in names), "--kappas", *map(str, kappas)]
-    argv += ["--seeds", str(n_seeds), "--steps", str(steps), "--out", str(tmp_path / "sweep")]
+    cfg = SweepConfig(lr_grid=(*SweepConfig().lr_grid, 1e300))
+    (tmp_path / "sweep.json").write_text(serialize_config(cfg))
+    argv = ["sweep", "--config", str(tmp_path / "sweep.json"), *(f"--optim={name}" for name in names)]
+    argv += ["--kappas", *map(str, kappas), "--seeds", str(n_seeds), "--steps", str(steps), "--out", str(tmp_path / "sweep")]
     assert main(argv) == EXIT_OK
     capsys.readouterr()
 
-    cfg = SweepConfig()
     problem = build_problem(Layout.HETEROGENEOUS, 0)
     starts = [initial_point(problem.dim, seed) for seed in range(n_seeds)]
-    rows = []
+    rows, reasons = [], set()
     for name in names:
         kind = OptimizerKind(name)
         for beta1, beta2 in _beta_pairs(kind, beta_grid(cfg.beta_base, kappas), False):
@@ -784,11 +799,13 @@ def test_sweep_csv_equals_batch_per_pair(tmp_path, capsys):
                 runs = [RunSpec(config, lr, w0, seed, label) for seed, w0 in enumerate(starts)]
                 with np.errstate(over="ignore", invalid="ignore"):
                     records = [reference.run(problem, run, steps, cfg.batch_size) for run in runs]
+                reasons |= {record.reason for record in records}
                 n_diverged = sum(record.diverged for record in records)
                 status = "all_diverged" if n_diverged == n_seeds else "partial" if n_diverged else "ok"
                 stats = loss_quantiles(np.array([[record.final_loss() for record in records]]))[0]
                 rows.append(["het", name, *map(fmt_float, (lr, beta1, beta2)), str(n_seeds), *map(fmt_float, stats), str(n_diverged), status])
     assert {row[10] for row in rows} == {"ok", "partial", "all_diverged"}
+    assert reasons == {None, "threshold", "non_finite"}
     header = ["layout", "optimizer", "lr", "beta1", "beta2", "n_seeds", "median_final", "q25", "q75", "n_diverged", "status"]
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
